@@ -53,15 +53,13 @@ from .evolution import (
 )
 from .numerics import (
     DEFAULT_TOL,
-    EigResult,
-    SvdResult,
     Tolerances,
     check_finite,
     check_hermitian,
     hermitian_eig,
     svd,
 )
-from .pca import PcaModel, fit_pca, importance, importances, reconstruct, weights_of
+from .pca import PcaModel, fit_pca, importances, reconstruct, weights_of
 from .stateset import (
     NormPolicy,
     StateSet,
@@ -84,7 +82,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DimMismatch",
     "DomainError",
-    "EigResult",
     "EntropyCurve",
     "LN2",
     "NoConvergence",
@@ -100,7 +97,6 @@ __all__ = [
     "RegimeViolation",
     "SelectionRule",
     "StateSet",
-    "SvdResult",
     "Tolerances",
     "Trajectory",
     "ZeroNorm",
@@ -118,7 +114,6 @@ __all__ = [
     "expectation",
     "fit_pca",
     "hermitian_eig",
-    "importance",
     "importances",
     "ising_chain",
     "random_hamiltonian",

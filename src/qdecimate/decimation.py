@@ -74,15 +74,17 @@ def decimate_state(
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (cg.source.dim,):
         raise DimMismatch(f"expected a vector of length {cg.source.dim}, got shape {v.shape}")
-    w = cg.g @ v
+    basis = cg.source.basis
+    # conj(v^dag basis) = basis^dag v without conjugating a copy of the basis
+    full = (v.conj() @ basis).conj()
+    w = full[: cg.d]
     norm_before = float(np.linalg.norm(w))
     if norm_before <= tol.zero_norm:
         raise ZeroNorm(
             f"state is orthogonal to the retained subspace (norm {norm_before:.3e})"
         )
-    full = cg.source.basis.conj().T @ v
-    residual = float(np.real(np.vdot(v, v)) - np.real(np.vdot(full, full)))
-    outside = residual > tol.base * max(float(np.real(np.vdot(v, v))), 1.0)
+    residual = float(np.linalg.norm(v - basis @ full))
+    outside = residual > tol.base * max(float(np.linalg.norm(v)), 1.0)
     weights = w / norm_before
     weights.setflags(write=False)
     return CoarseState(d=cg.d, weights=weights, norm_before=norm_before, outside_span=outside)

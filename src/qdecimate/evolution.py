@@ -63,11 +63,11 @@ def evolve_sequence(
         raise RegimeViolation(f"Hamiltonian shape {h.shape} does not match state length {dim}")
     if abs(np.linalg.norm(psi0) - 1.0) > tol.state_norm:
         raise NotNormalized(f"initial state has norm {np.linalg.norm(psi0):.12g}")
-    eig = hermitian_eig(h, tol)
-    amplitudes = eig.eigenvectors.conj().T @ psi0
+    energies, vectors = hermitian_eig(h, tol)
+    amplitudes = vectors.conj().T @ psi0
     times = dt * np.arange(steps)
-    phases = np.exp(-1j * np.outer(eig.eigenvalues, times))
-    columns = eig.eigenvectors @ (phases * amplitudes[:, np.newaxis])
+    phases = np.exp(-1j * np.outer(energies, times))
+    columns = vectors @ (phases * amplitudes[:, np.newaxis])
     states = validate_state_set(columns, NormPolicy.STRICT, tol=tol)
     return Trajectory(initial=psi0, dt=float(dt), steps=steps, states=states)
 

@@ -37,28 +37,6 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Economy SVD ``m = left_vectors @ diag(singular_values) @ right_vectors_h``.
-
-    Singular values are non-negative and descending; both vector factors
-    have orthonormal columns/rows. Phases are fixed so that the
-    largest-magnitude entry of each left vector is real and positive.
-    """
-
-    left_vectors: np.ndarray
-    singular_values: np.ndarray
-    right_vectors_h: np.ndarray
-
-
-@dataclass(frozen=True)
-class EigResult:
-    """Hermitian eigendecomposition with eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def check_finite(m: np.ndarray, name: str = "matrix") -> None:
     if not np.all(np.isfinite(m)):
         raise NonFinite(f"{name} contains NaN or Inf entries")
@@ -93,8 +71,15 @@ def _fix_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, vh
 
 
-def svd(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
-    """Economy SVD with descending singular values and fixed phases."""
+def svd(
+    m: np.ndarray, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Economy SVD ``m = u @ diag(s) @ vh``, returned as ``(u, s, vh)``.
+
+    Singular values are non-negative and descending; u has orthonormal
+    columns and vh orthonormal rows. Phases are fixed so that the
+    largest-magnitude entry of each column of u is real and positive.
+    """
     # C-contiguous input so equal values give bit-identical backend output
     m = np.ascontiguousarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
@@ -107,11 +92,13 @@ def svd(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     u, vh = _fix_phases(u, vh)
     for arr in (u, s, vh):
         arr.setflags(write=False)
-    return SvdResult(left_vectors=u, singular_values=s, right_vectors_h=vh)
+    return u, s, vh
 
 
-def hermitian_eig(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> EigResult:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+def hermitian_eig(
+    m: np.ndarray, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(w, v)`` of a Hermitian matrix, eigenvalues ascending."""
     m = np.ascontiguousarray(m, dtype=np.complex128)
     check_hermitian(m, tol)
     try:
@@ -120,4 +107,4 @@ def hermitian_eig(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> EigResult:
         raise NoConvergence(f"eigendecomposition backend failed: {exc}") from exc
     w.setflags(write=False)
     v.setflags(write=False)
-    return EigResult(eigenvalues=w, eigenvectors=v)
+    return w, v

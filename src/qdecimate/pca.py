@@ -5,6 +5,13 @@ normalized uniform superposition carrying each state's mean, columns
 1..M are the left singular vectors of the deviation matrix ordered by
 descending singular value. Weights are the exact expansion coefficients
 of every input state in that basis.
+
+When the deviations have rank r < M, or the singular vectors are not
+orthonormal to column 0 within tolerance, one Householder QR of
+[uniform | first r singular vectors | first M-r canonical vectors]
+completes the basis: column k keeps the order and phase of the vector
+it came from, and the filler columns are orthonormal by construction.
+The Gram check afterwards only validates; it raises NoConvergence.
 """
 
 from __future__ import annotations
@@ -14,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroDeviations, DimMismatch
+from .errors import AllZeroDeviations, DimMismatch, NoConvergence
 from .numerics import DEFAULT_TOL, Tolerances, svd
 from .stateset import StateSet, column_means, deviation_matrix
 
-__all__ = ["PcaModel", "fit_pca", "weights_of", "importance", "importances", "reconstruct"]
+__all__ = ["PcaModel", "fit_pca", "weights_of", "importances", "reconstruct"]
 
 
 @dataclass(frozen=True)
@@ -29,8 +36,9 @@ class PcaModel:
     singular_values: M deviation singular values, descending
     weights:         (M+1) x M; column mu expands state mu in the basis
     rank:            singular values above rank_rel * e_1 (the rest count
-                     as zero; their basis columns are deterministic
-                     orthonormal fill and their weight rows are zero)
+                     as zero; their basis columns come from the QR of the
+                     leading canonical vectors against the retained
+                     columns, and their weight rows are zero)
     """
 
     dim: int
@@ -41,73 +49,42 @@ class PcaModel:
     rank: int
 
 
-def _fill_deficient_columns(phi: np.ndarray, filled: int) -> None:
-    """Complete phi[:, filled:] to an orthonormal set, deterministically.
-
-    Candidates are the canonical basis vectors in index order; each is
-    orthogonalized (two passes) against the columns accepted so far and
-    taken if enough of it survives. If a full scan never clears the
-    acceptance bar, the best candidate seen is used instead.
-    """
-    dim, total = phi.shape
-    for j in range(filled, total):
-        best_vec = None
-        best_norm = -1.0
-        chosen = None
-        for i in range(dim):
-            v = np.zeros(dim, dtype=np.complex128)
-            v[i] = 1.0
-            for _ in range(2):
-                v -= phi[:, :j] @ (phi[:, :j].conj().T @ v)
-            nrm = float(np.linalg.norm(v))
-            if nrm > 0.5:
-                chosen = v / nrm
-                break
-            if nrm > best_norm:
-                best_norm = nrm
-                best_vec = v
-        if chosen is None:
-            if best_vec is None or best_norm <= 0.0:
-                raise RuntimeError("orthonormal completion impossible; D > M+1 violated?")
-            chosen = best_vec / best_norm
-        phi[:, j] = chosen
-
-
-def _mgs_sweep(phi: np.ndarray) -> np.ndarray:
-    """One modified Gram-Schmidt pass preserving column 0 and column order."""
-    out = phi.copy()
-    for j in range(1, out.shape[1]):
-        for _ in range(2):
-            out[:, j] -= out[:, :j] @ (out[:, :j].conj().T @ out[:, j])
-        out[:, j] /= np.linalg.norm(out[:, j])
-    return out
+def _gram_deviation(phi: np.ndarray) -> float:
+    return float(np.abs(phi.conj().T @ phi - np.eye(phi.shape[1])).max())
 
 
 def fit_pca(s: StateSet, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
-    """Fit the mean-plus-deviations PCA model of a state set."""
+    """Fit the mean-plus-deviations PCA model of a state set.
+
+    Raises NoConvergence if the completed basis is not orthonormal
+    within tol.base.
+    """
     dim, count = s.dim, s.count
     means = column_means(s)
-    delta = deviation_matrix(s, means)
-    dec = svd(delta, tol)
-    sv = dec.singular_values
+    u, sv, vh = svd(deviation_matrix(s, means), tol)
     rank_tol = tol.rank_rel * (float(sv[0]) if sv.size else 0.0)
     rank = int(np.sum(sv > rank_tol))
 
     phi = np.empty((dim, count + 1), dtype=np.complex128)
     phi[:, 0] = 1.0 / math.sqrt(dim)
-    phi[:, 1 : rank + 1] = dec.left_vectors[:, :rank]
-    if rank < count:
-        _fill_deficient_columns(phi, filled=rank + 1)
+    phi[:, 1 : rank + 1] = u[:, :rank]
+    if rank < count or _gram_deviation(phi) > tol.base:
+        phi[:, rank + 1 :] = np.eye(dim, count - rank)
+        q, r = np.linalg.qr(phi)
+        # the phase of R_kk turns Q_k back onto input column k
+        diag = np.diagonal(r)
+        mag = np.abs(diag)
+        phase = np.ones_like(diag)
+        np.divide(diag, mag, out=phase, where=mag > 0.0)
+        phi = q * phase
+        phi[:, 0] = 1.0 / math.sqrt(dim)
+        gram_dev = _gram_deviation(phi)
+        if gram_dev > tol.base:
+            raise NoConvergence(f"fitted basis not orthonormal (deviation {gram_dev:.3e})")
 
     weights = np.zeros((count + 1, count), dtype=np.complex128)
     weights[0, :] = math.sqrt(dim) * means
-    weights[1 : rank + 1, :] = sv[:rank, np.newaxis] * dec.right_vectors_h[:rank, :]
-
-    gram_dev = np.abs(phi.conj().T @ phi - np.eye(count + 1)).max()
-    if gram_dev > tol.base:
-        phi = _mgs_sweep(phi)
-        weights = phi.conj().T @ s.matrix
-        weights[0, :] = math.sqrt(dim) * means
+    weights[1 : rank + 1, :] = sv[:rank, np.newaxis] * vh[:rank, :]
 
     phi.setflags(write=False)
     weights.setflags(write=False)
@@ -127,13 +104,6 @@ def weights_of(model: PcaModel, v: np.ndarray) -> np.ndarray:
     if v.shape != (model.dim,):
         raise DimMismatch(f"expected a vector of length {model.dim}, got shape {v.shape}")
     return model.basis.conj().T @ v
-
-
-def importance(model: PcaModel, k: int) -> float:
-    """Fractional contribution of deviation component k (1-based)."""
-    if not 1 <= k <= model.count:
-        raise DimMismatch(f"component index must lie in 1..{model.count}, got {k}")
-    return float(importances(model)[k - 1])
 
 
 def importances(model: PcaModel) -> np.ndarray:

@@ -115,8 +115,14 @@ class TestDecimateState:
         v[7] = 1.0
         coarse = decimate_state(build_map(model, 4), v)
         assert coarse.outside_span
-        inside = decimate_state(build_map(model, 4), model.basis @ np.ones(4) / 2.0)
+        inside_vec = model.basis @ np.ones(4) / 2.0
+        inside = decimate_state(build_map(model, 4), inside_vec)
         assert not inside.outside_span
+        # small out-of-span amplitudes must be flagged too
+        off = v - model.basis @ (model.basis.conj().T @ v)
+        off /= np.linalg.norm(off)
+        for amp in (1e-6, 1e-8):
+            assert decimate_state(build_map(model, 4), inside_vec + amp * off).outside_span
 
     def test_normalized_output(self):
         s = random_state_set(16, 3, seed=59)

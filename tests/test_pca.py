@@ -6,14 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdecimate import (
+    DEFAULT_TOL,
     AllZeroDeviations,
     DimMismatch,
+    NoConvergence,
     PcaModel,
+    Tolerances,
+    column_means,
+    deviation_matrix,
+    evolve_sequence,
     fit_pca,
-    importance,
     importances,
+    ising_chain,
     random_state_set,
     reconstruct,
+    svd,
     uniform_vector,
     validate_state_set,
     weights_of,
@@ -24,6 +31,17 @@ from helpers import random_columns, random_unitary
 
 def _fit(dim, count, seed):
     return random_state_set(dim, count, seed=seed), None
+
+
+def _slow_ising_trajectory():
+    # slow dynamics: singular values decay through the rank cut
+    psi0 = np.zeros(256, dtype=complex)
+    psi0[0] = 1.0
+    return evolve_sequence(ising_chain(8), psi0, 0.05, 30).states
+
+
+def _canonical_duplicates():
+    return validate_state_set(np.eye(16, dtype=complex)[:, [0, 0, 1, 1, 2]])
 
 
 def _model_with_singular_values(sv):
@@ -116,6 +134,27 @@ class TestRankDeficiency:
         assert np.abs(model.weights[2, :]).max() == 0.0
 
 
+class TestBasisCompletion:
+    @pytest.mark.parametrize("states", [_slow_ising_trajectory, _canonical_duplicates])
+    def test_completed_basis(self, states):
+        s = states()
+        model = fit_pca(s)
+        assert model.rank < model.count
+        assert np.array_equal(model.basis[:, 0], np.full(s.dim, 1.0 / math.sqrt(s.dim)))
+        u, _, _ = svd(deviation_matrix(s, column_means(s)))
+        retained = slice(1, model.rank + 1)
+        overlaps = np.einsum("ij,ij->j", model.basis[:, retained].conj(), u[:, : model.rank])
+        assert np.abs(overlaps - 1.0).max() <= 1e-8
+        assert np.all(model.weights[model.rank + 1 :, :] == 0.0)
+        gram = model.basis.conj().T @ model.basis
+        assert np.abs(gram - np.eye(model.count + 1)).max() <= DEFAULT_TOL.base
+        assert np.abs(model.basis @ model.weights - s.matrix).max() <= 1e-10
+
+    def test_gram_check_raises(self):
+        with pytest.raises(NoConvergence):
+            fit_pca(_canonical_duplicates(), Tolerances(base=1e-20))
+
+
 class TestWeightsOf:
     def test_phi0_maps_to_first_unit_vector(self):
         s = random_state_set(16, 3, seed=28)
@@ -149,13 +188,13 @@ class TestWeightsOf:
 class TestImportance:
     def test_direct_ratio(self):
         model = _model_with_singular_values([3.0, 1.0])
-        assert importance(model, 1) == 0.75
-        assert importance(model, 2) == 0.25
+        assert importances(model)[0] == 0.75
+        assert importances(model)[1] == 0.25
 
     def test_symmetric_values(self):
         model = _model_with_singular_values([0.7, 0.7, 0.7, 0.7])
         for k in range(1, 5):
-            assert abs(importance(model, k) - 0.25) <= 1e-15
+            assert abs(importances(model)[k - 1] - 0.25) <= 1e-15
 
     def test_sum_to_one(self):
         model = fit_pca(random_state_set(32, 6, seed=33))
@@ -165,13 +204,6 @@ class TestImportance:
         model = _model_with_singular_values([0.0, 0.0])
         with pytest.raises(AllZeroDeviations):
             importances(model)
-
-    def test_index_range(self):
-        model = _model_with_singular_values([1.0, 1.0])
-        with pytest.raises(DimMismatch):
-            importance(model, 0)
-        with pytest.raises(DimMismatch):
-            importance(model, 3)
 
 
 class TestReconstruct:
@@ -260,9 +292,9 @@ class TestModelInvariants:
             model.weights[0, 0] = 0.0
 
     def test_determinism_bit_identical(self):
-        s = random_state_set(24, 5, seed=44)
-        a = fit_pca(s)
-        b = fit_pca(s)
-        assert a.basis.tobytes() == b.basis.tobytes()
-        assert a.weights.tobytes() == b.weights.tobytes()
-        assert a.singular_values.tobytes() == b.singular_values.tobytes()
+        for s in (random_state_set(24, 5, seed=44), _canonical_duplicates()):
+            a = fit_pca(s)
+            b = fit_pca(s)
+            assert a.basis.tobytes() == b.basis.tobytes()
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.singular_values.tobytes() == b.singular_values.tobytes()
