@@ -62,7 +62,7 @@ def build_map(model: PcaModel, d: int) -> CoarseGrainMap:
     """First d rows of the basis adjoint as a coarse-graining map."""
     if not 2 <= d <= model.count + 1:
         raise BadDimension(f"coarse dimension must lie in [2, {model.count + 1}], got {d}")
-    g = model.basis[:, :d].conj().T.copy()
+    g = model.basis[:, :d].conj().T
     g.setflags(write=False)
     return CoarseGrainMap(d=d, g=g, source=model)
 

@@ -4,6 +4,10 @@ Viewing the D = 2**n space as n qubits (big-endian: qubit 1 is the most
 significant bit of the basis index), these routines compute one-qubit
 reduced density matrices, their von Neumann entropy in nats, and the
 entropy of a state rebuilt from its first d basis components as d grows.
+
+The curve over d = 1..M+1 costs O(D*M): running column sums give every
+reconstruction at once, one reshape of that block gives every one-qubit
+reduced density matrix, and their 2x2 spectra are taken in closed form.
 """
 
 from __future__ import annotations
@@ -98,6 +102,25 @@ def von_neumann_entropy(rho: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float
     return float(-np.sum(positive * np.log(positive))) + 0.0
 
 
+def _qubit_entropies(
+    rho00: np.ndarray, rho11: np.ndarray, off2: np.ndarray, tol: Tolerances
+) -> np.ndarray:
+    """Entropies of unit-trace 2x2 density matrices [[rho00, rho01], [rho01*, rho11]].
+
+    off2 is |rho01|^2. Closed-form spectrum, vectorised elementwise: the
+    large eigenvalue is (1 + sqrt((rho00 - rho11)^2 + 4|rho01|^2)) / 2 >= 1/2,
+    and the small one is det / large, which keeps its relative precision for
+    near-pure states.
+    """
+    large = (1.0 + np.sqrt((rho00 - rho11) ** 2 + 4.0 * off2)) / 2.0
+    small = (rho00 * rho11 - off2) / large
+    if small.min() < -tol.psd_slack:
+        raise NotDensityMatrix(f"negative eigenvalue {small.min():.3e} beyond tolerance")
+    lam = np.clip(np.stack([large, small]), 0.0, 1.0)
+    # 0 ln 0 = 0; + 0.0 turns the -0.0 of a pure state into plain 0.0
+    return -np.sum(lam * np.log(np.where(lam > 0.0, lam, 1.0)), axis=0) + 0.0
+
+
 def entropy_vs_dimension_curve(
     s: StateSet,
     model: PcaModel,
@@ -108,7 +131,9 @@ def entropy_vs_dimension_curve(
     """Entropy of the renormalized d-component reconstruction of state mu.
 
     d runs from 1 (mean component only) to M+1 (full expansion, which
-    matches the original state's entropy).
+    matches the original state's entropy). One cumulative D x (M+1) block
+    holds every reconstruction, so a curve costs O(D*M) time and one
+    D x (M+1) temporary.
     """
     if s.dim != model.dim or s.count != model.count:
         raise DimMismatch("state set and model disagree on dimensions")
@@ -117,16 +142,31 @@ def entropy_vs_dimension_curve(
     f = QubitFactorization.from_dim(model.dim)
     if not 1 <= q <= f.n:
         raise BadQubitIndex(f"qubit index must lie in 1..{f.n}, got {q}")
-    w = model.weights[:, mu - 1]
-    points = []
-    for d in range(1, model.count + 2):
-        vec = model.basis[:, :d] @ w[:d]
-        nrm = float(np.linalg.norm(vec))
-        if nrm <= tol.zero_norm:
-            raise ZeroNorm(f"reconstruction at d={d} has norm {nrm:.3e}")
-        rho = reduced_density_matrix(vec / nrm, f, q)
-        points.append((d, von_neumann_entropy(rho, tol)))
-    return EntropyCurve(state_index=mu, qubit=q, points=tuple(points))
+    # column d-1 of the running sums is basis[:, :d] @ w[:d]
+    c = model.basis * model.weights[:, mu - 1]
+    np.cumsum(c, axis=1, out=c)
+    # float view indexed (higher bits, bit q, lower bits, d-1, re/im), no copy
+    parts = c.view(np.float64).reshape(2 ** (q - 1), 2, -1, c.shape[1], 2)
+    x, y = parts[:, 0], parts[:, 1]
+    # keeping (d-1, re/im) as output axes lets einsum stream whole rows, and
+    # summing rho01's real part like rho00 and rho11 makes det exactly 0 for
+    # equal halves (the uniform state at d=1)
+    power0 = np.einsum("abkl,abkl->kl", x, x).sum(axis=1)
+    power1 = np.einsum("abkl,abkl->kl", y, y).sum(axis=1)
+    cross_re = np.einsum("abkl,abkl->kl", x, y).sum(axis=1)
+    cross_im = np.einsum("abk,abk->k", x[..., 1], y[..., 0]) - np.einsum(
+        "abk,abk->k", x[..., 0], y[..., 1]
+    )
+    norm2 = power0 + power1
+    norm = np.sqrt(norm2)
+    vanishing = np.flatnonzero(norm <= tol.zero_norm)
+    if vanishing.size:
+        d = int(vanishing[0]) + 1
+        raise ZeroNorm(f"reconstruction at d={d} has norm {norm[d - 1]:.3e}")
+    off2 = (cross_re**2 + cross_im**2) / norm2**2
+    entropies = _qubit_entropies(power0 / norm2, power1 / norm2, off2, tol)
+    points = tuple(enumerate(entropies.tolist(), start=1))
+    return EntropyCurve(state_index=mu, qubit=q, points=points)
 
 
 def saturation_dimension(curve: EntropyCurve, fraction: float = 0.05) -> int:

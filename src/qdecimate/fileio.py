@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .numerics import DEFAULT_TOL, Tolerances
+from .numerics import DEFAULT_TOL, Tolerances, check_hermitian
 from .pca import PcaModel
 
 FORMAT_VERSION = 1
@@ -50,6 +50,20 @@ def _load_json(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise DomainError(f"{path}: expected a JSON object at top level")
     return doc
+
+
+def _int_field(doc: dict, key: str, path: str | Path) -> int:
+    """A header field that must be a JSON integer (not a bool, float or list)."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{path}: '{key}' must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _check_format_version(doc: dict, path: str | Path) -> None:
+    version = _int_field(doc, "format_version", path)
+    if version != FORMAT_VERSION:
+        raise DomainError(f"{path}: unsupported format_version {version}")
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:
@@ -91,11 +105,11 @@ def read_state_set(path: str | Path) -> tuple[np.ndarray, tuple[str, ...] | None
     states = _pairs_to_matrix(doc["states"], "states", path)
     if states.ndim != 2:
         raise DomainError(f"{path}: states must be a list of equal-length vectors")
+    dim = _int_field(doc, "dimension", path)
     matrix = np.ascontiguousarray(states.T)
-    if matrix.shape[0] != int(doc["dimension"]):
+    if matrix.shape[0] != dim:
         raise DomainError(
-            f"{path}: dimension field {doc['dimension']} does not match "
-            f"state length {matrix.shape[0]}"
+            f"{path}: dimension field {dim} does not match state length {matrix.shape[0]}"
         )
     labels = doc.get("labels")
     if labels is not None:
@@ -123,10 +137,9 @@ def read_model(path: str | Path, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
     for key in ("format_version", "dimension", "count", "singular_values", "basis", "weights"):
         if key not in doc:
             raise DomainError(f"{path}: missing key '{key}'")
-    if int(doc["format_version"]) != FORMAT_VERSION:
-        raise DomainError(f"{path}: unsupported format_version {doc['format_version']}")
-    dim = int(doc["dimension"])
-    count = int(doc["count"])
+    _check_format_version(doc, path)
+    dim = _int_field(doc, "dimension", path)
+    count = _int_field(doc, "count", path)
     basis = _pairs_to_matrix(doc["basis"], "basis", path)
     weights = _pairs_to_matrix(doc["weights"], "weights", path)
     sv = np.asarray(doc["singular_values"], dtype=np.float64)
@@ -164,14 +177,17 @@ def write_operator(path: str | Path, matrix: np.ndarray) -> None:
 
 
 def read_operator(path: str | Path) -> np.ndarray:
+    """Load a square operator and check that it is Hermitian."""
     doc = _load_json(path)
-    for key in ("dimension", "matrix"):
+    for key in ("format_version", "dimension", "matrix"):
         if key not in doc:
             raise DomainError(f"{path}: missing key '{key}'")
+    _check_format_version(doc, path)
+    dim = _int_field(doc, "dimension", path)
     matrix = _pairs_to_matrix(doc["matrix"], "matrix", path)
-    dim = int(doc["dimension"])
     if matrix.shape != (dim, dim):
         raise DomainError(f"{path}: matrix shape {matrix.shape} != ({dim}, {dim})")
+    check_hermitian(matrix, name=str(path))
     return matrix
 
 

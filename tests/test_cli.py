@@ -64,6 +64,15 @@ class TestFit:
         path.write_text("{ nope")
         assert main(["fit", str(path), "-o", str(tmp_path / "m.json")]) == 2
 
+    @pytest.mark.parametrize("dimension", [[1], 1.5, True, "2"])
+    def test_non_integer_dimension_exit_2(self, tmp_path, capsys, dimension):
+        path = tmp_path / "states.json"
+        path.write_text(json.dumps({"dimension": dimension, "states": [[[1, 0]]]}))
+        assert main(["fit", str(path), "-o", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "DomainError" in err and "'dimension' must be an integer" in err
+
     def test_auto_normalize(self, tmp_path):
         s = random_state_set(16, 3, seed=133)
         path = tmp_path / "drifted.json"

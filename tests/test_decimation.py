@@ -50,6 +50,12 @@ class TestBuildMap:
         cg = build_map(model, 4)
         assert np.array_equal(cg.g, model.basis.conj().T)
 
+    def test_g_is_read_only_and_owns_no_basis_memory(self):
+        model = fit_pca(random_state_set(16, 3, seed=54))
+        cg = build_map(model, 3)
+        assert not cg.g.flags.writeable
+        assert not np.shares_memory(cg.g, model.basis)
+
     def test_row_orthonormality(self):
         model = fit_pca(random_state_set(16, 3, seed=51))
         for d in (2, 3, 4):

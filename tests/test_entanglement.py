@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from qdecimate import (
     LN2,
+    DEFAULT_TOL,
     BadQubitIndex,
     DimMismatch,
     EntropyCurve,
     NotDensityMatrix,
     NotPowerOfTwo,
     QubitFactorization,
+    ZeroNorm,
     entropy_vs_dimension_curve,
     fit_pca,
     random_state_set,
@@ -22,6 +24,8 @@ from qdecimate import (
     validate_state_set,
     von_neumann_entropy,
 )
+
+from qdecimate.entanglement import _qubit_entropies
 
 from helpers import dense_reduced_density_matrix, entropy_2x2_analytic
 
@@ -124,6 +128,13 @@ class TestEntropy:
         with pytest.raises(NotDensityMatrix):
             von_neumann_entropy(rho)
 
+    def test_closed_form_rejects_negative_eigenvalue(self):
+        # the curve's 2x2 spectra: |rho01|^2 = 0.3 > rho00 * rho11 = 0.25
+        half = np.array([0.5])
+        with pytest.raises(NotDensityMatrix):
+            _qubit_entropies(half, half, np.array([0.3]), DEFAULT_TOL)
+        assert _qubit_entropies(half, half, np.array([0.25 + 1e-13]), DEFAULT_TOL)[0] == 0.0
+
     def test_tiny_negative_eigenvalue_clipped(self):
         rho = np.diag([1.0 + 1e-13, -1e-13])
         assert von_neumann_entropy(rho) >= 0.0
@@ -166,12 +177,29 @@ class TestCurve:
             fine = von_neumann_entropy(reduced_density_matrix(s.column(mu), f, 2))
             assert abs(curve.points[-1][1] - fine) <= 1e-8
 
-    def test_matches_independent_pipeline(self):
+    @staticmethod
+    def _rank_two_set():
+        # 6 states in the span of 2 random vectors: the deviations have rank <= 2
+        pair = random_state_set(16, 2, seed=88).matrix
+        mix = np.array([[1.0, 0.0, 1.0, 1.0, 2.0, 1.0j], [0.0, 1.0, 1.0, -1.0, 1.0, 2.0]])
+        raw = pair @ mix
+        return validate_state_set(raw / np.linalg.norm(raw, axis=0))
+
+    CURVE_CASES = [("random", 2, q) for q in (1, 2, 3, 4)] + [
+        ("rank-2", mu, 2) for mu in (1, 4, 6)
+    ]
+
+    @pytest.mark.parametrize(
+        "case, mu, q", CURVE_CASES, ids=[f"{c}-mu{mu}-q{q}" for c, mu, q in CURVE_CASES]
+    )
+    def test_matches_independent_pipeline(self, case, mu, q):
         # truncate by explicit loop, dense partial trace, closed-form 2x2 entropy
-        s = random_state_set(16, 5, seed=83)
+        s = random_state_set(16, 5, seed=83) if case == "random" else self._rank_two_set()
         model = fit_pca(s)
-        mu, q = 2, 3
+        if case == "rank-2":
+            assert model.rank <= 2
         curve = entropy_vs_dimension_curve(s, model, mu, q)
+        assert [d for d, _ in curve.points] == list(range(1, s.count + 2))
         for d, value in curve.points:
             vec = np.zeros(16, dtype=complex)
             for k in range(d):
@@ -179,6 +207,15 @@ class TestCurve:
             vec = vec / math.sqrt(sum(abs(x) ** 2 for x in vec))
             rho = dense_reduced_density_matrix(vec, 4, q)
             assert abs(value - entropy_2x2_analytic(rho)) <= 1e-10
+
+    def test_zero_mean_component_raises_at_d1(self):
+        # (|000> - |111>)/sqrt(2) is orthogonal to the uniform superposition
+        ghz_minus = np.zeros(8, dtype=complex)
+        ghz_minus[0], ghz_minus[7] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+        others = random_state_set(8, 2, seed=89).matrix
+        s = validate_state_set(np.column_stack([others[:, 0], ghz_minus, others[:, 1]]))
+        with pytest.raises(ZeroNorm, match="d=1 "):
+            entropy_vs_dimension_curve(s, fit_pca(s), 2, 1)
 
     def test_points_cover_all_dimensions(self):
         s = random_state_set(16, 3, seed=84)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qdecimate import DomainError, fit_pca, random_state_set
+from qdecimate import DomainError, NotHermitian, fit_pca, random_state_set
 from qdecimate.fileio import (
     read_curve,
     read_model,
@@ -151,6 +151,18 @@ class TestModelFile:
         with pytest.raises(DomainError):
             read_model(path)
 
+    @pytest.mark.parametrize("key", ["format_version", "dimension", "count"])
+    @pytest.mark.parametrize("value", [True, 2.5, [2], "2"])
+    def test_header_fields_must_be_integers(self, tmp_path, key, value):
+        model = fit_pca(random_state_set(8, 2, seed=128))
+        path = tmp_path / "model.json"
+        write_model(path, model)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match=f"'{key}' must be an integer"):
+            read_model(path)
+
 
 class TestOperatorFile:
     def test_round_trip_exact(self, tmp_path):
@@ -161,9 +173,28 @@ class TestOperatorFile:
 
     def test_shape_checked(self, tmp_path):
         path = tmp_path / "op.json"
-        doc = {"dimension": 3, "matrix": [[[1.0, 0.0]]]}
+        doc = {"format_version": 1, "dimension": 3, "matrix": [[[1.0, 0.0]]]}
         path.write_text(json.dumps(doc))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="shape"):
+            read_operator(path)
+
+    def test_non_hermitian_rejected(self, tmp_path):
+        path = tmp_path / "op.json"
+        write_operator(path, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NotHermitian):
+            read_operator(path)
+
+    @pytest.mark.parametrize("version", [99, None, "1", 1.0])
+    def test_format_version_checked(self, tmp_path, version):
+        path = tmp_path / "op.json"
+        write_operator(path, random_hermitian_oracle(3, seed=129))
+        doc = json.loads(path.read_text())
+        if version is None:
+            del doc["format_version"]
+        else:
+            doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match="format_version"):
             read_operator(path)
 
 
