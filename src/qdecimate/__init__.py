@@ -15,6 +15,7 @@ from .decimation import (
     coarse_grain_operator,
     decimate_state,
     expectation,
+    retained_power,
     select_dimension,
 )
 from .entanglement import (
@@ -54,12 +55,11 @@ from .evolution import (
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
-    check_finite,
     check_hermitian,
     hermitian_eig,
     svd,
 )
-from .pca import PcaModel, fit_pca, importances, reconstruct, weights_of
+from .pca import PcaModel, fit_pca, importances, reconstruct
 from .stateset import (
     NormPolicy,
     StateSet,
@@ -67,7 +67,6 @@ from .stateset import (
     deviation_matrix,
     random_state_set,
     random_state_vector,
-    uniform_vector,
     validate_state_set,
 )
 
@@ -101,7 +100,6 @@ __all__ = [
     "Trajectory",
     "ZeroNorm",
     "build_map",
-    "check_finite",
     "check_hermitian",
     "coarse_grain_hamiltonian",
     "coarse_grain_operator",
@@ -121,12 +119,11 @@ __all__ = [
     "random_state_vector",
     "reconstruct",
     "reduced_density_matrix",
+    "retained_power",
     "saturation_dimension",
     "select_dimension",
     "svd",
-    "uniform_vector",
     "validate_state_set",
     "von_neumann_entropy",
-    "weights_of",
     "zero_hamiltonian",
 ]

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__, fileio
-from .decimation import SelectionRule, build_map, decimate_state, select_dimension
+from .decimation import SelectionRule, build_map, decimate_state, retained_power, select_dimension
 from .entanglement import (
     LN2,
     QubitFactorization,
@@ -197,9 +197,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     cg = build_map(model, d)
     h_cg = coarse_grain_hamiltonian(cg, h, tol)
 
-    powers = model.weights.real**2 + model.weights.imag**2
-    cumulative = np.cumsum(powers, axis=0)
-    rows = [(k, float(cumulative[k - 1, :].mean())) for k in range(1, model.count + 2)]
+    mean_power = retained_power(model).mean(axis=1).tolist()
+    rows = list(enumerate(mean_power, start=1))
 
     prefix = args.out_prefix
     labels = tuple(f"t={j * args.dt!r}" for j in range(args.steps))
@@ -210,7 +209,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     print(f"dimension: D={dim}")
     print(f"trajectory states: M={args.steps}")
     print(f"coarse dimension: d={d}")
-    print(f"mean retained power at d: {float(cumulative[d - 1, :].mean())!r}")
+    print(f"mean retained power at d: {mean_power[d - 1]!r}")
     for suffix in ("_trajectory.json", "_model.json", "_hcg.json", "_retained.csv"):
         print(f"written: {prefix}{suffix}")
     return 0

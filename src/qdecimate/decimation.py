@@ -3,6 +3,9 @@
 Keeping the first d basis components defines a d x D isometry-row map
 (the first d rows of the basis adjoint). States pushed through it are
 renormalized by hand; Hermitian operators are conjugated by it.
+
+The power a fitted state keeps at d is read from its weight column
+alone: retained_power tabulates the cumulative |W|^2 of every state.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "SelectionRule",
     "build_map",
     "decimate_state",
+    "retained_power",
     "select_dimension",
     "coarse_grain_operator",
     "expectation",
@@ -90,14 +94,14 @@ def decimate_state(
     return CoarseState(d=cg.d, weights=weights, norm_before=norm_before, outside_span=outside)
 
 
-def _minimal_dimension(weight_column: np.ndarray, eps: float) -> int:
-    powers = np.real(weight_column) ** 2 + np.imag(weight_column) ** 2
-    cumulative = np.cumsum(powers)
-    target = 1.0 - eps
-    for idx in range(cumulative.size):
-        if cumulative[idx] >= target:
-            return max(idx + 1, 2)
-    return max(cumulative.size, 2)
+def retained_power(model: PcaModel) -> np.ndarray:
+    """(M+1) x M table: entry [d-1, mu] is the power of state mu kept at d.
+
+    Column mu is the running sum of |W[k, mu]|^2 over k < d, so the last
+    row is each state's total power (1 for a fitted unit state).
+    """
+    w = model.weights
+    return np.cumsum(w.real**2 + w.imag**2, axis=0)
 
 
 def select_dimension(
@@ -108,18 +112,20 @@ def select_dimension(
 ) -> int:
     """Smallest d whose retained weight power reaches 1 - eps, clamped to >= 2.
 
+    A state whose power never reaches 1 - eps needs all M+1 components.
     PER_STATE applies the rule to one 1-based state index; SET_MAX takes
     the maximum of the per-state answers.
     """
     if not 0.0 <= eps < 1.0:
         raise DomainError(f"eps must lie in [0, 1), got {eps}")
+    if rule is SelectionRule.PER_STATE and (state is None or not 1 <= state <= model.count):
+        raise DimMismatch(f"PER_STATE needs a state index in 1..{model.count}, got {state}")
+    reached = retained_power(model) >= 1.0 - eps
+    first = np.where(reached.any(axis=0), reached.argmax(axis=0) + 1, model.count + 1)
+    dims = np.maximum(first, 2)
     if rule is SelectionRule.PER_STATE:
-        if state is None or not 1 <= state <= model.count:
-            raise DimMismatch(f"PER_STATE needs a state index in 1..{model.count}, got {state}")
-        return _minimal_dimension(model.weights[:, state - 1], eps)
-    return max(
-        _minimal_dimension(model.weights[:, mu], eps) for mu in range(model.count)
-    )
+        return int(dims[state - 1])
+    return int(dims.max())
 
 
 def coarse_grain_operator(

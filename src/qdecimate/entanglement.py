@@ -65,10 +65,6 @@ class EntropyCurve:
     qubit: int
     points: tuple[tuple[int, float], ...]
 
-    @property
-    def entropies(self) -> np.ndarray:
-        return np.array([s for _, s in self.points])
-
 
 def reduced_density_matrix(
     v: np.ndarray, f: QubitFactorization, q: int

@@ -5,6 +5,9 @@ at uniform time steps; each state is produced directly from the initial
 one through the Hamiltonian's eigendecomposition, so there is no
 step-to-step error accumulation. The resulting states can serve as an
 input set for the PCA pipeline.
+
+A coarse-grained trajectory is sliced from the fitted weights, never
+rebuilt in D dimensions; the Ising chain is filled from basis-index bits.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decimation import CoarseState, build_map, coarse_grain_operator, decimate_state
-from .errors import NotNormalized, RegimeViolation
+from .decimation import CoarseState, build_map, coarse_grain_operator, retained_power
+from .errors import NotNormalized, RegimeViolation, ZeroNorm
 from .numerics import DEFAULT_TOL, Tolerances, hermitian_eig
 from .pca import fit_pca
 from .stateset import NormPolicy, StateSet, validate_state_set
@@ -80,12 +83,21 @@ def coarse_grain_hamiltonian(cg, h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -
 def coarse_grained_trajectory(
     traj: Trajectory, d: int, tol: Tolerances = DEFAULT_TOL
 ) -> list[CoarseState]:
-    """Fit the trajectory's states, then decimate each step to d components."""
+    """Fit the trajectory's states, then keep d weight components of each step.
+
+    Step j is W[:d, j] over the root of its retained power; a fitted state
+    lies in the span by construction.
+    """
     model = fit_pca(traj.states, tol)
-    cg = build_map(model, d)
-    return [
-        decimate_state(cg, traj.states.matrix[:, j], tol) for j in range(traj.steps)
-    ]
+    build_map(model, d)  # raises BadDimension outside [2, M+1]
+    coarse = []
+    for j, norm in enumerate(np.sqrt(retained_power(model)[d - 1]).tolist()):
+        if norm <= tol.zero_norm:
+            raise ZeroNorm(f"state is orthogonal to the retained subspace (norm {norm:.3e})")
+        weights = model.weights[:d, j] / norm
+        weights.setflags(write=False)
+        coarse.append(CoarseState(d=d, weights=weights, norm_before=norm))
+    return coarse
 
 
 def zero_hamiltonian(dim: int) -> np.ndarray:
@@ -102,23 +114,19 @@ def random_hamiltonian(dim: int, seed: int) -> np.ndarray:
 def ising_chain(n: int, coupling: float = 1.0, field: float = 1.0) -> np.ndarray:
     """Open transverse-field Ising chain on n qubits.
 
-    H = -coupling * sum_i Z_i Z_{i+1} - field * sum_i X_i, built in the
-    same big-endian qubit ordering used by the entanglement diagnostics.
+    H = -coupling * sum_i Z_i Z_{i+1} - field * sum_i X_i, in the same
+    big-endian qubit ordering used by the entanglement diagnostics: site s
+    is bit n-s of the basis index, Z_s is 1 - 2 * bit on the diagonal and
+    X_s flips that bit. Filling the matrix costs O(n * D) beyond zeroing it.
     """
     if n < 2:
         raise RegimeViolation(f"chain needs at least 2 qubits, got {n}")
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-
-    def embed(op: np.ndarray, site: int) -> np.ndarray:
-        left = np.eye(2 ** (site - 1), dtype=np.complex128)
-        right = np.eye(2 ** (n - site), dtype=np.complex128)
-        return np.kron(np.kron(left, op), right)
-
     dim = 2**n
+    index = np.arange(dim)
+    z = [1.0 - 2.0 * ((index >> (n - site)) & 1) for site in range(1, n + 1)]
     h = np.zeros((dim, dim), dtype=np.complex128)
     for site in range(1, n):
-        h -= coupling * (embed(sz, site) @ embed(sz, site + 1))
+        h[index, index] -= coupling * (z[site - 1] * z[site])
     for site in range(1, n + 1):
-        h -= field * embed(sx, site)
+        h[index, index ^ (1 << (n - site))] -= field
     return h

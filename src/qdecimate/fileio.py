@@ -71,11 +71,15 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
     return stacked.tolist()
 
 
-def _pairs_to_matrix(pairs, shape_hint: str, path: str | Path) -> np.ndarray:
+def _float_array(value, shape_hint: str, path: str | Path) -> np.ndarray:
     try:
-        arr = np.asarray(pairs, dtype=np.float64)
+        return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{path}: {shape_hint} is not a numeric array") from exc
+
+
+def _pairs_to_matrix(pairs, shape_hint: str, path: str | Path) -> np.ndarray:
+    arr = _float_array(pairs, shape_hint, path)
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise DomainError(f"{path}: {shape_hint} entries must be [re, im] pairs")
     if not np.all(np.isfinite(arr)):
@@ -142,7 +146,7 @@ def read_model(path: str | Path, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
     count = _int_field(doc, "count", path)
     basis = _pairs_to_matrix(doc["basis"], "basis", path)
     weights = _pairs_to_matrix(doc["weights"], "weights", path)
-    sv = np.asarray(doc["singular_values"], dtype=np.float64)
+    sv = _float_array(doc["singular_values"], "singular_values", path)
     if basis.shape != (dim, count + 1):
         raise DomainError(f"{path}: basis shape {basis.shape} != ({dim}, {count + 1})")
     if weights.shape != (count + 1, count):

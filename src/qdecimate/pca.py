@@ -25,7 +25,7 @@ from .errors import AllZeroDeviations, DimMismatch, NoConvergence
 from .numerics import DEFAULT_TOL, Tolerances, svd
 from .stateset import StateSet, column_means, deviation_matrix
 
-__all__ = ["PcaModel", "fit_pca", "weights_of", "importances", "reconstruct"]
+__all__ = ["PcaModel", "fit_pca", "importances", "reconstruct"]
 
 
 @dataclass(frozen=True)
@@ -96,14 +96,6 @@ def fit_pca(s: StateSet, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
         weights=weights,
         rank=rank,
     )
-
-
-def weights_of(model: PcaModel, v: np.ndarray) -> np.ndarray:
-    """Expansion coefficients of a D-vector in the model basis."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (model.dim,):
-        raise DimMismatch(f"expected a vector of length {model.dim}, got shape {v.shape}")
-    return model.basis.conj().T @ v
 
 
 def importances(model: PcaModel) -> np.ndarray:

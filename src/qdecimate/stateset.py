@@ -41,11 +41,6 @@ class StateSet:
         return self.matrix[:, mu - 1]
 
 
-def uniform_vector(dim: int) -> np.ndarray:
-    """The all-ones column; the un-normalized uniform superposition."""
-    return np.ones(dim, dtype=np.complex128)
-
-
 def validate_state_set(
     raw: np.ndarray,
     policy: NormPolicy = NormPolicy.STRICT,

@@ -85,6 +85,29 @@ def brute_force_minimal_d(weights: np.ndarray, eps: float) -> int:
     return max(weights.shape[0], 2)
 
 
+def kron_ising_chain(n: int, coupling: float, field: float) -> np.ndarray:
+    """Open transverse-field Ising chain from Kronecker-embedded Pauli matrices.
+
+    -coupling * sum_s Z_s Z_{s+1} - field * sum_s X_s with site 1 the
+    leftmost (most significant) factor, accumulated site by site.
+    """
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+
+    def embed(op: np.ndarray, site: int) -> np.ndarray:
+        left = np.eye(2 ** (site - 1), dtype=np.complex128)
+        right = np.eye(2 ** (n - site), dtype=np.complex128)
+        return np.kron(np.kron(left, op), right)
+
+    dim = 2**n
+    h = np.zeros((dim, dim), dtype=np.complex128)
+    for site in range(1, n):
+        h -= coupling * (embed(sz, site) @ embed(sz, site + 1))
+    for site in range(1, n + 1):
+        h -= field * embed(sx, site)
+    return h
+
+
 def naive_triple_product(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """g @ h @ g^dag by explicit summation loops."""
     d, dim = g.shape

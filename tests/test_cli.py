@@ -143,6 +143,19 @@ class TestDecimate:
         assert main(["decimate", str(model_path), "-o", str(out), "--d", "1"]) == 2
         assert "BadDimension" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", [[{}, {}], [[1.0], [0.5, 0.2], []], "1,2,3"])
+    def test_non_numeric_singular_values_exit_2(self, tmp_path, capsys, values):
+        model_path, _ = self._fitted(tmp_path, seed=146)
+        doc = json.loads(model_path.read_text())
+        doc["singular_values"] = values
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["decimate", str(model_path), "-o", str(tmp_path / "c.json"), "--d", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "DomainError" in err and "singular_values is not a numeric array" in err
+
     def test_summary_lines(self, tmp_path, capsys):
         model_path, _ = self._fitted(tmp_path, seed=145)
         out = tmp_path / "coarse.json"

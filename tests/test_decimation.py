@@ -20,7 +20,9 @@ from qdecimate import (
     expectation,
     fit_pca,
     random_state_set,
+    retained_power,
     select_dimension,
+    validate_state_set,
 )
 
 from helpers import (
@@ -174,17 +176,44 @@ class TestSelectDimension:
             select_dimension(model, eps, SelectionRule.PER_STATE, state=mu)
             for mu in range(1, 5)
         ]
-        assert select_dimension(model, eps, SelectionRule.SET_MAX) == max(per_state)
+        got = select_dimension(model, eps, SelectionRule.SET_MAX)
+        assert type(got) is int and got == max(per_state)
 
     def test_matches_brute_force_scan(self):
-        # exhaustive-scan oracle, exact equality required
-        s = random_state_set(32, 6, seed=63)
-        model = fit_pca(s)
-        for eps in (0.0, 1e-6, 0.01, 0.1, 0.5, 0.9):
+        # exhaustive-scan oracle, exact equality required, on a full-rank set
+        # and a rank-2 one (weight rows past the rank are exactly zero)
+        pair = random_state_set(32, 2, seed=64).matrix
+        mix = np.array([[1.0, 0.0, 1.0, 1.0, 2.0, 1.0j], [0.0, 1.0, 1.0, -1.0, 1.0, 2.0]])
+        raw = pair @ mix
+        rank_two = fit_pca(validate_state_set(raw / np.linalg.norm(raw, axis=0)))
+        assert rank_two.rank == 2
+        never_reached = 0
+        for model in (fit_pca(random_state_set(32, 6, seed=63)), rank_two):
+            for eps in (0.0, 1e-15, 1e-6, 0.01, 0.1, 0.5, 0.9):
+                for mu in range(1, 7):
+                    got = select_dimension(model, eps, SelectionRule.PER_STATE, state=mu)
+                    want = brute_force_minimal_d(model.weights[:, mu - 1], eps)
+                    assert got == want
+            # at eps=0 a total power that rounds below 1 needs all M+1 components
             for mu in range(1, 7):
-                got = select_dimension(model, eps, SelectionRule.PER_STATE, state=mu)
-                want = brute_force_minimal_d(model.weights[:, mu - 1], eps)
-                assert got == want
+                if retained_power(model)[-1, mu - 1] < 1.0:
+                    never_reached += 1
+                    got = select_dimension(model, 0.0, SelectionRule.PER_STATE, state=mu)
+                    assert got == model.count + 1
+        assert never_reached > 0
+
+    def test_retained_power_table(self):
+        # sequential re^2 + im^2 partial sums, as in the brute-force oracle: exact
+        model = fit_pca(random_state_set(16, 4, seed=69))
+        table = retained_power(model)
+        assert table.shape == (5, 4)
+        for mu in range(4):
+            running = 0.0
+            for k in range(5):
+                w = model.weights[k, mu]
+                running += w.real**2 + w.imag**2
+                assert table[k, mu] == running
+        assert np.abs(table[-1] - 1.0).max() <= 1e-12
 
     def test_huge_eps_returns_floor(self):
         model = fit_pca(random_state_set(16, 3, seed=64))

@@ -9,19 +9,23 @@ from qdecimate import (
     NotHermitian,
     NotNormalized,
     RegimeViolation,
+    Trajectory,
+    ZeroNorm,
     build_map,
     coarse_grain_hamiltonian,
     coarse_grained_trajectory,
+    decimate_state,
     evolve_sequence,
     expectation,
     fit_pca,
     ising_chain,
     random_hamiltonian,
     random_state_vector,
+    validate_state_set,
     zero_hamiltonian,
 )
 
-from helpers import naive_expectation, naive_triple_product
+from helpers import kron_ising_chain, naive_expectation, naive_triple_product
 
 
 class TestEvolveSequence:
@@ -171,6 +175,41 @@ class TestCoarseGrainedTrajectory:
             expected = float(np.sum(np.abs(w) ** 2))
             assert abs(state.norm_before**2 - expected) <= 1e-10
 
+    @pytest.mark.parametrize("case", ["full-rank", "rank-deficient"])
+    def test_matches_decimate_state_per_column(self, case):
+        # weight-space slice against the D-dimensional projection of each step
+        if case == "full-rank":
+            h, psi0 = random_hamiltonian(32, seed=114), random_state_vector(32, seed=115)
+        else:
+            # psi0 on 3 eigenvectors of a diagonal H: every step lies in their span
+            h = np.diag(np.arange(32, dtype=float)).astype(complex)
+            psi0 = np.zeros(32, dtype=complex)
+            psi0[[2, 7, 19]] = [0.6, 0.48j, 0.64]
+        traj = evolve_sequence(h, psi0, 0.1, 8)
+        model = fit_pca(traj.states)
+        assert (model.rank == 8) == (case == "full-rank")
+        for d in (2, 4, 9):
+            cg = build_map(model, d)
+            coarse = coarse_grained_trajectory(traj, d)
+            assert len(coarse) == 8
+            for j, state in enumerate(coarse):
+                want = decimate_state(cg, traj.states.matrix[:, j])
+                assert state.d == d and not state.outside_span
+                assert np.abs(state.weights - want.weights).max() <= 1e-12
+                assert abs(state.norm_before - want.norm_before) <= 1e-12
+                assert not state.weights.flags.writeable
+
+    def test_zero_norm_named(self):
+        # zero-mean states a, -a, b: the mean row and the leading component
+        # carry nothing of b, so b is gone at d=2
+        a = np.array([0.5, -0.5, 0.5, -0.5, 0, 0, 0, 0], dtype=complex)
+        b = np.array([0, 0, 0, 0, 0.5, 0.5, -0.5, -0.5], dtype=complex)
+        states = validate_state_set(np.stack([a, -a, b], axis=1))
+        traj = Trajectory(initial=a, dt=0.1, steps=3, states=states)
+        assert len(coarse_grained_trajectory(traj, 3)) == 3
+        with pytest.raises(ZeroNorm, match="orthogonal to the retained subspace"):
+            coarse_grained_trajectory(traj, 2)
+
     def test_local_hamiltonian_concentrates_weight(self):
         # paired run: nearest-neighbor chain vs norm-matched dense random
         dim, steps, d, dt = 64, 20, 5, 0.1
@@ -226,6 +265,15 @@ class TestGenerators:
         assert h.shape == (16, 16)
         assert np.abs(h - h.conj().T).max() == 0.0
         assert abs(np.trace(h)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_ising_matches_kron_builder_bytes(self, n):
+        for coupling in (1.0, -0.7, 0.0, 2.5e-3):
+            for field in (1.0, -1.3, 0.0, 0.37):
+                got = ising_chain(n, coupling, field)
+                want = kron_ising_chain(n, coupling, field)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (coupling, field)
 
     def test_ising_needs_two_sites(self):
         with pytest.raises(RegimeViolation):

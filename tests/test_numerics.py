@@ -11,11 +11,11 @@ from qdecimate import (
     NonFinite,
     NotHermitian,
     Tolerances,
-    check_finite,
     check_hermitian,
     hermitian_eig,
     svd,
 )
+from qdecimate.numerics import check_finite
 
 
 def _random_complex(rows, cols, seed):

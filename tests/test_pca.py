@@ -12,7 +12,9 @@ from qdecimate import (
     NoConvergence,
     PcaModel,
     Tolerances,
+    build_map,
     column_means,
+    decimate_state,
     deviation_matrix,
     evolve_sequence,
     fit_pca,
@@ -21,9 +23,7 @@ from qdecimate import (
     random_state_set,
     reconstruct,
     svd,
-    uniform_vector,
     validate_state_set,
-    weights_of,
 )
 
 from helpers import random_columns, random_unitary
@@ -155,11 +155,16 @@ class TestBasisCompletion:
             fit_pca(_canonical_duplicates(), Tolerances(base=1e-20))
 
 
+def _full_weights(model, v):
+    """Weights of a unit D-vector in the whole basis: decimation at d = M+1."""
+    return decimate_state(build_map(model, model.count + 1), v).weights
+
+
 class TestWeightsOf:
     def test_phi0_maps_to_first_unit_vector(self):
         s = random_state_set(16, 3, seed=28)
         model = fit_pca(s)
-        w = weights_of(model, model.basis[:, 0])
+        w = _full_weights(model, model.basis[:, 0])
         expected = np.zeros(4, dtype=complex)
         expected[0] = 1.0
         assert np.abs(w - expected).max() <= 1e-12
@@ -168,7 +173,7 @@ class TestWeightsOf:
         s = random_state_set(16, 3, seed=29)
         model = fit_pca(s)
         for mu in range(1, 4):
-            w = weights_of(model, s.column(mu))
+            w = _full_weights(model, s.column(mu))
             assert np.abs(w - model.weights[:, mu - 1]).max() <= 1e-10
 
     def test_span_vector_round_trip(self):
@@ -176,13 +181,13 @@ class TestWeightsOf:
         model = fit_pca(s)
         rng = np.random.Generator(np.random.PCG64(31))
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        v = model.basis @ x
-        assert np.abs(model.basis @ weights_of(model, v) - v).max() <= 1e-10
+        v = model.basis @ (x / np.linalg.norm(x))
+        assert np.abs(model.basis @ _full_weights(model, v) - v).max() <= 1e-10
 
     def test_dim_mismatch(self):
         model = fit_pca(random_state_set(16, 3, seed=32))
         with pytest.raises(DimMismatch):
-            weights_of(model, np.zeros(5, dtype=complex))
+            _full_weights(model, np.zeros(5, dtype=complex))
 
 
 class TestImportance:
@@ -252,7 +257,7 @@ class TestModelInvariants:
         assert np.abs(norms.sum(axis=0) - 1.0).max() <= 1e-9
         sv = model.singular_values
         assert np.all(sv[:-1] >= sv[1:]) and np.all(sv >= 0.0)
-        o = uniform_vector(dim)
+        o = np.ones(dim, dtype=complex)
         overlaps = o.conj() @ model.basis[:, 1:]
         assert np.abs(overlaps).max() <= 1e-10 * math.sqrt(dim)
         projected = model.basis @ (model.basis.conj().T @ s.matrix)

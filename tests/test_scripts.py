@@ -21,3 +21,15 @@ def test_entropy_saturation_endpoint_matches_fine(tmp_path, capsys):
     assert diff <= 1e-8
     assert out.read_text().splitlines()[0] == "d,value"
     assert len(out.read_text().splitlines()) == 1 + 21
+
+
+def test_trajectory_compare_runs(capsys):
+    script = _load_script("trajectory_compare")
+    assert script.main(["--qubits", "5", "--steps", "8", "--d", "3", "--seeds", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("D=32 steps=8 dt=0.1 d=3 ")
+    assert len(lines) == 2 + 2 + 1
+    for line in lines[2:4]:
+        _, local, rand, _ = (float(x) for x in line.split(","))
+        assert 0.0 < local <= 1.0 + 1e-12 and 0.0 < rand <= 1.0 + 1e-12
+    assert re.fullmatch(r"chain retained at least as much in [012]/2 runs", lines[-1])

@@ -13,7 +13,6 @@ from qdecimate import (
     deviation_matrix,
     random_state_set,
     random_state_vector,
-    uniform_vector,
     validate_state_set,
 )
 
@@ -126,7 +125,7 @@ class TestMeansAndDeviations:
     def test_deviation_orthogonal_to_uniform_vector(self):
         s = validate_state_set(random_columns(12, 5, seed=9))
         delta = deviation_matrix(s, column_means(s))
-        o = uniform_vector(12)
+        o = np.ones(12, dtype=complex)
         overlaps = o.conj() @ delta
         assert np.abs(overlaps).max() <= 1e-10 * np.sqrt(12)
 
@@ -155,18 +154,13 @@ class TestMeansAndDeviations:
         s = validate_state_set(random_columns(dim, count, seed))
         means = column_means(s)
         delta = deviation_matrix(s, means)
-        o = uniform_vector(dim)
+        o = np.ones(dim, dtype=complex)
         assert np.abs(o.conj() @ delta).max() <= 1e-10 * np.sqrt(dim)
         profile = np.ones((dim, 1)) * means[np.newaxis, :]
         assert np.abs(delta + profile - s.matrix).max() <= 1e-12
 
 
 class TestGenerators:
-    def test_uniform_vector_exact(self):
-        o = uniform_vector(5)
-        assert np.all(o == 1.0)
-        assert (o.conj() @ o).real == 5.0
-
     def test_random_state_set_deterministic(self):
         a = random_state_set(16, 3, seed=1)
         b = random_state_set(16, 3, seed=1)
