@@ -219,7 +219,11 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"qdecimate {__version__}")
     print(f"model format_version: {fileio.FORMAT_VERSION}")
     print("commands: fit, decimate, entropy-curve, evolve, info")
-    print("state/model/operator files: JSON, complex entries as [re, im] pairs")
+    print(
+        "state/model/operator files: JSON, complex arrays as "
+        '{"dtype": "<c16", "shape": [...], "data": base64 of little-endian complex128}; '
+        "[re, im] pair lists are still read"
+    )
     print("curve files: CSV with header d,value")
     for field in dataclasses.fields(DEFAULT_TOL):
         print(f"tolerance {field.name}: {getattr(DEFAULT_TOL, field.name)!r}")

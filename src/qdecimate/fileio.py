@@ -1,13 +1,20 @@
 """On-disk formats: JSON for states/models/operators, CSV for curves.
 
-Complex numbers are stored as [re, im] pairs. Floats go through Python's
-shortest round-trip repr, so double precision survives a write/read
-cycle bit-exactly and identical inputs produce byte-identical files.
-All writes are atomic (temp file + rename).
+Every complex array is one JSON object
+``{"dtype": "<c16", "shape": [r, c], "data": "<base64>"}`` whose data is
+the row-major little-endian complex128 bytes, so a write/read cycle is
+bit-exact and identical inputs produce byte-identical files. State sets
+store their D x M matrix transposed, one row per state (shape [M, D]).
+Readers still accept the format-1 form, a nested list of [re, im] pairs,
+so hand-written state sets and older model and operator files load.
+Singular values stay a plain JSON float list; curves are CSV rows whose
+floats go through Python's shortest round-trip repr. All writes are
+atomic (temp file + rename).
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
 import math
@@ -21,14 +28,16 @@ from .errors import DomainError
 from .numerics import DEFAULT_TOL, Tolerances, check_hermitian
 from .pca import PcaModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, FORMAT_VERSION)
+_DTYPE = "<c16"
 
 
 def _atomic_write_text(path: str | Path, text: str) -> None:
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -42,10 +51,14 @@ def _dump_json(path: str | Path, doc: dict) -> None:
 
 
 def _load_json(path: str | Path) -> dict:
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+        except RecursionError as exc:
+            raise DomainError(f"{path}: JSON nested too deeply") from exc
+        except ValueError as exc:
             raise DomainError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise DomainError(f"{path}: expected a JSON object at top level")
@@ -62,38 +75,71 @@ def _int_field(doc: dict, key: str, path: str | Path) -> int:
 
 def _check_format_version(doc: dict, path: str | Path) -> None:
     version = _int_field(doc, "format_version", path)
-    if version != FORMAT_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise DomainError(f"{path}: unsupported format_version {version}")
 
 
-def _matrix_to_pairs(m: np.ndarray) -> list:
-    stacked = np.stack([m.real, m.imag], axis=-1)
-    return stacked.tolist()
+def _encode_array(m: np.ndarray) -> dict:
+    arr = np.ascontiguousarray(m, dtype=_DTYPE)
+    return {
+        "dtype": _DTYPE,
+        "shape": list(arr.shape),
+        "data": base64.b64encode(arr).decode("ascii"),
+    }
 
 
-def _float_array(value, shape_hint: str, path: str | Path) -> np.ndarray:
+def _float_array(value, field: str, path: str | Path) -> np.ndarray:
     try:
         return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{path}: {shape_hint} is not a numeric array") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{path}: {field} is not a numeric array") from exc
 
 
-def _pairs_to_matrix(pairs, shape_hint: str, path: str | Path) -> np.ndarray:
-    arr = _float_array(pairs, shape_hint, path)
-    if arr.ndim < 1 or arr.shape[-1] != 2:
-        raise DomainError(f"{path}: {shape_hint} entries must be [re, im] pairs")
+def _decode_array(value, field: str, path: str | Path) -> np.ndarray:
+    """A complex array from its {dtype, shape, data} object or a list of [re, im] pairs.
+
+    The object form returns a read-only view of the decoded bytes. Its
+    shape entries must be positive, so no decoded dimension exceeds the
+    number of entries the file actually holds.
+    """
+    if not isinstance(value, dict):
+        arr = _float_array(value, field, path)
+        if arr.ndim < 1 or arr.shape[-1] != 2:
+            raise DomainError(f"{path}: {field} entries must be [re, im] pairs")
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"{path}: {field} contains non-finite numbers")
+        return arr[..., 0] + 1j * arr[..., 1]
+    if value.get("dtype") != _DTYPE:
+        raise DomainError(f"{path}: {field} dtype must be '{_DTYPE}'")
+    shape = value.get("shape")
+    if not isinstance(shape, list) or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in shape
+    ):
+        raise DomainError(f"{path}: {field} shape must be a list of positive integers")
+    data = value.get("data")
+    if not isinstance(data, str):
+        raise DomainError(f"{path}: {field} data must be a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:
+        raise DomainError(f"{path}: {field} data is not valid base64 ({exc})") from exc
+    expected = 16 * math.prod(shape)
+    if len(raw) != expected:
+        raise DomainError(f"{path}: {field} data holds {len(raw)} bytes, shape needs {expected}")
+    arr = np.frombuffer(raw, dtype=_DTYPE).reshape(shape)
     if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{path}: {shape_hint} contains non-finite numbers")
-    return arr[..., 0] + 1j * arr[..., 1]
+        raise DomainError(f"{path}: {field} contains non-finite numbers")
+    return arr
 
 
 def write_state_set(
     path: str | Path, matrix: np.ndarray, labels: tuple[str, ...] | None = None
 ) -> None:
-    """Write a D x M complex matrix; entry mu of "states" is column mu."""
+    """Write a D x M complex matrix; row mu of "states" is column mu."""
     doc = {
+        "format_version": FORMAT_VERSION,
         "dimension": int(matrix.shape[0]),
-        "states": _matrix_to_pairs(np.asarray(matrix, dtype=np.complex128).T),
+        "states": _encode_array(np.asarray(matrix).T),
     }
     if labels is not None:
         doc["labels"] = list(labels)
@@ -106,7 +152,9 @@ def read_state_set(path: str | Path) -> tuple[np.ndarray, tuple[str, ...] | None
     for key in ("dimension", "states"):
         if key not in doc:
             raise DomainError(f"{path}: missing key '{key}'")
-    states = _pairs_to_matrix(doc["states"], "states", path)
+    if "format_version" in doc:
+        _check_format_version(doc, path)
+    states = _decode_array(doc["states"], "states", path)
     if states.ndim != 2:
         raise DomainError(f"{path}: states must be a list of equal-length vectors")
     dim = _int_field(doc, "dimension", path)
@@ -129,8 +177,8 @@ def write_model(path: str | Path, model: PcaModel) -> None:
         "dimension": model.dim,
         "count": model.count,
         "singular_values": model.singular_values.tolist(),
-        "basis": _matrix_to_pairs(model.basis),
-        "weights": _matrix_to_pairs(model.weights),
+        "basis": _encode_array(model.basis),
+        "weights": _encode_array(model.weights),
     }
     _dump_json(path, doc)
 
@@ -144,8 +192,8 @@ def read_model(path: str | Path, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
     _check_format_version(doc, path)
     dim = _int_field(doc, "dimension", path)
     count = _int_field(doc, "count", path)
-    basis = _pairs_to_matrix(doc["basis"], "basis", path)
-    weights = _pairs_to_matrix(doc["weights"], "weights", path)
+    basis = _decode_array(doc["basis"], "basis", path)
+    weights = _decode_array(doc["weights"], "weights", path)
     sv = _float_array(doc["singular_values"], "singular_values", path)
     if basis.shape != (dim, count + 1):
         raise DomainError(f"{path}: basis shape {basis.shape} != ({dim}, {count + 1})")
@@ -157,8 +205,9 @@ def read_model(path: str | Path, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
         raise DomainError(f"{path}: singular values must be non-negative and descending")
     if np.abs(basis[:, 0] - 1.0 / math.sqrt(dim)).max() > tol.base:
         raise DomainError(f"{path}: basis column 0 is not the uniform superposition")
-    gram_dev = np.abs(basis.conj().T @ basis - np.eye(count + 1)).max()
-    if gram_dev > tol.base:
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram_dev = np.abs(basis.conj().T @ basis - np.eye(count + 1)).max()
+    if not gram_dev <= tol.base:  # also rejects a NaN deviation from overflowing entries
         raise DomainError(f"{path}: basis columns not orthonormal (deviation {gram_dev:.3e})")
     rank_tol = tol.rank_rel * (float(sv[0]) if sv.size else 0.0)
     rank = int(np.sum(sv > rank_tol))
@@ -175,7 +224,7 @@ def write_operator(path: str | Path, matrix: np.ndarray) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "dimension": int(matrix.shape[0]),
-        "matrix": _matrix_to_pairs(matrix),
+        "matrix": _encode_array(matrix),
     }
     _dump_json(path, doc)
 
@@ -188,7 +237,7 @@ def read_operator(path: str | Path) -> np.ndarray:
             raise DomainError(f"{path}: missing key '{key}'")
     _check_format_version(doc, path)
     dim = _int_field(doc, "dimension", path)
-    matrix = _pairs_to_matrix(doc["matrix"], "matrix", path)
+    matrix = np.array(_decode_array(doc["matrix"], "matrix", path))
     if matrix.shape != (dim, dim):
         raise DomainError(f"{path}: matrix shape {matrix.shape} != ({dim}, {dim})")
     check_hermitian(matrix, name=str(path))
@@ -204,14 +253,21 @@ def write_curve(path: str | Path, rows: list[tuple[int, float]]) -> None:
 
 
 def read_curve(path: str | Path) -> list[tuple[int, float]]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["d", "value"]:
-            raise DomainError(f"{path}: expected header 'd,value', got {header}")
-        rows = []
-        for line in reader:
-            if len(line) != 2:
-                raise DomainError(f"{path}: malformed row {line}")
-            rows.append((int(line[0]), float(line[1])))
+    with open(path, newline="", encoding="utf-8") as handle:
+        try:
+            lines = list(csv.reader(handle))
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+        except csv.Error as exc:
+            raise DomainError(f"{path}: not valid CSV ({exc})") from exc
+    header = lines[0] if lines else None
+    if header != ["d", "value"]:
+        raise DomainError(f"{path}: expected header 'd,value', got {header}")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            d, value = line
+            rows.append((int(d), float(value)))
+        except ValueError as exc:
+            raise DomainError(f"{path}: malformed row {number}") from exc
     return rows

@@ -7,6 +7,7 @@ imports from qdecimate beyond plain data types.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -129,3 +130,36 @@ def naive_expectation(x: np.ndarray, op: np.ndarray) -> complex:
         for j in range(x.shape[0]):
             acc += np.conj(x[i]) * op[i, j] * x[j]
     return acc
+
+
+def _pairs(m: np.ndarray) -> list:
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(m)]
+
+
+def _dump_v1(path, doc: dict) -> None:
+    with open(path, "w") as handle:
+        handle.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def write_v1_state_set(path, matrix: np.ndarray) -> None:
+    """Format-1 state set: no version field, one list of [re, im] pairs per state."""
+    _dump_v1(path, {"dimension": matrix.shape[0], "states": _pairs(matrix.T)})
+
+
+def write_v1_model(path, basis: np.ndarray, weights: np.ndarray, singular_values) -> None:
+    """Format-1 model: basis and weights as row lists of [re, im] pairs."""
+    doc = {
+        "format_version": 1,
+        "dimension": basis.shape[0],
+        "count": weights.shape[1],
+        "singular_values": [float(x) for x in singular_values],
+        "basis": _pairs(basis),
+        "weights": _pairs(weights),
+    }
+    _dump_v1(path, doc)
+
+
+def write_v1_operator(path, matrix: np.ndarray) -> None:
+    """Format-1 operator: a square matrix as row lists of [re, im] pairs."""
+    doc = {"format_version": 1, "dimension": matrix.shape[0], "matrix": _pairs(matrix)}
+    _dump_v1(path, doc)

@@ -64,6 +64,25 @@ class TestFit:
         path.write_text("{ nope")
         assert main(["fit", str(path), "-o", str(tmp_path / "m.json")]) == 2
 
+    @pytest.mark.parametrize("fine", [False, True])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"[" * 100000 + b"]" * 100000, "nested too deeply"),
+            (b'{"dimension": 2, "labels": ["\xff"]}', "not UTF-8"),
+        ],
+    )
+    def test_unreadable_json_exit_2_one_line(self, tmp_path, capsys, fine, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        if fine:
+            argv = ["entropy-curve", str(path), "--state", "1", "--qubit", "1", "--fine"]
+        else:
+            argv = ["fit", str(path), "-o", str(tmp_path / "m.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "DomainError" in err and message in err
+
     @pytest.mark.parametrize("dimension", [[1], 1.5, True, "2"])
     def test_non_integer_dimension_exit_2(self, tmp_path, capsys, dimension):
         path = tmp_path / "states.json"
@@ -415,7 +434,8 @@ class TestInfoAndParser:
     def test_info(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out
-        assert "format_version: 1" in out
+        assert "model format_version: 2" in out
+        assert '"dtype": "<c16"' in out and "[re, im] pair lists are still read" in out
         assert "tolerance base: 1e-10" in out
 
     def test_no_command_is_usage_error(self):

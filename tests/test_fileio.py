@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -15,7 +16,30 @@ from qdecimate.fileio import (
     write_state_set,
 )
 
-from helpers import random_hermitian_oracle
+from helpers import (
+    random_hermitian_oracle,
+    write_v1_model,
+    write_v1_operator,
+    write_v1_state_set,
+)
+
+# -0.0, the smallest subnormal, a mid-range subnormal and the largest finite magnitudes
+AWKWARD = np.array([-0.0, 5e-324, 1.1125369292536007e-308, 1e308, -1e308, 0.1 + 0.2])
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a, dtype="<c16").tobytes()
+
+
+def _decode(obj: dict) -> np.ndarray:
+    """Independent reading of a {dtype, shape, data} array object."""
+    assert obj["dtype"] == "<c16"
+    return np.frombuffer(base64.b64decode(obj["data"]), dtype="<c16").reshape(obj["shape"])
+
+
+def _encode(a: np.ndarray) -> dict:
+    a = np.ascontiguousarray(a, dtype="<c16")
+    return {"dtype": "<c16", "shape": list(a.shape), "data": base64.b64encode(a).decode()}
 
 
 class TestStateSetFile:
@@ -36,10 +60,11 @@ class TestStateSetFile:
 
     def test_awkward_floats_survive(self, tmp_path):
         matrix = np.array([[0.1 + 0.2, 1e-300], [1.0 / 3.0, -0.0]], dtype=complex).T
+        matrix = np.hstack([matrix, np.stack([AWKWARD[:2] + 1j * AWKWARD[4:], AWKWARD[2:4]])])
         path = tmp_path / "states.json"
         write_state_set(path, matrix)
         back, _ = read_state_set(path)
-        assert np.array_equal(back, matrix)
+        assert _bits(back) == _bits(matrix)
 
     def test_rewrites_byte_identical(self, tmp_path):
         s = random_state_set(16, 3, seed=122)
@@ -98,6 +123,90 @@ class TestStateSetFile:
         with pytest.raises(OSError):
             read_state_set(tmp_path / "nope.json")
 
+    def test_layout_is_one_row_per_state(self, tmp_path):
+        s = random_state_set(16, 3, seed=130)
+        path = tmp_path / "states.json"
+        write_state_set(path, s.matrix)
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == 2 and doc["dimension"] == 16
+        assert doc["states"]["shape"] == [3, 16]
+        assert np.array_equal(_decode(doc["states"]), s.matrix.T)
+
+    def test_pair_form_loads_bit_equal(self, tmp_path):
+        matrix = random_state_set(16, 3, seed=131).matrix.copy()
+        matrix[:6, 0] = AWKWARD + 1j * AWKWARD[::-1]
+        path = tmp_path / "v1.json"
+        write_v1_state_set(path, matrix)
+        back, labels = read_state_set(path)
+        assert _bits(back) == _bits(matrix) and labels is None
+
+    def test_unsupported_format_version(self, tmp_path):
+        path = tmp_path / "states.json"
+        write_state_set(path, random_state_set(8, 2, seed=132).matrix)
+        doc = json.loads(path.read_text())
+        doc["format_version"] = 3
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match="format_version"):
+            read_state_set(path)
+
+    def test_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(DomainError, match="nested too deeply"):
+            read_state_set(path)
+
+    def test_invalid_utf8_names_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"dimension": 1, "labels": ["\xe9"]}')
+        with pytest.raises(DomainError, match="latin1.json: not UTF-8"):
+            read_state_set(path)
+
+
+class TestArrayObject:
+    """The {dtype, shape, data} field checks, run through read_state_set."""
+
+    def _write(self, tmp_path, **changes):
+        path = tmp_path / "states.json"
+        write_state_set(path, random_state_set(8, 2, seed=133).matrix)
+        doc = json.loads(path.read_text())
+        doc["states"].update(changes)
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("dtype", [">c16", "<c8", "complex128", None])
+    def test_dtype(self, tmp_path, dtype):
+        with pytest.raises(DomainError, match="states dtype"):
+            read_state_set(self._write(tmp_path, dtype=dtype))
+
+    @pytest.mark.parametrize("shape", [[2, -8], [True, 8], [0, 8], [2.0, 8], "2,8", None])
+    def test_shape(self, tmp_path, shape):
+        with pytest.raises(DomainError, match="states shape"):
+            read_state_set(self._write(tmp_path, shape=shape))
+
+    def test_huge_shape_checked_before_allocation(self, tmp_path):
+        with pytest.raises(DomainError, match="shape needs"):
+            read_state_set(self._write(tmp_path, shape=[10**18, 10**18]))
+
+    @pytest.mark.parametrize("data", ["AAA$" * 8, "AAA", "é"])
+    def test_bad_base64(self, tmp_path, data):
+        with pytest.raises(DomainError, match="states data is not valid base64"):
+            read_state_set(self._write(tmp_path, data=data))
+
+    def test_data_must_be_a_string(self, tmp_path):
+        with pytest.raises(DomainError, match="states data must be a base64 string"):
+            read_state_set(self._write(tmp_path, data=5))
+
+    def test_wrong_length(self, tmp_path):
+        with pytest.raises(DomainError, match="holds 240 bytes, shape needs 256"):
+            read_state_set(self._write(tmp_path, data="A" * 320))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1j * np.nan])
+    def test_non_finite_data(self, tmp_path, value):
+        matrix = random_state_set(8, 2, seed=134).matrix.T.copy()
+        matrix[1, 3] = value
+        with pytest.raises(DomainError, match="non-finite"):
+            read_state_set(self._write(tmp_path, **_encode(matrix)))
+
 
 class TestModelFile:
     def test_round_trip_exact(self, tmp_path):
@@ -126,10 +235,52 @@ class TestModelFile:
         path = tmp_path / "model.json"
         write_model(path, model)
         doc = json.loads(path.read_text())
-        doc["basis"][0][1] = [5.0, 0.0]
+        basis = _decode(doc["basis"]).copy()
+        basis[0, 1] = 5.0
+        doc["basis"] = _encode(basis)
         path.write_text(json.dumps(doc))
         with pytest.raises(DomainError):
             read_model(path)
+
+    def test_overflowing_basis_rejected(self, tmp_path):
+        # The Gram product of these columns holds inf - inf = nan, which a
+        # plain "deviation > tol" comparison lets through.
+        model = fit_pca(random_state_set(8, 2, seed=125))
+        basis = model.basis.copy()
+        basis[:, 1] = [1e200, 1e200, 0, 0, 0, 0, 0, 0]
+        basis[:, 2] = [1e200, 1e200j, 0, 0, 0, 0, 0, 0]
+        path = tmp_path / "model.json"
+        write_v1_model(path, basis, model.weights, model.singular_values)
+        with pytest.raises(DomainError, match="not orthonormal"):
+            read_model(path)
+
+    def test_rewrites_byte_identical(self, tmp_path):
+        model = fit_pca(random_state_set(16, 4, seed=135))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_model(a, model)
+        write_model(b, model)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_arrays_are_base64_objects(self, tmp_path):
+        model = fit_pca(random_state_set(16, 4, seed=136))
+        path = tmp_path / "model.json"
+        write_model(path, model)
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == 2
+        assert doc["basis"]["shape"] == [16, 5] and doc["weights"]["shape"] == [5, 4]
+        assert _bits(_decode(doc["basis"])) == _bits(model.basis)
+        assert _bits(_decode(doc["weights"])) == _bits(model.weights)
+        assert doc["singular_values"] == model.singular_values.tolist()
+
+    def test_pair_form_loads_bit_equal(self, tmp_path):
+        model = fit_pca(random_state_set(16, 4, seed=137))
+        path = tmp_path / "v1.json"
+        write_v1_model(path, model.basis, model.weights, model.singular_values)
+        back = read_model(path)
+        assert _bits(back.basis) == _bits(model.basis)
+        assert _bits(back.weights) == _bits(model.weights)
+        assert back.singular_values.tobytes() == model.singular_values.tobytes()
+        assert back.rank == model.rank
 
     def test_bad_singular_value_order_rejected(self, tmp_path):
         model = fit_pca(random_state_set(8, 2, seed=126))
@@ -151,6 +302,17 @@ class TestModelFile:
         with pytest.raises(DomainError):
             read_model(path)
 
+    @pytest.mark.parametrize("values", [[10**400, 1.0], [1.0, "x"], [[1.0], 0.5]])
+    def test_non_numeric_singular_values_rejected(self, tmp_path, values):
+        model = fit_pca(random_state_set(8, 2, seed=129))
+        path = tmp_path / "model.json"
+        write_model(path, model)
+        doc = json.loads(path.read_text())
+        doc["singular_values"] = values
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match="singular_values is not a numeric array"):
+            read_model(path)
+
     @pytest.mark.parametrize("key", ["format_version", "dimension", "count"])
     @pytest.mark.parametrize("value", [True, 2.5, [2], "2"])
     def test_header_fields_must_be_integers(self, tmp_path, key, value):
@@ -170,6 +332,27 @@ class TestOperatorFile:
         path = tmp_path / "op.json"
         write_operator(path, op)
         assert np.array_equal(read_operator(path), op)
+
+    def test_awkward_values_bit_exact(self, tmp_path):
+        op = np.diag(AWKWARD).astype(complex)
+        op[1, 2], op[2, 1] = 5e-324 - 1e-310j, 5e-324 + 1e-310j
+        path = tmp_path / "op.json"
+        write_operator(path, op)
+        back = read_operator(path)
+        assert _bits(back) == _bits(op) and back.flags.writeable
+
+    def test_rewrites_byte_identical(self, tmp_path):
+        op = random_hermitian_oracle(5, seed=138)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_operator(a, op)
+        write_operator(b, op)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_pair_form_loads_bit_equal(self, tmp_path):
+        op = random_hermitian_oracle(5, seed=139)
+        path = tmp_path / "v1.json"
+        write_v1_operator(path, op)
+        assert _bits(read_operator(path)) == _bits(op)
 
     def test_shape_checked(self, tmp_path):
         path = tmp_path / "op.json"
@@ -220,6 +403,19 @@ class TestCurveFile:
         path = tmp_path / "curve.csv"
         path.write_text("d,value\n1,0.5,9\n")
         with pytest.raises(DomainError):
+            read_curve(path)
+
+    @pytest.mark.parametrize("row", ["x,0.5", "1,abc", "1.5,0.5", "1", ""])
+    def test_non_numeric_row_rejected(self, tmp_path, row):
+        path = tmp_path / "curve.csv"
+        path.write_text(f"d,value\n1,0.5\n{row}\n")
+        with pytest.raises(DomainError, match="malformed row 3"):
+            read_curve(path)
+
+    def test_invalid_utf8_rejected(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_bytes(b"d,value\n1,\xff\n")
+        with pytest.raises(DomainError, match="curve.csv: not UTF-8"):
             read_curve(path)
 
 
