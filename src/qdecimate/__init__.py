@@ -44,6 +44,7 @@ from .errors import (
     ZeroNorm,
 )
 from .evolution import (
+    IsingChain,
     Trajectory,
     coarse_grain_hamiltonian,
     coarse_grained_trajectory,
@@ -82,6 +83,7 @@ __all__ = [
     "DimMismatch",
     "DomainError",
     "EntropyCurve",
+    "IsingChain",
     "LN2",
     "NoConvergence",
     "NonFinite",

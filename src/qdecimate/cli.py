@@ -26,6 +26,7 @@ from .entanglement import (
 )
 from .errors import AllZeroDeviations, DomainError
 from .evolution import (
+    IsingChain,
     coarse_grain_hamiltonian,
     evolve_sequence,
     ising_chain,
@@ -125,7 +126,7 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_hamiltonian(args: argparse.Namespace) -> tuple[np.ndarray, int]:
+def _parse_hamiltonian(args: argparse.Namespace) -> tuple[np.ndarray | IsingChain, int]:
     spec = args.hamiltonian
     name, _, rest = spec.partition(":")
     try:

@@ -9,7 +9,8 @@ Readers still accept the format-1 form, a nested list of [re, im] pairs,
 so hand-written state sets and older model and operator files load.
 Singular values stay a plain JSON float list; curves are CSV rows whose
 floats go through Python's shortest round-trip repr. All writes are
-atomic (temp file + rename).
+atomic (temp file + rename) and leave the file with mode 0666 less the
+umask.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ def _atomic_write_text(path: str | Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -165,9 +170,13 @@ def read_state_set(path: str | Path) -> tuple[np.ndarray, tuple[str, ...] | None
         )
     labels = doc.get("labels")
     if labels is not None:
-        if not isinstance(labels, list) or len(labels) != matrix.shape[1]:
+        if (
+            not isinstance(labels, list)
+            or len(labels) != matrix.shape[1]
+            or not all(isinstance(item, str) for item in labels)
+        ):
             raise DomainError(f"{path}: labels must list one string per state")
-        labels = tuple(str(item) for item in labels)
+        labels = tuple(labels)
     return matrix, labels
 
 

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +15,23 @@ from qdecimate import (
     validate_state_set,
 )
 from qdecimate.cli import main
-from qdecimate.fileio import read_curve, read_model, read_state_set, write_state_set
+from qdecimate.fileio import (
+    read_curve,
+    read_model,
+    read_operator,
+    read_state_set,
+    write_state_set,
+)
+
+
+def _stderr_lines(argv):
+    """Exit code and stderr lines of one in-process run; warnings count as lines."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
 
 
 def _states_file(tmp_path, dim, count, seed, name="states.json"):
@@ -428,6 +447,38 @@ class TestEvolve:
                 (tmp_path / f"a{suffix}").read_bytes()
                 == (tmp_path / f"b{suffix}").read_bytes()
             )
+
+    @pytest.mark.parametrize(
+        "spec, dt",
+        [
+            ("ising:6", "inf"),
+            ("ising:6", "-inf"),
+            ("ising:6", "nan"),
+            ("ising:6", "1e300"),
+            ("ising:6,1e308,1e308", "0.1"),
+            ("ising:6,nan", "0.1"),
+            ("ising:6,1,inf", "0.1"),
+            ("zero", "inf"),
+            ("random:3", "nan"),
+            ("random:3", "1e307"),
+        ],
+    )
+    def test_non_finite_or_unexpandable_input_one_line(self, tmp_path, spec, dt):
+        dim = ["--dim", "16"] if not spec.startswith("ising") else []
+        argv = ["evolve", "--hamiltonian", spec, *dim, f"--dt={dt}", "--steps", "5"]
+        code, err = _stderr_lines([*argv, "--out-prefix", str(tmp_path / "x")])
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: "), err
+        assert not list(tmp_path.iterdir())
+
+    def test_ising_14_runs_without_a_dense_matrix(self, tmp_path):
+        # a dense H would need 4 GiB here
+        prefix = tmp_path / "big"
+        argv = ["evolve", "--hamiltonian", "ising:14", "--dt", "0.1", "--steps", "20"]
+        assert main([*argv, "--d", "6", "--out-prefix", str(prefix)]) == 0
+        matrix, _ = read_state_set(f"{prefix}_trajectory.json")
+        assert matrix.shape == (2**14, 20)
+        assert np.abs(np.linalg.norm(matrix, axis=0) - 1.0).max() <= 1e-12
+        assert read_operator(f"{prefix}_hcg.json").shape == (6, 6)
 
 
 class TestInfoAndParser:

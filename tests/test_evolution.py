@@ -6,6 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdecimate import (
+    DEFAULT_TOL,
+    DimMismatch,
+    IsingChain,
+    NonFinite,
     NotHermitian,
     NotNormalized,
     RegimeViolation,
@@ -13,6 +17,7 @@ from qdecimate import (
     ZeroNorm,
     build_map,
     coarse_grain_hamiltonian,
+    coarse_grain_operator,
     coarse_grained_trajectory,
     decimate_state,
     evolve_sequence,
@@ -25,7 +30,12 @@ from qdecimate import (
     zero_hamiltonian,
 )
 
+from qdecimate.evolution import _MAX_PHASE, _bessel_j, _chebyshev_coefficients
+
 from helpers import kron_ising_chain, naive_expectation, naive_triple_product
+
+COUPLINGS = (1.0, -0.7, 0.0, 2.5e-3)
+FIELDS = (1.0, -1.3, 0.0, 0.37)
 
 
 class TestEvolveSequence:
@@ -218,7 +228,7 @@ class TestCoarseGrainedTrajectory:
         wins = 0
         for seed in range(3):
             h_rand = random_hamiltonian(dim, seed=200 + seed)
-            h_rand = h_rand * (np.linalg.norm(h_local, 2) / np.linalg.norm(h_rand, 2))
+            h_rand = h_rand * (np.linalg.norm(h_local.dense(), 2) / np.linalg.norm(h_rand, 2))
             local = coarse_grained_trajectory(
                 evolve_sequence(h_local, psi0, dt, steps), d
             )
@@ -257,20 +267,20 @@ class TestGenerators:
                 [0.0, 1.0, 1.0, 0.0],
             ]
         )
-        got = ising_chain(2, coupling=coupling, field=field)
+        got = ising_chain(2, coupling=coupling, field=field).dense()
         assert np.abs(got - want).max() <= 1e-15
 
     def test_ising_properties(self):
-        h = ising_chain(4)
+        h = ising_chain(4).dense()
         assert h.shape == (16, 16)
         assert np.abs(h - h.conj().T).max() == 0.0
         assert abs(np.trace(h)) <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_ising_matches_kron_builder_bytes(self, n):
-        for coupling in (1.0, -0.7, 0.0, 2.5e-3):
-            for field in (1.0, -1.3, 0.0, 0.37):
-                got = ising_chain(n, coupling, field)
+        for coupling in COUPLINGS:
+            for field in FIELDS:
+                got = ising_chain(n, coupling, field).dense()
                 want = kron_ising_chain(n, coupling, field)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (coupling, field)
@@ -278,3 +288,198 @@ class TestGenerators:
     def test_ising_needs_two_sites(self):
         with pytest.raises(RegimeViolation):
             ising_chain(1)
+
+    @pytest.mark.parametrize(
+        "coupling, field", [(float("nan"), 1.0), (1.0, float("inf")), (1e308, 1e308)]
+    )
+    def test_ising_rejects_non_finite_parameters_and_bound(self, coupling, field):
+        with pytest.raises(NonFinite):
+            ising_chain(6, coupling, field)
+
+
+class TestIsingChainAction:
+    def test_members(self):
+        chain = ising_chain(5, -0.7, 0.37)
+        assert isinstance(chain, IsingChain)
+        assert chain.dim == 32
+        assert chain.bound == 0.7 * 4 + 0.37 * 5
+        assert not chain.diagonal.flags.writeable
+        with pytest.raises(AttributeError):
+            chain.coupling = 2.0
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_apply_matches_dense(self, n):
+        rng = np.random.Generator(np.random.PCG64(300 + n))
+        dim = 2**n
+        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        block = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+        for coupling in COUPLINGS:
+            for field in FIELDS:
+                chain = ising_chain(n, coupling, field)
+                h = chain.dense()
+                assert np.abs(chain.apply(x) - h @ x).max() <= 1e-14
+                assert chain.apply(block).shape == (dim, 3)
+                assert np.abs(chain.apply(block) - h @ block).max() <= 1e-14
+                # a strided view goes through the same reshape
+                assert np.abs(chain.apply(block[:, 1]) - h @ block[:, 1]).max() <= 1e-14
+
+    def test_apply_rejects_wrong_shapes(self):
+        chain = ising_chain(3)
+        for shape in ((4,), (8, 2, 2), (16, 1), ()):
+            with pytest.raises(DimMismatch):
+                chain.apply(np.zeros(shape, dtype=complex))
+
+
+class TestChebyshevSeries:
+    @pytest.mark.parametrize(
+        "k, a, value",
+        [
+            (0, 1.0, 0.7651976865579666),
+            (1, 1.0, 0.4400505857449335),
+            (0, 10.0, -0.2459357644513483),
+            (5, 10.0, -0.2340615281867936),
+            (2, 2.5, 0.4460590584396172),
+            (100, 100.0, 0.09636667329586157),
+            (3, 0.001, 2.083333203125009e-11),
+        ],
+    )
+    def test_bessel_tabulated(self, k, a, value):
+        assert abs(_bessel_j(a)[k] - value) <= 1e-15 * max(1.0, a**0.5) + 1e-15 * abs(value)
+
+    @pytest.mark.parametrize("a", [1e-12, 0.3, 1.9, 31.0, 400.0])
+    def test_bessel_sum_rules(self, a):
+        j = _bessel_j(a)
+        assert abs(j[0] + 2.0 * j[2::2].sum() - 1.0) <= 1e-15
+        # independent of the normalisation: J_0^2 + 2 sum_k J_k^2 = 1
+        assert abs(j[0] ** 2 + 2.0 * np.sum(j[1:] ** 2) - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("a", [1e-9, 0.5, 1.9, -3.0, 25.0, -120.0])
+    def test_series_is_the_exponential(self, a):
+        # sum_k c_k T_k(x) = exp(-i a x) across [-1, 1], cut at |c_k| < 1e-15
+        c = _chebyshev_coefficients(a)
+        assert np.abs(c[-1]) >= 1e-15
+        x = np.linspace(-1.0, 1.0, 41)
+        got = np.polynomial.chebyshev.chebval(x, c)
+        assert np.abs(got - np.exp(-1j * a * x)).max() <= 1e-14 * max(1.0, abs(a))
+
+    def test_negative_phase_is_exact_conjugate(self):
+        for a in (0.2, 1.9, 40.0):
+            assert np.array_equal(_chebyshev_coefficients(-a), _chebyshev_coefficients(a).conj())
+
+    def test_zero_phase_is_identity(self):
+        for a in (0.0, -0.0, 1e-300, -5e-324):
+            assert np.array_equal(_chebyshev_coefficients(a), [1.0])
+
+    @pytest.mark.parametrize("a", [1e300, -1e300, float("inf"), float("nan"), _MAX_PHASE * 1.01])
+    def test_phase_beyond_cap_rejected(self, a):
+        with pytest.raises(RegimeViolation, match="phase"):
+            _chebyshev_coefficients(a)
+
+
+class TestChebyshevPropagation:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_eigh_on_dense(self, n):
+        dim = 2**n
+        steps = min(5, dim - 2)
+        psi0 = random_state_vector(dim, seed=400 + n)
+        times = np.arange(steps)
+        for coupling in COUPLINGS:
+            for field in FIELDS:
+                chain = ising_chain(n, coupling, field)
+                dense = chain.dense()
+                assert not dense.imag.any()  # real symmetric: the real eigh is the oracle
+                energies, vectors = np.linalg.eigh(dense.real)
+                amplitudes = vectors.T @ psi0
+                for dt in (-0.3, 0.0, 0.1, 2.5):
+                    got = evolve_sequence(chain, psi0, dt, steps).states.matrix
+                    phases = np.exp(-1j * np.outer(energies, dt * times))
+                    want = vectors @ (phases * amplitudes[:, np.newaxis])
+                    assert np.abs(got - want).max() <= 1e-12, (coupling, field, dt)
+                    norms = np.linalg.norm(got, axis=0)
+                    assert np.abs(norms - 1.0).max() <= DEFAULT_TOL.state_norm
+
+    def test_dense_input_takes_eigh_path(self):
+        chain = ising_chain(4, 0.9, 0.6)
+        psi0 = random_state_vector(16, seed=410)
+        via_chain = evolve_sequence(chain, psi0, 0.2, 6).states.matrix
+        via_dense = evolve_sequence(chain.dense(), psi0, 0.2, 6).states.matrix
+        assert not np.array_equal(via_chain, via_dense)  # two different propagators
+        assert np.abs(via_chain - via_dense).max() <= 1e-13
+
+    def test_zero_time_step_and_zero_chain_are_exact(self):
+        psi0 = random_state_vector(32, seed=411)
+        for chain, dt in ((ising_chain(5), 0.0), (ising_chain(5, 0.0, 0.0), 0.7)):
+            states = evolve_sequence(chain, psi0, dt, 6).states.matrix
+            for j in range(6):
+                assert np.array_equal(states[:, j], psi0)
+
+    def test_backward_step_undoes_forward(self):
+        chain = ising_chain(6, 1.1, -0.8)
+        psi0 = random_state_vector(64, seed=412)
+        forward = evolve_sequence(chain, psi0, 0.25, 8).states.matrix[:, -1]
+        back = evolve_sequence(chain, forward, -0.25, 8).states.matrix[:, -1]
+        assert np.abs(back - psi0).max() <= 1e-13
+
+    def test_long_run_round_off_within_documented_bound(self):
+        # state j lies within about j * (K eps + 1e-15) of the exact one
+        chain = ising_chain(8)
+        psi0 = random_state_vector(256, seed=413)
+        steps, dt = 200, 0.1
+        got = evolve_sequence(chain, psi0, dt, steps).states.matrix
+        energies, vectors = np.linalg.eigh(chain.dense().real)
+        exact = vectors @ (np.exp(-1j * energies * dt * (steps - 1)) * (vectors.T @ psi0))
+        terms = _chebyshev_coefficients(chain.bound * dt).size
+        bound = (steps - 1) * (terms * np.finfo(float).eps + 1e-15)
+        assert np.linalg.norm(got[:, -1] - exact) <= bound
+
+    @pytest.mark.parametrize("dt", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_dt_rejected(self, dt):
+        psi0 = random_state_vector(16, seed=414)
+        for h in (ising_chain(4), zero_hamiltonian(16), random_hamiltonian(16, seed=415)):
+            with pytest.raises(RegimeViolation, match="finite"):
+                evolve_sequence(h, psi0, dt, 3)
+
+    def test_overflowing_time_span_rejected(self):
+        psi0 = random_state_vector(16, seed=416)
+        with pytest.raises(RegimeViolation, match="finite"):
+            evolve_sequence(zero_hamiltonian(16), psi0, 1e308, 3)
+        # finite times whose phases E*t overflow
+        with pytest.raises(RegimeViolation, match="overflow"):
+            evolve_sequence(random_hamiltonian(16, seed=417), psi0, 1e307, 5)
+
+    def test_chain_step_too_large_rejected(self):
+        psi0 = random_state_vector(16, seed=418)
+        with pytest.raises(RegimeViolation, match="phase"):
+            evolve_sequence(ising_chain(4), psi0, 1e300, 3)
+
+    def test_chain_dimension_checked(self):
+        with pytest.raises(RegimeViolation, match="does not match"):
+            evolve_sequence(ising_chain(3), random_state_vector(16, seed=419), 0.1, 3)
+
+
+class TestChainCompression:
+    @pytest.mark.parametrize("n, d", [(4, 2), (6, 5), (7, 9)])
+    def test_matches_dense_compression(self, n, d):
+        for coupling, field in ((1.0, 1.0), (-0.7, 0.37), (0.0, -1.3), (2.5e-3, 0.0)):
+            chain = ising_chain(n, coupling, field)
+            traj = evolve_sequence(chain, random_state_vector(2**n, seed=420 + n), 0.1, 8)
+            cg = build_map(fit_pca(traj.states), d)
+            got = coarse_grain_hamiltonian(cg, chain)
+            want = coarse_grain_operator(cg, chain.dense())
+            assert got.shape == (d, d)
+            assert np.abs(got - want).max() <= 1e-12
+            assert np.abs(got - got.conj().T).max() <= 1e-12
+
+    def test_dimension_mismatch(self):
+        traj = evolve_sequence(ising_chain(4), random_state_vector(16, seed=430), 0.1, 4)
+        cg = build_map(fit_pca(traj.states), 3)
+        with pytest.raises(DimMismatch):
+            coarse_grain_hamiltonian(cg, ising_chain(5))
+
+    def test_result_is_checked(self):
+        # a hand-built chain whose compressed matrix is not finite
+        traj = evolve_sequence(ising_chain(4), random_state_vector(16, seed=431), 0.1, 4)
+        cg = build_map(fit_pca(traj.states), 3)
+        broken = IsingChain(sites=4, coupling=1.0, field=1.0, diagonal=np.full(16, np.nan))
+        with pytest.raises(NonFinite):
+            coarse_grain_hamiltonian(cg, broken)

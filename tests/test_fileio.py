@@ -1,5 +1,7 @@
 import base64
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -117,6 +119,18 @@ class TestStateSetFile:
         doc = {"dimension": 1, "states": [[[1.0, 0.0]]], "labels": ["x", "y"]}
         path.write_text(json.dumps(doc))
         with pytest.raises(DomainError):
+            read_state_set(path)
+
+    @pytest.mark.parametrize(
+        "labels", [[{"a": 1}, [2], None], ["x", 2, "z"], ["x", None, "z"], ["x", True, "z"]]
+    )
+    def test_labels_must_be_strings(self, tmp_path, labels):
+        path = tmp_path / "states.json"
+        write_state_set(path, random_state_set(8, 3, seed=131).matrix, labels=("x", "y", "z"))
+        doc = json.loads(path.read_text())
+        doc["labels"] = labels
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match="labels must list one string per state"):
             read_state_set(path)
 
     def test_missing_file_is_oserror(self, tmp_path):
@@ -431,3 +445,24 @@ class TestAtomicity:
         write_state_set(tmp_path / "s.json", random_state_set(8, 2, seed=129).matrix)
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+
+class TestFileMode:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_written_files_follow_the_umask(self, tmp_path, umask, mode):
+        model = fit_pca(random_state_set(8, 3, seed=260))
+        writers = {
+            "states.json": lambda p: write_state_set(p, random_state_set(8, 3, seed=261).matrix),
+            "model.json": lambda p: write_model(p, model),
+            "operator.json": lambda p: write_operator(p, np.eye(2, dtype=complex)),
+            "curve.csv": lambda p: write_curve(p, [(1, 0.5)]),
+        }
+        old = os.umask(umask)
+        try:
+            for name, write in writers.items():
+                write(tmp_path / name)
+        finally:
+            os.umask(old)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)
+        for name in writers:
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
