@@ -10,7 +10,6 @@ Hamiltonian dynamics, and single-qubit entanglement entropy.
 from .decimation import (
     CoarseGrainMap,
     CoarseState,
-    SelectionRule,
     build_map,
     coarse_grain_operator,
     decimate_state,
@@ -45,22 +44,14 @@ from .errors import (
 )
 from .evolution import (
     IsingChain,
-    Trajectory,
     coarse_grain_hamiltonian,
     coarse_grained_trajectory,
     evolve_sequence,
     ising_chain,
     random_hamiltonian,
-    zero_hamiltonian,
 )
-from .numerics import (
-    DEFAULT_TOL,
-    Tolerances,
-    check_hermitian,
-    hermitian_eig,
-    svd,
-)
-from .pca import PcaModel, fit_pca, importances, reconstruct
+from .numerics import DEFAULT_TOL, Tolerances
+from .pca import PcaModel, fit_pca, importances
 from .stateset import (
     NormPolicy,
     StateSet,
@@ -96,13 +87,10 @@ __all__ = [
     "PcaModel",
     "QubitFactorization",
     "RegimeViolation",
-    "SelectionRule",
     "StateSet",
     "Tolerances",
-    "Trajectory",
     "ZeroNorm",
     "build_map",
-    "check_hermitian",
     "coarse_grain_hamiltonian",
     "coarse_grain_operator",
     "coarse_grained_trajectory",
@@ -113,19 +101,15 @@ __all__ = [
     "evolve_sequence",
     "expectation",
     "fit_pca",
-    "hermitian_eig",
     "importances",
     "ising_chain",
     "random_hamiltonian",
     "random_state_set",
     "random_state_vector",
-    "reconstruct",
     "reduced_density_matrix",
     "retained_power",
     "saturation_dimension",
     "select_dimension",
-    "svd",
     "validate_state_set",
     "von_neumann_entropy",
-    "zero_hamiltonian",
 ]

@@ -1,8 +1,8 @@
 """Command-line front end: fit, decimate, entropy-curve, evolve, info.
 
-Exit codes: 0 success, 1 I/O failure, 2 validation or domain error.
-Output files are deterministic: identical inputs and seeds give
-byte-identical bytes on disk.
+Exit codes: 0 success, 1 I/O failure or out of memory, 2 validation or
+domain error. Output files are deterministic: identical inputs and seeds
+give byte-identical bytes on disk.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__, fileio
-from .decimation import SelectionRule, build_map, decimate_state, retained_power, select_dimension
+from .decimation import build_map, decimate_state, retained_power, select_dimension
 from .entanglement import (
     LN2,
     QubitFactorization,
@@ -31,7 +31,6 @@ from .evolution import (
     evolve_sequence,
     ising_chain,
     random_hamiltonian,
-    zero_hamiltonian,
 )
 from .numerics import DEFAULT_TOL, Tolerances
 from .pca import fit_pca, importances
@@ -42,8 +41,8 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
     value = getattr(args, "tolerance", None)
     if value is None:
         return DEFAULT_TOL
-    if value <= 0:
-        raise DomainError(f"--tolerance must be positive, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"--tolerance must be finite and positive, got {value}")
     return dataclasses.replace(DEFAULT_TOL, base=value)
 
 
@@ -86,7 +85,7 @@ def cmd_decimate(args: argparse.Namespace) -> int:
         return 2
     model = fileio.read_model(args.model, tol)
     if args.eps is not None:
-        d = select_dimension(model, args.eps, rule=SelectionRule.SET_MAX)
+        d = select_dimension(model, args.eps)
         print(f"selected d={d} (eps={args.eps!r}, set-max rule)")
     else:
         d = args.d
@@ -129,13 +128,15 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
 def _parse_hamiltonian(args: argparse.Namespace) -> tuple[np.ndarray | IsingChain, int]:
     spec = args.hamiltonian
     name, _, rest = spec.partition(":")
+    if args.dim is not None and args.dim < 1:
+        raise DomainError(f"--dim must be at least 1, got {args.dim}")
     try:
         if name == "zero":
             if rest:
                 raise DomainError(f"zero takes no parameters, got '{spec}'")
             if args.dim is None:
                 raise DomainError("zero Hamiltonian needs --dim")
-            return zero_hamiltonian(args.dim), args.dim
+            return np.zeros((args.dim, args.dim), dtype=np.complex128), args.dim
         if name == "random":
             if args.dim is None:
                 raise DomainError("random Hamiltonian needs --dim")
@@ -192,8 +193,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     h, dim = _parse_hamiltonian(args)
     psi0 = _parse_psi0(args.psi0, dim, args.seed)
-    trajectory = evolve_sequence(h, psi0, args.dt, args.steps, tol)
-    model = fit_pca(trajectory.states, tol)
+    states = evolve_sequence(h, psi0, args.dt, args.steps, tol)
+    model = fit_pca(states, tol)
     d = args.d if args.d is not None else model.count + 1
     cg = build_map(model, d)
     h_cg = coarse_grain_hamiltonian(cg, h, tol)
@@ -203,7 +204,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
     prefix = args.out_prefix
     labels = tuple(f"t={j * args.dt!r}" for j in range(args.steps))
-    fileio.write_state_set(f"{prefix}_trajectory.json", trajectory.states.matrix, labels=labels)
+    fileio.write_state_set(f"{prefix}_trajectory.json", states.matrix, labels=labels)
     fileio.write_model(f"{prefix}_model.json", model)
     fileio.write_operator(f"{prefix}_hcg.json", h_cg)
     fileio.write_curve(f"{prefix}_retained.csv", rows)
@@ -327,6 +328,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

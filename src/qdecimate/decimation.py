@@ -5,12 +5,13 @@ Keeping the first d basis components defines a d x D isometry-row map
 renormalized by hand; Hermitian operators are conjugated by it.
 
 The power a fitted state keeps at d is read from its weight column
-alone: retained_power tabulates the cumulative |W|^2 of every state.
+alone: retained_power tabulates the cumulative |W|^2 of every state,
+and select_dimension picks d from that table for one state (a 1-based
+index) or for the whole set (no index: the largest per-state answer).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,6 @@ from .pca import PcaModel
 __all__ = [
     "CoarseGrainMap",
     "CoarseState",
-    "SelectionRule",
     "build_map",
     "decimate_state",
     "retained_power",
@@ -30,13 +30,6 @@ __all__ = [
     "coarse_grain_operator",
     "expectation",
 ]
-
-
-class SelectionRule(enum.Enum):
-    """Scope of the epsilon rule for choosing the coarse dimension."""
-
-    PER_STATE = "per-state"
-    SET_MAX = "set-max"
 
 
 @dataclass(frozen=True)
@@ -62,10 +55,15 @@ class CoarseState:
     outside_span: bool = False
 
 
-def build_map(model: PcaModel, d: int) -> CoarseGrainMap:
-    """First d rows of the basis adjoint as a coarse-graining map."""
+def check_dimension(model: PcaModel, d: int) -> None:
+    """Raise BadDimension unless 2 <= d <= M+1."""
     if not 2 <= d <= model.count + 1:
         raise BadDimension(f"coarse dimension must lie in [2, {model.count + 1}], got {d}")
+
+
+def build_map(model: PcaModel, d: int) -> CoarseGrainMap:
+    """First d rows of the basis adjoint as a coarse-graining map."""
+    check_dimension(model, d)
     g = model.basis[:, :d].conj().T
     g.setflags(write=False)
     return CoarseGrainMap(d=d, g=g, source=model)
@@ -104,28 +102,21 @@ def retained_power(model: PcaModel) -> np.ndarray:
     return np.cumsum(w.real**2 + w.imag**2, axis=0)
 
 
-def select_dimension(
-    model: PcaModel,
-    eps: float,
-    rule: SelectionRule = SelectionRule.SET_MAX,
-    state: int | None = None,
-) -> int:
+def select_dimension(model: PcaModel, eps: float, state: int | None = None) -> int:
     """Smallest d whose retained weight power reaches 1 - eps, clamped to >= 2.
 
     A state whose power never reaches 1 - eps needs all M+1 components.
-    PER_STATE applies the rule to one 1-based state index; SET_MAX takes
-    the maximum of the per-state answers.
+    With a 1-based state index the rule applies to that state alone; with
+    None it returns the maximum of the per-state answers.
     """
     if not 0.0 <= eps < 1.0:
         raise DomainError(f"eps must lie in [0, 1), got {eps}")
-    if rule is SelectionRule.PER_STATE and (state is None or not 1 <= state <= model.count):
-        raise DimMismatch(f"PER_STATE needs a state index in 1..{model.count}, got {state}")
+    if state is not None and not 1 <= state <= model.count:
+        raise DimMismatch(f"state index must lie in 1..{model.count}, got {state}")
     reached = retained_power(model) >= 1.0 - eps
     first = np.where(reached.any(axis=0), reached.argmax(axis=0) + 1, model.count + 1)
     dims = np.maximum(first, 2)
-    if rule is SelectionRule.PER_STATE:
-        return int(dims[state - 1])
-    return int(dims.max())
+    return int(dims.max() if state is None else dims[state - 1])
 
 
 def coarse_grain_operator(

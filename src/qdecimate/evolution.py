@@ -1,13 +1,15 @@
 """Discretized unitary trajectories as state sets, and their coarse-graining.
 
 A trajectory evolves one initial state under a fixed Hamiltonian (hbar = 1)
-at uniform time steps. The resulting states can serve as an input set for
-the PCA pipeline. Which propagator runs depends on the Hamiltonian's type:
+at uniform time steps. ``evolve_sequence`` returns it as the validated
+``StateSet`` of psi(j dt), j = 0..steps-1: column 1 is the initial state,
+and the set can serve directly as input to the PCA pipeline. Which
+propagator runs depends on the Hamiltonian's type:
 
-- A dense matrix (``random_hamiltonian``, ``zero_hamiltonian``, any
-  caller's array) is diagonalised once with ``eigh``, and every state comes
-  straight from the initial one through per-eigenvalue phases, so there is
-  no step-to-step error accumulation. This costs O(D^3) time and a D x D
+- A dense matrix (``random_hamiltonian``, any caller's array) is
+  diagonalised once with ``eigh``, and every state comes straight from
+  the initial one through per-eigenvalue phases, so there is no
+  step-to-step error accumulation. This costs O(D^3) time and a D x D
   matrix.
 - An ``IsingChain`` is never stored as a matrix: it acts on vectors in
   O(n D), and each step applies a Chebyshev expansion of exp(-i H dt)
@@ -19,9 +21,10 @@ the PCA pipeline. Which propagator runs depends on the Hamiltonian's type:
   a + 10 a^(1/3) with a = bound * |dt|: 18 terms at a = 1.9 (``ising:10``,
   dt = 0.1). On ``ising:8`` 100 such steps stay within 7e-14 of ``eigh``.
 
-A coarse-grained trajectory is sliced from the fitted weights, never
-rebuilt in D dimensions; a chain's Hamiltonian is compressed from its
-action on the d retained basis vectors.
+``coarse_grained_trajectory`` takes such a state set and slices each
+step from the fitted weights, never rebuilding it in D dimensions; a
+chain's Hamiltonian is compressed from its action on the d retained
+basis vectors.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decimation import CoarseState, build_map, coarse_grain_operator, retained_power
+from .decimation import CoarseState, check_dimension, coarse_grain_operator, retained_power
 from .errors import DimMismatch, NonFinite, NotNormalized, RegimeViolation, ZeroNorm
 from .numerics import DEFAULT_TOL, Tolerances, check_hermitian, hermitian_eig
 from .pca import fit_pca
@@ -39,11 +42,9 @@ from .stateset import NormPolicy, StateSet, validate_state_set
 
 __all__ = [
     "IsingChain",
-    "Trajectory",
     "evolve_sequence",
     "coarse_grain_hamiltonian",
     "coarse_grained_trajectory",
-    "zero_hamiltonian",
     "random_hamiltonian",
     "ising_chain",
 ]
@@ -54,16 +55,6 @@ _SERIES_CUT = 1e-15
 # round-off of order a * eps; beyond this a, that alone exceeds the default
 # 1e-9 unit-norm tolerance, so no such step can give a valid state.
 _MAX_PHASE = DEFAULT_TOL.state_norm / float(np.finfo(np.float64).eps)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """States psi(j * dt) for j = 0..steps-1, packaged as a StateSet."""
-
-    initial: np.ndarray
-    dt: float
-    steps: int
-    states: StateSet
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,8 +166,8 @@ def evolve_sequence(
     dt: float,
     steps: int,
     tol: Tolerances = DEFAULT_TOL,
-) -> Trajectory:
-    """Evolve psi0 under exp(-i h t) at times t = 0, dt, ..., (steps-1) dt.
+) -> StateSet:
+    """The states exp(-i h t) psi0 at t = 0, dt, ..., (steps-1) dt, as a StateSet.
 
     A matrix h is diagonalised once and each state gets its phases straight
     from psi0. An IsingChain is stepped with the Chebyshev series, state j+1
@@ -219,8 +210,7 @@ def evolve_sequence(
         times = dt * np.arange(steps)
         phases = np.exp(-1j * np.outer(energies, times))
         columns = vectors @ (phases * amplitudes[:, np.newaxis])
-    states = validate_state_set(columns, NormPolicy.STRICT, tol=tol)
-    return Trajectory(initial=psi0, dt=dt, steps=steps, states=states)
+    return validate_state_set(columns, NormPolicy.STRICT, tol=tol)
 
 
 def coarse_grain_hamiltonian(
@@ -240,15 +230,15 @@ def coarse_grain_hamiltonian(
 
 
 def coarse_grained_trajectory(
-    traj: Trajectory, d: int, tol: Tolerances = DEFAULT_TOL
+    states: StateSet, d: int, tol: Tolerances = DEFAULT_TOL
 ) -> list[CoarseState]:
-    """Fit the trajectory's states, then keep d weight components of each step.
+    """Fit a trajectory's states, then keep d weight components of each step.
 
     Step j is W[:d, j] over the root of its retained power; a fitted state
-    lies in the span by construction.
+    lies in the span by construction. A d outside [2, M+1] is BadDimension.
     """
-    model = fit_pca(traj.states, tol)
-    build_map(model, d)  # raises BadDimension outside [2, M+1]
+    model = fit_pca(states, tol)
+    check_dimension(model, d)
     coarse = []
     for j, norm in enumerate(np.sqrt(retained_power(model)[d - 1]).tolist()):
         if norm <= tol.zero_norm:
@@ -257,10 +247,6 @@ def coarse_grained_trajectory(
         weights.setflags(write=False)
         coarse.append(CoarseState(d=d, weights=weights, norm_before=norm))
     return coarse
-
-
-def zero_hamiltonian(dim: int) -> np.ndarray:
-    return np.zeros((dim, dim), dtype=np.complex128)
 
 
 def random_hamiltonian(dim: int, seed: int) -> np.ndarray:

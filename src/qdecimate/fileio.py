@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import DEFAULT_TOL, Tolerances, check_hermitian
-from .pca import PcaModel
+from .pca import PcaModel, numerical_rank
 
 FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, FORMAT_VERSION)
@@ -218,8 +218,7 @@ def read_model(path: str | Path, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
         gram_dev = np.abs(basis.conj().T @ basis - np.eye(count + 1)).max()
     if not gram_dev <= tol.base:  # also rejects a NaN deviation from overflowing entries
         raise DomainError(f"{path}: basis columns not orthonormal (deviation {gram_dev:.3e})")
-    rank_tol = tol.rank_rel * (float(sv[0]) if sv.size else 0.0)
-    rank = int(np.sum(sv > rank_tol))
+    rank = numerical_rank(sv, tol)
     basis.setflags(write=False)
     weights.setflags(write=False)
     sv.setflags(write=False)

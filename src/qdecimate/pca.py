@@ -12,6 +12,10 @@ orthonormal to column 0 within tolerance, one Householder QR of
 completes the basis: column k keeps the order and phase of the vector
 it came from, and the filler columns are orthonormal by construction.
 The Gram check afterwards only validates; it raises NoConvergence.
+
+A state is rebuilt from its weights as ``model.basis @ w``; the numerical
+rank is the same function of the singular values whether the model was
+just fitted or read back from a file (``numerical_rank``).
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroDeviations, DimMismatch, NoConvergence
+from .errors import AllZeroDeviations, NoConvergence
 from .numerics import DEFAULT_TOL, Tolerances, svd
 from .stateset import StateSet, column_means, deviation_matrix
 
-__all__ = ["PcaModel", "fit_pca", "importances", "reconstruct"]
+__all__ = ["PcaModel", "fit_pca", "importances"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +53,11 @@ class PcaModel:
     rank: int
 
 
+def numerical_rank(sv: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Number of singular values above tol.rank_rel * e_1; sv is descending."""
+    return int(np.sum(sv > tol.rank_rel * (float(sv[0]) if sv.size else 0.0)))
+
+
 def _gram_deviation(phi: np.ndarray) -> float:
     return float(np.abs(phi.conj().T @ phi - np.eye(phi.shape[1])).max())
 
@@ -62,8 +71,7 @@ def fit_pca(s: StateSet, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
     dim, count = s.dim, s.count
     means = column_means(s)
     u, sv, vh = svd(deviation_matrix(s, means), tol)
-    rank_tol = tol.rank_rel * (float(sv[0]) if sv.size else 0.0)
-    rank = int(np.sum(sv > rank_tol))
+    rank = numerical_rank(sv, tol)
 
     phi = np.empty((dim, count + 1), dtype=np.complex128)
     phi[:, 0] = 1.0 / math.sqrt(dim)
@@ -104,11 +112,3 @@ def importances(model: PcaModel) -> np.ndarray:
     if total <= 0.0:
         raise AllZeroDeviations("every deviation singular value is zero")
     return model.singular_values / total
-
-
-def reconstruct(model: PcaModel, w: np.ndarray) -> np.ndarray:
-    """Map a weight vector of length M+1 back to a D-vector (no renormalization)."""
-    w = np.asarray(w, dtype=np.complex128)
-    if w.shape != (model.count + 1,):
-        raise DimMismatch(f"expected {model.count + 1} weights, got shape {w.shape}")
-    return model.basis @ w

@@ -13,7 +13,6 @@ import pytest
 from qdecimate import (
     LN2,
     QubitFactorization,
-    SelectionRule,
     build_map,
     coarse_grain_hamiltonian,
     coarse_grain_operator,
@@ -195,7 +194,7 @@ def test_criterion_07_epsilon_selection_oracle(report):
                 eps = float(rng.uniform(0.0, 0.999999))
             else:
                 eps = eps_pool[checked % len(eps_pool)]
-            got = select_dimension(model, eps, SelectionRule.PER_STATE, state=mu)
+            got = select_dimension(model, eps, state=mu)
             want = brute_force_minimal_d(model.weights[:, mu - 1], eps)
             if got != want:
                 mismatches += 1
@@ -266,10 +265,10 @@ def test_criterion_10_evolution_suite(report, capsys):
     h = random_hamiltonian(dim, seed=100)
     psi0 = random_state_vector(dim, seed=101)
     traj = evolve_sequence(h, psi0, dt, steps)
-    norm_err = float(np.abs(np.linalg.norm(traj.states.matrix, axis=0) - 1.0).max())
-    energies = [expectation(traj.states.matrix[:, j], h) for j in range(steps)]
+    norm_err = float(np.abs(np.linalg.norm(traj.matrix, axis=0) - 1.0).max())
+    energies = [expectation(traj.matrix[:, j], h) for j in range(steps)]
     energy_drift = max(energies) - min(energies)
-    model = fit_pca(traj.states)
+    model = fit_pca(traj)
     h_norm = float(np.linalg.norm(h, 2))
     herm_dev = 0.0
     for d in (5, steps + 1):

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from qdecimate import (
-    SelectionRule,
     fit_pca,
     random_state_set,
     select_dimension,
     validate_state_set,
 )
+from qdecimate import cli
 from qdecimate.cli import main
 from qdecimate.fileio import (
     read_curve,
@@ -160,7 +160,7 @@ class TestDecimate:
         assert main(["decimate", str(model_path), "-o", str(out), "--eps", "0.01"]) == 0
         printed = capsys.readouterr().out
         model = read_model(model_path)
-        expected = select_dimension(model, 0.01, rule=SelectionRule.SET_MAX)
+        expected = select_dimension(model, 0.01)
         assert f"selected d={expected}" in printed
         matrix, _ = read_state_set(out)
         assert matrix.shape == (expected, 6)
@@ -470,6 +470,24 @@ class TestEvolve:
         assert code == 2 and len(err) == 1 and err[0].startswith("error: "), err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("spec", ["zero", "random:1"])
+    @pytest.mark.parametrize("dim", ["0", "-3"])
+    def test_dim_below_one_exit_2_one_line(self, tmp_path, spec, dim):
+        argv = ["evolve", "--hamiltonian", spec, f"--dim={dim}", "--dt", "0.1", "--steps", "3"]
+        code, err = _stderr_lines([*argv, "--out-prefix", str(tmp_path / "x")])
+        assert code == 2 and err == [f"error: DomainError: --dim must be at least 1, got {dim}"]
+        assert not list(tmp_path.iterdir())
+
+    def test_out_of_memory_exit_1_one_line(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("cannot allocate the chain")
+
+        monkeypatch.setattr(cli, "ising_chain", refuse)
+        argv = ["evolve", "--hamiltonian", "ising:40", "--dt", "0.1", "--steps", "5"]
+        code, err = _stderr_lines([*argv, "--out-prefix", str(tmp_path / "x")])
+        assert code == 1 and err == ["error: out of memory: cannot allocate the chain"]
+        assert not list(tmp_path.iterdir())
+
     def test_ising_14_runs_without_a_dense_matrix(self, tmp_path):
         # a dense H would need 4 GiB here
         prefix = tmp_path / "big"
@@ -502,5 +520,13 @@ class TestInfoAndParser:
     def test_tolerance_flag_validated(self, tmp_path):
         path = tmp_path / "s.json"
         write_state_set(path, random_state_set(16, 3, seed=160).matrix)
-        rc = main(["fit", str(path), "-o", str(tmp_path / "m.json"), "--tolerance", "-1"])
-        assert rc == 2
+        model = tmp_path / "m.json"
+        for value in ("-1", "0", "nan", "inf", "-inf"):
+            code, err = _stderr_lines(["fit", str(path), "-o", str(model), f"--tolerance={value}"])
+            assert code == 2 and len(err) == 1 and "finite and positive" in err[0], (value, err)
+            assert not model.exists()
+        assert main(["fit", str(path), "-o", str(model)]) == 0
+        code, err = _stderr_lines(
+            ["decimate", str(model), "-o", str(tmp_path / "c.json"), "--d", "2", "--tolerance=nan"]
+        )
+        assert code == 2 and len(err) == 1 and "finite and positive" in err[0], err

@@ -12,7 +12,6 @@ from qdecimate import (
     NonRealExpectation,
     NotHermitian,
     PcaModel,
-    SelectionRule,
     ZeroNorm,
     build_map,
     coarse_grain_operator,
@@ -161,22 +160,22 @@ class TestSelectDimension:
     def test_clamp_to_two(self):
         # cumulative power at d=1 is 0.64 >= 0.5 but the floor is d=2
         model = _weights_model(np.array([[0.8], [0.6]]))
-        assert select_dimension(model, 0.5, SelectionRule.PER_STATE, state=1) == 2
+        assert select_dimension(model, 0.5, state=1) == 2
 
     def test_cumulative_arithmetic(self):
         col = np.array([[0.6], [0.6], [math.sqrt(0.28)]])
         model = _weights_model(col)
-        assert select_dimension(model, 0.2, SelectionRule.PER_STATE, state=1) == 3
+        assert select_dimension(model, 0.2, state=1) == 3
 
     def test_set_max_is_max_of_per_state(self):
         s = random_state_set(32, 4, seed=62)
         model = fit_pca(s)
         eps = 0.05
         per_state = [
-            select_dimension(model, eps, SelectionRule.PER_STATE, state=mu)
+            select_dimension(model, eps, state=mu)
             for mu in range(1, 5)
         ]
-        got = select_dimension(model, eps, SelectionRule.SET_MAX)
+        got = select_dimension(model, eps)
         assert type(got) is int and got == max(per_state)
 
     def test_matches_brute_force_scan(self):
@@ -191,14 +190,14 @@ class TestSelectDimension:
         for model in (fit_pca(random_state_set(32, 6, seed=63)), rank_two):
             for eps in (0.0, 1e-15, 1e-6, 0.01, 0.1, 0.5, 0.9):
                 for mu in range(1, 7):
-                    got = select_dimension(model, eps, SelectionRule.PER_STATE, state=mu)
+                    got = select_dimension(model, eps, state=mu)
                     want = brute_force_minimal_d(model.weights[:, mu - 1], eps)
                     assert got == want
             # at eps=0 a total power that rounds below 1 needs all M+1 components
             for mu in range(1, 7):
                 if retained_power(model)[-1, mu - 1] < 1.0:
                     never_reached += 1
-                    got = select_dimension(model, 0.0, SelectionRule.PER_STATE, state=mu)
+                    got = select_dimension(model, 0.0, state=mu)
                     assert got == model.count + 1
         assert never_reached > 0
 
@@ -217,7 +216,7 @@ class TestSelectDimension:
 
     def test_huge_eps_returns_floor(self):
         model = fit_pca(random_state_set(16, 3, seed=64))
-        assert select_dimension(model, 0.999999, SelectionRule.SET_MAX) == 2
+        assert select_dimension(model, 0.999999) == 2
 
     def test_eps_domain(self):
         model = fit_pca(random_state_set(16, 3, seed=65))
@@ -226,12 +225,11 @@ class TestSelectDimension:
         with pytest.raises(DomainError):
             select_dimension(model, 1.0)
 
-    def test_per_state_needs_index(self):
+    def test_state_index_range(self):
         model = fit_pca(random_state_set(16, 3, seed=66))
-        with pytest.raises(DimMismatch):
-            select_dimension(model, 0.1, SelectionRule.PER_STATE)
-        with pytest.raises(DimMismatch):
-            select_dimension(model, 0.1, SelectionRule.PER_STATE, state=4)
+        for state in (0, 4, -1):
+            with pytest.raises(DimMismatch):
+                select_dimension(model, 0.1, state=state)
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -241,7 +239,7 @@ class TestSelectDimension:
     def test_brute_force_agreement_random(self, seed, eps):
         s = random_state_set(24, 5, seed=seed)
         model = fit_pca(s)
-        got = select_dimension(model, eps, SelectionRule.SET_MAX)
+        got = select_dimension(model, eps)
         want = max(
             brute_force_minimal_d(model.weights[:, mu], eps) for mu in range(5)
         )

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from qdecimate import (
     DEFAULT_TOL,
+    BadDimension,
     DimMismatch,
     IsingChain,
     NonFinite,
     NotHermitian,
     NotNormalized,
     RegimeViolation,
-    Trajectory,
     ZeroNorm,
     build_map,
     coarse_grain_hamiltonian,
@@ -27,7 +27,6 @@ from qdecimate import (
     random_hamiltonian,
     random_state_vector,
     validate_state_set,
-    zero_hamiltonian,
 )
 
 from qdecimate.evolution import _MAX_PHASE, _bessel_j, _chebyshev_coefficients
@@ -41,18 +40,18 @@ FIELDS = (1.0, -1.3, 0.0, 0.37)
 class TestEvolveSequence:
     def test_zero_hamiltonian_freezes_state(self):
         psi0 = random_state_vector(8, seed=90)
-        traj = evolve_sequence(zero_hamiltonian(8), psi0, 0.3, 5)
-        assert traj.states.count == 5
+        traj = evolve_sequence(np.zeros((8, 8), dtype=complex), psi0, 0.3, 5)
+        assert traj.count == 5
         for j in range(5):
-            assert np.abs(traj.states.matrix[:, j] - psi0).max() <= 1e-12
+            assert np.abs(traj.matrix[:, j] - psi0).max() <= 1e-12
 
     def test_eigenstate_phase(self):
         # diag Hamiltonian, psi0 = e1, dt = pi: second state is exp(-i pi) e1
         h = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
         psi0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
         traj = evolve_sequence(h, psi0, math.pi, 2)
-        assert np.abs(traj.states.matrix[:, 0] - psi0).max() <= 1e-12
-        assert np.abs(traj.states.matrix[:, 1] + psi0).max() <= 1e-10
+        assert np.abs(traj.matrix[:, 0] - psi0).max() <= 1e-12
+        assert np.abs(traj.matrix[:, 1] + psi0).max() <= 1e-10
 
     def test_energy_conservation(self):
         # per-step expectation oracle
@@ -60,14 +59,14 @@ class TestEvolveSequence:
         psi0 = random_state_vector(16, seed=92)
         traj = evolve_sequence(h, psi0, 0.1, 6)
         energies = [
-            naive_expectation(traj.states.matrix[:, j], h).real for j in range(6)
+            naive_expectation(traj.matrix[:, j], h).real for j in range(6)
         ]
         assert max(energies) - min(energies) <= 1e-9
 
     def test_unitarity(self):
         h = random_hamiltonian(16, seed=93)
         traj = evolve_sequence(h, random_state_vector(16, seed=94), 0.2, 7)
-        norms = np.linalg.norm(traj.states.matrix, axis=0)
+        norms = np.linalg.norm(traj.matrix, axis=0)
         assert np.abs(norms - 1.0).max() <= 1e-10
 
     def test_composition(self):
@@ -76,12 +75,12 @@ class TestEvolveSequence:
         fine = evolve_sequence(h, psi0, 0.1, 3)
         coarse_steps = evolve_sequence(h, psi0, 0.2, 2)
         assert (
-            np.abs(fine.states.matrix[:, 2] - coarse_steps.states.matrix[:, 1]).max()
+            np.abs(fine.matrix[:, 2] - coarse_steps.matrix[:, 1]).max()
             <= 1e-9
         )
 
     def test_regime_violation(self):
-        h = zero_hamiltonian(8)
+        h = np.zeros((8, 8), dtype=complex)
         psi0 = random_state_vector(8, seed=97)
         with pytest.raises(RegimeViolation):
             evolve_sequence(h, psi0, 0.1, 7)
@@ -101,7 +100,7 @@ class TestEvolveSequence:
 
     def test_unnormalized_initial_state(self):
         with pytest.raises(NotNormalized):
-            evolve_sequence(zero_hamiltonian(8), np.ones(8, dtype=complex), 0.1, 3)
+            evolve_sequence(np.zeros((8, 8), dtype=complex), np.ones(8, dtype=complex), 0.1, 3)
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -111,7 +110,7 @@ class TestEvolveSequence:
     def test_unitarity_random(self, seed, steps):
         h = random_hamiltonian(12, seed=seed)
         traj = evolve_sequence(h, random_state_vector(12, seed=seed + 1), 0.15, steps)
-        norms = np.linalg.norm(traj.states.matrix, axis=0)
+        norms = np.linalg.norm(traj.matrix, axis=0)
         assert np.abs(norms - 1.0).max() <= 1e-10
 
 
@@ -120,7 +119,7 @@ class TestCoarseGrainHamiltonian:
         traj = evolve_sequence(
             random_hamiltonian(16, seed=100), random_state_vector(16, seed=101), 0.1, 4
         )
-        model = fit_pca(traj.states)
+        model = fit_pca(traj)
         cg = build_map(model, 3)
         out = coarse_grain_hamiltonian(cg, np.eye(16))
         assert np.abs(out - np.eye(3)).max() <= 1e-12
@@ -128,7 +127,7 @@ class TestCoarseGrainHamiltonian:
     def test_matches_naive_triple_product(self):
         h = random_hamiltonian(8, seed=102)
         traj = evolve_sequence(h, random_state_vector(8, seed=103), 0.1, 3)
-        model = fit_pca(traj.states)
+        model = fit_pca(traj)
         cg = build_map(model, 3)
         got = coarse_grain_hamiltonian(cg, h)
         want = naive_triple_product(np.asarray(cg.g), h)
@@ -137,18 +136,18 @@ class TestCoarseGrainHamiltonian:
     def test_full_rank_energy_match(self):
         h = random_hamiltonian(16, seed=104)
         traj = evolve_sequence(h, random_state_vector(16, seed=105), 0.1, 5)
-        model = fit_pca(traj.states)
+        model = fit_pca(traj)
         cg = build_map(model, 6)
         h_cg = coarse_grain_hamiltonian(cg, h)
         for j in range(5):
-            fine = expectation(traj.states.matrix[:, j], h)
+            fine = expectation(traj.matrix[:, j], h)
             coarse = expectation(model.weights[:, j], h_cg)
             assert abs(fine - coarse) <= 1e-10
 
     def test_hermiticity(self):
         h = random_hamiltonian(16, seed=106)
         traj = evolve_sequence(h, random_state_vector(16, seed=107), 0.1, 5)
-        cg = build_map(fit_pca(traj.states), 4)
+        cg = build_map(fit_pca(traj), 4)
         h_cg = coarse_grain_hamiltonian(cg, h)
         scale = np.linalg.norm(h, 2)
         assert np.abs(h_cg - h_cg.conj().T).max() <= 1e-12 * scale
@@ -159,7 +158,7 @@ class TestCoarseGrainedTrajectory:
         # uniform initial state, zero Hamiltonian: deviations vanish entirely
         dim = 16
         psi0 = np.full(dim, 1.0 / 4.0, dtype=complex)
-        traj = evolve_sequence(zero_hamiltonian(dim), psi0, 0.1, 4)
+        traj = evolve_sequence(np.zeros((dim, dim), dtype=complex), psi0, 0.1, 4)
         coarse = coarse_grained_trajectory(traj, 2)
         for state in coarse:
             assert np.abs(state.weights - np.array([1.0, 0.0])).max() <= 1e-12
@@ -171,14 +170,14 @@ class TestCoarseGrainedTrajectory:
         coarse = coarse_grained_trajectory(traj, 6)
         for i in range(5):
             for j in range(5):
-                fine = np.vdot(traj.states.matrix[:, i], traj.states.matrix[:, j])
+                fine = np.vdot(traj.matrix[:, i], traj.matrix[:, j])
                 cg = np.vdot(coarse[i].weights, coarse[j].weights)
                 assert abs(fine - cg) <= 1e-10
 
     def test_retained_weight_recorded(self):
         h = random_hamiltonian(16, seed=110)
         traj = evolve_sequence(h, random_state_vector(16, seed=111), 0.3, 5)
-        model = fit_pca(traj.states)
+        model = fit_pca(traj)
         coarse = coarse_grained_trajectory(traj, 3)
         for j, state in enumerate(coarse):
             w = model.weights[:3, j]
@@ -196,18 +195,25 @@ class TestCoarseGrainedTrajectory:
             psi0 = np.zeros(32, dtype=complex)
             psi0[[2, 7, 19]] = [0.6, 0.48j, 0.64]
         traj = evolve_sequence(h, psi0, 0.1, 8)
-        model = fit_pca(traj.states)
+        model = fit_pca(traj)
         assert (model.rank == 8) == (case == "full-rank")
         for d in (2, 4, 9):
             cg = build_map(model, d)
             coarse = coarse_grained_trajectory(traj, d)
             assert len(coarse) == 8
             for j, state in enumerate(coarse):
-                want = decimate_state(cg, traj.states.matrix[:, j])
+                want = decimate_state(cg, traj.matrix[:, j])
                 assert state.d == d and not state.outside_span
                 assert np.abs(state.weights - want.weights).max() <= 1e-12
                 assert abs(state.norm_before - want.norm_before) <= 1e-12
                 assert not state.weights.flags.writeable
+
+    def test_dimension_outside_two_to_m_plus_one(self):
+        h = random_hamiltonian(16, seed=116)
+        states = evolve_sequence(h, random_state_vector(16, seed=117), 0.1, 4)
+        for d in (1, 6):
+            with pytest.raises(BadDimension):
+                coarse_grained_trajectory(states, d)
 
     def test_zero_norm_named(self):
         # zero-mean states a, -a, b: the mean row and the leading component
@@ -215,10 +221,9 @@ class TestCoarseGrainedTrajectory:
         a = np.array([0.5, -0.5, 0.5, -0.5, 0, 0, 0, 0], dtype=complex)
         b = np.array([0, 0, 0, 0, 0.5, 0.5, -0.5, -0.5], dtype=complex)
         states = validate_state_set(np.stack([a, -a, b], axis=1))
-        traj = Trajectory(initial=a, dt=0.1, steps=3, states=states)
-        assert len(coarse_grained_trajectory(traj, 3)) == 3
+        assert len(coarse_grained_trajectory(states, 3)) == 3
         with pytest.raises(ZeroNorm, match="orthogonal to the retained subspace"):
-            coarse_grained_trajectory(traj, 2)
+            coarse_grained_trajectory(states, 2)
 
     def test_local_hamiltonian_concentrates_weight(self):
         # paired run: nearest-neighbor chain vs norm-matched dense random
@@ -243,11 +248,6 @@ class TestCoarseGrainedTrajectory:
 
 
 class TestGenerators:
-    def test_zero_hamiltonian(self):
-        h = zero_hamiltonian(6)
-        assert h.shape == (6, 6)
-        assert np.all(h == 0.0)
-
     def test_random_hamiltonian_hermitian_and_seeded(self):
         a = random_hamiltonian(12, seed=112)
         b = random_hamiltonian(12, seed=112)
@@ -391,7 +391,7 @@ class TestChebyshevPropagation:
                 energies, vectors = np.linalg.eigh(dense.real)
                 amplitudes = vectors.T @ psi0
                 for dt in (-0.3, 0.0, 0.1, 2.5):
-                    got = evolve_sequence(chain, psi0, dt, steps).states.matrix
+                    got = evolve_sequence(chain, psi0, dt, steps).matrix
                     phases = np.exp(-1j * np.outer(energies, dt * times))
                     want = vectors @ (phases * amplitudes[:, np.newaxis])
                     assert np.abs(got - want).max() <= 1e-12, (coupling, field, dt)
@@ -401,23 +401,23 @@ class TestChebyshevPropagation:
     def test_dense_input_takes_eigh_path(self):
         chain = ising_chain(4, 0.9, 0.6)
         psi0 = random_state_vector(16, seed=410)
-        via_chain = evolve_sequence(chain, psi0, 0.2, 6).states.matrix
-        via_dense = evolve_sequence(chain.dense(), psi0, 0.2, 6).states.matrix
+        via_chain = evolve_sequence(chain, psi0, 0.2, 6).matrix
+        via_dense = evolve_sequence(chain.dense(), psi0, 0.2, 6).matrix
         assert not np.array_equal(via_chain, via_dense)  # two different propagators
         assert np.abs(via_chain - via_dense).max() <= 1e-13
 
     def test_zero_time_step_and_zero_chain_are_exact(self):
         psi0 = random_state_vector(32, seed=411)
         for chain, dt in ((ising_chain(5), 0.0), (ising_chain(5, 0.0, 0.0), 0.7)):
-            states = evolve_sequence(chain, psi0, dt, 6).states.matrix
+            states = evolve_sequence(chain, psi0, dt, 6).matrix
             for j in range(6):
                 assert np.array_equal(states[:, j], psi0)
 
     def test_backward_step_undoes_forward(self):
         chain = ising_chain(6, 1.1, -0.8)
         psi0 = random_state_vector(64, seed=412)
-        forward = evolve_sequence(chain, psi0, 0.25, 8).states.matrix[:, -1]
-        back = evolve_sequence(chain, forward, -0.25, 8).states.matrix[:, -1]
+        forward = evolve_sequence(chain, psi0, 0.25, 8).matrix[:, -1]
+        back = evolve_sequence(chain, forward, -0.25, 8).matrix[:, -1]
         assert np.abs(back - psi0).max() <= 1e-13
 
     def test_long_run_round_off_within_documented_bound(self):
@@ -425,7 +425,7 @@ class TestChebyshevPropagation:
         chain = ising_chain(8)
         psi0 = random_state_vector(256, seed=413)
         steps, dt = 200, 0.1
-        got = evolve_sequence(chain, psi0, dt, steps).states.matrix
+        got = evolve_sequence(chain, psi0, dt, steps).matrix
         energies, vectors = np.linalg.eigh(chain.dense().real)
         exact = vectors @ (np.exp(-1j * energies * dt * (steps - 1)) * (vectors.T @ psi0))
         terms = _chebyshev_coefficients(chain.bound * dt).size
@@ -435,14 +435,14 @@ class TestChebyshevPropagation:
     @pytest.mark.parametrize("dt", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_dt_rejected(self, dt):
         psi0 = random_state_vector(16, seed=414)
-        for h in (ising_chain(4), zero_hamiltonian(16), random_hamiltonian(16, seed=415)):
+        for h in (ising_chain(4), np.zeros((16, 16), dtype=complex), random_hamiltonian(16, seed=415)):
             with pytest.raises(RegimeViolation, match="finite"):
                 evolve_sequence(h, psi0, dt, 3)
 
     def test_overflowing_time_span_rejected(self):
         psi0 = random_state_vector(16, seed=416)
         with pytest.raises(RegimeViolation, match="finite"):
-            evolve_sequence(zero_hamiltonian(16), psi0, 1e308, 3)
+            evolve_sequence(np.zeros((16, 16), dtype=complex), psi0, 1e308, 3)
         # finite times whose phases E*t overflow
         with pytest.raises(RegimeViolation, match="overflow"):
             evolve_sequence(random_hamiltonian(16, seed=417), psi0, 1e307, 5)
@@ -463,7 +463,7 @@ class TestChainCompression:
         for coupling, field in ((1.0, 1.0), (-0.7, 0.37), (0.0, -1.3), (2.5e-3, 0.0)):
             chain = ising_chain(n, coupling, field)
             traj = evolve_sequence(chain, random_state_vector(2**n, seed=420 + n), 0.1, 8)
-            cg = build_map(fit_pca(traj.states), d)
+            cg = build_map(fit_pca(traj), d)
             got = coarse_grain_hamiltonian(cg, chain)
             want = coarse_grain_operator(cg, chain.dense())
             assert got.shape == (d, d)
@@ -472,14 +472,14 @@ class TestChainCompression:
 
     def test_dimension_mismatch(self):
         traj = evolve_sequence(ising_chain(4), random_state_vector(16, seed=430), 0.1, 4)
-        cg = build_map(fit_pca(traj.states), 3)
+        cg = build_map(fit_pca(traj), 3)
         with pytest.raises(DimMismatch):
             coarse_grain_hamiltonian(cg, ising_chain(5))
 
     def test_result_is_checked(self):
         # a hand-built chain whose compressed matrix is not finite
         traj = evolve_sequence(ising_chain(4), random_state_vector(16, seed=431), 0.1, 4)
-        cg = build_map(fit_pca(traj.states), 3)
+        cg = build_map(fit_pca(traj), 3)
         broken = IsingChain(sites=4, coupling=1.0, field=1.0, diagonal=np.full(16, np.nan))
         with pytest.raises(NonFinite):
             coarse_grain_hamiltonian(cg, broken)

@@ -11,11 +11,8 @@ from qdecimate import (
     NonFinite,
     NotHermitian,
     Tolerances,
-    check_hermitian,
-    hermitian_eig,
-    svd,
 )
-from qdecimate.numerics import check_finite
+from qdecimate.numerics import check_finite, check_hermitian, hermitian_eig, svd
 
 
 def _random_complex(rows, cols, seed):
