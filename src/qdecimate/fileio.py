@@ -10,12 +10,19 @@ so hand-written state sets and older model and operator files load.
 Singular values stay a plain JSON float list; curves are CSV rows whose
 floats go through Python's shortest round-trip repr. All writes are
 atomic (temp file + rename) and leave the file with mode 0666 less the
-umask.
+umask; a failed write names the requested path.
+
+Writers never build the document as one text: keys go out in sorted
+order and each array's base64 is streamed in pieces of about 1 MiB, with
+the same bytes as one json.dumps(sort_keys=True) of the whole document.
+Readers pop each array's base64 string out of the parsed document and
+decode it strictly in C (binascii.a2b_base64, strict_mode=True), so the
+text is freed before the array is copied or checked.
 """
 
 from __future__ import annotations
 
-import base64
+import binascii
 import csv
 import json
 import math
@@ -32,27 +39,85 @@ from .pca import PcaModel, numerical_rank
 FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, FORMAT_VERSION)
 _DTYPE = "<c16"
+# a multiple of 3, so each streamed piece of an array encodes to unpadded base64
+_CHUNK_BYTES = 3 << 18
 
 
-def _atomic_write_text(path: str | Path, text: str) -> None:
+def _atomic_write(path: str | Path, write_body) -> None:
+    """Call write_body(binary_handle) on a temp file, then rename it to path.
+
+    An OSError names the requested path, not the random temp name.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    tmp = None
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+        with os.fdopen(fd, "wb") as handle:
+            write_body(handle)
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
         raise
 
 
+def _atomic_write_text(path: str | Path, text: str) -> None:
+    _atomic_write(path, lambda handle: handle.write(text.encode("utf-8")))
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows per streamed block: a multiple of 3, about _CHUNK_BYTES in all."""
+    return 3 * max(1, _CHUNK_BYTES // (3 * max(row_bytes, 1)))
+
+
+def _write_array(handle, m: np.ndarray) -> None:
+    """Write m as {"data":...,"dtype":...,"shape":...}, its base64 in pieces.
+
+    Every piece but the last encodes a multiple of 3 bytes, so the pieces
+    join into exactly the text of one b64encode of the whole array. Only
+    one block of rows is ever made contiguous, so a transposed view is
+    never copied whole.
+    """
+    handle.write(b'{"data":"')
+    step = _block_rows(16 * math.prod(m.shape[1:]))
+    for start in range(0, m.shape[0], step):
+        block = np.ascontiguousarray(m[start : start + step], dtype=_DTYPE).reshape(-1)
+        raw = block.view(np.uint8)
+        for offset in range(0, raw.shape[0], _CHUNK_BYTES):
+            handle.write(binascii.b2a_base64(raw[offset : offset + _CHUNK_BYTES], newline=False))
+    shape = json.dumps(list(m.shape), separators=(",", ":"))
+    handle.write(f'","dtype":"{_DTYPE}","shape":{shape}}}'.encode("ascii"))
+
+
 def _dump_json(path: str | Path, doc: dict) -> None:
-    _atomic_write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    """Write doc with sorted keys and no spaces; each ndarray value is an array object.
+
+    The bytes equal json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    plus a newline, with every array replaced by its {dtype, shape, data}
+    object, but no whole-document text is ever built.
+    """
+
+    def write_body(handle) -> None:
+        separator = b"{"
+        for key in sorted(doc):
+            handle.write(separator + json.dumps(key).encode("ascii") + b":")
+            value = doc[key]
+            if isinstance(value, np.ndarray):
+                _write_array(handle, value)
+            else:
+                handle.write(
+                    json.dumps(value, sort_keys=True, separators=(",", ":")).encode("ascii")
+                )
+            separator = b","
+        handle.write(b"}\n")
+
+    _atomic_write(path, write_body)
 
 
 def _load_json(path: str | Path) -> dict:
@@ -84,15 +149,6 @@ def _check_format_version(doc: dict, path: str | Path) -> None:
         raise DomainError(f"{path}: unsupported format_version {version}")
 
 
-def _encode_array(m: np.ndarray) -> dict:
-    arr = np.ascontiguousarray(m, dtype=_DTYPE)
-    return {
-        "dtype": _DTYPE,
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr).decode("ascii"),
-    }
-
-
 def _float_array(value, field: str, path: str | Path) -> np.ndarray:
     try:
         return np.asarray(value, dtype=np.float64)
@@ -105,7 +161,9 @@ def _decode_array(value, field: str, path: str | Path) -> np.ndarray:
 
     The object form returns a read-only view of the decoded bytes. Its
     shape entries must be positive, so no decoded dimension exceeds the
-    number of entries the file actually holds.
+    number of entries the file actually holds. The "data" string is popped
+    out of the object and dropped once decoded; callers pop the object out
+    of their document, so the text is freed before any further copy.
     """
     if not isinstance(value, dict):
         arr = _float_array(value, field, path)
@@ -121,13 +179,14 @@ def _decode_array(value, field: str, path: str | Path) -> np.ndarray:
         isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in shape
     ):
         raise DomainError(f"{path}: {field} shape must be a list of positive integers")
-    data = value.get("data")
+    data = value.pop("data", None)
     if not isinstance(data, str):
         raise DomainError(f"{path}: {field} data must be a base64 string")
     try:
-        raw = base64.b64decode(data, validate=True)
+        raw = binascii.a2b_base64(data, strict_mode=True)
     except ValueError as exc:
         raise DomainError(f"{path}: {field} data is not valid base64 ({exc})") from exc
+    del data
     expected = 16 * math.prod(shape)
     if len(raw) != expected:
         raise DomainError(f"{path}: {field} data holds {len(raw)} bytes, shape needs {expected}")
@@ -144,7 +203,7 @@ def write_state_set(
     doc = {
         "format_version": FORMAT_VERSION,
         "dimension": int(matrix.shape[0]),
-        "states": _encode_array(np.asarray(matrix).T),
+        "states": np.asarray(matrix).T,
     }
     if labels is not None:
         doc["labels"] = list(labels)
@@ -159,7 +218,7 @@ def read_state_set(path: str | Path) -> tuple[np.ndarray, tuple[str, ...] | None
             raise DomainError(f"{path}: missing key '{key}'")
     if "format_version" in doc:
         _check_format_version(doc, path)
-    states = _decode_array(doc["states"], "states", path)
+    states = _decode_array(doc.pop("states"), "states", path)
     if states.ndim != 2:
         raise DomainError(f"{path}: states must be a list of equal-length vectors")
     dim = _int_field(doc, "dimension", path)
@@ -186,8 +245,8 @@ def write_model(path: str | Path, model: PcaModel) -> None:
         "dimension": model.dim,
         "count": model.count,
         "singular_values": model.singular_values.tolist(),
-        "basis": _encode_array(model.basis),
-        "weights": _encode_array(model.weights),
+        "basis": model.basis,
+        "weights": model.weights,
     }
     _dump_json(path, doc)
 
@@ -201,8 +260,8 @@ def read_model(path: str | Path, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
     _check_format_version(doc, path)
     dim = _int_field(doc, "dimension", path)
     count = _int_field(doc, "count", path)
-    basis = _decode_array(doc["basis"], "basis", path)
-    weights = _decode_array(doc["weights"], "weights", path)
+    basis = _decode_array(doc.pop("basis"), "basis", path)
+    weights = _decode_array(doc.pop("weights"), "weights", path)
     sv = _float_array(doc["singular_values"], "singular_values", path)
     if basis.shape != (dim, count + 1):
         raise DomainError(f"{path}: basis shape {basis.shape} != ({dim}, {count + 1})")
@@ -232,7 +291,7 @@ def write_operator(path: str | Path, matrix: np.ndarray) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "dimension": int(matrix.shape[0]),
-        "matrix": _encode_array(matrix),
+        "matrix": matrix,
     }
     _dump_json(path, doc)
 
@@ -245,7 +304,7 @@ def read_operator(path: str | Path) -> np.ndarray:
             raise DomainError(f"{path}: missing key '{key}'")
     _check_format_version(doc, path)
     dim = _int_field(doc, "dimension", path)
-    matrix = np.array(_decode_array(doc["matrix"], "matrix", path))
+    matrix = np.array(_decode_array(doc.pop("matrix"), "matrix", path))
     if matrix.shape != (dim, dim):
         raise DomainError(f"{path}: matrix shape {matrix.shape} != ({dim}, {dim})")
     check_hermitian(matrix, name=str(path))

@@ -7,6 +7,7 @@ imports from qdecimate beyond plain data types.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 
@@ -163,3 +164,25 @@ def write_v1_operator(path, matrix: np.ndarray) -> None:
     """Format-1 operator: a square matrix as row lists of [re, im] pairs."""
     doc = {"format_version": 1, "dimension": matrix.shape[0], "matrix": _pairs(matrix)}
     _dump_v1(path, doc)
+
+
+def whole_document_json(doc: dict) -> bytes:
+    """Format-2 file bytes built as one text, the way the writers once did.
+
+    Every ndarray value becomes {"dtype": "<c16", "shape": [...], "data":
+    b64encode of its row-major bytes}; then one json.dumps of the whole
+    document with sorted keys and no spaces, plus a newline.
+    """
+
+    def encode(value):
+        if not isinstance(value, np.ndarray):
+            return value
+        arr = np.ascontiguousarray(value, dtype="<c16")
+        return {
+            "dtype": "<c16",
+            "shape": list(arr.shape),
+            "data": base64.b64encode(arr).decode("ascii"),
+        }
+
+    doc = {key: encode(value) for key, value in doc.items()}
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")

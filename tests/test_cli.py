@@ -488,6 +488,39 @@ class TestEvolve:
         assert code == 1 and err == ["error: out of memory: cannot allocate the chain"]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "spec, dim", [("ising:6", []), ("zero", ["--dim", "40"]), ("random:2", ["--dim", "40"])]
+    )
+    def test_estimated_footprint_over_physical_memory_exit_1(
+        self, tmp_path, monkeypatch, spec, dim
+    ):
+        # the estimate is 567-707 KiB for these specs and 100 steps; pretend the machine has 16 KiB
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2**14)
+        reached = []
+        monkeypatch.setattr(cli, "evolve_sequence", lambda *args: reached.append(args))
+        argv = ["evolve", "--hamiltonian", spec, *dim, "--dt", "0.1", "--steps", "100"]
+        code, err = _stderr_lines([*argv, "--out-prefix", str(tmp_path / "x")])
+        assert code == 1 and len(err) == 1, err
+        assert err[0].startswith("error: out of memory: evolve with D=") and "100 steps" in err[0]
+        assert not reached and not list(tmp_path.iterdir())
+
+    def test_footprint_within_physical_memory_runs(self, tmp_path, monkeypatch):
+        # ising:6 with 5 steps needs 16*64*7*6 = 43008 bytes by the estimate
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 43008)
+        argv = ["evolve", "--hamiltonian", "ising:6", "--dt", "0.1", "--steps", "5"]
+        assert main([*argv, "--out-prefix", str(tmp_path / "x")]) == 0
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 43007)
+        assert main([*argv, "--out-prefix", str(tmp_path / "y")]) == 1
+
+    def test_dense_hamiltonian_counts_its_matrix(self, tmp_path, monkeypatch):
+        # 3 steps: the trajectory term is 16*D*7*4 bytes (14-18 KiB here), under the
+        # 64 KiB; the dense D x D term, 16*40*5*40 = 125 KiB, is not
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2**16)
+        argv = ["--dt", "0.1", "--steps", "3", "--out-prefix", str(tmp_path / "x")]
+        assert main(["evolve", "--hamiltonian", "ising:5", *argv]) == 0
+        code, err = _stderr_lines(["evolve", "--hamiltonian", "zero", "--dim", "40", *argv])
+        assert code == 1 and err[0].startswith("error: out of memory: evolve with D=40")
+
     def test_ising_14_runs_without_a_dense_matrix(self, tmp_path):
         # a dense H would need 4 GiB here
         prefix = tmp_path / "big"
@@ -497,6 +530,31 @@ class TestEvolve:
         assert matrix.shape == (2**14, 20)
         assert np.abs(np.linalg.norm(matrix, axis=0) - 1.0).max() <= 1e-12
         assert read_operator(f"{prefix}_hcg.json").shape == (6, 6)
+
+
+class TestWriteFailure:
+    """A failed write is one stderr line naming the requested path, never the temp file."""
+
+    def _argv(self, tmp_path, command, out):
+        states, _ = _states_file(tmp_path, 16, 3, seed=280)
+        model = tmp_path / "model.json"
+        assert main(["fit", str(states), "-o", str(model)]) == 0
+        return {
+            "fit": ["fit", str(states), "-o", out],
+            "decimate": ["decimate", str(model), "-o", out, "--d", "2"],
+            "entropy-curve": ["entropy-curve", str(states), "-o", out]
+            + ["--state", "1", "--qubit", "1"],
+            "evolve": ["evolve", "--hamiltonian", "ising:4", "--dt", "0.1", "--steps", "3"]
+            + ["--out-prefix", out],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["fit", "decimate", "entropy-curve", "evolve"])
+    def test_missing_directory_exit_1(self, tmp_path, command):
+        out = str(tmp_path / "missing" / "dir" / "out")
+        code, err = _stderr_lines(self._argv(tmp_path, command, out))
+        assert code == 1 and len(err) == 1, err
+        assert err[0].startswith("error: I/O failure: [Errno 2] No such file or directory: ")
+        assert out in err[0] and ".tmp" not in err[0]
 
 
 class TestInfoAndParser:

@@ -1,12 +1,17 @@
 import base64
+import itertools
 import json
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdecimate import DomainError, NotHermitian, fit_pca, random_state_set
+from qdecimate import DomainError, NotHermitian, PcaModel, fit_pca, random_state_set
+from qdecimate import fileio
 from qdecimate.fileio import (
     read_curve,
     read_model,
@@ -21,6 +26,7 @@ from qdecimate.fileio import (
 from helpers import (
     random_hermitian_oracle,
     write_v1_model,
+    whole_document_json,
     write_v1_operator,
     write_v1_state_set,
 )
@@ -466,3 +472,227 @@ class TestFileMode:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)
         for name in writers:
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
+
+
+def _row_counts(row_bytes: int) -> list[int]:
+    """Row counts around the writer's block size, where streamed pieces join."""
+    step = fileio._block_rows(row_bytes)
+    return sorted({1, 2, 3, step - 1, step, step + 1, 2 * step + 2})
+
+
+# (rows, columns) of the stored array: narrow rows (many per block), rows of
+# 64 KiB (a few per block) and one row longer than a whole streamed piece
+STREAM_SHAPES = [
+    (rows, cols) for cols in (5, 4096) for rows in _row_counts(16 * cols)
+] + [(1, 2**17)]
+
+
+def _complex(shape, seed: int) -> np.ndarray:
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestStreamedWriter:
+    """The streaming writers give the bytes of one json.dumps of the document."""
+
+    @pytest.mark.parametrize("rows, cols", STREAM_SHAPES)
+    def test_operator(self, tmp_path, rows, cols):
+        matrix = _complex((rows, cols), seed=rows + cols)
+        write_operator(tmp_path / "op.json", matrix)
+        expected = whole_document_json({"format_version": 2, "dimension": rows, "matrix": matrix})
+        assert (tmp_path / "op.json").read_bytes() == expected
+
+    @pytest.mark.parametrize("rows, cols", STREAM_SHAPES)
+    def test_state_set_from_its_transpose(self, tmp_path, rows, cols):
+        # rows states of length cols: the writer streams blocks of matrix.T
+        matrix = _complex((cols, rows), seed=rows * cols)
+        write_state_set(tmp_path / "s.json", matrix)
+        expected = whole_document_json({"format_version": 2, "dimension": cols, "states": matrix.T})
+        assert (tmp_path / "s.json").read_bytes() == expected
+
+    @pytest.mark.parametrize("rows, cols", STREAM_SHAPES)
+    def test_model(self, tmp_path, rows, cols):
+        basis, weights = _complex((rows, cols), seed=1), _complex((3, 2), seed=2)
+        sv = np.array([2.5, 0.1 + 0.2])
+        model = PcaModel(
+            dim=rows, count=2, basis=basis, singular_values=sv, weights=weights, rank=2
+        )
+        write_model(tmp_path / "m.json", model)
+        doc = {
+            "format_version": 2,
+            "dimension": rows,
+            "count": 2,
+            "singular_values": sv.tolist(),
+            "basis": basis,
+            "weights": weights,
+        }
+        assert (tmp_path / "m.json").read_bytes() == whole_document_json(doc)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            None,
+            ("a", "b", "c"),
+            ("t=0.1", "ψ₀ ünïcode", "日本"),
+            ('quote "q"', "back\\slash", "new\nline\ttab"),
+            ("", "\x00", "\U0001f600"),
+        ],
+    )
+    def test_state_set_labels(self, tmp_path, labels):
+        matrix = _complex((16, 3), seed=7)
+        write_state_set(tmp_path / "s.json", matrix, labels=labels)
+        doc = {"format_version": 2, "dimension": 16, "states": matrix.T}
+        if labels is not None:
+            doc["labels"] = list(labels)
+        assert (tmp_path / "s.json").read_bytes() == whole_document_json(doc)
+        assert read_state_set(tmp_path / "s.json")[1] == labels
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.arange(60.0).reshape(12, 5),
+            np.asfortranarray(_complex((40, 7), seed=8)),
+            _complex((40, 14), seed=9)[::2, ::3],
+            _complex((9, 4), seed=10).astype(">c16"),
+        ],
+        ids=["real", "fortran", "strided", "big-endian"],
+    )
+    def test_any_layout_or_dtype(self, tmp_path, matrix):
+        write_operator(tmp_path / "op.json", matrix)
+        expected = whole_document_json(
+            {"format_version": 2, "dimension": matrix.shape[0], "matrix": matrix}
+        )
+        assert (tmp_path / "op.json").read_bytes() == expected
+
+
+class TestWriteMemory:
+    """A writer holds one streamed block, not copies of the whole base64 text."""
+
+    @pytest.mark.parametrize("kind", ["states", "model", "operator"])
+    def test_peak_of_a_12_mib_array(self, tmp_path, kind):
+        # each array is 12.5-12.6 MiB of complex128
+        if kind == "states":
+            matrix = _complex((2**12, 200), seed=11)
+            call = lambda: write_state_set(tmp_path / "s.json", matrix)  # noqa: E731
+        elif kind == "model":
+            model = PcaModel(
+                dim=2**12,
+                count=200,
+                basis=_complex((2**12, 201), seed=12),
+                singular_values=np.linspace(2.0, 1.0, 200),
+                weights=_complex((201, 200), seed=13),
+                rank=200,
+            )
+            call = lambda: write_model(tmp_path / "m.json", model)  # noqa: E731
+        else:
+            matrix = _complex((905, 905), seed=14)
+            call = lambda: write_operator(tmp_path / "op.json", matrix)  # noqa: E731
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 4 * 2**20, f"{kind}: peak {peak / 2**20:.1f} MiB"
+
+
+# two finite complex128 values: 32 bytes, 44 base64 characters ending in "="
+_PAYLOAD = base64.b64encode(np.array([1.0 + 2.0j, -0.5 + 0.25j]).tobytes()).decode()
+_EDIT_CHARS = list("AQw+/=-_ \n\r\t\x00é") + ["Ａ", " "]
+
+
+def _decoders_agree(data: str) -> bool:
+    """_decode_array accepts data exactly when strict b64decode does, with equal bytes."""
+    try:
+        expected = base64.b64decode(data, validate=True)
+    except ValueError:
+        expected = None
+    obj = {"dtype": "<c16", "shape": [2], "data": data}
+    try:
+        got = fileio._decode_array(obj, "x", "f.json").tobytes()
+    except DomainError as exc:
+        message = str(exc)
+        if expected is None:
+            return "x data is not valid base64" in message
+        if len(expected) != 32:
+            return f"holds {len(expected)} bytes" in message
+        return "non-finite" in message and not np.isfinite(np.frombuffer(expected, "<c16")).all()
+    return got == expected
+
+
+class TestBase64Decoder:
+    """Differential test of the strict C decoder against base64.b64decode(validate=True)."""
+
+    def test_short_strings_exhaustive(self):
+        alphabet = ["A", "Q", "/", "=", "-", "_", " ", "\n", "é"]
+        strings = [
+            "".join(chars)
+            for length in range(6)
+            for chars in itertools.product(alphabet, repeat=length)
+        ]
+        assert len(strings) == 66430
+        assert [s for s in strings if not _decoders_agree(s)] == []
+
+    def test_quad_pairs(self):
+        # padding in the middle, extra padding, whitespace, URL-safe and non-ASCII quads
+        quads = ["AAAA", "QQ==", "AAA=", "A===", "====", "AA=A", "=AAA", " AAA", "AA\nA"]
+        quads += ["-AAA", "AA_A", "AAé=", "AA==\n", "AA\r\n"]
+        bad = [a + b for a, b in itertools.product(quads, repeat=2) if not _decoders_agree(a + b)]
+        assert bad == []
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "replace", "delete"]),
+                st.integers(0, len(_PAYLOAD)),
+                st.sampled_from(_EDIT_CHARS),
+            ),
+            max_size=3,
+        )
+    )
+    def test_edited_payloads(self, edits):
+        data = _PAYLOAD
+        for op, at, char in edits:
+            at = min(at, len(data))
+            if op == "insert":
+                data = data[:at] + char + data[at:]
+            elif op == "replace":
+                data = data[:at] + char + data[at + 1 :]
+            else:
+                data = data[:at] + data[at + 1 :]
+        assert _decoders_agree(data), repr(data)
+
+
+class TestFailedWrite:
+    """A failed write names the requested path, not the temp file, and leaves nothing."""
+
+    WRITERS = {
+        "states": lambda p: write_state_set(p, random_state_set(8, 2, seed=270).matrix),
+        "model": lambda p: write_model(p, fit_pca(random_state_set(8, 2, seed=271))),
+        "operator": lambda p: write_operator(p, np.eye(2, dtype=complex)),
+        "curve": lambda p: write_curve(p, [(1, 0.5)]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_missing_directory(self, tmp_path, kind):
+        path = tmp_path / "missing" / "out.json"
+        with pytest.raises(FileNotFoundError) as caught:
+            self.WRITERS[kind](path)
+        assert caught.value.filename == str(path)
+        assert ".tmp" not in str(caught.value)
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_target_is_a_directory(self, tmp_path, kind):
+        path = tmp_path / "taken"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as caught:
+            self.WRITERS[kind](path)
+        assert caught.value.filename == str(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert not list(path.iterdir())

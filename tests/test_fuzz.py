@@ -2,9 +2,10 @@
 
 Every loader and every CLI command that reads a file is fed mutations of
 a real format-2 file: arbitrary JSON under each key, truncated prefixes,
-corrupted base64, wrong dtypes, bad shape entries, non-finite numbers in
-the binary data, deep nesting and bytes that are not UTF-8. Hypothesis
-runs derandomized, so the examples are the same on every run.
+corrupted base64 (also forms that a lenient decoder would take), wrong
+dtypes, bad shape entries, non-finite numbers in the binary data, deep
+nesting and bytes that are not UTF-8. Hypothesis runs derandomized, so
+the examples are the same on every run.
 """
 
 import base64
@@ -104,9 +105,37 @@ def _arbitrary_value(draw, doc):
 
 
 @st.composite
+def _lenient_base64(draw, data):
+    """Corrupt base64 that a lenient decoder would take or that keeps its length.
+
+    Padding in the middle, extra padding, line breaks or spaces every few
+    characters, and a same-length swap to a URL-safe, space or non-ASCII
+    character.
+    """
+    kind = draw(st.sampled_from(["pad_middle", "extra_pad", "wrap", "swap"]))
+    if kind == "pad_middle":
+        quad = 4 * draw(st.integers(0, len(data) // 4 - 2))
+        return data[:quad] + draw(st.sampled_from(["AA==", "AAA="])) + data[quad + 4 :]
+    if kind == "extra_pad":
+        # one "=" more than the last quad allows; "=" after a complete
+        # quad is accepted by the strict decoder and decodes to the same bytes
+        return data + "=" if data.endswith("=") else data[:-1] + "=="
+    if kind == "wrap":
+        width = draw(st.sampled_from([4, 64, 76]))
+        separator = draw(st.sampled_from(["\n", "\r\n", " "]))
+        return separator.join(data[i : i + width] for i in range(0, len(data), width))
+    at = draw(st.integers(0, len(data) - 1))
+    return data[:at] + draw(st.sampled_from(list("-_ \n\té") + ["Ａ"])) + data[at + 1 :]
+
+
+@st.composite
 def _bad_array_field(draw, doc):
     obj = doc[draw(st.sampled_from(_array_keys(doc)))]
-    kind = draw(st.sampled_from(["dtype", "shape", "bad_char", "drop", "append", "non_finite"]))
+    kind = draw(
+        st.sampled_from(
+            ["dtype", "shape", "bad_char", "drop", "append", "lenient", "non_finite"]
+        )
+    )
     if kind == "dtype":
         obj["dtype"] = draw(st.sampled_from(BAD_DTYPES))
     elif kind == "shape":
@@ -119,6 +148,8 @@ def _bad_array_field(draw, doc):
         obj["data"] = obj["data"][: -draw(st.integers(1, 8))]
     elif kind == "append":
         obj["data"] += draw(st.sampled_from(["A", "AA==", "AAAA", "AAAAAAAA"]))
+    elif kind == "lenient":
+        obj["data"] = draw(_lenient_base64(obj["data"]))
     else:
         arr = np.frombuffer(base64.b64decode(obj["data"]), dtype="<c16").copy()
         arr[draw(st.integers(0, arr.size - 1))] = draw(

@@ -1,3 +1,7 @@
+import ast
+import importlib
+from pathlib import Path
+
 import qdecimate
 
 PUBLIC = [
@@ -63,3 +67,25 @@ def test_star_import_binds_exactly_the_public_names():
     exec("from qdecimate import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == PUBLIC
+
+
+def _tracer_targets() -> list[tuple[str, str, str]]:
+    """TARGETS of perfbench/tracer.py, read from its source without importing it."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    for node in ast.parse(source.read_text()).body:
+        names = [getattr(t, "id", None) for t in getattr(node, "targets", [])]
+        if isinstance(node, ast.Assign) and names == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TARGETS assignment in {source}")
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the tracer wraps each (module, attr) by name; a renamed function must fail here
+    targets = _tracer_targets()
+    assert targets
+    missing = [
+        (module, attr)
+        for module, attr, _ in targets
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []
