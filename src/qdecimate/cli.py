@@ -27,6 +27,7 @@ from .entanglement import (
 )
 from .errors import AllZeroDeviations, DomainError
 from .evolution import (
+    _BLOCK,
     IsingChain,
     coarse_grain_hamiltonian,
     evolve_sequence,
@@ -128,9 +129,13 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
 
 # Peak memory of evolve as multiples of the 16*D*(steps+1) bytes of its
 # trajectory, measured with one BLAS thread and 100 steps: ising:14 peaks
-# at 236 MiB (9.3x, the interpreter included), ising:16 at 747 MiB (7.4x),
-# set by the copies and the SVD of the fit. A dense D x D Hamiltonian and
-# its eigh add about 5 x 16*D^2 bytes (random --dim 2048: 364 MiB).
+# at 236 MiB (9.3x, the interpreter included), ising:16 at 748 MiB (7.4x),
+# set by the copies and the SVD of the fit. A chain's Chebyshev series
+# also holds a block of min(32, steps) vectors of 16*D bytes (32 MiB at
+# ising:16) while it runs; it is freed before the fit, but it is counted
+# on top so that the estimate stays an upper one. A dense D x D
+# Hamiltonian and its eigh add about 5 x 16*D^2 bytes (random --dim 2048:
+# 364 MiB).
 _TRAJECTORY_COPIES = 7
 _DENSE_COPIES = 5
 
@@ -145,7 +150,8 @@ def _check_evolve_memory(dim: int, steps: int, dense: bool) -> None:
     Sizes that malloc does not refuse outright would otherwise allocate
     and get the process killed instead of ending in a one-line error.
     """
-    need = 16 * dim * (_TRAJECTORY_COPIES * (steps + 1) + (_DENSE_COPIES * dim if dense else 0))
+    extra = _DENSE_COPIES * dim if dense else min(_BLOCK, steps)
+    need = 16 * dim * (_TRAJECTORY_COPIES * (steps + 1) + extra)
     have = _physical_memory()
     if need > have:
         raise MemoryError(

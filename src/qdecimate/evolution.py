@@ -12,14 +12,19 @@ propagator runs depends on the Hamiltonian's type:
   step-to-step error accumulation. This costs O(D^3) time and a D x D
   matrix.
 - An ``IsingChain`` is never stored as a matrix: it acts on vectors in
-  O(n D), and each step applies a Chebyshev expansion of exp(-i H dt)
-  (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)) to the previous
-  state. Its states therefore accumulate round-off from step to step: a
-  step with K series terms adds an error of order K * eps (eps = 2^-52)
-  plus the dropped tail, below 1e-15, so state j lies within about
-  j * (K * eps + 1e-15) of exp(-i H j dt) psi0. K grows like
-  a + 10 a^(1/3) with a = bound * |dt|: 18 terms at a = 1.9 (``ising:10``,
-  dt = 0.1). On ``ising:8`` 100 such steps stay within 7e-14 of ``eigh``.
+  O(n D). exp(-i H t) = sum_k c_k(bound * t) T_k(H / bound) holds for
+  every t at once (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)),
+  so one Chebyshev recurrence T_k(H / bound) psi0, run to the K terms
+  that the last time needs, gives every state: K - 1 applications of H
+  in all (about 160 for ``ising:10``, 60 steps of dt = 0.1), not K_step - 1
+  per step. K grows like a + 10 a^(1/3) with a = bound * |t|, and each
+  state carries the round-off of one K-term series, of order K * eps
+  (eps = 2^-52), plus the dropped tail below 1e-15, whatever its index j.
+  A span is cut into segments, each restarting the series from its first
+  state, where its phase would exceed the round-off cap or its K would
+  exceed D; the errors of the segments add, so every state lies within a
+  small multiple of K_total * eps of exp(-i H t) psi0, K_total being the
+  terms of all segments together.
 
 ``coarse_grained_trajectory`` takes such a state set and slices each
 step from the fitted weights, never rebuilding it in D dimensions; a
@@ -51,10 +56,17 @@ __all__ = [
 
 # Chebyshev terms with |c_k| below this are dropped.
 _SERIES_CUT = 1e-15
-# One step with phase a = bound * |dt| needs about a terms and carries a
+# A series with phase a = bound * |t| needs about a terms and carries a
 # round-off of order a * eps; beyond this a, that alone exceeds the default
-# 1e-9 unit-norm tolerance, so no such step can give a valid state.
+# 1e-9 unit-norm tolerance, so no such series can give a valid state.
 _MAX_PHASE = DEFAULT_TOL.state_norm / float(np.finfo(np.float64).eps)
+# Chebyshev vectors held at once before their terms are added to every
+# state; never more than the segment has states, so the block adds at most
+# one trajectory's worth of memory
+_BLOCK = 32
+# Float columns of the (states x 2D) trajectory per product while adding a
+# block; 8192 keeps each panel of the block and the trajectory in cache
+_PANEL = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,33 +143,131 @@ def _chebyshev_coefficients(a: float) -> np.ndarray:
     c_0 = J_0(a) and c_k = 2 (-i)^k J_k(a) (Jacobi-Anger). A negative a uses
     J_k(-a) = (-1)^k J_k(|a|), i.e. the phases i^k.
     """
-    if not abs(a) <= _MAX_PHASE:
-        raise RegimeViolation(
-            f"phase bound*|dt| = {abs(a):.3g} exceeds {_MAX_PHASE:.3g}: the round-off of "
-            "one step would exceed the norm tolerance; use a smaller dt and more steps"
-        )
+    _check_phase(a)
     if abs(a) < _SERIES_CUT:  # J_0(a) rounds to 1 and every other |c_k| is below the cut
         return np.ones(1, dtype=np.complex128)
     j = _bessel_j(abs(a))
     c = 2.0 * j
     c[0] = j[0]
     keep = int(np.flatnonzero(np.abs(c) >= _SERIES_CUT)[-1]) + 1
-    phases = np.array([1, -1j, -1, 1j] if a > 0 else [1, 1j, -1, -1j])
-    return c[:keep] * phases[np.arange(keep) % 4]
+    return c[:keep] * _phases(a)[np.arange(keep) % 4]
 
 
-def _chebyshev_step(chain: IsingChain, psi: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k c_k T_k(X) psi with X = H / bound, by T_{k+1} = 2 X T_k - T_{k-1}."""
-    out = coeffs[0] * psi
-    prev, cur = psi, psi
-    for k, c in enumerate(coeffs[1:], start=1):
-        nxt = chain.apply(cur) / chain.bound
-        if k > 1:
-            nxt *= 2.0
-            nxt -= prev
-        prev, cur = cur, nxt
-        out += c * cur
-    return out
+def _check_phase(a: float) -> None:
+    if not abs(a) <= _MAX_PHASE:
+        raise RegimeViolation(
+            f"phase bound*|dt| = {abs(a):.3g} exceeds {_MAX_PHASE:.3g}: the round-off of "
+            "one step would exceed the norm tolerance; use a smaller dt and more steps"
+        )
+
+
+def _phases(a: float) -> np.ndarray:
+    """(-i)^k for k = 0..3, or i^k for a negative a: the phase of c_k(a)."""
+    return np.array([1, -1j, -1, 1j] if a > 0 else [1, 1j, -1, -1j])
+
+
+def _bessel_table(a: np.ndarray) -> np.ndarray:
+    """Column j holds J_0(a_j) .. J_N(a_j), for ascending a_j >= 0.
+
+    _bessel_j's recurrence runs over all columns at once. Column j joins at
+    its own N_j and is rescaled alone, so it sees the same arithmetic as
+    _bessel_j(a_j), and it is zero above N_j. A column whose a_j is below
+    _SERIES_CUT is exactly J_0 = 1, as in _chebyshev_coefficients.
+    """
+    tops = np.where(a >= _SERIES_CUT, (a + 20.0 * a ** (1.0 / 3.0)).astype(np.int64) + 40, 0)
+    top = int(tops[-1])
+    j = np.zeros((top + 2, a.size))
+    j[tops, np.arange(a.size)] = 1.0
+    first = a.size  # columns first.. have started: their N_j >= k
+    for k in range(top, 0, -1):
+        while first and tops[first - 1] >= k:
+            first -= 1
+        row = j[k - 1, first:]
+        np.multiply((2.0 * k) / a[first:], j[k, first:], out=row)
+        row -= j[k + 1, first:]
+        if np.abs(row).max() > 1e100:
+            j[k - 1 :, first + np.flatnonzero(np.abs(row) > 1e100)] *= 1e-100
+    j = j[: top + 1]
+    j /= j[0] + 2.0 * j[2::2].sum(axis=0)
+    return j
+
+
+def _segment_coefficients(step: float, steps: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of one series segment, as (R, K).
+
+    R[k, j-1] is the real factor of c_k(j * step), J_0 for k = 0 and 2 J_k
+    after it, for the segment's points j = 1..L, and K[j-1] is the number
+    of terms that a segment ending at point j needs. L is the longest
+    segment whose phase L * step stays within _MAX_PHASE and whose K stays
+    within dim, so that its K x L table holds no more entries than the
+    D x L block of states it fills; it is at least one step. Every segment
+    of a trajectory has the same phases, so one table serves them all.
+    """
+    limit = min(_MAX_PHASE, dim)
+    # K > a for every a worth a term, so no point past the limit can fit
+    points = steps if step * steps <= limit else max(1, int(limit / step))
+    a = step * np.arange(1, points + 1)
+    table = _bessel_table(a)
+    table[1:] *= 2.0
+    kept = (table >= _SERIES_CUT) | (table <= -_SERIES_CUT)
+    terms = np.maximum.accumulate(table.shape[0] - np.argmax(kept[::-1], axis=0))
+    length = max(1, int(np.count_nonzero((terms <= dim) & (a <= _MAX_PHASE))))
+    return table[: terms[length - 1], :length], terms[:length]
+
+
+def _sum_series(
+    chain: IsingChain, start: np.ndarray, table: np.ndarray, phases: np.ndarray, rows: np.ndarray
+) -> None:
+    """rows[j] += sum_k phases[k % 4] table[k, j] T_k(X) start, with X = H / bound.
+
+    T_{k+1} = 2 X T_k - T_{k-1} runs once. Each T_k, times its exact phase
+    (a swap of re and im and a sign), goes into a block of up to _BLOCK
+    vectors, and a full block is added to every state at once as a real
+    product of its float view with the block's rows of the real table.
+    """
+    terms = table.shape[0]
+    block = np.empty((min(_BLOCK, terms, rows.shape[0]), chain.dim), dtype=np.complex128)
+    flat, flat_block = rows.view(np.float64), block.view(np.float64)
+    # one product buffer for every panel, no larger than the block: a fresh
+    # one each time would stay on the heap once freed and raise the peak
+    width = max(1, min(_PANEL, flat_block.size // flat.shape[0]))
+    product = np.empty((flat.shape[0], width))
+    prev, cur = start, start
+    for k in range(terms):
+        if k:
+            nxt = chain.apply(cur) / chain.bound
+            if k > 1:
+                nxt *= 2.0
+                nxt -= prev
+            prev, cur = cur, nxt
+        slot = k % block.shape[0]
+        np.multiply(cur, phases[k % 4], out=block[slot])
+        if slot == block.shape[0] - 1 or k == terms - 1:
+            weights = np.ascontiguousarray(table[k - slot : k + 1].T)
+            for col in range(0, flat.shape[1], width):
+                part = product[:, : min(width, flat.shape[1] - col)]
+                np.matmul(weights, flat_block[: slot + 1, col : col + width], out=part)
+                flat[:, col : col + width] += part
+
+
+def _chain_trajectory(chain: IsingChain, psi0: np.ndarray, dt: float, steps: int) -> np.ndarray:
+    """The states at t = 0, dt, ..., (steps-1) dt as the rows of a steps x D array."""
+    step = chain.bound * dt
+    _check_phase(step)
+    rows = np.zeros((steps, chain.dim), dtype=np.complex128)
+    rows[0] = psi0
+    if steps == 1:
+        return rows
+    table, terms = _segment_coefficients(abs(step), steps - 1, chain.dim)
+    phases = _phases(step)
+    for first in range(0, steps - 1, terms.size):
+        count = min(terms.size, steps - 1 - first)
+        segment, out = table[: terms[count - 1], :count], rows[first + 1 : first + 1 + count]
+        if segment.shape[0] == 1:  # every phase below the cut: exactly the start state
+            out[:] = rows[first]
+        else:
+            _sum_series(chain, rows[first], segment, phases, out)
+    return rows
 
 
 def evolve_sequence(
@@ -170,12 +280,14 @@ def evolve_sequence(
     """The states exp(-i h t) psi0 at t = 0, dt, ..., (steps-1) dt, as a StateSet.
 
     A matrix h is diagonalised once and each state gets its phases straight
-    from psi0. An IsingChain is stepped with the Chebyshev series, state j+1
-    from state j, so its states accumulate round-off: state j lies within
-    about j * (K * eps + 1e-15) of the exact one, with K series terms per
-    step and eps = 2^-52 (see the module docstring). A non-finite dt or time
-    span, or a chain step whose phase bound*|dt| is too large to expand, is
-    a RegimeViolation.
+    from psi0. An IsingChain's states all come from one Chebyshev series
+    of exp(-i H t) psi0, cut into segments only where its phase or its
+    term count K would grow too large, so no error grows with the step
+    index: every state lies within a small multiple of K_total * eps of
+    the exact one, with K_total the series terms of all segments and
+    eps = 2^-52 (see the module docstring). A non-finite dt or time span,
+    or a chain step whose phase bound*|dt| is too large to expand, is a
+    RegimeViolation.
     """
     psi0 = np.asarray(psi0, dtype=np.complex128)
     dt = float(dt)
@@ -196,12 +308,7 @@ def evolve_sequence(
     if abs(np.linalg.norm(psi0) - 1.0) > tol.state_norm:
         raise NotNormalized(f"initial state has norm {np.linalg.norm(psi0):.12g}")
     if chain:
-        coeffs = _chebyshev_coefficients(h.bound * dt)
-        columns = np.empty((dim, steps), dtype=np.complex128)
-        columns[:, 0] = psi = psi0
-        for j in range(1, steps):
-            psi = _chebyshev_step(h, psi, coeffs)
-            columns[:, j] = psi
+        columns = _chain_trajectory(h, psi0, dt, steps).T
     else:
         energies, vectors = hermitian_eig(h, tol)
         if not math.isfinite(float(np.abs(energies).max()) * span):

@@ -15,7 +15,8 @@ umask; a failed write names the requested path.
 Writers never build the document as one text: keys go out in sorted
 order and each array's base64 is streamed in pieces of about 1 MiB, with
 the same bytes as one json.dumps(sort_keys=True) of the whole document.
-Readers pop each array's base64 string out of the parsed document and
+Readers pop each array's base64 string out of the parsed document, check
+that it has the canonical length of the bytes its shape needs, and
 decode it strictly in C (binascii.a2b_base64, strict_mode=True), so the
 text is freed before the array is copied or checked.
 """
@@ -27,6 +28,7 @@ import csv
 import json
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -39,6 +41,8 @@ from .pca import PcaModel, numerical_rank
 FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, FORMAT_VERSION)
 _DTYPE = "<c16"
+# base64 text that padding may end, and nothing else
+_BASE64_TEXT = r"[A-Za-z0-9+/]*={0,2}"
 # a multiple of 3, so each streamed piece of an array encodes to unpadded base64
 _CHUNK_BYTES = 3 << 18
 
@@ -182,14 +186,24 @@ def _decode_array(value, field: str, path: str | Path) -> np.ndarray:
     data = value.pop("data", None)
     if not isinstance(data, str):
         raise DomainError(f"{path}: {field} data must be a base64 string")
-    try:
-        raw = binascii.a2b_base64(data, strict_mode=True)
-    except ValueError as exc:
-        raise DomainError(f"{path}: {field} data is not valid base64 ({exc})") from exc
-    del data
     expected = 16 * math.prod(shape)
-    if len(raw) != expected:
-        raise DomainError(f"{path}: {field} data holds {len(raw)} bytes, shape needs {expected}")
+    # Only the padded base64 of the expected bytes is read: the C decoder
+    # alone would also take any run of "=" after a complete final quad. A
+    # text of another length is refused before anything is decoded.
+    chars = 4 * -(-expected // 3)
+    if len(data) == chars:
+        try:
+            raw = binascii.a2b_base64(data, strict_mode=True)
+        except ValueError as exc:
+            raise DomainError(f"{path}: {field} data is not valid base64 ({exc})") from exc
+        held = len(raw)
+    elif len(data) % 4 or not re.fullmatch(_BASE64_TEXT, data):
+        raise DomainError(f"{path}: {field} data is not valid base64 of {chars} characters")
+    else:
+        held = 3 * len(data) // 4 - data.endswith("=") - data.endswith("==")
+    del data
+    if held != expected:
+        raise DomainError(f"{path}: {field} data holds {held} bytes, shape needs {expected}")
     arr = np.frombuffer(raw, dtype=_DTYPE).reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{path}: {field} contains non-finite numbers")

@@ -50,7 +50,7 @@ def validate_state_set(
     """Validate (and under AUTO_NORMALIZE, rescale) columns into a StateSet.
 
     Enforces finiteness, unit column norms within tol.state_norm, and the
-    regime D > M+1.
+    regime D > M+1. The matrix is a read-only C-order copy.
     """
     raw = np.asarray(raw, dtype=np.complex128)
     if raw.ndim != 2:
@@ -78,7 +78,7 @@ def validate_state_set(
         for mu in np.nonzero(drift > tol.state_norm)[0]:
             log.info("auto-normalize: column %d rescaled by %.12g", mu, 1.0 / norms[mu])
         raw = raw / norms
-    matrix = np.array(raw, dtype=np.complex128)
+    matrix = np.array(raw, dtype=np.complex128, order="C")
     matrix.setflags(write=False)
     return StateSet(dim=dim, count=count, matrix=matrix, labels=labels)
 

@@ -494,7 +494,7 @@ class TestEvolve:
     def test_estimated_footprint_over_physical_memory_exit_1(
         self, tmp_path, monkeypatch, spec, dim
     ):
-        # the estimate is 567-707 KiB for these specs and 100 steps; pretend the machine has 16 KiB
+        # the estimate is 567-739 KiB for these specs and 100 steps; pretend the machine has 16 KiB
         monkeypatch.setattr(cli, "_physical_memory", lambda: 2**14)
         reached = []
         monkeypatch.setattr(cli, "evolve_sequence", lambda *args: reached.append(args))
@@ -505,11 +505,12 @@ class TestEvolve:
         assert not reached and not list(tmp_path.iterdir())
 
     def test_footprint_within_physical_memory_runs(self, tmp_path, monkeypatch):
-        # ising:6 with 5 steps needs 16*64*7*6 = 43008 bytes by the estimate
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 43008)
+        # ising:6 with 5 steps needs 16*64*(7*6 + 5) = 48128 bytes by the estimate:
+        # seven trajectories of 6 columns and a series block of 5 vectors
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 48128)
         argv = ["evolve", "--hamiltonian", "ising:6", "--dt", "0.1", "--steps", "5"]
         assert main([*argv, "--out-prefix", str(tmp_path / "x")]) == 0
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 43007)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 48127)
         assert main([*argv, "--out-prefix", str(tmp_path / "y")]) == 1
 
     def test_dense_hamiltonian_counts_its_matrix(self, tmp_path, monkeypatch):

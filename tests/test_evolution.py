@@ -29,7 +29,14 @@ from qdecimate import (
     validate_state_set,
 )
 
-from qdecimate.evolution import _MAX_PHASE, _bessel_j, _chebyshev_coefficients
+from qdecimate import evolution
+from qdecimate.evolution import (
+    _MAX_PHASE,
+    _bessel_j,
+    _bessel_table,
+    _chebyshev_coefficients,
+    _segment_coefficients,
+)
 
 from helpers import kron_ising_chain, naive_expectation, naive_triple_product
 
@@ -376,6 +383,20 @@ class TestChebyshevSeries:
             _chebyshev_coefficients(a)
 
 
+@pytest.fixture
+def apply_calls(monkeypatch):
+    """The shapes of every IsingChain.apply argument, in call order."""
+    calls = []
+    apply = IsingChain.apply
+
+    def counted(chain, x):
+        calls.append(np.shape(x))
+        return apply(chain, x)
+
+    monkeypatch.setattr(IsingChain, "apply", counted)
+    return calls
+
+
 class TestChebyshevPropagation:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_matches_eigh_on_dense(self, n):
@@ -420,17 +441,74 @@ class TestChebyshevPropagation:
         back = evolve_sequence(chain, forward, -0.25, 8).matrix[:, -1]
         assert np.abs(back - psi0).max() <= 1e-13
 
-    def test_long_run_round_off_within_documented_bound(self):
-        # state j lies within about j * (K eps + 1e-15) of the exact one
-        chain = ising_chain(8)
-        psi0 = random_state_vector(256, seed=413)
-        steps, dt = 200, 0.1
+    def test_round_off_is_one_series_per_segment(self, apply_calls):
+        # every state within K_total * eps of the exact one, whatever its index:
+        # 499 steps need K > D = 512 terms, so the span runs as two segments
+        chain = ising_chain(9)
+        psi0 = random_state_vector(512, seed=413)
+        steps, dt = 500, 0.1
         got = evolve_sequence(chain, psi0, dt, steps).matrix
+        step = chain.bound * dt
+        terms = _segment_coefficients(step, steps - 1, 512)[1]
+        # the longest segment whose K stays within D
+        assert terms[-1] <= 512 < _chebyshev_coefficients(step * (terms.size + 1)).size
+        segments = -(-(steps - 1) // terms.size)
+        assert segments == 2
+        total_terms = len(apply_calls) + segments  # a K-term segment applies H K - 1 times
         energies, vectors = np.linalg.eigh(chain.dense().real)
-        exact = vectors @ (np.exp(-1j * energies * dt * (steps - 1)) * (vectors.T @ psi0))
-        terms = _chebyshev_coefficients(chain.bound * dt).size
-        bound = (steps - 1) * (terms * np.finfo(float).eps + 1e-15)
-        assert np.linalg.norm(got[:, -1] - exact) <= bound
+        phases = np.exp(-1j * np.outer(energies, dt * np.arange(steps)))
+        exact = vectors @ (phases * (vectors.T @ psi0)[:, np.newaxis])
+        errors = np.linalg.norm(got - exact, axis=0)
+        assert errors.max() <= total_terms * np.finfo(float).eps  # measured: 0.45 of it
+
+    def test_one_recurrence_for_all_time_points(self, apply_calls):
+        # ising:10, 60 steps of 0.1: K - 1 applications for the last time's K
+        # terms, not K_step - 1 for each of the 59 steps
+        chain = ising_chain(10)
+        steps, dt = 60, 0.1
+        evolve_sequence(chain, random_state_vector(1024, seed=420), dt, steps)
+        terms = _chebyshev_coefficients(chain.bound * dt * (steps - 1)).size
+        per_step = _chebyshev_coefficients(chain.bound * dt).size - 1
+        assert len(apply_calls) == terms - 1 == 163
+        assert (steps - 1) * per_step == 1003
+        assert all(shape == (1024,) for shape in apply_calls)
+
+    @pytest.mark.parametrize("dt", [0.3, -0.3])
+    def test_segments_match_the_single_series(self, monkeypatch, apply_calls, dt):
+        chain = ising_chain(7, -0.7, 0.37)
+        psi0 = random_state_vector(128, seed=421)
+        steps, step = 40, chain.bound * abs(dt)
+        single = evolve_sequence(chain, psi0, dt, steps).matrix
+        single_applies = len(apply_calls)
+        assert single_applies == _chebyshev_coefficients(step * (steps - 1)).size - 1
+        monkeypatch.setattr(evolution, "_MAX_PHASE", 3.5 * step)
+        assert _segment_coefficients(step, steps - 1, 128)[1].size == 3
+        segmented = evolve_sequence(chain, psi0, dt, steps).matrix
+        assert len(apply_calls) - single_applies > single_applies  # 13 restarted series
+        assert np.abs(segmented - single).max() <= 1e-12
+        # a single step above the cap is still refused
+        monkeypatch.setattr(evolution, "_MAX_PHASE", 0.5 * step)
+        with pytest.raises(RegimeViolation, match="phase"):
+            evolve_sequence(chain, psi0, dt, steps)
+
+    def test_coefficient_table_matches_scalar_coefficients(self):
+        a = np.array([0.0, 5e-16, 1e-12, 0.3, 1.9, 31.0, 400.0])
+        table = _bessel_table(a)
+        # below the cut, J_0 rounds to 1 and the column is exactly (1, 0, 0, ...)
+        assert np.array_equal(table[0, :2], [1.0, 1.0]) and not table[1:, :2].any()
+        for column, value in zip(table.T[2:], a[2:]):
+            scalar = _bessel_j(value)
+            assert np.abs(column[: scalar.size] - scalar).max() <= 1e-16
+            assert not column[scalar.size :].any()
+        step = 0.37
+        real, terms = _segment_coefficients(step, 30, 1024)
+        assert real.shape == (terms[-1], 30) and np.all(np.diff(terms) >= 0)
+        for j in range(1, 31):
+            for sign in (1.0, -1.0):
+                want = _chebyshev_coefficients(sign * j * step)
+                got = real[: want.size, j - 1] * evolution._phases(sign)[np.arange(want.size) % 4]
+                assert np.abs(got - want).max() <= 4 * np.finfo(float).eps
+                assert np.abs(real[want.size :, j - 1]).max(initial=0.0) < 1e-15
 
     @pytest.mark.parametrize("dt", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_dt_rejected(self, dt):

@@ -220,6 +220,25 @@ class TestArrayObject:
         with pytest.raises(DomainError, match="holds 240 bytes, shape needs 256"):
             read_state_set(self._write(tmp_path, data="A" * 320))
 
+    @pytest.mark.parametrize("pad", ["=", "==", "====", "========="])
+    def test_padding_after_the_final_quad(self, tmp_path, pad):
+        # 48 bytes are 64 characters with no padding; the C decoder alone
+        # would read 64 characters plus any run of "=" as the same 48 bytes
+        valid = _encode(random_state_set(3, 1, seed=135).matrix.T)
+        assert len(valid["data"]) == 64
+        path = tmp_path / "states.json"
+        states = {**valid, "data": valid["data"] + pad}
+        path.write_text(json.dumps({"dimension": 3, "states": states}))
+        with pytest.raises(DomainError, match="states data is not valid base64 of 64 characters"):
+            read_state_set(path)
+
+    def test_wrong_padding_at_the_canonical_length(self, tmp_path):
+        # 256 bytes end in "==", so "A=" in its place decodes one byte too many
+        data = _encode(random_state_set(8, 2, seed=136).matrix.T)["data"]
+        assert len(data) == 344 and data.endswith("==")
+        with pytest.raises(DomainError, match="holds 257 bytes, shape needs 256"):
+            read_state_set(self._write(tmp_path, data=data[:-2] + "A="))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1j * np.nan])
     def test_non_finite_data(self, tmp_path, value):
         matrix = random_state_set(8, 2, seed=134).matrix.T.copy()
@@ -607,10 +626,17 @@ _EDIT_CHARS = list("AQw+/=-_ \n\r\t\x00é") + ["Ａ", " "]
 
 
 def _decoders_agree(data: str) -> bool:
-    """_decode_array accepts data exactly when strict b64decode does, with equal bytes."""
+    """_decode_array accepts data exactly when strict b64decode does, with equal bytes.
+
+    A text of any length but the 44 characters of 32 bytes must also be
+    canonical, 4 * ceil(n / 3) characters for the n bytes it holds, or it
+    is not valid base64: that length check runs before anything is decoded.
+    """
     try:
         expected = base64.b64decode(data, validate=True)
     except ValueError:
+        expected = None
+    if expected is not None and len(data) not in (len(_PAYLOAD), 4 * -(-len(expected) // 3)):
         expected = None
     obj = {"dtype": "<c16", "shape": [2], "data": data}
     try:
@@ -642,8 +668,10 @@ class TestBase64Decoder:
         # padding in the middle, extra padding, whitespace, URL-safe and non-ASCII quads
         quads = ["AAAA", "QQ==", "AAA=", "A===", "====", "AA=A", "=AAA", " AAA", "AA\nA"]
         quads += ["-AAA", "AA_A", "AAé=", "AA==\n", "AA\r\n"]
-        bad = [a + b for a, b in itertools.product(quads, repeat=2) if not _decoders_agree(a + b)]
-        assert bad == []
+        pairs = [a + b for a, b in itertools.product(quads, repeat=2)]
+        # bare, and as the last two quads of a payload of the canonical length
+        strings = pairs + [_PAYLOAD[:36] + pair for pair in pairs if len(pair) == 8]
+        assert [s for s in strings if not _decoders_agree(s)] == []
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=400)
     @given(

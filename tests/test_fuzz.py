@@ -108,18 +108,20 @@ def _arbitrary_value(draw, doc):
 def _lenient_base64(draw, data):
     """Corrupt base64 that a lenient decoder would take or that keeps its length.
 
-    Padding in the middle, extra padding, line breaks or spaces every few
-    characters, and a same-length swap to a URL-safe, space or non-ASCII
-    character.
+    Padding in the middle, extra padding, a run of padding after the final
+    quad, line breaks or spaces every few characters, and a same-length
+    swap to a URL-safe, space or non-ASCII character.
     """
-    kind = draw(st.sampled_from(["pad_middle", "extra_pad", "wrap", "swap"]))
+    kind = draw(st.sampled_from(["pad_middle", "extra_pad", "pad_after_quad", "wrap", "swap"]))
     if kind == "pad_middle":
         quad = 4 * draw(st.integers(0, len(data) // 4 - 2))
         return data[:quad] + draw(st.sampled_from(["AA==", "AAA="])) + data[quad + 4 :]
     if kind == "extra_pad":
-        # one "=" more than the last quad allows; "=" after a complete
-        # quad is accepted by the strict decoder and decodes to the same bytes
+        # one "=" more than the last quad allows
         return data + "=" if data.endswith("=") else data[:-1] + "=="
+    if kind == "pad_after_quad":
+        # the C decoder alone reads "=" after a complete final quad as the same bytes
+        return data + "=" * draw(st.sampled_from([1, 2, 3, 4, 9]))
     if kind == "wrap":
         width = draw(st.sampled_from([4, 64, 76]))
         separator = draw(st.sampled_from(["\n", "\r\n", " "]))

@@ -70,6 +70,12 @@ class TestValidate:
         with pytest.raises(ValueError):
             s.matrix[0, 0] = 0.0
 
+    def test_matrix_is_a_c_order_copy(self):
+        raw = np.asfortranarray(random_columns(8, 2, seed=5))
+        s = validate_state_set(raw)
+        assert s.matrix.flags.c_contiguous and np.array_equal(s.matrix, raw)
+        assert not np.shares_memory(s.matrix, raw)
+
     def test_non_2d_rejected(self):
         with pytest.raises(DomainError):
             validate_state_set(np.zeros(4, dtype=complex))
