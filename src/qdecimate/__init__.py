@@ -56,7 +56,6 @@ from .stateset import (
     NormPolicy,
     StateSet,
     column_means,
-    deviation_matrix,
     random_state_set,
     random_state_vector,
     validate_state_set,
@@ -96,7 +95,6 @@ __all__ = [
     "coarse_grained_trajectory",
     "column_means",
     "decimate_state",
-    "deviation_matrix",
     "entropy_vs_dimension_curve",
     "evolve_sequence",
     "expectation",

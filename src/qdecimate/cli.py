@@ -128,16 +128,18 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
 
 
 # Peak memory of evolve as multiples of the 16*D*(steps+1) bytes of its
-# trajectory, measured with one BLAS thread and 100 steps: ising:14 peaks
-# at 236 MiB (9.3x, the interpreter included), ising:16 at 748 MiB (7.4x),
-# set by the copies and the SVD of the fit. A chain's Chebyshev series
+# trajectory, measured with one BLAS thread and 100 steps, the interpreter
+# included: ising:14 peaks at 116 MiB (4.6x), ising:16 at 361 MiB (3.6x).
+# The fit holds the state set and the basis; compressing the chain's
+# Hamiltonian holds a few D x d blocks on top. A chain's Chebyshev series
 # also holds a block of min(32, steps) vectors of 16*D bytes (32 MiB at
 # ising:16) while it runs; it is freed before the fit, but it is counted
 # on top so that the estimate stays an upper one. A dense D x D
-# Hamiltonian and its eigh add about 5 x 16*D^2 bytes (random --dim 2048:
-# 364 MiB).
-_TRAJECTORY_COPIES = 7
-_DENSE_COPIES = 5
+# Hamiltonian, its hermiticity check and its eigh take about 5 x 16*D^2
+# bytes, and the interpreter a sixth at random --dim 2048 (364 MiB in
+# all, estimated 400 MiB).
+_TRAJECTORY_COPIES = 5
+_DENSE_COPIES = 6
 
 
 def _physical_memory() -> int:

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .numerics import DEFAULT_TOL, Tolerances, check_hermitian
+from .numerics import DEFAULT_TOL, Tolerances, check_hermitian, gram_deviation
 from .pca import PcaModel, numerical_rank
 
 FORMAT_VERSION = 2
@@ -288,7 +288,7 @@ def read_model(path: str | Path, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
     if np.abs(basis[:, 0] - 1.0 / math.sqrt(dim)).max() > tol.base:
         raise DomainError(f"{path}: basis column 0 is not the uniform superposition")
     with np.errstate(over="ignore", invalid="ignore"):
-        gram_dev = np.abs(basis.conj().T @ basis - np.eye(count + 1)).max()
+        gram_dev = gram_deviation(basis)
     if not gram_dev <= tol.base:  # also rejects a NaN deviation from overflowing entries
         raise DomainError(f"{path}: basis columns not orthonormal (deviation {gram_dev:.3e})")
     rank = numerical_rank(sv, tol)

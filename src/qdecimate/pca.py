@@ -1,16 +1,21 @@
 """Principal-component model of a state set.
 
 The model holds an isometric basis of M+1 columns: column 0 is the
-normalized uniform superposition carrying each state's mean, columns
+normalized uniform superposition u0 carrying each state's mean, columns
 1..M are the left singular vectors of the deviation matrix ordered by
 descending singular value. Weights are the exact expansion coefficients
 of every input state in that basis.
 
-When the deviations have rank r < M, or the singular vectors are not
-orthonormal to column 0 within tolerance, one Householder QR of
-[uniform | first r singular vectors | first M-r canonical vectors]
-completes the basis: column k keeps the order and phase of the vector
-it came from, and the filler columns are orthonormal by construction.
+The fit never leaves M+1 dimensions for its factorizations (Chan's
+QR-preconditioned SVD, ACM TOMS 8, 72 (1982)). A = [u0 | S] is factored
+as Q R by a tall-skinny QR over blocks of rows (Demmel, Grigori, Hoemmen
+and Langou, SIAM J. Sci. Comput. 34 (2012) A206): each block's QR, then
+one QR of the stacked R factors. Q's column 0 is u0 up to a phase and
+R's row 0 holds u0^H S, so the deviations are Q[:, 1:] @ R[1:, 1:], and
+the SVD runs on that M x M block, R[1:, 1:] = U_b diag(s) Vh. The basis
+is [u0 | Q[:, 1:] @ U_b], written one row block at a time. All M of its
+deviation columns come out orthonormal, those past the rank included:
+they span the rest of the QR's range, and their weight rows are zero.
 The Gram check afterwards only validates; it raises NoConvergence.
 
 A state is rebuilt from its weights as ``model.basis @ w``; the numerical
@@ -26,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZeroDeviations, NoConvergence
-from .numerics import DEFAULT_TOL, Tolerances, svd
-from .stateset import StateSet, column_means, deviation_matrix
+from .numerics import DEFAULT_TOL, Tolerances, gram_deviation, pivot_phases, svd
+from .stateset import StateSet, column_means
 
 __all__ = ["PcaModel", "fit_pca", "importances"]
 
@@ -40,9 +45,10 @@ class PcaModel:
     singular_values: M deviation singular values, descending
     weights:         (M+1) x M; column mu expands state mu in the basis
     rank:            singular values above rank_rel * e_1 (the rest count
-                     as zero; their basis columns come from the QR of the
-                     leading canonical vectors against the retained
-                     columns, and their weight rows are zero)
+                     as zero; their basis columns are the remaining
+                     singular vectors of the M x M block R[1:, 1:], still
+                     orthonormal to the retained columns, and their weight
+                     rows are zero); 0 when every state is constant
     """
 
     dim: int
@@ -58,44 +64,80 @@ def numerical_rank(sv: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     return int(np.sum(sv > tol.rank_rel * (float(sv[0]) if sv.size else 0.0)))
 
 
-def _gram_deviation(phi: np.ndarray) -> float:
-    return float(np.abs(phi.conj().T @ phi - np.eye(phi.shape[1])).max())
+# Rows per block of the tall-skinny QR. Each block's Q waits in the basis
+# rows it turns into, so blocks bound only the temporaries: the peak RSS
+# of the random-cli benchmark (D=2^12, M=200; one BLAS thread) read 128,
+# 123, 129 and 129 MiB at 512, 1024, 1536 and 2048 rows. A block also has
+# at least _BLOCK_WIDTHS * (M+1) rows, so that the stacked R factors stay
+# a fraction of A: at D=2^12 and M=1000 the fit took 6.4-7.2 s with blocks
+# of M+1 rows and 4.2-4.9 s with blocks of 4(M+1).
+_BLOCK_ROWS = 1024
+_BLOCK_WIDTHS = 4
 
 
 def fit_pca(s: StateSet, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
     """Fit the mean-plus-deviations PCA model of a state set.
 
-    Raises NoConvergence if the completed basis is not orthonormal
-    within tol.base.
+    When every state is constant over the basis index, the deviations
+    are exactly zero: the singular values are set to 0 and the rank
+    is 0, whatever round-off the QR left in R[1:, 1:].
+
+    Raises NoConvergence if the basis is not orthonormal within tol.base.
     """
     dim, count = s.dim, s.count
-    means = column_means(s)
-    u, sv, vh = svd(deviation_matrix(s, means), tol)
+    u0 = 1.0 / math.sqrt(dim)
+    # balanced row blocks, none shorter than the block height
+    blocks = max(1, dim // max(_BLOCK_ROWS, _BLOCK_WIDTHS * (count + 1)))
+    edges = [dim * i // blocks for i in range(blocks + 1)]
+
+    # 1. QR of every row block of [u0 | S]; Q_i waits in the basis rows it becomes
+    phi = np.empty((dim, count + 1), dtype=np.complex128)
+    phi[:, 0] = u0
+    phi[:, 1:] = s.matrix
+    constant = bool(np.all(phi[:, 1:] == s.matrix[0]))
+    rs = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        phi[lo:hi], r = np.linalg.qr(phi[lo:hi])
+        rs.append(r)
+
+    # 2. one QR of the stacked R factors, none for a single block. Q's
+    # column 0 is u0 up to a phase; the basis takes u0 itself there.
+    if blocks == 1:
+        r = rs[0]
+    else:
+        q2, r = np.linalg.qr(np.concatenate(rs))
+    del rs
+
+    # 3. the deviations are Q[:, 1:] @ R[1:, 1:]: their SVD is the M x M one
+    u_b, sv, vh = svd(r[1:, 1:], tol)
+    if constant:
+        sv = np.zeros(count)
     rank = numerical_rank(sv, tol)
 
-    phi = np.empty((dim, count + 1), dtype=np.complex128)
-    phi[:, 0] = 1.0 / math.sqrt(dim)
-    phi[:, 1 : rank + 1] = u[:, :rank]
-    if rank < count or _gram_deviation(phi) > tol.base:
-        phi[:, rank + 1 :] = np.eye(dim, count - rank)
-        q, r = np.linalg.qr(phi)
-        # the phase of R_kk turns Q_k back onto input column k
-        diag = np.diagonal(r)
-        mag = np.abs(diag)
-        phase = np.ones_like(diag)
-        np.divide(diag, mag, out=phase, where=mag > 0.0)
-        phi = q * phase
-        phi[:, 0] = 1.0 / math.sqrt(dim)
-        gram_dev = _gram_deviation(phi)
-        if gram_dev > tol.base:
-            raise NoConvergence(f"fitted basis not orthonormal (deviation {gram_dev:.3e})")
+    # 4. basis rows of block i: Q_i @ (Q2_i[:, 1:] @ U_b), with Q2 = I for one block
+    if blocks == 1:
+        lift = np.concatenate([np.zeros((1, count)), u_b])
+    else:
+        lift = q2[:, 1:] @ u_b
+    width = count + 1
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        phi[lo:hi, 1:] = phi[lo:hi] @ lift[i * width : (i + 1) * width]
+    phi[:, 0] = u0
+
+    # 5. the phase convention of numerics.svd, taken on the D-space columns
+    phase = pivot_phases(phi[:, 1:])
+    phi[:, 1:] *= np.conj(phase)
+    gram_dev = gram_deviation(phi)
+    if not gram_dev <= tol.base:
+        raise NoConvergence(f"fitted basis not orthonormal (deviation {gram_dev:.3e})")
 
     weights = np.zeros((count + 1, count), dtype=np.complex128)
-    weights[0, :] = math.sqrt(dim) * means
-    weights[1 : rank + 1, :] = sv[:rank, np.newaxis] * vh[:rank, :]
+    weights[0, :] = math.sqrt(dim) * column_means(s)
+    weights[1 : rank + 1, :] = sv[:rank, np.newaxis] * (vh[:rank, :] * phase[:rank, np.newaxis])
 
     phi.setflags(write=False)
     weights.setflags(write=False)
+    sv.setflags(write=False)
     return PcaModel(
         dim=dim,
         count=count,

@@ -41,6 +41,27 @@ class StateSet:
         return self.matrix[:, mu - 1]
 
 
+# Entries per column block of _column_norms (1 MiB of complex128).
+_NORM_BLOCK = 2**16
+
+
+def _column_norms(raw: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(raw, axis=0)``, bit for bit, one block of columns at a time.
+
+    The norm of a whole matrix builds a complex temporary of its size.
+    Blocks are at least two columns wide: numpy then sums each column in
+    the same order as for the whole matrix, which a single column of a
+    C-order matrix (contiguous on its own) would not.
+    """
+    dim, count = raw.shape
+    blocks = max(1, count // max(2, _NORM_BLOCK // dim))
+    edges = [count * i // blocks for i in range(blocks + 1)]
+    norms = np.empty(count)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        norms[lo:hi] = np.linalg.norm(raw[:, lo:hi], axis=0)
+    return norms
+
+
 def validate_state_set(
     raw: np.ndarray,
     policy: NormPolicy = NormPolicy.STRICT,
@@ -64,7 +85,7 @@ def validate_state_set(
     if labels is not None and len(labels) != count:
         raise RegimeViolation(f"got {len(labels)} labels for {count} states")
 
-    norms = np.linalg.norm(raw, axis=0)
+    norms = _column_norms(raw)
     drift = np.abs(norms - 1.0)
     if np.any(drift > tol.state_norm):
         worst = int(np.argmax(drift))

@@ -494,7 +494,7 @@ class TestEvolve:
     def test_estimated_footprint_over_physical_memory_exit_1(
         self, tmp_path, monkeypatch, spec, dim
     ):
-        # the estimate is 567-739 KiB for these specs and 100 steps; pretend the machine has 16 KiB
+        # the estimate is 466-537 KiB for these specs and 100 steps; pretend the machine has 16 KiB
         monkeypatch.setattr(cli, "_physical_memory", lambda: 2**14)
         reached = []
         monkeypatch.setattr(cli, "evolve_sequence", lambda *args: reached.append(args))
@@ -505,17 +505,17 @@ class TestEvolve:
         assert not reached and not list(tmp_path.iterdir())
 
     def test_footprint_within_physical_memory_runs(self, tmp_path, monkeypatch):
-        # ising:6 with 5 steps needs 16*64*(7*6 + 5) = 48128 bytes by the estimate:
-        # seven trajectories of 6 columns and a series block of 5 vectors
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 48128)
+        # ising:6 with 5 steps needs 16*64*(5*6 + 5) = 35840 bytes by the estimate:
+        # five trajectories of 6 columns and a series block of 5 vectors
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 35840)
         argv = ["evolve", "--hamiltonian", "ising:6", "--dt", "0.1", "--steps", "5"]
         assert main([*argv, "--out-prefix", str(tmp_path / "x")]) == 0
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 48127)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 35839)
         assert main([*argv, "--out-prefix", str(tmp_path / "y")]) == 1
 
     def test_dense_hamiltonian_counts_its_matrix(self, tmp_path, monkeypatch):
-        # 3 steps: the trajectory term is 16*D*7*4 bytes (14-18 KiB here), under the
-        # 64 KiB; the dense D x D term, 16*40*5*40 = 125 KiB, is not
+        # 3 steps: the trajectory term is 16*D*5*4 bytes (10-12.5 KiB here), under the
+        # 64 KiB; the dense D x D term, 16*40*6*40 = 150 KiB, is not
         monkeypatch.setattr(cli, "_physical_memory", lambda: 2**16)
         argv = ["--dt", "0.1", "--steps", "3", "--out-prefix", str(tmp_path / "x")]
         assert main(["evolve", "--hamiltonian", "ising:5", *argv]) == 0

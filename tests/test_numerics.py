@@ -12,7 +12,15 @@ from qdecimate import (
     NotHermitian,
     Tolerances,
 )
-from qdecimate.numerics import check_finite, check_hermitian, hermitian_eig, svd
+from qdecimate import numerics
+from qdecimate.numerics import (
+    _fix_phases,
+    check_finite,
+    check_hermitian,
+    gram_deviation,
+    hermitian_eig,
+    svd,
+)
 
 
 def _random_complex(rows, cols, seed):
@@ -104,6 +112,77 @@ class TestSvd:
         rebuilt = u @ np.diag(s) @ vh
         assert np.abs(rebuilt - m).max() <= 1e-10 * max(np.abs(m).max(), 1.0)
 
+
+
+def _fix_phases_loop(u, vh):
+    """The column-by-column phase fix with a plain argmax pivot."""
+    u = u.copy()
+    vh = vh.copy()
+    for k in range(u.shape[1]):
+        col = u[:, k]
+        pivot = col[np.argmax(np.abs(col))]
+        mag = abs(pivot)
+        if mag == 0.0:
+            continue
+        phase = pivot / mag
+        u[:, k] *= np.conj(phase)
+        vh[k, :] *= phase
+    return u, vh
+
+
+class TestFixPhases:
+    @pytest.mark.parametrize("rows, cols", [(9, 4), (50, 7), (3, 6), (9000, 3)])
+    def test_bit_identical_to_loop_without_ties(self, rows, cols):
+        # 9000 rows spans three blocks of the pivot search
+        u = _random_complex(rows, cols, seed=rows + cols)
+        vh = _random_complex(cols, 5, seed=rows * cols)
+        got, want = _fix_phases(u, vh), _fix_phases_loop(u, vh)
+        for x, y in zip(got, want):
+            assert x.tobytes() == y.tobytes()
+
+    def test_round_off_tie_goes_to_the_lowest_row(self):
+        u = np.zeros((6, 1), dtype=complex)
+        u[1, 0] = 0.6j
+        u[4, 0] = -0.6 * (1.0 + 4e-16)  # larger by round-off
+        fixed, _ = _fix_phases(u, np.ones((1, 1), dtype=complex))
+        assert fixed[1, 0] == 0.6 and fixed[4, 0].imag != 0.0
+
+    def test_pivot_in_a_later_block(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_PIVOT_ROWS", 4)
+        u = _random_complex(23, 5, seed=12)
+        u[17, 2] = 10.0j
+        u[3, 2] = 10.0 * (1.0 - 1e-9)
+        vh = np.eye(5, dtype=complex)
+        got, want = _fix_phases(u, vh), _fix_phases_loop(u, vh)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[0][17, 2] == 10.0
+
+    def test_zero_column_unchanged(self):
+        u = _random_complex(5, 3, seed=13)
+        u[:, 1] = 0.0
+        vh = _random_complex(3, 3, seed=14)
+        fixed_u, fixed_vh = _fix_phases(u, vh)
+        assert np.all(fixed_u[:, 1] == 0.0)
+        assert fixed_vh[1].tobytes() == vh[1].tobytes()
+
+
+class TestGramDeviation:
+    def test_matches_the_complex_product(self):
+        x = np.linalg.qr(_random_complex(40, 6, seed=15))[0] * 1.001
+        x[3, 2] += 0.01j
+        direct = np.abs(x.conj().T @ x - np.eye(6)).max()
+        assert abs(gram_deviation(x) - direct) <= 1e-15
+
+    def test_orthonormal_columns(self):
+        q = np.linalg.qr(_random_complex(64, 9, seed=16))[0]
+        assert gram_deviation(q) <= 1e-14
+        assert gram_deviation(np.asfortranarray(q)) == gram_deviation(q)
+
+    def test_non_finite_entry_gives_nan(self):
+        x = np.eye(4, 2, dtype=complex)
+        x[0, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(gram_deviation(x))
 
 class TestHermitianEig:
     def test_diagonal_input(self):

@@ -36,7 +36,6 @@ PUBLIC = [
     "coarse_grained_trajectory",
     "column_means",
     "decimate_state",
-    "deviation_matrix",
     "entropy_vs_dimension_curve",
     "evolve_sequence",
     "expectation",

@@ -15,7 +15,6 @@ from qdecimate import (
     build_map,
     column_means,
     decimate_state,
-    deviation_matrix,
     evolve_sequence,
     fit_pca,
     importances,
@@ -23,7 +22,10 @@ from qdecimate import (
     random_state_set,
     validate_state_set,
 )
-from qdecimate.numerics import svd
+from qdecimate import fileio, pca
+from qdecimate.decimation import retained_power
+from qdecimate.numerics import gram_deviation, svd
+from qdecimate.stateset import deviation_matrix
 
 from helpers import random_columns, random_unitary
 
@@ -140,10 +142,18 @@ class TestBasisCompletion:
         model = fit_pca(s)
         assert model.rank < model.count
         assert np.array_equal(model.basis[:, 0], np.full(s.dim, 1.0 / math.sqrt(s.dim)))
-        u, _, _ = svd(deviation_matrix(s, column_means(s)))
+        x = deviation_matrix(s, column_means(s))
+        u, sv, _ = svd(x)
         retained = slice(1, model.rank + 1)
         overlaps = np.einsum("ij,ij->j", model.basis[:, retained].conj(), u[:, : model.rank])
-        assert np.abs(overlaps - 1.0).max() <= 1e-8
+        # Wedin: a backward-stable SVD moves singular vector k by up to
+        # eps * e_1 / gap_k, where gap_k separates sigma_k from the others
+        gaps = np.abs(sv[: model.rank, np.newaxis] - sv[np.newaxis, :])
+        gaps[np.arange(model.rank), np.arange(model.rank)] = np.inf
+        bound = 10.0 * np.finfo(float).eps * sv[0] / gaps.min(axis=1)
+        assert np.all(np.abs(overlaps - 1.0) <= bound)
+        residual = x.conj().T @ model.basis[:, retained] - model.weights[retained].conj().T
+        assert np.abs(residual).max() <= 1e-12
         assert np.all(model.weights[model.rank + 1 :, :] == 0.0)
         gram = model.basis.conj().T @ model.basis
         assert np.abs(gram - np.eye(model.count + 1)).max() <= DEFAULT_TOL.base
@@ -152,6 +162,90 @@ class TestBasisCompletion:
     def test_gram_check_raises(self):
         with pytest.raises(NoConvergence):
             fit_pca(_canonical_duplicates(), Tolerances(base=1e-20))
+
+
+def _rank_deficient_set(dim, count, rank, seed):
+    """count unit combinations of the same rank random states."""
+    base = random_columns(dim, rank, seed)
+    rng = np.random.Generator(np.random.PCG64(seed + 1))
+    mixed = base @ (rng.standard_normal((rank, count)) + 1j * rng.standard_normal((rank, count)))
+    return validate_state_set(mixed / np.linalg.norm(mixed, axis=0))
+
+
+def _check_against_svd_oracle(s, model):
+    sv = np.linalg.svd(deviation_matrix(s, column_means(s)), compute_uv=False)
+    assert np.abs(model.singular_values - sv).max() <= 1e-13 * sv[0]
+    assert gram_deviation(model.basis) <= 1e-13
+    assert np.abs(model.basis @ model.weights - s.matrix).max() <= 1e-10
+    assert np.all(model.weights[model.rank + 1 :, :] == 0.0)
+
+
+class TestRowBlocks:
+    """The fit's QR runs over blocks of rows; the blocks must not show in the model."""
+
+    @pytest.mark.parametrize(
+        "states",
+        [
+            lambda: random_state_set(600, 30, seed=50),
+            lambda: _rank_deficient_set(600, 30, 6, seed=51),
+            _slow_ising_trajectory,
+        ],
+        ids=["random", "rank-6", "slow-ising"],
+    )
+    @pytest.mark.parametrize("rows, widths", [(64, 1), (32, 4), (100, 1)])
+    def test_multi_block_matches_single_block(self, monkeypatch, states, rows, widths):
+        s = states()
+        one = fit_pca(s)
+        monkeypatch.setattr(pca, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(pca, "_BLOCK_WIDTHS", widths)
+        many = fit_pca(s)
+        assert many.rank == one.rank
+        e1 = one.singular_values[0]
+        assert np.abs(many.singular_values - one.singular_values).max() <= 1e-13 * e1
+        assert np.abs(retained_power(many) - retained_power(one)).max() <= 1e-13
+        assert gram_deviation(many.basis) <= 1e-13
+        assert np.abs(many.basis @ many.weights - s.matrix).max() <= 1e-10
+
+    @pytest.mark.parametrize("rows", [1024, 448])
+    def test_dimension_not_a_multiple_of_the_block_height(self, monkeypatch, rows):
+        # 1500 rows: one block of 1500 at 1024, blocks of 500 at 448
+        monkeypatch.setattr(pca, "_BLOCK_ROWS", rows)
+        s = random_state_set(1500, 40, seed=52)
+        _check_against_svd_oracle(s, fit_pca(s))
+
+    def test_blocks_narrower_than_the_basis(self, monkeypatch):
+        # M+1 = 41 > 16 rows: every block is raised to at least 41 rows
+        monkeypatch.setattr(pca, "_BLOCK_ROWS", 16)
+        monkeypatch.setattr(pca, "_BLOCK_WIDTHS", 1)
+        s = _rank_deficient_set(203, 40, 9, seed=53)
+        model = fit_pca(s)
+        assert model.rank == 9
+        _check_against_svd_oracle(s, model)
+
+    def test_more_states_than_block_rows(self):
+        # M+1 = 1025 > 1024
+        s = random_state_set(1040, 1024, seed=54)
+        model = fit_pca(s)
+        assert model.rank == 1024
+        _check_against_svd_oracle(s, model)
+
+    def test_model_files_byte_identical(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pca, "_BLOCK_ROWS", 64)
+        sets = {"random": random_state_set(300, 12, seed=55), "ising": _slow_ising_trajectory()}
+        for name, s in sets.items():
+            a, b = tmp_path / f"{name}-a.json", tmp_path / f"{name}-b.json"
+            fileio.write_model(a, fit_pca(s))
+            fileio.write_model(b, fit_pca(s))
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_constant_states_have_rank_zero_in_every_block(self, monkeypatch):
+        monkeypatch.setattr(pca, "_BLOCK_ROWS", 64)
+        raw = np.ones((256, 3), dtype=complex) * np.array([1.0, 1j, -(0.6 + 0.8j)]) / 16.0
+        model = fit_pca(validate_state_set(raw))
+        assert model.rank == 0 and np.all(model.singular_values == 0.0)
+        assert np.abs(model.weights[1:]).max() == 0.0
+        assert gram_deviation(model.basis) <= 1e-13
+        assert np.abs(model.basis @ model.weights - raw).max() <= 1e-15
 
 
 def _full_weights(model, v):

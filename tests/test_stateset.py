@@ -10,11 +10,12 @@ from qdecimate import (
     NotNormalized,
     RegimeViolation,
     column_means,
-    deviation_matrix,
     random_state_set,
     random_state_vector,
     validate_state_set,
 )
+from qdecimate import stateset
+from qdecimate.stateset import deviation_matrix
 
 from helpers import random_columns
 
@@ -79,6 +80,21 @@ class TestValidate:
     def test_non_2d_rejected(self):
         with pytest.raises(DomainError):
             validate_state_set(np.zeros(4, dtype=complex))
+
+
+class TestColumnNorms:
+    @pytest.mark.parametrize("block", [8, 2**16])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("dim, count", [(16, 1), (16, 7), (300, 41)])
+    def test_bit_identical_to_numpy_norm(self, monkeypatch, block, layout, dim, count):
+        # block=8 cuts every matrix here into blocks of two or three columns
+        monkeypatch.setattr(stateset, "_NORM_BLOCK", block)
+        raw = random_columns(2 * dim, count, seed=dim + count) * 1.25
+        raw = {"C": raw[:dim], "F": np.asfortranarray(raw[:dim]), "strided": raw[::2]}[layout]
+        want = np.linalg.norm(raw, axis=0)
+        assert stateset._column_norms(raw).tobytes() == want.tobytes()
+        s = validate_state_set(raw, policy=NormPolicy.AUTO_NORMALIZE)
+        assert s.matrix.tobytes() == np.ascontiguousarray(raw / want).tobytes()
 
 
 class TestMeansAndDeviations:
