@@ -8,7 +8,6 @@ give byte-identical bytes on disk.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -16,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__, fileio
-from .decimation import build_map, decimate_state, retained_power, select_dimension
+from .decimation import build_map, check_dimension, decimate_state, retained_power, select_dimension
 from .entanglement import (
     LN2,
     QubitFactorization,
@@ -40,12 +39,12 @@ from .stateset import NormPolicy, random_state_vector, validate_state_set
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
-    value = getattr(args, "tolerance", None)
+    value = args.tolerance
     if value is None:
         return DEFAULT_TOL
     if not (math.isfinite(value) and value > 0):
         raise DomainError(f"--tolerance must be finite and positive, got {value}")
-    return dataclasses.replace(DEFAULT_TOL, base=value)
+    return Tolerances(base=value)
 
 
 def _policy(args: argparse.Namespace) -> NormPolicy:
@@ -55,8 +54,8 @@ def _policy(args: argparse.Namespace) -> NormPolicy:
 
 
 def _load_states(path: str, policy: NormPolicy, tol: Tolerances):
-    matrix, labels = fileio.read_state_set(path)
-    return validate_state_set(matrix, policy=policy, labels=labels, tol=tol)
+    matrix, _ = fileio.read_state_set(path)
+    return validate_state_set(matrix, policy=policy, tol=tol)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -109,9 +108,9 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
     factor = QubitFactorization.from_dim(states.dim)
     scale = 1.0 / LN2 if args.bits else 1.0
     unit = "bits" if args.bits else "nats"
+    if not 1 <= args.state <= states.count:
+        raise DomainError(f"--state must lie in 1..{states.count}, got {args.state}")
     if args.fine:
-        if not 1 <= args.state <= states.count:
-            raise DomainError(f"--state must lie in 1..{states.count}, got {args.state}")
         rho = reduced_density_matrix(states.column(args.state), factor, args.qubit)
         value = von_neumann_entropy(rho, tol) * scale
         print(f"fine_entropy={value!r} ({unit})")
@@ -228,6 +227,8 @@ def _parse_psi0(spec: str, dim: int, seed: int) -> np.ndarray:
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
+    if args.d is not None:
+        check_dimension(args.steps, args.d)
     h, dim = _parse_hamiltonian(args)
     psi0 = _parse_psi0(args.psi0, dim, args.seed)
     _check_evolve_memory(dim, args.steps, dense=not isinstance(h, IsingChain))
@@ -265,13 +266,12 @@ def cmd_info(args: argparse.Namespace) -> int:
         "[re, im] pair lists are still read"
     )
     print("curve files: CSV with header d,value")
-    for field in dataclasses.fields(DEFAULT_TOL):
-        print(f"tolerance {field.name}: {getattr(DEFAULT_TOL, field.name)!r}")
+    for name in ("base", "state_norm", "zero_norm", "expectation_imag", "rank_rel", "psd_slack"):
+        print(f"tolerance {name}: {getattr(DEFAULT_TOL, name)!r}")
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="seed for any pseudo-random draw")
+def _add_tolerance(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tolerance", type=float, default=None, help="override the base numerical tolerance"
     )
@@ -293,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rescale columns whose norm drifted instead of failing",
     )
-    _add_common(fit)
+    _add_tolerance(fit)
     fit.set_defaults(func=cmd_fit)
 
     dec = sub.add_parser("decimate", help="truncate model weights to d components")
@@ -303,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument(
         "--eps", type=float, default=None, help="pick minimal d with retained power >= 1-eps"
     )
-    _add_common(dec)
+    _add_tolerance(dec)
     dec.set_defaults(func=cmd_decimate)
 
     ent = sub.add_parser(
@@ -324,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rescale columns whose norm drifted instead of failing",
     )
-    _add_common(ent)
+    _add_tolerance(ent)
     ent.set_defaults(func=cmd_entropy_curve)
 
     evo = sub.add_parser("evolve", help="generate a unitary trajectory and coarse-grain it")
@@ -343,11 +343,11 @@ def _build_parser() -> argparse.ArgumentParser:
     evo.add_argument("--steps", type=int, required=True, help="number of trajectory states M")
     evo.add_argument("--d", type=int, default=None, help="coarse dimension (default M+1)")
     evo.add_argument("--out-prefix", required=True, help="prefix for the four output files")
-    _add_common(evo)
+    evo.add_argument("--seed", type=int, default=0, help="seed for any pseudo-random draw")
+    _add_tolerance(evo)
     evo.set_defaults(func=cmd_evolve)
 
     info = sub.add_parser("info", help="print version, formats, and default tolerances")
-    _add_common(info)
     info.set_defaults(func=cmd_info)
 
     return parser

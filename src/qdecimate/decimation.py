@@ -55,15 +55,15 @@ class CoarseState:
     outside_span: bool = False
 
 
-def check_dimension(model: PcaModel, d: int) -> None:
-    """Raise BadDimension unless 2 <= d <= M+1."""
-    if not 2 <= d <= model.count + 1:
-        raise BadDimension(f"coarse dimension must lie in [2, {model.count + 1}], got {d}")
+def check_dimension(count: int, d: int) -> None:
+    """Raise BadDimension unless 2 <= d <= M+1 for a set of M = count states."""
+    if not 2 <= d <= count + 1:
+        raise BadDimension(f"coarse dimension must lie in [2, {count + 1}], got {d}")
 
 
 def build_map(model: PcaModel, d: int) -> CoarseGrainMap:
     """First d rows of the basis adjoint as a coarse-graining map."""
-    check_dimension(model, d)
+    check_dimension(model.count, d)
     g = model.basis[:, :d].conj().T
     g.setflags(write=False)
     return CoarseGrainMap(d=d, g=g, source=model)

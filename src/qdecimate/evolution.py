@@ -344,8 +344,8 @@ def coarse_grained_trajectory(
     Step j is W[:d, j] over the root of its retained power; a fitted state
     lies in the span by construction. A d outside [2, M+1] is BadDimension.
     """
+    check_dimension(states.count, d)
     model = fit_pca(states, tol)
-    check_dimension(model, d)
     coarse = []
     for j, norm in enumerate(np.sqrt(retained_power(model)[d - 1]).tolist()):
         if norm <= tol.zero_norm:

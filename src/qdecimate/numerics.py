@@ -8,6 +8,7 @@ tolerance record. Everything here is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -18,6 +19,9 @@ from .errors import NoConvergence, NonFinite, NotHermitian
 class Tolerances:
     """Shared numerical tolerances.
 
+    Only base is settable (the CLI's --tolerance); the rest are fixed
+    class constants.
+
     base:             orthonormality / reconstruction / hermiticity checks
     state_norm:       unit-norm validation of input state vectors
     zero_norm:        absolute cutoff below which renormalization is refused
@@ -27,11 +31,11 @@ class Tolerances:
     """
 
     base: float = 1e-10
-    state_norm: float = 1e-9
-    zero_norm: float = 1e-14
-    expectation_imag: float = 1e-8
-    rank_rel: float = 1e-12
-    psd_slack: float = 1e-12
+    state_norm: ClassVar[float] = 1e-9
+    zero_norm: ClassVar[float] = 1e-14
+    expectation_imag: ClassVar[float] = 1e-8
+    rank_rel: ClassVar[float] = 1e-12
+    psd_slack: ClassVar[float] = 1e-12
 
 
 DEFAULT_TOL = Tolerances()
@@ -116,9 +120,7 @@ def gram_deviation(x: np.ndarray) -> float:
     return float(np.hypot(re, im).max())
 
 
-def svd(
-    m: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Economy SVD ``m = u @ diag(s) @ vh``, returned as ``(u, s, vh)``.
 
     Singular values are non-negative and descending; u has orthonormal

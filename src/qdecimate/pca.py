@@ -109,7 +109,7 @@ def fit_pca(s: StateSet, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
     del rs
 
     # 3. the deviations are Q[:, 1:] @ R[1:, 1:]: their SVD is the M x M one
-    u_b, sv, vh = svd(r[1:, 1:], tol)
+    u_b, sv, vh = svd(r[1:, 1:])
     if constant:
         sv = np.zeros(count)
     rank = numerical_rank(sv, tol)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,38 +34,15 @@ class StateSet:
     dim: int
     count: int
     matrix: np.ndarray
-    labels: tuple[str, ...] | None = field(default=None)
 
     def column(self, mu: int) -> np.ndarray:
         """State coefficients for 1-based state index mu."""
         return self.matrix[:, mu - 1]
 
 
-# Entries per column block of _column_norms (1 MiB of complex128).
-_NORM_BLOCK = 2**16
-
-
-def _column_norms(raw: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(raw, axis=0)``, bit for bit, one block of columns at a time.
-
-    The norm of a whole matrix builds a complex temporary of its size.
-    Blocks are at least two columns wide: numpy then sums each column in
-    the same order as for the whole matrix, which a single column of a
-    C-order matrix (contiguous on its own) would not.
-    """
-    dim, count = raw.shape
-    blocks = max(1, count // max(2, _NORM_BLOCK // dim))
-    edges = [count * i // blocks for i in range(blocks + 1)]
-    norms = np.empty(count)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        norms[lo:hi] = np.linalg.norm(raw[:, lo:hi], axis=0)
-    return norms
-
-
 def validate_state_set(
     raw: np.ndarray,
     policy: NormPolicy = NormPolicy.STRICT,
-    labels: tuple[str, ...] | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> StateSet:
     """Validate (and under AUTO_NORMALIZE, rescale) columns into a StateSet.
@@ -82,10 +59,8 @@ def validate_state_set(
     if dim <= count + 1:
         raise RegimeViolation(f"need dimension D > M+1, got D={dim}, M={count}")
     check_finite(raw, "state matrix")
-    if labels is not None and len(labels) != count:
-        raise RegimeViolation(f"got {len(labels)} labels for {count} states")
 
-    norms = _column_norms(raw)
+    norms = np.linalg.norm(raw, axis=0)
     drift = np.abs(norms - 1.0)
     if np.any(drift > tol.state_norm):
         worst = int(np.argmax(drift))
@@ -101,7 +76,7 @@ def validate_state_set(
         raw = raw / norms
     matrix = np.array(raw, dtype=np.complex128, order="C")
     matrix.setflags(write=False)
-    return StateSet(dim=dim, count=count, matrix=matrix, labels=labels)
+    return StateSet(dim=dim, count=count, matrix=matrix)
 
 
 def column_means(s: StateSet) -> np.ndarray:
@@ -121,12 +96,7 @@ def deviation_matrix(s: StateSet, means: np.ndarray) -> np.ndarray:
     return s.matrix - means[np.newaxis, :]
 
 
-def random_state_set(
-    dim: int,
-    count: int,
-    seed: int,
-    labels: tuple[str, ...] | None = None,
-) -> StateSet:
+def random_state_set(dim: int, count: int, seed: int) -> StateSet:
     """Seeded pseudo-random states: re/im uniform on [-1, 1], then normalized.
 
     Uses numpy's PCG64 generator so identical seeds reproduce identical
@@ -135,7 +105,7 @@ def random_state_set(
     rng = np.random.Generator(np.random.PCG64(seed))
     raw = rng.uniform(-1.0, 1.0, (dim, count)) + 1j * rng.uniform(-1.0, 1.0, (dim, count))
     raw /= np.linalg.norm(raw, axis=0)
-    return validate_state_set(raw, NormPolicy.STRICT, labels=labels)
+    return validate_state_set(raw, NormPolicy.STRICT)
 
 
 def random_state_vector(dim: int, seed: int) -> np.ndarray:

@@ -267,6 +267,18 @@ class TestEntropyCurve:
         path, _ = _states_file(tmp_path, 16, 3, seed=154)
         assert main(["entropy-curve", str(path), "--state", "1", "--qubit", "1"]) == 2
 
+    @pytest.mark.parametrize("fine", [[], ["--fine"]], ids=["curve", "fine"])
+    @pytest.mark.parametrize("state", ["0", "4"])
+    def test_state_out_of_range_refused_before_fit(self, tmp_path, monkeypatch, state, fine):
+        path, _ = _states_file(tmp_path, 16, 3, seed=155)
+        reached = []
+        monkeypatch.setattr(cli, "fit_pca", lambda *args: reached.append(args))
+        out = tmp_path / "curve.csv"
+        argv = ["entropy-curve", str(path), "-o", str(out), "--state", state, "--qubit", "1"]
+        code, err = _stderr_lines([*argv, *fine])
+        assert code == 2 and err == [f"error: DomainError: --state must lie in 1..3, got {state}"]
+        assert not reached and not out.exists()
+
 
 class TestEvolve:
     def test_zero_hamiltonian_constant_trajectory(self, tmp_path):
@@ -478,6 +490,29 @@ class TestEvolve:
         assert code == 2 and err == [f"error: DomainError: --dim must be at least 1, got {dim}"]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("d", ["1", "62"])
+    def test_bad_d_refused_before_evolving(self, tmp_path, monkeypatch, d):
+        reached = []
+        monkeypatch.setattr(cli, "evolve_sequence", lambda *args: reached.append(args))
+        argv = ["evolve", "--hamiltonian", "ising:6", "--dt", "0.1", "--steps", "60", "--d", d]
+        code, err = _stderr_lines([*argv, "--out-prefix", str(tmp_path / "x")])
+        assert code == 2 and err == [
+            f"error: BadDimension: coarse dimension must lie in [2, 61], got {d}"
+        ]
+        assert not reached and not list(tmp_path.iterdir())
+
+    def test_seed_sets_unnumbered_random_specs(self, tmp_path):
+        def trajectory(name, *args):
+            argv = ["evolve", "--hamiltonian", "random", "--dim", "8", "--psi0", "random"]
+            prefix = tmp_path / name
+            argv += ["--dt", "0.1", "--steps", "3", *args, "--out-prefix", str(prefix)]
+            assert main(argv) == 0
+            return read_state_set(f"{prefix}_trajectory.json")[0]
+
+        seeded = trajectory("seeded", "--seed", "7")
+        assert np.array_equal(seeded, trajectory("again", "--seed", "7"))
+        assert not np.array_equal(seeded, trajectory("default"))
+
     def test_out_of_memory_exit_1_one_line(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise MemoryError("cannot allocate the chain")
@@ -574,6 +609,22 @@ class TestInfoAndParser:
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "s.json", "-o", "m.json", "--seed", "1"],
+            ["decimate", "m.json", "-o", "c.json", "--d", "2", "--seed", "1"],
+            ["entropy-curve", "s.json", "--state", "1", "--qubit", "1", "--fine", "--seed", "1"],
+            ["info", "--seed", "1"],
+            ["info", "--tolerance", "1e-9"],
+        ],
+        ids=["fit-seed", "decimate-seed", "entropy-curve-seed", "info-seed", "info-tolerance"],
+    )
+    def test_flags_a_command_does_not_read_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
     def test_tolerance_flag_validated(self, tmp_path):
