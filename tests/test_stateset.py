@@ -75,14 +75,24 @@ class TestValidate:
 
 
 class TestColumnNorms:
+    @pytest.mark.parametrize("block", [8, 2**16])
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("dim, count", [(16, 1), (16, 7), (300, 41)])
-    def test_bit_identical_to_numpy_norm(self, layout, dim, count):
+    def test_bit_identical_to_numpy_norm(self, block, layout, dim, count):
+        # The set is validated in slices of about `block` entries (at least two
+        # columns each; block=8 gives two- and three-column slices, 2**16 the
+        # whole set): a state's normalised bytes must not depend on the other
+        # states it is validated with.
         raw = random_columns(2 * dim, count, seed=dim + count) * 1.25
         raw = {"C": raw[:dim], "F": np.asfortranarray(raw[:dim]), "strided": raw[::2]}[layout]
         want = raw / np.linalg.norm(raw, axis=0)
-        s = validate_state_set(raw, policy=NormPolicy.AUTO_NORMALIZE)
-        assert s.matrix.tobytes() == np.ascontiguousarray(want).tobytes()
+        pieces = max(1, count // max(2, block // dim))
+        edges = [count * i // pieces for i in range(pieces + 1)]
+        got = [
+            validate_state_set(raw[:, lo:hi], policy=NormPolicy.AUTO_NORMALIZE).matrix
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        assert np.hstack(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestMeansAndDeviations:
