@@ -55,7 +55,6 @@ from .pca import PcaModel, fit_pca, importances
 from .stateset import (
     NormPolicy,
     StateSet,
-    column_means,
     random_state_set,
     random_state_vector,
     validate_state_set,
@@ -93,7 +92,6 @@ __all__ = [
     "coarse_grain_hamiltonian",
     "coarse_grain_operator",
     "coarse_grained_trajectory",
-    "column_means",
     "decimate_state",
     "entropy_vs_dimension_curve",
     "evolve_sequence",

@@ -28,6 +28,7 @@ from .errors import AllZeroDeviations, DomainError
 from .evolution import (
     _BLOCK,
     IsingChain,
+    check_steps,
     coarse_grain_hamiltonian,
     evolve_sequence,
     ising_chain,
@@ -53,14 +54,14 @@ def _policy(args: argparse.Namespace) -> NormPolicy:
     return NormPolicy.STRICT
 
 
-def _load_states(path: str, policy: NormPolicy, tol: Tolerances):
+def _load_states(path: str, policy: NormPolicy):
     matrix, _ = fileio.read_state_set(path)
-    return validate_state_set(matrix, policy=policy, tol=tol)
+    return validate_state_set(matrix, policy=policy)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
-    states = _load_states(args.states, _policy(args), tol)
+    states = _load_states(args.states, _policy(args))
     model = fit_pca(states, tol)
     fileio.write_model(args.output, model)
     print(f"states: M={states.count}")
@@ -104,22 +105,24 @@ def cmd_decimate(args: argparse.Namespace) -> int:
 
 def cmd_entropy_curve(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
-    states = _load_states(args.states, _policy(args), tol)
+    if args.output is None and not args.fine:
+        print("error: --output is required unless --fine is given", file=sys.stderr)
+        return 2
+    states = _load_states(args.states, _policy(args))
     factor = QubitFactorization.from_dim(states.dim)
     scale = 1.0 / LN2 if args.bits else 1.0
     unit = "bits" if args.bits else "nats"
     if not 1 <= args.state <= states.count:
         raise DomainError(f"--state must lie in 1..{states.count}, got {args.state}")
+    if not 1 <= args.qubit <= factor.n:
+        raise DomainError(f"--qubit must lie in 1..{factor.n}, got {args.qubit}")
     if args.fine:
         rho = reduced_density_matrix(states.column(args.state), factor, args.qubit)
         value = von_neumann_entropy(rho, tol) * scale
         print(f"fine_entropy={value!r} ({unit})")
         return 0
-    if args.output is None:
-        print("error: --output is required unless --fine is given", file=sys.stderr)
-        return 2
     model = fit_pca(states, tol)
-    curve = entropy_vs_dimension_curve(states, model, args.state, args.qubit, tol)
+    curve = entropy_vs_dimension_curve(states, model, args.state, args.qubit)
     fileio.write_curve(args.output, [(d, value * scale) for d, value in curve.points])
     print(f"curve written: {args.output} ({len(curve.points)} rows, {unit})")
     print(f"d95={saturation_dimension(curve)}")
@@ -128,9 +131,9 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
 
 # Peak memory of evolve as multiples of the 16*D*(steps+1) bytes of its
 # trajectory, measured with one BLAS thread and 100 steps, the interpreter
-# included: ising:14 peaks at 116 MiB (4.6x), ising:16 at 361 MiB (3.6x).
+# included: ising:14 peaks at 112 MiB (4.4x), ising:16 at 321 MiB (3.2x).
 # The fit holds the state set and the basis; compressing the chain's
-# Hamiltonian holds a few D x d blocks on top. A chain's Chebyshev series
+# Hamiltonian holds two D x d blocks on top. A chain's Chebyshev series
 # also holds a block of min(32, steps) vectors of 16*D bytes (32 MiB at
 # ising:16) while it runs; it is freed before the fit, but it is counted
 # on top so that the estimate stays an upper one. A dense D x D
@@ -227,6 +230,7 @@ def _parse_psi0(spec: str, dim: int, seed: int) -> np.ndarray:
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
+    check_steps(args.steps)
     if args.d is not None:
         check_dimension(args.steps, args.d)
     h, dim = _parse_hamiltonian(args)

@@ -132,15 +132,13 @@ def coarse_grain_operator(
     return cg.g @ op @ cg.g.conj().T
 
 
-def expectation(
-    state_weights: np.ndarray, op_matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> float:
+def expectation(state_weights: np.ndarray, op_matrix: np.ndarray) -> float:
     """Quadratic form x^dag O x, verified real within tolerance."""
     x = np.asarray(state_weights, dtype=np.complex128)
     op = np.asarray(op_matrix, dtype=np.complex128)
     if op.ndim != 2 or op.shape[0] != op.shape[1] or x.shape != (op.shape[0],):
         raise DimMismatch(f"shape mismatch: state {x.shape} against operator {op.shape}")
     value = complex(np.vdot(x, op @ x))
-    if abs(value.imag) > tol.expectation_imag:
+    if abs(value.imag) > Tolerances.expectation_imag:
         raise NonRealExpectation(f"imaginary residue {value.imag:.3e} beyond tolerance")
     return value.real

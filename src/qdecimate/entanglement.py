@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 LN2 = float(np.log(2.0))
+# saturation_dimension's band, as a fraction of the endpoint entropy (d95)
+_SATURATION_BAND = 0.05
 
 
 @dataclass(frozen=True)
@@ -98,9 +100,7 @@ def von_neumann_entropy(rho: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float
     return float(-np.sum(positive * np.log(positive))) + 0.0
 
 
-def _qubit_entropies(
-    rho00: np.ndarray, rho11: np.ndarray, off2: np.ndarray, tol: Tolerances
-) -> np.ndarray:
+def _qubit_entropies(rho00: np.ndarray, rho11: np.ndarray, off2: np.ndarray) -> np.ndarray:
     """Entropies of unit-trace 2x2 density matrices [[rho00, rho01], [rho01*, rho11]].
 
     off2 is |rho01|^2. Closed-form spectrum, vectorised elementwise: the
@@ -110,20 +110,14 @@ def _qubit_entropies(
     """
     large = (1.0 + np.sqrt((rho00 - rho11) ** 2 + 4.0 * off2)) / 2.0
     small = (rho00 * rho11 - off2) / large
-    if small.min() < -tol.psd_slack:
+    if small.min() < -Tolerances.psd_slack:
         raise NotDensityMatrix(f"negative eigenvalue {small.min():.3e} beyond tolerance")
     lam = np.clip(np.stack([large, small]), 0.0, 1.0)
     # 0 ln 0 = 0; + 0.0 turns the -0.0 of a pure state into plain 0.0
     return -np.sum(lam * np.log(np.where(lam > 0.0, lam, 1.0)), axis=0) + 0.0
 
 
-def entropy_vs_dimension_curve(
-    s: StateSet,
-    model: PcaModel,
-    mu: int,
-    q: int,
-    tol: Tolerances = DEFAULT_TOL,
-) -> EntropyCurve:
+def entropy_vs_dimension_curve(s: StateSet, model: PcaModel, mu: int, q: int) -> EntropyCurve:
     """Entropy of the renormalized d-component reconstruction of state mu.
 
     d runs from 1 (mean component only) to M+1 (full expansion, which
@@ -155,20 +149,24 @@ def entropy_vs_dimension_curve(
     )
     norm2 = power0 + power1
     norm = np.sqrt(norm2)
-    vanishing = np.flatnonzero(norm <= tol.zero_norm)
+    vanishing = np.flatnonzero(norm <= Tolerances.zero_norm)
     if vanishing.size:
         d = int(vanishing[0]) + 1
         raise ZeroNorm(f"reconstruction at d={d} has norm {norm[d - 1]:.3e}")
     off2 = (cross_re**2 + cross_im**2) / norm2**2
-    entropies = _qubit_entropies(power0 / norm2, power1 / norm2, off2, tol)
+    entropies = _qubit_entropies(power0 / norm2, power1 / norm2, off2)
     points = tuple(enumerate(entropies.tolist(), start=1))
     return EntropyCurve(state_index=mu, qubit=q, points=points)
 
 
-def saturation_dimension(curve: EntropyCurve, fraction: float = 0.05) -> int:
-    """Smallest d whose entropy is within `fraction` of the endpoint value."""
+def saturation_dimension(curve: EntropyCurve) -> int:
+    """d95: the smallest d whose entropy lies within 5% of the endpoint value.
+
+    The band never narrows below 5% of 1e-6, so a curve that ends at zero
+    entropy saturates where it comes within 5e-8 of zero.
+    """
     final = curve.points[-1][1]
-    band = fraction * max(final, 1e-6)
+    band = _SATURATION_BAND * max(final, 1e-6)
     for d, entropy in curve.points:
         if abs(entropy - final) <= band:
             return d

@@ -106,7 +106,11 @@ class IsingChain:
         for axis in range(1, self.sites):
             flips += cube[(slice(None),) * axis + (slice(None, None, -1),)]
         diagonal = self.diagonal.reshape((self.dim,) + (1,) * (x.ndim - 1))
-        return diagonal * x - self.field * flips.reshape(x.shape)
+        # the result is built in the flip buffer: (-G) X + diag x rounds as diag x - G X
+        flips = flips.reshape(x.shape)
+        flips *= -self.field
+        flips += diagonal * x
+        return flips
 
     def dense(self) -> np.ndarray:
         """The D x D matrix: the ZZ diagonal, and -field where X_s flips bit n-s."""
@@ -270,6 +274,12 @@ def _chain_trajectory(chain: IsingChain, psi0: np.ndarray, dt: float, steps: int
     return rows
 
 
+def check_steps(steps: int) -> None:
+    """Raise RegimeViolation unless a trajectory has at least one step."""
+    if steps < 1:
+        raise RegimeViolation(f"need at least one step, got {steps}")
+
+
 def evolve_sequence(
     h: np.ndarray | IsingChain,
     psi0: np.ndarray,
@@ -295,8 +305,7 @@ def evolve_sequence(
     if not chain:
         h = np.asarray(h, dtype=np.complex128)
     dim = psi0.shape[0] if psi0.ndim == 1 else 0
-    if steps < 1:
-        raise RegimeViolation(f"need at least one step, got {steps}")
+    check_steps(steps)
     if dim <= steps + 1:
         raise RegimeViolation(f"need dimension D > steps+1, got D={dim}, steps={steps}")
     shape = (h.dim, h.dim) if chain else h.shape
@@ -317,7 +326,7 @@ def evolve_sequence(
         times = dt * np.arange(steps)
         phases = np.exp(-1j * np.outer(energies, times))
         columns = vectors @ (phases * amplitudes[:, np.newaxis])
-    return validate_state_set(columns, NormPolicy.STRICT, tol=tol)
+    return validate_state_set(columns, NormPolicy.STRICT)
 
 
 def coarse_grain_hamiltonian(
@@ -325,13 +334,14 @@ def coarse_grain_hamiltonian(
 ) -> np.ndarray:
     """d x d representation of the Hamiltonian under the coarse-graining map.
 
-    A chain is compressed from its action, g @ H(g^dag), in O(n * D * d),
-    and its hermiticity is checked on the d x d result; a matrix goes
-    through coarse_grain_operator.
+    A chain is compressed from its action on the d retained basis columns,
+    g @ H(g^dag), in O(n * D * d), and its hermiticity is checked on the
+    d x d result; a matrix goes through coarse_grain_operator.
     """
     if not isinstance(h, IsingChain):
         return coarse_grain_operator(cg, h, tol)
-    h_cg = cg.g @ h.apply(cg.g.conj().T)
+    # g^dag is the first d basis columns themselves: no D x d conjugate copy
+    h_cg = cg.g @ h.apply(cg.source.basis[:, : cg.d])
     check_hermitian(h_cg, tol, "coarse-grained Hamiltonian")
     return h_cg
 

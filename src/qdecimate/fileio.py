@@ -71,10 +71,6 @@ def _atomic_write(path: str | Path, write_body) -> None:
         raise
 
 
-def _atomic_write_text(path: str | Path, text: str) -> None:
-    _atomic_write(path, lambda handle: handle.write(text.encode("utf-8")))
-
-
 def _block_rows(row_bytes: int) -> int:
     """Rows per streamed block: a multiple of 3, about _CHUNK_BYTES in all."""
     return 3 * max(1, _CHUNK_BYTES // (3 * max(row_bytes, 1)))
@@ -291,7 +287,7 @@ def read_model(path: str | Path, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
         gram_dev = gram_deviation(basis)
     if not gram_dev <= tol.base:  # also rejects a NaN deviation from overflowing entries
         raise DomainError(f"{path}: basis columns not orthonormal (deviation {gram_dev:.3e})")
-    rank = numerical_rank(sv, tol)
+    rank = numerical_rank(sv)
     basis.setflags(write=False)
     weights.setflags(write=False)
     sv.setflags(write=False)
@@ -330,7 +326,8 @@ def write_curve(path: str | Path, rows: list[tuple[int, float]]) -> None:
     lines = ["d,value"]
     for d, value in rows:
         lines.append(f"{int(d)},{float(value)!r}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    _atomic_write(path, lambda handle: handle.write(text.encode("utf-8")))
 
 
 def read_curve(path: str | Path) -> list[tuple[int, float]]:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import AllZeroDeviations, NoConvergence
 from .numerics import DEFAULT_TOL, Tolerances, gram_deviation, pivot_phases, svd
-from .stateset import StateSet, column_means
+from .stateset import StateSet
 
 __all__ = ["PcaModel", "fit_pca", "importances"]
 
@@ -59,9 +59,9 @@ class PcaModel:
     rank: int
 
 
-def numerical_rank(sv: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of singular values above tol.rank_rel * e_1; sv is descending."""
-    return int(np.sum(sv > tol.rank_rel * (float(sv[0]) if sv.size else 0.0)))
+def numerical_rank(sv: np.ndarray) -> int:
+    """Number of singular values above Tolerances.rank_rel * e_1; sv is descending."""
+    return int(np.sum(sv > Tolerances.rank_rel * (float(sv[0]) if sv.size else 0.0)))
 
 
 # Rows per block of the tall-skinny QR. Each block's Q waits in the basis
@@ -100,25 +100,20 @@ def fit_pca(s: StateSet, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
         phi[lo:hi], r = np.linalg.qr(phi[lo:hi])
         rs.append(r)
 
-    # 2. one QR of the stacked R factors, none for a single block. Q's
-    # column 0 is u0 up to a phase; the basis takes u0 itself there.
-    if blocks == 1:
-        r = rs[0]
-    else:
-        q2, r = np.linalg.qr(np.concatenate(rs))
+    # 2. one QR of the stacked R factors; for a single block R is upper
+    # triangular with a real diagonal, and its Householder QR is exactly
+    # Q2 = I. Q's column 0 is u0 up to a phase; the basis takes u0 itself there.
+    q2, r = np.linalg.qr(np.concatenate(rs))
     del rs
 
     # 3. the deviations are Q[:, 1:] @ R[1:, 1:]: their SVD is the M x M one
     u_b, sv, vh = svd(r[1:, 1:])
     if constant:
         sv = np.zeros(count)
-    rank = numerical_rank(sv, tol)
+    rank = numerical_rank(sv)
 
-    # 4. basis rows of block i: Q_i @ (Q2_i[:, 1:] @ U_b), with Q2 = I for one block
-    if blocks == 1:
-        lift = np.concatenate([np.zeros((1, count)), u_b])
-    else:
-        lift = q2[:, 1:] @ u_b
+    # 4. basis rows of block i: Q_i @ (Q2_i[:, 1:] @ U_b)
+    lift = q2[:, 1:] @ u_b
     width = count + 1
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         phi[lo:hi, 1:] = phi[lo:hi] @ lift[i * width : (i + 1) * width]
@@ -132,7 +127,7 @@ def fit_pca(s: StateSet, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
         raise NoConvergence(f"fitted basis not orthonormal (deviation {gram_dev:.3e})")
 
     weights = np.zeros((count + 1, count), dtype=np.complex128)
-    weights[0, :] = math.sqrt(dim) * column_means(s)
+    weights[0, :] = math.sqrt(dim) * s.matrix.mean(axis=0)
     weights[1 : rank + 1, :] = sv[:rank, np.newaxis] * (vh[:rank, :] * phase[:rank, np.newaxis])
 
     phi.setflags(write=False)

@@ -1,9 +1,8 @@
 """Ingestion and preprocessing of input state sets.
 
 A state set is a D x M complex matrix whose columns are unit-norm pure
-states expressed in a fixed global basis. Preprocessing splits each
-column into its scalar mean plus a zero-mean deviation; the deviation
-matrix feeds the PCA stage.
+states expressed in a fixed global basis; validation makes it the
+read-only input of the PCA stage.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormalized, RegimeViolation
-from .numerics import DEFAULT_TOL, Tolerances, check_finite
+from .numerics import Tolerances, check_finite
 
 log = logging.getLogger(__name__)
 
@@ -40,15 +39,11 @@ class StateSet:
         return self.matrix[:, mu - 1]
 
 
-def validate_state_set(
-    raw: np.ndarray,
-    policy: NormPolicy = NormPolicy.STRICT,
-    tol: Tolerances = DEFAULT_TOL,
-) -> StateSet:
+def validate_state_set(raw: np.ndarray, policy: NormPolicy = NormPolicy.STRICT) -> StateSet:
     """Validate (and under AUTO_NORMALIZE, rescale) columns into a StateSet.
 
-    Enforces finiteness, unit column norms within tol.state_norm, and the
-    regime D > M+1. The matrix is a read-only C-order copy.
+    Enforces finiteness, unit column norms within Tolerances.state_norm,
+    and the regime D > M+1. The matrix is a read-only C-order copy.
     """
     raw = np.asarray(raw, dtype=np.complex128)
     if raw.ndim != 2:
@@ -62,7 +57,7 @@ def validate_state_set(
 
     norms = np.linalg.norm(raw, axis=0)
     drift = np.abs(norms - 1.0)
-    if np.any(drift > tol.state_norm):
+    if np.any(drift > Tolerances.state_norm):
         worst = int(np.argmax(drift))
         if policy is NormPolicy.STRICT:
             raise NotNormalized(
@@ -71,29 +66,12 @@ def validate_state_set(
             )
         if np.any(norms <= 0.0):
             raise NotNormalized("cannot auto-normalize a zero column")
-        for mu in np.nonzero(drift > tol.state_norm)[0]:
+        for mu in np.nonzero(drift > Tolerances.state_norm)[0]:
             log.info("auto-normalize: column %d rescaled by %.12g", mu, 1.0 / norms[mu])
         raw = raw / norms
     matrix = np.array(raw, dtype=np.complex128, order="C")
     matrix.setflags(write=False)
     return StateSet(dim=dim, count=count, matrix=matrix)
-
-
-def column_means(s: StateSet) -> np.ndarray:
-    """Per-state means: entry mu is (1/D) * sum_j c_j of column mu."""
-    return s.matrix.mean(axis=0)
-
-
-def deviation_matrix(s: StateSet, means: np.ndarray) -> np.ndarray:
-    """Deviations from the per-column uniform mean profile.
-
-    Column mu is the state minus its mean times the all-ones vector, so
-    every output column has zero mean.
-    """
-    means = np.asarray(means, dtype=np.complex128)
-    if means.shape != (s.count,):
-        raise RegimeViolation(f"expected {s.count} means, got shape {means.shape}")
-    return s.matrix - means[np.newaxis, :]
 
 
 def random_state_set(dim: int, count: int, seed: int) -> StateSet:

@@ -280,6 +280,28 @@ class TestEntropyCurve:
         assert not reached and not out.exists()
 
 
+    @pytest.mark.parametrize("fine", [[], ["--fine"]], ids=["curve", "fine"])
+    @pytest.mark.parametrize("qubit", ["0", "5", "99"])
+    def test_qubit_out_of_range_refused_before_fit(self, tmp_path, monkeypatch, qubit, fine):
+        path, _ = _states_file(tmp_path, 16, 3, seed=156)
+        reached = []
+        monkeypatch.setattr(cli, "fit_pca", lambda *args: reached.append(args))
+        out = tmp_path / "curve.csv"
+        argv = ["entropy-curve", str(path), "-o", str(out), "--state", "1", "--qubit", qubit]
+        code, err = _stderr_lines([*argv, *fine])
+        assert code == 2 and err == [f"error: DomainError: --qubit must lie in 1..4, got {qubit}"]
+        assert not reached and not out.exists()
+
+    def test_missing_output_refused_before_reading(self, tmp_path, monkeypatch):
+        path, _ = _states_file(tmp_path, 16, 3, seed=157)
+        reached = []
+        monkeypatch.setattr(cli, "_load_states", lambda *args: reached.append(args))
+        monkeypatch.setattr(cli, "fit_pca", lambda *args: reached.append(args))
+        code, err = _stderr_lines(["entropy-curve", str(path), "--state", "1", "--qubit", "1"])
+        assert code == 2 and err == ["error: --output is required unless --fine is given"]
+        assert not reached
+
+
 class TestEvolve:
     def test_zero_hamiltonian_constant_trajectory(self, tmp_path):
         prefix = tmp_path / "run"
@@ -498,6 +520,18 @@ class TestEvolve:
         code, err = _stderr_lines([*argv, "--out-prefix", str(tmp_path / "x")])
         assert code == 2 and err == [
             f"error: BadDimension: coarse dimension must lie in [2, 61], got {d}"
+        ]
+        assert not reached and not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("d", [[], ["--d", "3"]], ids=["default-d", "d3"])
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_steps_below_one_refused_first(self, tmp_path, monkeypatch, steps, d):
+        reached = []
+        monkeypatch.setattr(cli, "ising_chain", lambda *args, **kwargs: reached.append(args))
+        argv = ["evolve", "--hamiltonian", "ising:6", "--dt", "0.1", "--steps", steps, *d]
+        code, err = _stderr_lines([*argv, "--out-prefix", str(tmp_path / "x")])
+        assert code == 2 and err == [
+            f"error: RegimeViolation: need at least one step, got {steps}"
         ]
         assert not reached and not list(tmp_path.iterdir())
 

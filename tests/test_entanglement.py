@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qdecimate import (
     LN2,
-    DEFAULT_TOL,
     BadQubitIndex,
     DimMismatch,
     EntropyCurve,
@@ -132,8 +131,8 @@ class TestEntropy:
         # the curve's 2x2 spectra: |rho01|^2 = 0.3 > rho00 * rho11 = 0.25
         half = np.array([0.5])
         with pytest.raises(NotDensityMatrix):
-            _qubit_entropies(half, half, np.array([0.3]), DEFAULT_TOL)
-        assert _qubit_entropies(half, half, np.array([0.25 + 1e-13]), DEFAULT_TOL)[0] == 0.0
+            _qubit_entropies(half, half, np.array([0.3]))
+        assert _qubit_entropies(half, half, np.array([0.25 + 1e-13]))[0] == 0.0
 
     def test_tiny_negative_eigenvalue_clipped(self):
         rho = np.diag([1.0 + 1e-13, -1e-13])

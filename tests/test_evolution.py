@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,21 @@ from helpers import kron_ising_chain, naive_expectation, naive_triple_product
 
 COUPLINGS = (1.0, -0.7, 0.0, 2.5e-3)
 FIELDS = (1.0, -1.3, 0.0, 0.37)
+
+
+def _peak_bytes(call):
+    """Peak of the memory that call allocates, above what was held before, by tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 class TestEvolveSequence:
@@ -330,6 +346,24 @@ class TestIsingChainAction:
                 # a strided view goes through the same reshape
                 assert np.abs(chain.apply(block[:, 1]) - h @ block[:, 1]).max() <= 1e-14
 
+    def test_apply_leaves_input_unchanged(self):
+        rng = np.random.Generator(np.random.PCG64(310))
+        chain = ising_chain(6, -0.7, 0.37)
+        block = rng.standard_normal((64, 4)) + 1j * rng.standard_normal((64, 4))
+        for x in (block[:, 0].copy(), block, block[:, 2]):
+            before = x.copy()
+            out = chain.apply(x)
+            assert np.array_equal(x, before)
+            assert not np.shares_memory(out, x)
+
+    def test_apply_holds_at_most_two_blocks_and_a_half(self):
+        # a (D, k) block of 16 * D * k bytes: the flip buffer becomes the
+        # result, so one more block (the diagonal product) is the only other
+        chain = ising_chain(12)
+        x = random_state_vector(2**12, seed=311)[:, np.newaxis] * np.ones(20)
+        peak = _peak_bytes(lambda: chain.apply(x))
+        assert peak <= 2.5 * x.nbytes, f"peak {peak / x.nbytes:.2f} blocks"
+
     def test_apply_rejects_wrong_shapes(self):
         chain = ising_chain(3)
         for shape in ((4,), (8, 2, 2), (16, 1), ()):
@@ -547,6 +581,15 @@ class TestChainCompression:
             assert got.shape == (d, d)
             assert np.abs(got - want).max() <= 1e-12
             assert np.abs(got - got.conj().T).max() <= 1e-12
+
+    def test_holds_at_most_two_blocks_and_a_half(self):
+        # H is applied to the basis columns themselves, not to a conjugate copy
+        # of g^dag; a block is the 16 * D * d bytes of g
+        chain = ising_chain(12)
+        traj = evolve_sequence(chain, random_state_vector(2**12, seed=432), 0.1, 30)
+        cg = build_map(fit_pca(traj), 20)
+        peak = _peak_bytes(lambda: coarse_grain_hamiltonian(cg, chain))
+        assert peak <= 2.5 * cg.g.nbytes, f"peak {peak / cg.g.nbytes:.2f} blocks"
 
     def test_dimension_mismatch(self):
         traj = evolve_sequence(ising_chain(4), random_state_vector(16, seed=430), 0.1, 4)

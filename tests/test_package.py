@@ -34,7 +34,6 @@ PUBLIC = [
     "coarse_grain_hamiltonian",
     "coarse_grain_operator",
     "coarse_grained_trajectory",
-    "column_means",
     "decimate_state",
     "entropy_vs_dimension_curve",
     "evolve_sequence",

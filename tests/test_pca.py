@@ -13,7 +13,6 @@ from qdecimate import (
     PcaModel,
     Tolerances,
     build_map,
-    column_means,
     decimate_state,
     evolve_sequence,
     fit_pca,
@@ -25,7 +24,6 @@ from qdecimate import (
 from qdecimate import fileio, pca
 from qdecimate.decimation import retained_power
 from qdecimate.numerics import gram_deviation, svd
-from qdecimate.stateset import deviation_matrix
 
 from helpers import random_columns, random_unitary
 
@@ -142,7 +140,7 @@ class TestBasisCompletion:
         model = fit_pca(s)
         assert model.rank < model.count
         assert np.array_equal(model.basis[:, 0], np.full(s.dim, 1.0 / math.sqrt(s.dim)))
-        x = deviation_matrix(s, column_means(s))
+        x = s.matrix - s.matrix.mean(axis=0)
         u, sv, _ = svd(x)
         retained = slice(1, model.rank + 1)
         overlaps = np.einsum("ij,ij->j", model.basis[:, retained].conj(), u[:, : model.rank])
@@ -173,7 +171,7 @@ def _rank_deficient_set(dim, count, rank, seed):
 
 
 def _check_against_svd_oracle(s, model):
-    sv = np.linalg.svd(deviation_matrix(s, column_means(s)), compute_uv=False)
+    sv = np.linalg.svd(s.matrix - s.matrix.mean(axis=0), compute_uv=False)
     assert np.abs(model.singular_values - sv).max() <= 1e-13 * sv[0]
     assert gram_deviation(model.basis) <= 1e-13
     assert np.abs(model.basis @ model.weights - s.matrix).max() <= 1e-10

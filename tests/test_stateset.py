@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,11 @@ from qdecimate import (
     NormPolicy,
     NotNormalized,
     RegimeViolation,
-    column_means,
+    fit_pca,
     random_state_set,
     random_state_vector,
     validate_state_set,
 )
-from qdecimate.stateset import deviation_matrix
 
 from helpers import random_columns
 
@@ -95,17 +96,29 @@ class TestColumnNorms:
         assert np.hstack(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+def _means_and_deviations(s):
+    """Each state's mean and deviation, as the fit holds them.
+
+    Row 0 of the weights is sqrt(D) times every mean; the deviation of
+    state mu is the rest of its expansion, basis[:, 1:] @ W[1:, mu].
+    """
+    model = fit_pca(s)
+    return model.weights[0] / math.sqrt(s.dim), model.basis[:, 1:] @ model.weights[1:]
+
+
 class TestMeansAndDeviations:
     def test_uniform_state_mean(self):
         raw = np.full((4, 1), 0.5, dtype=complex)
         s = validate_state_set(raw)
-        assert np.allclose(column_means(s), [0.5], atol=1e-15)
+        means, _ = _means_and_deviations(s)
+        assert np.allclose(means, [0.5], atol=1e-15)
 
     def test_basis_state_mean(self):
         raw = np.zeros((4, 1), dtype=complex)
         raw[0, 0] = 1.0
         s = validate_state_set(raw)
-        assert np.allclose(column_means(s), [0.25], atol=1e-15)
+        means, _ = _means_and_deviations(s)
+        assert np.allclose(means, [0.25], atol=1e-15)
 
     def test_mean_matches_summation_loop(self):
         # independent oracle: direct summation
@@ -113,12 +126,13 @@ class TestMeansAndDeviations:
         acc = 0.0 + 0.0j
         for i in range(8):
             acc += s.matrix[i, 0]
-        assert abs(column_means(s)[0] - acc / 8.0) <= 1e-15
+        means, _ = _means_and_deviations(s)
+        assert abs(means[0] - acc / 8.0) <= 1e-15
 
     def test_uniform_column_has_zero_deviation(self):
         raw = np.full((4, 1), 0.5, dtype=complex)
         s = validate_state_set(raw)
-        delta = deviation_matrix(s, column_means(s))
+        _, delta = _means_and_deviations(s)
         assert np.abs(delta).max() == 0.0
 
     def test_basis_state_deviation_arithmetic(self):
@@ -126,41 +140,27 @@ class TestMeansAndDeviations:
         raw = np.zeros((4, 1), dtype=complex)
         raw[0, 0] = 1.0
         s = validate_state_set(raw)
-        delta = deviation_matrix(s, column_means(s))
+        _, delta = _means_and_deviations(s)
         assert np.allclose(delta[:, 0], [0.75, -0.25, -0.25, -0.25], atol=1e-15)
 
     def test_deviation_columns_have_zero_mean(self):
         s = validate_state_set(random_columns(8, 3, seed=7))
-        delta = deviation_matrix(s, column_means(s))
+        _, delta = _means_and_deviations(s)
         recomputed = delta.mean(axis=0)
         assert np.abs(recomputed).max() <= 1e-12
 
     def test_mean_profile_reconstruction(self):
         s = validate_state_set(random_columns(10, 4, seed=8))
-        means = column_means(s)
-        delta = deviation_matrix(s, means)
+        means, delta = _means_and_deviations(s)
         rebuilt = delta + np.ones((10, 1)) * means[np.newaxis, :]
         assert np.abs(rebuilt - s.matrix).max() <= 1e-12
 
     def test_deviation_orthogonal_to_uniform_vector(self):
         s = validate_state_set(random_columns(12, 5, seed=9))
-        delta = deviation_matrix(s, column_means(s))
+        _, delta = _means_and_deviations(s)
         o = np.ones(12, dtype=complex)
         overlaps = o.conj() @ delta
         assert np.abs(overlaps).max() <= 1e-10 * np.sqrt(12)
-
-    def test_means_linearity(self):
-        s1 = validate_state_set(random_columns(8, 3, seed=10))
-        s2 = validate_state_set(random_columns(8, 3, seed=11))
-        m1, m2 = column_means(s1), column_means(s2)
-        alpha, beta = 0.3 - 0.2j, 1.7 + 0.5j
-        combo = alpha * s1.matrix + beta * s2.matrix
-        assert np.abs(combo.mean(axis=0) - (alpha * m1 + beta * m2)).max() <= 1e-12
-
-    def test_deviation_shape_check(self):
-        s = validate_state_set(random_columns(8, 3, seed=12))
-        with pytest.raises(DomainError):
-            deviation_matrix(s, np.zeros(2, dtype=complex))
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -172,8 +172,7 @@ class TestMeansAndDeviations:
         if dim <= count + 1:
             return
         s = validate_state_set(random_columns(dim, count, seed))
-        means = column_means(s)
-        delta = deviation_matrix(s, means)
+        means, delta = _means_and_deviations(s)
         o = np.ones(dim, dtype=complex)
         assert np.abs(o.conj() @ delta).max() <= 1e-10 * np.sqrt(dim)
         profile = np.ones((dim, 1)) * means[np.newaxis, :]
