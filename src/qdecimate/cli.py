@@ -28,24 +28,16 @@ from .errors import AllZeroDeviations, DomainError
 from .evolution import (
     _BLOCK,
     IsingChain,
+    _check_room,
     check_steps,
     coarse_grain_hamiltonian,
     evolve_sequence,
     ising_chain,
     random_hamiltonian,
 )
-from .numerics import DEFAULT_TOL, Tolerances
+from .numerics import Tolerances
 from .pca import fit_pca, importances
 from .stateset import NormPolicy, random_state_vector, validate_state_set
-
-
-def _tolerances(args: argparse.Namespace) -> Tolerances:
-    value = args.tolerance
-    if value is None:
-        return DEFAULT_TOL
-    if not (math.isfinite(value) and value > 0):
-        raise DomainError(f"--tolerance must be finite and positive, got {value}")
-    return Tolerances(base=value)
 
 
 def _policy(args: argparse.Namespace) -> NormPolicy:
@@ -60,9 +52,8 @@ def _load_states(path: str, policy: NormPolicy):
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
     states = _load_states(args.states, _policy(args))
-    model = fit_pca(states, tol)
+    model = fit_pca(states)
     fileio.write_model(args.output, model)
     print(f"states: M={states.count}")
     print(f"dimension: D={states.dim}")
@@ -81,11 +72,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_decimate(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
     if (args.d is None) == (args.eps is None):
         print("error: exactly one of --d / --eps is required", file=sys.stderr)
         return 2
-    model = fileio.read_model(args.model, tol)
+    model = fileio.read_model(args.model)
     if args.eps is not None:
         d = select_dimension(model, args.eps)
         print(f"selected d={d} (eps={args.eps!r}, set-max rule)")
@@ -95,7 +85,7 @@ def cmd_decimate(args: argparse.Namespace) -> int:
     columns = []
     for mu in range(1, model.count + 1):
         fine = model.basis @ model.weights[:, mu - 1]
-        coarse = decimate_state(cg, fine, tol)
+        coarse = decimate_state(cg, fine)
         columns.append(coarse.weights)
         print(f"state {mu}: d={d} retained_power={float(coarse.norm_before) ** 2!r}")
     fileio.write_state_set(args.output, np.stack(columns, axis=1))
@@ -104,7 +94,6 @@ def cmd_decimate(args: argparse.Namespace) -> int:
 
 
 def cmd_entropy_curve(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
     if args.output is None and not args.fine:
         print("error: --output is required unless --fine is given", file=sys.stderr)
         return 2
@@ -118,10 +107,10 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
         raise DomainError(f"--qubit must lie in 1..{factor.n}, got {args.qubit}")
     if args.fine:
         rho = reduced_density_matrix(states.column(args.state), factor, args.qubit)
-        value = von_neumann_entropy(rho, tol) * scale
+        value = von_neumann_entropy(rho) * scale
         print(f"fine_entropy={value!r} ({unit})")
         return 0
-    model = fit_pca(states, tol)
+    model = fit_pca(states)
     curve = entropy_vs_dimension_curve(states, model, args.state, args.qubit)
     fileio.write_curve(args.output, [(d, value * scale) for d, value in curve.points])
     print(f"curve written: {args.output} ({len(curve.points)} rows, {unit})")
@@ -229,18 +218,18 @@ def _parse_psi0(spec: str, dim: int, seed: int) -> np.ndarray:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
     check_steps(args.steps)
     if args.d is not None:
         check_dimension(args.steps, args.d)
     h, dim = _parse_hamiltonian(args)
+    _check_room(dim, args.steps)
     psi0 = _parse_psi0(args.psi0, dim, args.seed)
     _check_evolve_memory(dim, args.steps, dense=not isinstance(h, IsingChain))
-    states = evolve_sequence(h, psi0, args.dt, args.steps, tol)
-    model = fit_pca(states, tol)
+    states = evolve_sequence(h, psi0, args.dt, args.steps)
+    model = fit_pca(states)
     d = args.d if args.d is not None else model.count + 1
     cg = build_map(model, d)
-    h_cg = coarse_grain_hamiltonian(cg, h, tol)
+    h_cg = coarse_grain_hamiltonian(cg, h)
 
     mean_power = retained_power(model).mean(axis=1).tolist()
     rows = list(enumerate(mean_power, start=1))
@@ -271,14 +260,8 @@ def cmd_info(args: argparse.Namespace) -> int:
     )
     print("curve files: CSV with header d,value")
     for name in ("base", "state_norm", "zero_norm", "expectation_imag", "rank_rel", "psd_slack"):
-        print(f"tolerance {name}: {getattr(DEFAULT_TOL, name)!r}")
+        print(f"tolerance {name}: {getattr(Tolerances, name)!r}")
     return 0
-
-
-def _add_tolerance(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--tolerance", type=float, default=None, help="override the base numerical tolerance"
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -297,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rescale columns whose norm drifted instead of failing",
     )
-    _add_tolerance(fit)
     fit.set_defaults(func=cmd_fit)
 
     dec = sub.add_parser("decimate", help="truncate model weights to d components")
@@ -307,7 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument(
         "--eps", type=float, default=None, help="pick minimal d with retained power >= 1-eps"
     )
-    _add_tolerance(dec)
     dec.set_defaults(func=cmd_decimate)
 
     ent = sub.add_parser(
@@ -328,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rescale columns whose norm drifted instead of failing",
     )
-    _add_tolerance(ent)
     ent.set_defaults(func=cmd_entropy_curve)
 
     evo = sub.add_parser("evolve", help="generate a unitary trajectory and coarse-grain it")
@@ -348,10 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
     evo.add_argument("--d", type=int, default=None, help="coarse dimension (default M+1)")
     evo.add_argument("--out-prefix", required=True, help="prefix for the four output files")
     evo.add_argument("--seed", type=int, default=0, help="seed for any pseudo-random draw")
-    _add_tolerance(evo)
     evo.set_defaults(func=cmd_evolve)
 
-    info = sub.add_parser("info", help="print version, formats, and default tolerances")
+    info = sub.add_parser("info", help="print version, formats, and tolerances")
     info.set_defaults(func=cmd_info)
 
     return parser

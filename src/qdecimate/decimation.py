@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension, DimMismatch, DomainError, NonRealExpectation, ZeroNorm
-from .numerics import DEFAULT_TOL, Tolerances, check_hermitian
+from .numerics import Tolerances, check_hermitian
 from .pca import PcaModel
 
 __all__ = [
@@ -69,9 +69,7 @@ def build_map(model: PcaModel, d: int) -> CoarseGrainMap:
     return CoarseGrainMap(d=d, g=g, source=model)
 
 
-def decimate_state(
-    cg: CoarseGrainMap, v: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> CoarseState:
+def decimate_state(cg: CoarseGrainMap, v: np.ndarray) -> CoarseState:
     """Truncate a D-vector to d weight components and renormalize."""
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (cg.source.dim,):
@@ -81,12 +79,12 @@ def decimate_state(
     full = (v.conj() @ basis).conj()
     w = full[: cg.d]
     norm_before = float(np.linalg.norm(w))
-    if norm_before <= tol.zero_norm:
+    if norm_before <= Tolerances.zero_norm:
         raise ZeroNorm(
             f"state is orthogonal to the retained subspace (norm {norm_before:.3e})"
         )
     residual = float(np.linalg.norm(v - basis @ full))
-    outside = residual > tol.base * max(float(np.linalg.norm(v)), 1.0)
+    outside = residual > Tolerances.base * max(float(np.linalg.norm(v)), 1.0)
     weights = w / norm_before
     weights.setflags(write=False)
     return CoarseState(d=cg.d, weights=weights, norm_before=norm_before, outside_span=outside)
@@ -119,16 +117,14 @@ def select_dimension(model: PcaModel, eps: float, state: int | None = None) -> i
     return int(dims.max() if state is None else dims[state - 1])
 
 
-def coarse_grain_operator(
-    cg: CoarseGrainMap, op: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def coarse_grain_operator(cg: CoarseGrainMap, op: np.ndarray) -> np.ndarray:
     """Conjugate a D x D Hermitian operator down to d x d."""
     op = np.asarray(op, dtype=np.complex128)
     if op.shape != (cg.source.dim, cg.source.dim):
         raise DimMismatch(
             f"expected a {cg.source.dim} x {cg.source.dim} operator, got shape {op.shape}"
         )
-    check_hermitian(op, tol, "operator")
+    check_hermitian(op, "operator")
     return cg.g @ op @ cg.g.conj().T
 
 

@@ -23,7 +23,7 @@ from .errors import (
     NotPowerOfTwo,
     ZeroNorm,
 )
-from .numerics import DEFAULT_TOL, Tolerances
+from .numerics import Tolerances
 from .pca import PcaModel
 from .stateset import StateSet
 
@@ -81,18 +81,18 @@ def reduced_density_matrix(
     return psi @ psi.conj().T
 
 
-def von_neumann_entropy(rho: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """-sum(lam * ln(lam)) over eigenvalues, with 0 ln 0 = 0."""
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise NotDensityMatrix(f"expected a square matrix, got shape {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > tol.base:
+    if np.abs(rho - rho.conj().T).max() > Tolerances.base:
         raise NotDensityMatrix("matrix is not Hermitian within tolerance")
     trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > tol.base:
+    if abs(trace - 1.0) > Tolerances.base:
         raise NotDensityMatrix(f"trace is {trace:.12g}, not 1 within tolerance")
     lam = np.linalg.eigvalsh(rho)
-    if lam.min() < -tol.psd_slack:
+    if lam.min() < -Tolerances.psd_slack:
         raise NotDensityMatrix(f"negative eigenvalue {lam.min():.3e} beyond tolerance")
     lam = np.clip(lam, 0.0, 1.0)
     positive = lam[lam > 0.0]

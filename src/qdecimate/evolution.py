@@ -41,7 +41,7 @@ import numpy as np
 
 from .decimation import CoarseState, check_dimension, coarse_grain_operator, retained_power
 from .errors import DimMismatch, NonFinite, NotNormalized, RegimeViolation, ZeroNorm
-from .numerics import DEFAULT_TOL, Tolerances, check_hermitian, hermitian_eig
+from .numerics import Tolerances, check_hermitian, hermitian_eig
 from .pca import fit_pca
 from .stateset import NormPolicy, StateSet, validate_state_set
 
@@ -57,9 +57,9 @@ __all__ = [
 # Chebyshev terms with |c_k| below this are dropped.
 _SERIES_CUT = 1e-15
 # A series with phase a = bound * |t| needs about a terms and carries a
-# round-off of order a * eps; beyond this a, that alone exceeds the default
+# round-off of order a * eps; beyond this a, that alone exceeds the
 # 1e-9 unit-norm tolerance, so no such series can give a valid state.
-_MAX_PHASE = DEFAULT_TOL.state_norm / float(np.finfo(np.float64).eps)
+_MAX_PHASE = Tolerances.state_norm / float(np.finfo(np.float64).eps)
 # Chebyshev vectors held at once before their terms are added to every
 # state; never more than the segment has states, so the block adds at most
 # one trajectory's worth of memory
@@ -122,41 +122,6 @@ class IsingChain:
         return h
 
 
-def _bessel_j(a: float) -> np.ndarray:
-    """J_0(a) .. J_N(a) for a > 0 by Miller's backward recurrence.
-
-    J_{k-1} = (2k / a) J_k - J_{k+1} runs down from J_{N+1} = 0, J_N = 1,
-    with N = a + 20 a^(1/3) + 40 well past the order where J_k(a) falls
-    below 1e-15. The values are rescaled when they grow past 1e100 and
-    normalised by J_0 + 2 * sum_k J_2k = 1.
-    """
-    top = int(a + 20.0 * a ** (1.0 / 3.0)) + 40
-    j = np.zeros(top + 2)
-    j[top] = 1.0
-    for k in range(top, 0, -1):
-        j[k - 1] = (2.0 * k / a) * j[k] - j[k + 1]
-        if abs(j[k - 1]) > 1e100:
-            j[k - 1 :] *= 1e-100
-    j = j[: top + 1]
-    return j / (j[0] + 2.0 * j[2::2].sum())
-
-
-def _chebyshev_coefficients(a: float) -> np.ndarray:
-    """c_k with exp(-i a x) = sum_k c_k T_k(x) on [-1, 1], up to the last |c_k| >= cut.
-
-    c_0 = J_0(a) and c_k = 2 (-i)^k J_k(a) (Jacobi-Anger). A negative a uses
-    J_k(-a) = (-1)^k J_k(|a|), i.e. the phases i^k.
-    """
-    _check_phase(a)
-    if abs(a) < _SERIES_CUT:  # J_0(a) rounds to 1 and every other |c_k| is below the cut
-        return np.ones(1, dtype=np.complex128)
-    j = _bessel_j(abs(a))
-    c = 2.0 * j
-    c[0] = j[0]
-    keep = int(np.flatnonzero(np.abs(c) >= _SERIES_CUT)[-1]) + 1
-    return c[:keep] * _phases(a)[np.arange(keep) % 4]
-
-
 def _check_phase(a: float) -> None:
     if not abs(a) <= _MAX_PHASE:
         raise RegimeViolation(
@@ -173,10 +138,14 @@ def _phases(a: float) -> np.ndarray:
 def _bessel_table(a: np.ndarray) -> np.ndarray:
     """Column j holds J_0(a_j) .. J_N(a_j), for ascending a_j >= 0.
 
-    _bessel_j's recurrence runs over all columns at once. Column j joins at
-    its own N_j and is rescaled alone, so it sees the same arithmetic as
-    _bessel_j(a_j), and it is zero above N_j. A column whose a_j is below
-    _SERIES_CUT is exactly J_0 = 1, as in _chebyshev_coefficients.
+    Miller's backward recurrence J_{k-1} = (2k / a) J_k - J_{k+1} runs over
+    all columns at once, each from its own J_{N_j+1} = 0, J_{N_j} = 1, with
+    N_j = a_j + 20 a_j^(1/3) + 40 well past the order where J_k(a_j) falls
+    below 1e-15. A column is rescaled alone when it grows past 1e100, so it
+    sees the arithmetic of a one-column recurrence, and it is zero above
+    N_j; the columns are normalised by J_0 + 2 * sum_k J_2k = 1. A column
+    whose a_j is below _SERIES_CUT is exactly J_0 = 1: every other term of
+    its series lies below the cut.
     """
     tops = np.where(a >= _SERIES_CUT, (a + 20.0 * a ** (1.0 / 3.0)).astype(np.int64) + 40, 0)
     top = int(tops[-1])
@@ -280,12 +249,17 @@ def check_steps(steps: int) -> None:
         raise RegimeViolation(f"need at least one step, got {steps}")
 
 
+def _check_room(dim: int, steps: int) -> None:
+    """Raise RegimeViolation unless D > steps+1, so a trajectory's basis leaves room in D."""
+    if dim <= steps + 1:
+        raise RegimeViolation(f"need dimension D > steps+1, got D={dim}, steps={steps}")
+
+
 def evolve_sequence(
     h: np.ndarray | IsingChain,
     psi0: np.ndarray,
     dt: float,
     steps: int,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> StateSet:
     """The states exp(-i h t) psi0 at t = 0, dt, ..., (steps-1) dt, as a StateSet.
 
@@ -306,20 +280,19 @@ def evolve_sequence(
         h = np.asarray(h, dtype=np.complex128)
     dim = psi0.shape[0] if psi0.ndim == 1 else 0
     check_steps(steps)
-    if dim <= steps + 1:
-        raise RegimeViolation(f"need dimension D > steps+1, got D={dim}, steps={steps}")
+    _check_room(dim, steps)
     shape = (h.dim, h.dim) if chain else h.shape
     if shape != (dim, dim):
         raise RegimeViolation(f"Hamiltonian shape {shape} does not match state length {dim}")
     span = abs(dt) * (steps - 1)
     if not (math.isfinite(dt) and math.isfinite(span)):
         raise RegimeViolation(f"time step and span must be finite, got dt={dt!r}, steps={steps}")
-    if abs(np.linalg.norm(psi0) - 1.0) > tol.state_norm:
+    if abs(np.linalg.norm(psi0) - 1.0) > Tolerances.state_norm:
         raise NotNormalized(f"initial state has norm {np.linalg.norm(psi0):.12g}")
     if chain:
         columns = _chain_trajectory(h, psi0, dt, steps).T
     else:
-        energies, vectors = hermitian_eig(h, tol)
+        energies, vectors = hermitian_eig(h)
         if not math.isfinite(float(np.abs(energies).max()) * span):
             raise RegimeViolation(f"phases E*t overflow over a time span of {span!r}")
         amplitudes = vectors.conj().T @ psi0
@@ -329,9 +302,7 @@ def evolve_sequence(
     return validate_state_set(columns, NormPolicy.STRICT)
 
 
-def coarse_grain_hamiltonian(
-    cg, h: np.ndarray | IsingChain, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def coarse_grain_hamiltonian(cg, h: np.ndarray | IsingChain) -> np.ndarray:
     """d x d representation of the Hamiltonian under the coarse-graining map.
 
     A chain is compressed from its action on the d retained basis columns,
@@ -339,26 +310,24 @@ def coarse_grain_hamiltonian(
     d x d result; a matrix goes through coarse_grain_operator.
     """
     if not isinstance(h, IsingChain):
-        return coarse_grain_operator(cg, h, tol)
+        return coarse_grain_operator(cg, h)
     # g^dag is the first d basis columns themselves: no D x d conjugate copy
     h_cg = cg.g @ h.apply(cg.source.basis[:, : cg.d])
-    check_hermitian(h_cg, tol, "coarse-grained Hamiltonian")
+    check_hermitian(h_cg, "coarse-grained Hamiltonian")
     return h_cg
 
 
-def coarse_grained_trajectory(
-    states: StateSet, d: int, tol: Tolerances = DEFAULT_TOL
-) -> list[CoarseState]:
+def coarse_grained_trajectory(states: StateSet, d: int) -> list[CoarseState]:
     """Fit a trajectory's states, then keep d weight components of each step.
 
     Step j is W[:d, j] over the root of its retained power; a fitted state
     lies in the span by construction. A d outside [2, M+1] is BadDimension.
     """
     check_dimension(states.count, d)
-    model = fit_pca(states, tol)
+    model = fit_pca(states)
     coarse = []
     for j, norm in enumerate(np.sqrt(retained_power(model)[d - 1]).tolist()):
-        if norm <= tol.zero_norm:
+        if norm <= Tolerances.zero_norm:
             raise ZeroNorm(f"state is orthogonal to the retained subspace (norm {norm:.3e})")
         weights = model.weights[:d, j] / norm
         weights.setflags(write=False)

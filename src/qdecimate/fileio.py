@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .numerics import DEFAULT_TOL, Tolerances, check_hermitian, gram_deviation
+from .numerics import Tolerances, check_hermitian, gram_deviation
 from .pca import PcaModel, numerical_rank
 
 FORMAT_VERSION = 2
@@ -261,7 +261,7 @@ def write_model(path: str | Path, model: PcaModel) -> None:
     _dump_json(path, doc)
 
 
-def read_model(path: str | Path, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
+def read_model(path: str | Path) -> PcaModel:
     """Load and re-validate a fitted model."""
     doc = _load_json(path)
     for key in ("format_version", "dimension", "count", "singular_values", "basis", "weights"):
@@ -281,11 +281,11 @@ def read_model(path: str | Path, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
         raise DomainError(f"{path}: expected {count} finite singular values")
     if np.any(np.diff(sv) > 0) or np.any(sv < 0):
         raise DomainError(f"{path}: singular values must be non-negative and descending")
-    if np.abs(basis[:, 0] - 1.0 / math.sqrt(dim)).max() > tol.base:
+    if np.abs(basis[:, 0] - 1.0 / math.sqrt(dim)).max() > Tolerances.base:
         raise DomainError(f"{path}: basis column 0 is not the uniform superposition")
     with np.errstate(over="ignore", invalid="ignore"):
         gram_dev = gram_deviation(basis)
-    if not gram_dev <= tol.base:  # also rejects a NaN deviation from overflowing entries
+    if not gram_dev <= Tolerances.base:  # also rejects a NaN deviation from overflowing entries
         raise DomainError(f"{path}: basis columns not orthonormal (deviation {gram_dev:.3e})")
     rank = numerical_rank(sv)
     basis.setflags(write=False)

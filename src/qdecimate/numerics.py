@@ -1,8 +1,9 @@
 """Dense complex linear algebra kernels with fixed conventions.
 
 Thin wrappers around numpy's LAPACK bindings that add input validation,
-a deterministic phase convention for singular vectors, and a shared
-tolerance record. Everything here is a pure function of its inputs.
+a deterministic phase convention for singular vectors, and the fixed
+tolerances every module reads. Everything here is a pure function of
+its inputs.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ from .errors import NoConvergence, NonFinite, NotHermitian
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Shared numerical tolerances.
-
-    Only base is settable (the CLI's --tolerance); the rest are fixed
-    class constants.
+    """Shared numerical tolerances, all fixed class constants.
 
     base:             orthonormality / reconstruction / hermiticity checks
     state_norm:       unit-norm validation of input state vectors
@@ -30,7 +28,7 @@ class Tolerances:
     psd_slack:        how negative a density-matrix eigenvalue may be
     """
 
-    base: float = 1e-10
+    base: ClassVar[float] = 1e-10
     state_norm: ClassVar[float] = 1e-9
     zero_norm: ClassVar[float] = 1e-14
     expectation_imag: ClassVar[float] = 1e-8
@@ -46,12 +44,12 @@ def check_finite(m: np.ndarray, name: str = "matrix") -> None:
         raise NonFinite(f"{name} contains NaN or Inf entries")
 
 
-def check_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL, name: str = "matrix") -> None:
+def check_hermitian(m: np.ndarray, name: str = "matrix") -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitian(f"{name} is not square: shape {m.shape}")
     check_finite(m, name)
     scale = max(np.abs(m).max(), 1.0) if m.size else 1.0
-    if np.abs(m - m.conj().T).max() > tol.base * scale:
+    if np.abs(m - m.conj().T).max() > Tolerances.base * scale:
         raise NotHermitian(f"{name} deviates from its conjugate transpose beyond tolerance")
 
 
@@ -143,12 +141,10 @@ def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vh
 
 
-def hermitian_eig(
-    m: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition ``(w, v)`` of a Hermitian matrix, eigenvalues ascending."""
     m = np.ascontiguousarray(m, dtype=np.complex128)
-    check_hermitian(m, tol)
+    check_hermitian(m)
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:

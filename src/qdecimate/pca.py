@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZeroDeviations, NoConvergence
-from .numerics import DEFAULT_TOL, Tolerances, gram_deviation, pivot_phases, svd
+from .numerics import Tolerances, gram_deviation, pivot_phases, svd
 from .stateset import StateSet
 
 __all__ = ["PcaModel", "fit_pca", "importances"]
@@ -75,14 +75,14 @@ _BLOCK_ROWS = 1024
 _BLOCK_WIDTHS = 4
 
 
-def fit_pca(s: StateSet, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
+def fit_pca(s: StateSet) -> PcaModel:
     """Fit the mean-plus-deviations PCA model of a state set.
 
     When every state is constant over the basis index, the deviations
     are exactly zero: the singular values are set to 0 and the rank
     is 0, whatever round-off the QR left in R[1:, 1:].
 
-    Raises NoConvergence if the basis is not orthonormal within tol.base.
+    Raises NoConvergence if the basis is not orthonormal within Tolerances.base.
     """
     dim, count = s.dim, s.count
     u0 = 1.0 / math.sqrt(dim)
@@ -123,7 +123,7 @@ def fit_pca(s: StateSet, tol: Tolerances = DEFAULT_TOL) -> PcaModel:
     phase = pivot_phases(phi[:, 1:])
     phi[:, 1:] *= np.conj(phase)
     gram_dev = gram_deviation(phi)
-    if not gram_dev <= tol.base:
+    if not gram_dev <= Tolerances.base:
         raise NoConvergence(f"fitted basis not orthonormal (deviation {gram_dev:.3e})")
 
     weights = np.zeros((count + 1, count), dtype=np.complex128)

@@ -110,6 +110,46 @@ def kron_ising_chain(n: int, coupling: float, field: float) -> np.ndarray:
     return h
 
 
+def bessel_j(a: float) -> np.ndarray:
+    """J_0(a) .. J_N(a) for a > 0 by Miller's backward recurrence, one a at a time.
+
+    J_{k-1} = (2k / a) J_k - J_{k+1} runs down from J_{N+1} = 0, J_N = 1,
+    with N = a + 20 a^(1/3) + 40 well past the order where J_k(a) falls
+    below 1e-15. The values are rescaled when they grow past 1e100 and
+    normalised by J_0 + 2 * sum_k J_2k = 1.
+    """
+    top = int(a + 20.0 * a ** (1.0 / 3.0)) + 40
+    j = np.zeros(top + 2)
+    j[top] = 1.0
+    for k in range(top, 0, -1):
+        j[k - 1] = (2.0 * k / a) * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e100:
+            j[k - 1 :] *= 1e-100
+    j = j[: top + 1]
+    return j / (j[0] + 2.0 * j[2::2].sum())
+
+
+# Chebyshev coefficients with |c_k| below this are dropped.
+SERIES_CUT = 1e-15
+
+
+def chebyshev_coefficients(a: float) -> np.ndarray:
+    """c_k with exp(-i a x) = sum_k c_k T_k(x) on [-1, 1], up to the last |c_k| >= 1e-15.
+
+    c_0 = J_0(a) and c_k = 2 (-i)^k J_k(a) (Jacobi-Anger). A negative a uses
+    J_k(-a) = (-1)^k J_k(|a|), i.e. the phases i^k. Below the cut, J_0(a)
+    rounds to 1 and every other |c_k| is below it: the series is [1].
+    """
+    if abs(a) < SERIES_CUT:
+        return np.ones(1, dtype=np.complex128)
+    j = bessel_j(abs(a))
+    c = 2.0 * j
+    c[0] = j[0]
+    keep = int(np.flatnonzero(np.abs(c) >= SERIES_CUT)[-1]) + 1
+    phases = np.array([1, -1j, -1, 1j] if a > 0 else [1, 1j, -1, -1j])
+    return c[:keep] * phases[np.arange(keep) % 4]
+
+
 def naive_triple_product(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """g @ h @ g^dag by explicit summation loops."""
     d, dim = g.shape

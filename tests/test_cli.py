@@ -1,8 +1,11 @@
+import argparse
 import contextlib
 import io
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -563,14 +566,26 @@ class TestEvolve:
     def test_estimated_footprint_over_physical_memory_exit_1(
         self, tmp_path, monkeypatch, spec, dim
     ):
-        # the estimate is 466-537 KiB for these specs and 100 steps; pretend the machine has 16 KiB
+        # the estimate is 185-247 KiB for these specs and 30 steps (D > steps+1, so the
+        # dimension check passes); pretend the machine has 16 KiB
         monkeypatch.setattr(cli, "_physical_memory", lambda: 2**14)
         reached = []
         monkeypatch.setattr(cli, "evolve_sequence", lambda *args: reached.append(args))
-        argv = ["evolve", "--hamiltonian", spec, *dim, "--dt", "0.1", "--steps", "100"]
+        argv = ["evolve", "--hamiltonian", spec, *dim, "--dt", "0.1", "--steps", "30"]
         code, err = _stderr_lines([*argv, "--out-prefix", str(tmp_path / "x")])
         assert code == 1 and len(err) == 1, err
-        assert err[0].startswith("error: out of memory: evolve with D=") and "100 steps" in err[0]
+        assert err[0].startswith("error: out of memory: evolve with D=") and "30 steps" in err[0]
+        assert not reached and not list(tmp_path.iterdir())
+
+    def test_dimension_refused_before_the_memory_estimate(self, tmp_path, monkeypatch):
+        # 10^9 steps would be estimated at about 1.2e3 GiB; D=16 <= steps+1 comes first
+        reached = []
+        monkeypatch.setattr(cli, "_check_evolve_memory", lambda *args, **kw: reached.append(args))
+        argv = ["evolve", "--hamiltonian", "ising:4", "--dt", "0.1", "--steps", "1000000000"]
+        code, err = _stderr_lines([*argv, "--out-prefix", str(tmp_path / "x")])
+        assert code == 2 and err == [
+            "error: RegimeViolation: need dimension D > steps+1, got D=16, steps=1000000000"
+        ]
         assert not reached and not list(tmp_path.iterdir())
 
     def test_footprint_within_physical_memory_runs(self, tmp_path, monkeypatch):
@@ -653,24 +668,43 @@ class TestInfoAndParser:
             ["entropy-curve", "s.json", "--state", "1", "--qubit", "1", "--fine", "--seed", "1"],
             ["info", "--seed", "1"],
             ["info", "--tolerance", "1e-9"],
+            ["fit", "s.json", "-o", "m.json", "--tolerance", "1e-9"],
+            ["decimate", "m.json", "-o", "c.json", "--d", "2", "--tolerance", "1e-9"],
+            ["entropy-curve", "s.json", "--state", "1", "--qubit", "1", "--fine"]
+            + ["--tolerance", "1e-9"],
+            ["evolve", "--hamiltonian", "ising:4", "--dt", "0.1", "--steps", "3"]
+            + ["--out-prefix", "missing-dir/x", "--tolerance", "1e-9"],
         ],
-        ids=["fit-seed", "decimate-seed", "entropy-curve-seed", "info-seed", "info-tolerance"],
+        ids=[
+            "fit-seed",
+            "decimate-seed",
+            "entropy-curve-seed",
+            "info-seed",
+            "info-tolerance",
+            "fit-tolerance",
+            "decimate-tolerance",
+            "entropy-curve-tolerance",
+            "evolve-tolerance",
+        ],
     )
     def test_flags_a_command_does_not_read_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
 
-    def test_tolerance_flag_validated(self, tmp_path):
-        path = tmp_path / "s.json"
-        write_state_set(path, random_state_set(16, 3, seed=160).matrix)
-        model = tmp_path / "m.json"
-        for value in ("-1", "0", "nan", "inf", "-inf"):
-            code, err = _stderr_lines(["fit", str(path), "-o", str(model), f"--tolerance={value}"])
-            assert code == 2 and len(err) == 1 and "finite and positive" in err[0], (value, err)
-            assert not model.exists()
-        assert main(["fit", str(path), "-o", str(model)]) == 0
-        code, err = _stderr_lines(
-            ["decimate", str(model), "-o", str(tmp_path / "c.json"), "--d", "2", "--tolerance=nan"]
-        )
-        assert code == 2 and len(err) == 1 and "finite and positive" in err[0], err
+    def test_readme_documents_exactly_the_long_options(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"--[a-z0-9][a-z0-9-]*", section))
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            option
+            for p in (parser, *sub.choices.values())
+            for action in p._actions
+            for option in action.option_strings
+            if option.startswith("--")
+        }
+        assert documented <= options, documented - options
+        # --output is documented as -o
+        assert options - {"--help", "--version", "--output"} <= documented

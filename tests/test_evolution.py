@@ -31,15 +31,15 @@ from qdecimate import (
 )
 
 from qdecimate import evolution
-from qdecimate.evolution import (
-    _MAX_PHASE,
-    _bessel_j,
-    _bessel_table,
-    _chebyshev_coefficients,
-    _segment_coefficients,
-)
+from qdecimate.evolution import _MAX_PHASE, _bessel_table, _check_phase, _segment_coefficients
 
-from helpers import kron_ising_chain, naive_expectation, naive_triple_product
+from helpers import (
+    bessel_j,
+    chebyshev_coefficients,
+    kron_ising_chain,
+    naive_expectation,
+    naive_triple_product,
+)
 
 COUPLINGS = (1.0, -0.7, 0.0, 2.5e-3)
 FIELDS = (1.0, -1.3, 0.0, 0.37)
@@ -385,11 +385,11 @@ class TestChebyshevSeries:
         ],
     )
     def test_bessel_tabulated(self, k, a, value):
-        assert abs(_bessel_j(a)[k] - value) <= 1e-15 * max(1.0, a**0.5) + 1e-15 * abs(value)
+        assert abs(bessel_j(a)[k] - value) <= 1e-15 * max(1.0, a**0.5) + 1e-15 * abs(value)
 
     @pytest.mark.parametrize("a", [1e-12, 0.3, 1.9, 31.0, 400.0])
     def test_bessel_sum_rules(self, a):
-        j = _bessel_j(a)
+        j = bessel_j(a)
         assert abs(j[0] + 2.0 * j[2::2].sum() - 1.0) <= 1e-15
         # independent of the normalisation: J_0^2 + 2 sum_k J_k^2 = 1
         assert abs(j[0] ** 2 + 2.0 * np.sum(j[1:] ** 2) - 1.0) <= 1e-13
@@ -397,7 +397,7 @@ class TestChebyshevSeries:
     @pytest.mark.parametrize("a", [1e-9, 0.5, 1.9, -3.0, 25.0, -120.0])
     def test_series_is_the_exponential(self, a):
         # sum_k c_k T_k(x) = exp(-i a x) across [-1, 1], cut at |c_k| < 1e-15
-        c = _chebyshev_coefficients(a)
+        c = chebyshev_coefficients(a)
         assert np.abs(c[-1]) >= 1e-15
         x = np.linspace(-1.0, 1.0, 41)
         got = np.polynomial.chebyshev.chebval(x, c)
@@ -405,16 +405,16 @@ class TestChebyshevSeries:
 
     def test_negative_phase_is_exact_conjugate(self):
         for a in (0.2, 1.9, 40.0):
-            assert np.array_equal(_chebyshev_coefficients(-a), _chebyshev_coefficients(a).conj())
+            assert np.array_equal(chebyshev_coefficients(-a), chebyshev_coefficients(a).conj())
 
     def test_zero_phase_is_identity(self):
         for a in (0.0, -0.0, 1e-300, -5e-324):
-            assert np.array_equal(_chebyshev_coefficients(a), [1.0])
+            assert np.array_equal(chebyshev_coefficients(a), [1.0])
 
     @pytest.mark.parametrize("a", [1e300, -1e300, float("inf"), float("nan"), _MAX_PHASE * 1.01])
     def test_phase_beyond_cap_rejected(self, a):
         with pytest.raises(RegimeViolation, match="phase"):
-            _chebyshev_coefficients(a)
+            _check_phase(a)
 
 
 @pytest.fixture
@@ -485,7 +485,7 @@ class TestChebyshevPropagation:
         step = chain.bound * dt
         terms = _segment_coefficients(step, steps - 1, 512)[1]
         # the longest segment whose K stays within D
-        assert terms[-1] <= 512 < _chebyshev_coefficients(step * (terms.size + 1)).size
+        assert terms[-1] <= 512 < chebyshev_coefficients(step * (terms.size + 1)).size
         segments = -(-(steps - 1) // terms.size)
         assert segments == 2
         total_terms = len(apply_calls) + segments  # a K-term segment applies H K - 1 times
@@ -501,8 +501,8 @@ class TestChebyshevPropagation:
         chain = ising_chain(10)
         steps, dt = 60, 0.1
         evolve_sequence(chain, random_state_vector(1024, seed=420), dt, steps)
-        terms = _chebyshev_coefficients(chain.bound * dt * (steps - 1)).size
-        per_step = _chebyshev_coefficients(chain.bound * dt).size - 1
+        terms = chebyshev_coefficients(chain.bound * dt * (steps - 1)).size
+        per_step = chebyshev_coefficients(chain.bound * dt).size - 1
         assert len(apply_calls) == terms - 1 == 163
         assert (steps - 1) * per_step == 1003
         assert all(shape == (1024,) for shape in apply_calls)
@@ -514,7 +514,7 @@ class TestChebyshevPropagation:
         steps, step = 40, chain.bound * abs(dt)
         single = evolve_sequence(chain, psi0, dt, steps).matrix
         single_applies = len(apply_calls)
-        assert single_applies == _chebyshev_coefficients(step * (steps - 1)).size - 1
+        assert single_applies == chebyshev_coefficients(step * (steps - 1)).size - 1
         monkeypatch.setattr(evolution, "_MAX_PHASE", 3.5 * step)
         assert _segment_coefficients(step, steps - 1, 128)[1].size == 3
         segmented = evolve_sequence(chain, psi0, dt, steps).matrix
@@ -531,7 +531,7 @@ class TestChebyshevPropagation:
         # below the cut, J_0 rounds to 1 and the column is exactly (1, 0, 0, ...)
         assert np.array_equal(table[0, :2], [1.0, 1.0]) and not table[1:, :2].any()
         for column, value in zip(table.T[2:], a[2:]):
-            scalar = _bessel_j(value)
+            scalar = bessel_j(value)
             assert np.abs(column[: scalar.size] - scalar).max() <= 1e-16
             assert not column[scalar.size :].any()
         step = 0.37
@@ -539,7 +539,7 @@ class TestChebyshevPropagation:
         assert real.shape == (terms[-1], 30) and np.all(np.diff(terms) >= 0)
         for j in range(1, 31):
             for sign in (1.0, -1.0):
-                want = _chebyshev_coefficients(sign * j * step)
+                want = chebyshev_coefficients(sign * j * step)
                 got = real[: want.size, j - 1] * evolution._phases(sign)[np.arange(want.size) % 4]
                 assert np.abs(got - want).max() <= 4 * np.finfo(float).eps
                 assert np.abs(real[want.size :, j - 1]).max(initial=0.0) < 1e-15
