@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .entanglement import (
 from .errors import AllZeroDeviations, DomainError
 from .evolution import (
     _BLOCK,
-    IsingChain,
     _check_room,
     check_steps,
     coarse_grain_hamiltonian,
@@ -147,13 +147,16 @@ def _check_evolve_memory(dim: int, steps: int, dense: bool) -> None:
     need = 16 * dim * (_TRAJECTORY_COPIES * (steps + 1) + extra)
     have = _physical_memory()
     if need > have:
+        # past 2^1000 bytes, need / 2**30 would overflow a float
+        gib = need / 2**30 if need.bit_length() < 1000 else math.inf
         raise MemoryError(
-            f"evolve with D={dim} and {steps} steps needs about {need / 2**30:.3g} GiB, "
+            f"evolve with D={dim} and {steps} steps needs about {gib:.3g} GiB, "
             f"more than the {have / 2**30:.3g} GiB of physical memory"
         )
 
 
-def _parse_hamiltonian(args: argparse.Namespace) -> tuple[np.ndarray | IsingChain, int]:
+def _parse_hamiltonian(args: argparse.Namespace) -> tuple[int, bool, Callable]:
+    """D, whether H is a dense matrix, and a call that builds H; nothing is built here."""
     spec = args.hamiltonian
     name, _, rest = spec.partition(":")
     if args.dim is not None and args.dim < 1:
@@ -164,12 +167,12 @@ def _parse_hamiltonian(args: argparse.Namespace) -> tuple[np.ndarray | IsingChai
                 raise DomainError(f"zero takes no parameters, got '{spec}'")
             if args.dim is None:
                 raise DomainError("zero Hamiltonian needs --dim")
-            return np.zeros((args.dim, args.dim), dtype=np.complex128), args.dim
+            return args.dim, True, lambda: np.zeros((args.dim, args.dim), dtype=np.complex128)
         if name == "random":
             if args.dim is None:
                 raise DomainError("random Hamiltonian needs --dim")
             seed = int(rest) if rest else args.seed
-            return random_hamiltonian(args.dim, seed), args.dim
+            return args.dim, True, lambda: random_hamiltonian(args.dim, seed)
         if name == "ising":
             if not rest:
                 raise DomainError("ising spec needs a site count, e.g. ising:6 or ising:6,1.0,0.5")
@@ -179,10 +182,12 @@ def _parse_hamiltonian(args: argparse.Namespace) -> tuple[np.ndarray | IsingChai
             sites = int(parts[0])
             coupling = float(parts[1]) if len(parts) > 1 else 1.0
             field = float(parts[2]) if len(parts) > 2 else 1.0
+            if sites < 2:
+                raise DomainError(f"chain needs at least 2 qubits, got {sites}")
             dim = 2**sites
             if args.dim is not None and args.dim != dim:
                 raise DomainError(f"--dim {args.dim} conflicts with ising:{sites} (D={dim})")
-            return ising_chain(sites, coupling=coupling, field=field), dim
+            return dim, False, lambda: ising_chain(sites, coupling=coupling, field=field)
     except ValueError as exc:
         raise DomainError(f"bad Hamiltonian spec '{spec}': {exc}") from exc
     raise DomainError(f"unknown Hamiltonian spec '{spec}' (use zero | random:seed | ising:n,J,g)")
@@ -221,10 +226,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     check_steps(args.steps)
     if args.d is not None:
         check_dimension(args.steps, args.d)
-    h, dim = _parse_hamiltonian(args)
+    dim, dense, build = _parse_hamiltonian(args)
     _check_room(dim, args.steps)
+    _check_evolve_memory(dim, args.steps, dense)
+    h = build()
     psi0 = _parse_psi0(args.psi0, dim, args.seed)
-    _check_evolve_memory(dim, args.steps, dense=not isinstance(h, IsingChain))
     states = evolve_sequence(h, psi0, args.dt, args.steps)
     model = fit_pca(states)
     d = args.d if args.d is not None else model.count + 1
@@ -255,8 +261,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     print("commands: fit, decimate, entropy-curve, evolve, info")
     print(
         "state/model/operator files: JSON, complex arrays as "
-        '{"dtype": "<c16", "shape": [...], "data": base64 of little-endian complex128}; '
-        "[re, im] pair lists are still read"
+        '{"dtype": "<c16", "shape": [...], "data": base64 of little-endian complex128}'
     )
     print("curve files: CSV with header d,value")
     for name in ("base", "state_norm", "zero_norm", "expectation_imag", "rank_rel", "psd_slack"):
@@ -295,11 +300,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "entropy-curve", help="single-qubit entropy of one state vs coarse dimension"
     )
     ent.add_argument("states", help="input state-set JSON file (dimension must be 2^n)")
-    ent.add_argument("-o", "--output", default=None, help="curve CSV file to write")
+    # --fine prints one value and writes no file
+    target = ent.add_mutually_exclusive_group()
+    target.add_argument("-o", "--output", default=None, help="curve CSV file to write")
     ent.add_argument("--state", type=int, required=True, help="1-based state index")
     ent.add_argument("--qubit", type=int, required=True, help="1-based qubit index (big-endian)")
     ent.add_argument("--bits", action="store_true", help="report entropy in bits instead of nats")
-    ent.add_argument(
+    target.add_argument(
         "--fine",
         action="store_true",
         help="print the untruncated entropy of the chosen state and exit",

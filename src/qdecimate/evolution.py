@@ -359,9 +359,13 @@ def ising_chain(n: int, coupling: float = 1.0, field: float = 1.0) -> IsingChain
             f"J, G and the bound |J|(n-1)+|G|n must be finite, got J={coupling!r}, G={field!r}"
         )
     index = np.arange(2**n)
-    z = [1.0 - 2.0 * ((index >> (n - site)) & 1) for site in range(1, n + 1)]
     diagonal = np.zeros(2**n)
+    # Z_s one site at a time: only the two Z vectors of one bond are held
+    z = 1.0 - 2.0 * ((index >> (n - 1)) & 1)
     for site in range(1, n):
-        diagonal -= coupling * (z[site - 1] * z[site])
+        bond = z
+        z = 1.0 - 2.0 * ((index >> (n - site - 1)) & 1)
+        bond *= z
+        diagonal -= coupling * bond
     diagonal.setflags(write=False)
     return IsingChain(sites=n, coupling=coupling, field=field, diagonal=diagonal)

@@ -5,8 +5,8 @@ Every complex array is one JSON object
 the row-major little-endian complex128 bytes, so a write/read cycle is
 bit-exact and identical inputs produce byte-identical files. State sets
 store their D x M matrix transposed, one row per state (shape [M, D]).
-Readers still accept the format-1 form, a nested list of [re, im] pairs,
-so hand-written state sets and older model and operator files load.
+Every JSON file holds format_version 2, the only version read, and an
+integer dimension, and one header check serves all three readers.
 Singular values stay a plain JSON float list; curves are CSV rows whose
 floats go through Python's shortest round-trip repr. All writes are
 atomic (temp file + rename) and leave the file with mode 0666 less the
@@ -39,7 +39,6 @@ from .numerics import Tolerances, check_hermitian, gram_deviation
 from .pca import PcaModel, numerical_rank
 
 FORMAT_VERSION = 2
-_READABLE_VERSIONS = (1, FORMAT_VERSION)
 _DTYPE = "<c16"
 # base64 text that padding may end, and nothing else
 _BASE64_TEXT = r"[A-Za-z0-9+/]*={0,2}"
@@ -120,7 +119,8 @@ def _dump_json(path: str | Path, doc: dict) -> None:
     _atomic_write(path, write_body)
 
 
-def _load_json(path: str | Path) -> dict:
+def _read_document(path: str | Path, *keys: str) -> tuple[dict, int]:
+    """A format-2 file's JSON object, which must hold keys, and its integer dimension."""
     with open(path, encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
@@ -132,7 +132,15 @@ def _load_json(path: str | Path) -> dict:
             raise DomainError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise DomainError(f"{path}: expected a JSON object at top level")
-    return doc
+    for key in ("format_version", "dimension", *keys):
+        if key not in doc:
+            raise DomainError(f"{path}: missing key '{key}'")
+    version = _int_field(doc, "format_version", path)
+    if version != FORMAT_VERSION:
+        raise DomainError(
+            f"{path}: unsupported format_version {version} (only {FORMAT_VERSION} is read)"
+        )
+    return doc, _int_field(doc, "dimension", path)
 
 
 def _int_field(doc: dict, key: str, path: str | Path) -> int:
@@ -143,35 +151,17 @@ def _int_field(doc: dict, key: str, path: str | Path) -> int:
     return value
 
 
-def _check_format_version(doc: dict, path: str | Path) -> None:
-    version = _int_field(doc, "format_version", path)
-    if version not in _READABLE_VERSIONS:
-        raise DomainError(f"{path}: unsupported format_version {version}")
-
-
-def _float_array(value, field: str, path: str | Path) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{path}: {field} is not a numeric array") from exc
-
-
 def _decode_array(value, field: str, path: str | Path) -> np.ndarray:
-    """A complex array from its {dtype, shape, data} object or a list of [re, im] pairs.
+    """A complex array from its {dtype, shape, data} object.
 
-    The object form returns a read-only view of the decoded bytes. Its
-    shape entries must be positive, so no decoded dimension exceeds the
-    number of entries the file actually holds. The "data" string is popped
+    The result is a read-only view of the decoded bytes. Its shape entries
+    must be positive, so no decoded dimension exceeds the number of
+    entries the file actually holds. The "data" string is popped
     out of the object and dropped once decoded; callers pop the object out
     of their document, so the text is freed before any further copy.
     """
     if not isinstance(value, dict):
-        arr = _float_array(value, field, path)
-        if arr.ndim < 1 or arr.shape[-1] != 2:
-            raise DomainError(f"{path}: {field} entries must be [re, im] pairs")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError(f"{path}: {field} contains non-finite numbers")
-        return arr[..., 0] + 1j * arr[..., 1]
+        raise DomainError(f"{path}: {field} must be a {{dtype, shape, data}} object")
     if value.get("dtype") != _DTYPE:
         raise DomainError(f"{path}: {field} dtype must be '{_DTYPE}'")
     shape = value.get("shape")
@@ -222,16 +212,10 @@ def write_state_set(
 
 def read_state_set(path: str | Path) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """Read back a D x M matrix plus optional labels (no policy applied here)."""
-    doc = _load_json(path)
-    for key in ("dimension", "states"):
-        if key not in doc:
-            raise DomainError(f"{path}: missing key '{key}'")
-    if "format_version" in doc:
-        _check_format_version(doc, path)
+    doc, dim = _read_document(path, "states")
     states = _decode_array(doc.pop("states"), "states", path)
     if states.ndim != 2:
-        raise DomainError(f"{path}: states must be a list of equal-length vectors")
-    dim = _int_field(doc, "dimension", path)
+        raise DomainError(f"{path}: states must have shape [M, D], one row per state")
     matrix = np.ascontiguousarray(states.T)
     if matrix.shape[0] != dim:
         raise DomainError(
@@ -263,16 +247,14 @@ def write_model(path: str | Path, model: PcaModel) -> None:
 
 def read_model(path: str | Path) -> PcaModel:
     """Load and re-validate a fitted model."""
-    doc = _load_json(path)
-    for key in ("format_version", "dimension", "count", "singular_values", "basis", "weights"):
-        if key not in doc:
-            raise DomainError(f"{path}: missing key '{key}'")
-    _check_format_version(doc, path)
-    dim = _int_field(doc, "dimension", path)
+    doc, dim = _read_document(path, "count", "singular_values", "basis", "weights")
     count = _int_field(doc, "count", path)
     basis = _decode_array(doc.pop("basis"), "basis", path)
     weights = _decode_array(doc.pop("weights"), "weights", path)
-    sv = _float_array(doc["singular_values"], "singular_values", path)
+    try:
+        sv = np.asarray(doc["singular_values"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{path}: singular_values is not a numeric array") from exc
     if basis.shape != (dim, count + 1):
         raise DomainError(f"{path}: basis shape {basis.shape} != ({dim}, {count + 1})")
     if weights.shape != (count + 1, count):
@@ -308,12 +290,7 @@ def write_operator(path: str | Path, matrix: np.ndarray) -> None:
 
 def read_operator(path: str | Path) -> np.ndarray:
     """Load a square operator and check that it is Hermitian."""
-    doc = _load_json(path)
-    for key in ("format_version", "dimension", "matrix"):
-        if key not in doc:
-            raise DomainError(f"{path}: missing key '{key}'")
-    _check_format_version(doc, path)
-    dim = _int_field(doc, "dimension", path)
+    doc, dim = _read_document(path, "matrix")
     matrix = np.array(_decode_array(doc.pop("matrix"), "matrix", path))
     if matrix.shape != (dim, dim):
         raise DomainError(f"{path}: matrix shape {matrix.shape} != ({dim}, {dim})")

@@ -112,10 +112,10 @@ def gram_deviation(x: np.ndarray) -> float:
     """
     v = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
     g = v.T @ v
-    re = g[0::2, 0::2] + g[1::2, 1::2]
-    im = g[0::2, 1::2] - g[1::2, 0::2]
-    re[np.diag_indices_from(re)] -= 1.0
-    return float(np.hypot(re, im).max())
+    real = g[0::2, 0::2] + g[1::2, 1::2]
+    imag = g[0::2, 1::2] - g[1::2, 0::2]
+    real[np.diag_indices_from(real)] -= 1.0
+    return float(np.hypot(real, imag).max())
 
 
 def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

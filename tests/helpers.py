@@ -173,39 +173,6 @@ def naive_expectation(x: np.ndarray, op: np.ndarray) -> complex:
     return acc
 
 
-def _pairs(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(m)]
-
-
-def _dump_v1(path, doc: dict) -> None:
-    with open(path, "w") as handle:
-        handle.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def write_v1_state_set(path, matrix: np.ndarray) -> None:
-    """Format-1 state set: no version field, one list of [re, im] pairs per state."""
-    _dump_v1(path, {"dimension": matrix.shape[0], "states": _pairs(matrix.T)})
-
-
-def write_v1_model(path, basis: np.ndarray, weights: np.ndarray, singular_values) -> None:
-    """Format-1 model: basis and weights as row lists of [re, im] pairs."""
-    doc = {
-        "format_version": 1,
-        "dimension": basis.shape[0],
-        "count": weights.shape[1],
-        "singular_values": [float(x) for x in singular_values],
-        "basis": _pairs(basis),
-        "weights": _pairs(weights),
-    }
-    _dump_v1(path, doc)
-
-
-def write_v1_operator(path, matrix: np.ndarray) -> None:
-    """Format-1 operator: a square matrix as row lists of [re, im] pairs."""
-    doc = {"format_version": 1, "dimension": matrix.shape[0], "matrix": _pairs(matrix)}
-    _dump_v1(path, doc)
-
-
 def whole_document_json(doc: dict) -> bytes:
     """Format-2 file bytes built as one text, the way the writers once did.
 

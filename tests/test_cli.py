@@ -44,6 +44,14 @@ def _states_file(tmp_path, dim, count, seed, name="states.json"):
     return path, s
 
 
+# the header-less fields of a state set of one state, 1 + 0j in one dimension
+_ONE_STATE = (
+    b'"dimension": 1, "states": '
+    b'{"dtype": "<c16", "shape": [1, 1], "data": "AAAAAAAA8D8AAAAAAAAAAA=="}'
+)
+_NOT_AN_OBJECT = "states must be a {dtype, shape, data} object"
+
+
 class TestFit:
     def test_happy_path(self, tmp_path, capsys):
         path, s = _states_file(tmp_path, 16, 3, seed=130)
@@ -92,6 +100,10 @@ class TestFit:
         [
             (b"[" * 100000 + b"]" * 100000, "nested too deeply"),
             (b'{"dimension": 2, "labels": ["\xff"]}', "not UTF-8"),
+            # format 1: a version-1 file, a pair-list array, a state set with no version
+            (b'{"format_version": 1, %s}' % _ONE_STATE, "unsupported format_version 1"),
+            (b'{"format_version": 2, "dimension": 1, "states": [[[1.0, 0.0]]]}', _NOT_AN_OBJECT),
+            (b"{%s}" % _ONE_STATE, "missing key 'format_version'"),
         ],
     )
     def test_unreadable_json_exit_2_one_line(self, tmp_path, capsys, fine, content, message):
@@ -107,8 +119,10 @@ class TestFit:
 
     @pytest.mark.parametrize("dimension", [[1], 1.5, True, "2"])
     def test_non_integer_dimension_exit_2(self, tmp_path, capsys, dimension):
-        path = tmp_path / "states.json"
-        path.write_text(json.dumps({"dimension": dimension, "states": [[[1, 0]]]}))
+        path, _ = _states_file(tmp_path, 16, 3, seed=135)
+        doc = json.loads(path.read_text())
+        doc["dimension"] = dimension
+        path.write_text(json.dumps(doc))
         assert main(["fit", str(path), "-o", str(tmp_path / "m.json")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -277,8 +291,8 @@ class TestEntropyCurve:
         reached = []
         monkeypatch.setattr(cli, "fit_pca", lambda *args: reached.append(args))
         out = tmp_path / "curve.csv"
-        argv = ["entropy-curve", str(path), "-o", str(out), "--state", state, "--qubit", "1"]
-        code, err = _stderr_lines([*argv, *fine])
+        argv = ["entropy-curve", str(path), "--state", state, "--qubit", "1"]
+        code, err = _stderr_lines([*argv, *(fine or ["-o", str(out)])])
         assert code == 2 and err == [f"error: DomainError: --state must lie in 1..3, got {state}"]
         assert not reached and not out.exists()
 
@@ -290,8 +304,8 @@ class TestEntropyCurve:
         reached = []
         monkeypatch.setattr(cli, "fit_pca", lambda *args: reached.append(args))
         out = tmp_path / "curve.csv"
-        argv = ["entropy-curve", str(path), "-o", str(out), "--state", "1", "--qubit", qubit]
-        code, err = _stderr_lines([*argv, *fine])
+        argv = ["entropy-curve", str(path), "--state", "1", "--qubit", qubit]
+        code, err = _stderr_lines([*argv, *(fine or ["-o", str(out)])])
         assert code == 2 and err == [f"error: DomainError: --qubit must lie in 1..4, got {qubit}"]
         assert not reached and not out.exists()
 
@@ -555,7 +569,7 @@ class TestEvolve:
             raise MemoryError("cannot allocate the chain")
 
         monkeypatch.setattr(cli, "ising_chain", refuse)
-        argv = ["evolve", "--hamiltonian", "ising:40", "--dt", "0.1", "--steps", "5"]
+        argv = ["evolve", "--hamiltonian", "ising:6", "--dt", "0.1", "--steps", "5"]
         code, err = _stderr_lines([*argv, "--out-prefix", str(tmp_path / "x")])
         assert code == 1 and err == ["error: out of memory: cannot allocate the chain"]
         assert not list(tmp_path.iterdir())
@@ -567,12 +581,14 @@ class TestEvolve:
         self, tmp_path, monkeypatch, spec, dim
     ):
         # the estimate is 185-247 KiB for these specs and 30 steps (D > steps+1, so the
-        # dimension check passes); pretend the machine has 16 KiB
+        # dimension check passes); pretend the machine has 16 KiB. Neither H nor psi0
+        # is built before the estimate refuses the run.
         monkeypatch.setattr(cli, "_physical_memory", lambda: 2**14)
         reached = []
-        monkeypatch.setattr(cli, "evolve_sequence", lambda *args: reached.append(args))
-        argv = ["evolve", "--hamiltonian", spec, *dim, "--dt", "0.1", "--steps", "30"]
-        code, err = _stderr_lines([*argv, "--out-prefix", str(tmp_path / "x")])
+        for name in ("evolve_sequence", "ising_chain", "random_hamiltonian", "random_state_vector"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kw: reached.append(name))
+        argv = ["evolve", "--hamiltonian", spec, *dim, "--psi0", "random:3", "--dt", "0.1"]
+        code, err = _stderr_lines([*argv, "--steps", "30", "--out-prefix", str(tmp_path / "x")])
         assert code == 1 and len(err) == 1, err
         assert err[0].startswith("error: out of memory: evolve with D=") and "30 steps" in err[0]
         assert not reached and not list(tmp_path.iterdir())
@@ -647,7 +663,7 @@ class TestInfoAndParser:
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "model format_version: 2" in out
-        assert '"dtype": "<c16"' in out and "[re, im] pair lists are still read" in out
+        assert '"dtype": "<c16"' in out and "[re, im]" not in out
         assert "tolerance base: 1e-10" in out
 
     def test_no_command_is_usage_error(self):
@@ -666,6 +682,7 @@ class TestInfoAndParser:
             ["fit", "s.json", "-o", "m.json", "--seed", "1"],
             ["decimate", "m.json", "-o", "c.json", "--d", "2", "--seed", "1"],
             ["entropy-curve", "s.json", "--state", "1", "--qubit", "1", "--fine", "--seed", "1"],
+            ["entropy-curve", "s.json", "-o", "c.csv", "--state", "1", "--qubit", "1", "--fine"],
             ["info", "--seed", "1"],
             ["info", "--tolerance", "1e-9"],
             ["fit", "s.json", "-o", "m.json", "--tolerance", "1e-9"],
@@ -679,6 +696,7 @@ class TestInfoAndParser:
             "fit-seed",
             "decimate-seed",
             "entropy-curve-seed",
+            "entropy-curve-output-and-fine",
             "info-seed",
             "info-tolerance",
             "fit-tolerance",

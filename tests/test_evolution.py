@@ -308,6 +308,12 @@ class TestGenerators:
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (coupling, field)
 
+    def test_ising_holds_at_most_six_diagonals(self):
+        # one Z vector per site at once would be n = 16 diagonals and more
+        diagonal_bytes = 8 * 2**16
+        peak = _peak_bytes(lambda: ising_chain(16, -0.7, 0.37))
+        assert peak <= 6 * diagonal_bytes, f"peak {peak / diagonal_bytes:.2f} diagonals"
+
     def test_ising_needs_two_sites(self):
         with pytest.raises(RegimeViolation):
             ising_chain(1)

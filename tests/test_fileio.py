@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import itertools
 import json
 import os
@@ -23,13 +24,7 @@ from qdecimate.fileio import (
     write_state_set,
 )
 
-from helpers import (
-    random_hermitian_oracle,
-    write_v1_model,
-    whole_document_json,
-    write_v1_operator,
-    write_v1_state_set,
-)
+from helpers import random_hermitian_oracle, whole_document_json
 
 # -0.0, the smallest subnormal, a mid-range subnormal and the largest finite magnitudes
 AWKWARD = np.array([-0.0, 5e-324, 1.1125369292536007e-308, 1e308, -1e308, 0.1 + 0.2])
@@ -48,6 +43,12 @@ def _decode(obj: dict) -> np.ndarray:
 def _encode(a: np.ndarray) -> dict:
     a = np.ascontiguousarray(a, dtype="<c16")
     return {"dtype": "<c16", "shape": list(a.shape), "data": base64.b64encode(a).decode()}
+
+
+def _write_doc(path, **doc) -> None:
+    """A format-2 file holding doc's fields, its ndarray values as array objects."""
+    doc = {key: _encode(v) if isinstance(v, np.ndarray) else v for key, v in doc.items()}
+    path.write_text(json.dumps({"format_version": 2, **doc}))
 
 
 class TestStateSetFile:
@@ -89,42 +90,20 @@ class TestStateSetFile:
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"dimension": 4}))
-        with pytest.raises(DomainError):
+        _write_doc(path, dimension=4)
+        with pytest.raises(DomainError, match="bad.json: missing key 'states'"):
             read_state_set(path)
 
     def test_dimension_mismatch(self, tmp_path):
         path = tmp_path / "bad.json"
-        doc = {"dimension": 3, "states": [[[1.0, 0.0], [0.0, 0.0]]]}
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DomainError):
-            read_state_set(path)
-
-    def test_non_finite_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"dimension":1,"states":[[[Infinity,0.0]]]}')
-        with pytest.raises(DomainError):
-            read_state_set(path)
-
-    def test_ragged_states_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        doc = {"dimension": 2, "states": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]}
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DomainError):
-            read_state_set(path)
-
-    def test_bad_pairs_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        doc = {"dimension": 1, "states": [[[1.0, 0.0, 5.0]]]}
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DomainError):
+        _write_doc(path, dimension=3, states=np.array([[1.0, 0.0]]))
+        with pytest.raises(DomainError, match="dimension field 3 does not match state length 2"):
             read_state_set(path)
 
     def test_label_count_checked(self, tmp_path):
         path = tmp_path / "bad.json"
-        doc = {"dimension": 1, "states": [[[1.0, 0.0]]], "labels": ["x", "y"]}
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DomainError):
+        _write_doc(path, dimension=1, states=np.ones((1, 1)), labels=["x", "y"])
+        with pytest.raises(DomainError, match="labels must list one string per state"):
             read_state_set(path)
 
     @pytest.mark.parametrize(
@@ -151,14 +130,6 @@ class TestStateSetFile:
         assert doc["format_version"] == 2 and doc["dimension"] == 16
         assert doc["states"]["shape"] == [3, 16]
         assert np.array_equal(_decode(doc["states"]), s.matrix.T)
-
-    def test_pair_form_loads_bit_equal(self, tmp_path):
-        matrix = random_state_set(16, 3, seed=131).matrix.copy()
-        matrix[:6, 0] = AWKWARD + 1j * AWKWARD[::-1]
-        path = tmp_path / "v1.json"
-        write_v1_state_set(path, matrix)
-        back, labels = read_state_set(path)
-        assert _bits(back) == _bits(matrix) and labels is None
 
     def test_unsupported_format_version(self, tmp_path):
         path = tmp_path / "states.json"
@@ -227,8 +198,7 @@ class TestArrayObject:
         valid = _encode(random_state_set(3, 1, seed=135).matrix.T)
         assert len(valid["data"]) == 64
         path = tmp_path / "states.json"
-        states = {**valid, "data": valid["data"] + pad}
-        path.write_text(json.dumps({"dimension": 3, "states": states}))
+        _write_doc(path, dimension=3, states={**valid, "data": valid["data"] + pad})
         with pytest.raises(DomainError, match="states data is not valid base64 of 64 characters"):
             read_state_set(path)
 
@@ -289,7 +259,7 @@ class TestModelFile:
         basis[:, 1] = [1e200, 1e200, 0, 0, 0, 0, 0, 0]
         basis[:, 2] = [1e200, 1e200j, 0, 0, 0, 0, 0, 0]
         path = tmp_path / "model.json"
-        write_v1_model(path, basis, model.weights, model.singular_values)
+        write_model(path, dataclasses.replace(model, basis=basis))
         with pytest.raises(DomainError, match="not orthonormal"):
             read_model(path)
 
@@ -310,16 +280,6 @@ class TestModelFile:
         assert _bits(_decode(doc["basis"])) == _bits(model.basis)
         assert _bits(_decode(doc["weights"])) == _bits(model.weights)
         assert doc["singular_values"] == model.singular_values.tolist()
-
-    def test_pair_form_loads_bit_equal(self, tmp_path):
-        model = fit_pca(random_state_set(16, 4, seed=137))
-        path = tmp_path / "v1.json"
-        write_v1_model(path, model.basis, model.weights, model.singular_values)
-        back = read_model(path)
-        assert _bits(back.basis) == _bits(model.basis)
-        assert _bits(back.weights) == _bits(model.weights)
-        assert back.singular_values.tobytes() == model.singular_values.tobytes()
-        assert back.rank == model.rank
 
     def test_bad_singular_value_order_rejected(self, tmp_path):
         model = fit_pca(random_state_set(8, 2, seed=126))
@@ -387,17 +347,10 @@ class TestOperatorFile:
         write_operator(b, op)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_pair_form_loads_bit_equal(self, tmp_path):
-        op = random_hermitian_oracle(5, seed=139)
-        path = tmp_path / "v1.json"
-        write_v1_operator(path, op)
-        assert _bits(read_operator(path)) == _bits(op)
-
     def test_shape_checked(self, tmp_path):
         path = tmp_path / "op.json"
-        doc = {"format_version": 1, "dimension": 3, "matrix": [[[1.0, 0.0]]]}
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DomainError, match="shape"):
+        _write_doc(path, dimension=3, matrix=np.ones((1, 1)))
+        with pytest.raises(DomainError, match=r"matrix shape \(1, 1\) != \(3, 3\)"):
             read_operator(path)
 
     def test_non_hermitian_rejected(self, tmp_path):
@@ -418,6 +371,36 @@ class TestOperatorFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(DomainError, match="format_version"):
             read_operator(path)
+
+
+@pytest.mark.parametrize(
+    "kind, form, message",
+    [
+        ("model", "version 1", r"unsupported format_version 1 \(only 2 is read\)"),
+        ("operator", "pair list", "matrix must be a {dtype, shape, data} object"),
+        ("states", "no version", "missing key 'format_version'"),
+    ],
+)
+def test_format_1_refused(tmp_path, kind, form, message):
+    """Format 1 (version 1, [re, im] pair lists, state sets with no version) is not read."""
+    path = tmp_path / f"{kind}.json"
+    if kind == "states":
+        write_state_set(path, random_state_set(8, 2, seed=140).matrix)
+    elif kind == "model":
+        write_model(path, fit_pca(random_state_set(8, 2, seed=141)))
+    else:
+        write_operator(path, random_hermitian_oracle(3, seed=142))
+    doc = json.loads(path.read_text())
+    if form == "version 1":
+        doc["format_version"] = 1
+    elif form == "pair list":
+        doc["matrix"] = [[[z.real, z.imag] for z in row] for row in _decode(doc["matrix"]).tolist()]
+    else:
+        del doc["format_version"]
+    path.write_text(json.dumps(doc))
+    reader = {"states": read_state_set, "model": read_model, "operator": read_operator}[kind]
+    with pytest.raises(DomainError, match=message):
+        reader(path)
 
 
 class TestCurveFile:

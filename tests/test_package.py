@@ -87,3 +87,61 @@ def test_benchmark_tracer_targets_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def _module_trees() -> dict[str, ast.Module]:
+    package = Path(qdecimate.__file__).resolve().parent
+    return {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [
+            "__all__"
+        ]:
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _module_level_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def test_no_unused_import_or_unreferenced_private_name():
+    # a removal that leaves a helper, a constant or an import behind fails here
+    trees = _module_trees()
+    read = set()  # names loaded, attributes taken, and names imported from a sibling module
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                read.update(alias.name for alias in node.names)
+    unused, unreferenced = [], []
+    for module, tree in trees.items():
+        loaded = _exported(tree) | {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loaded:
+                        unused.append(f"{module}: {bound}")
+        for name in _module_level_names(tree):
+            if name.startswith("_") and not name.startswith("__") and name not in read:
+                unreferenced.append(f"{module}: {name}")
+    assert (unused, unreferenced) == ([], [])
