@@ -118,19 +118,24 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-# Peak memory of evolve as multiples of the 16*D*(steps+1) bytes of its
-# trajectory, measured with one BLAS thread and 100 steps, the interpreter
-# included: ising:14 peaks at 112 MiB (4.4x), ising:16 at 321 MiB (3.2x).
-# The fit holds the state set and the basis; compressing the chain's
-# Hamiltonian holds two D x d blocks on top. A chain's Chebyshev series
-# also holds a block of min(32, steps) vectors of 16*D bytes (32 MiB at
-# ising:16) while it runs; it is freed before the fit, but it is counted
-# on top so that the estimate stays an upper one. A dense D x D
-# Hamiltonian, its hermiticity check and its eigh take about 5 x 16*D^2
-# bytes, and the interpreter a sixth at random --dim 2048 (364 MiB in
-# all, estimated 400 MiB).
-_TRAJECTORY_COPIES = 5
-_DENSE_COPIES = 6
+# Peak memory of evolve: a fixed 64 MiB for the interpreter and numpy
+# (46 MiB for all of ising:10 with 60 steps), plus multiples of 16*D bytes.
+# The state set, the fitted basis and, at d = M+1, the map g are three
+# copies of the 16*D*(steps+1) bytes of the trajectory; the fit's own
+# temporaries stay below the third. A chain's Chebyshev series holds a
+# block of min(32, steps) vectors and a product buffer no larger while it
+# runs, beside the trajectory alone, and the compression of its
+# Hamiltonian holds about 24 vectors beside the three copies; so the block
+# is counted once on top. With one BLAS thread and 100 steps, the estimate
+# against the measured peak is 148 against 132 MiB at ising:14, 399
+# against 370 MiB at ising:16 and 1404 against 1332 MiB at ising:18 (all
+# at d = M+1; 107, 304 and 1094 MiB at --d 20), and 5.30 GiB against
+# 4.14 GiB at ising:20 with --d 20. A dense D x D Hamiltonian, its
+# hermiticity check and its eigh take about 5 x 16*D^2 bytes: 394 MiB
+# estimated against 364 MiB measured at random --dim 2048 and --d 20.
+_INTERPRETER_BYTES = 64 * 2**20
+_TRAJECTORY_COPIES = 3
+_DENSE_COPIES = 5
 
 
 def _physical_memory() -> int:
@@ -144,7 +149,7 @@ def _check_evolve_memory(dim: int, steps: int, dense: bool) -> None:
     and get the process killed instead of ending in a one-line error.
     """
     extra = _DENSE_COPIES * dim if dense else min(_BLOCK, steps)
-    need = 16 * dim * (_TRAJECTORY_COPIES * (steps + 1) + extra)
+    need = _INTERPRETER_BYTES + 16 * dim * (_TRAJECTORY_COPIES * (steps + 1) + extra)
     have = _physical_memory()
     if need > have:
         # past 2^1000 bytes, need / 2**30 would overflow a float

@@ -67,24 +67,30 @@ def pivot_phases(u: np.ndarray) -> np.ndarray:
     (1 - 1e-12) times the column maximum. Entries tied with the maximum
     to round-off therefore resolve to the lowest row, not to whichever
     one round-off made largest. Magnitudes are taken a block of rows at
-    a time, so no temporary is as large as u.
+    a time, as floats, so no temporary is as large as u. A column's pivot
+    lies in the first block whose maximum reaches its threshold; only
+    those blocks are searched, and the last block, whose magnitudes are
+    still at hand, first: a matrix of one block takes them once.
     """
     rows, cols = u.shape
-    top = np.zeros(cols)
-    for lo in range(0, rows, _PIVOT_ROWS):
-        np.maximum(top, np.abs(u[lo : lo + _PIVOT_ROWS]).max(axis=0), out=top)
-    threshold = _PIVOT_REL * top
+    starts = range(0, rows, _PIVOT_ROWS)
+    buffer = np.empty((min(rows, _PIVOT_ROWS), cols))
+    tops = np.empty((len(starts), cols))
+    for b, lo in enumerate(starts):
+        mag = np.abs(u[lo : lo + _PIVOT_ROWS], out=buffer[: rows - lo])
+        mag.max(axis=0, out=tops[b])
+    threshold = _PIVOT_REL * tops.max(axis=0)
+    home = np.argmax(tops >= threshold, axis=0)
     pivot = np.zeros(cols, dtype=np.complex128)
-    open_cols = np.arange(cols)
-    for lo in range(0, rows, _PIVOT_ROWS):
-        if open_cols.size == 0:
-            break
-        block = u[lo : lo + _PIVOT_ROWS, open_cols]
-        hit = np.abs(block) >= threshold[open_cols]
-        found = hit.any(axis=0)
-        first = hit.argmax(axis=0)[found]
-        pivot[open_cols[found]] = block[first, np.nonzero(found)[0]]
-        open_cols = open_cols[~found]
+    for b in reversed(range(len(starts))):
+        mine = np.flatnonzero(home == b)
+        if mine.size == 0:
+            continue
+        lo = starts[b]
+        if b != len(starts) - 1:
+            mag = np.abs(u[lo : lo + _PIVOT_ROWS], out=buffer)
+        first = np.argmax(mag >= threshold, axis=0)[mine]
+        pivot[mine] = u[lo + first, mine]
     # hypot, like abs() of one complex scalar; np.abs of a complex array
     # may round differently
     mag = np.hypot(pivot.real, pivot.imag)

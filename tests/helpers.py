@@ -10,8 +10,24 @@ from __future__ import annotations
 import base64
 import json
 import math
+import tracemalloc
 
 import numpy as np
+
+
+def peak_bytes(call) -> int:
+    """Peak of the memory that call allocates, above what was held before, by tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:

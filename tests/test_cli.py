@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 from qdecimate import (
+    evolve_sequence,
     fit_pca,
+    ising_chain,
     random_state_set,
+    random_state_vector,
     select_dimension,
     validate_state_set,
 )
@@ -580,10 +583,11 @@ class TestEvolve:
     def test_estimated_footprint_over_physical_memory_exit_1(
         self, tmp_path, monkeypatch, spec, dim
     ):
-        # the estimate is 185-247 KiB for these specs and 30 steps (D > steps+1, so the
-        # dimension check passes); pretend the machine has 16 KiB. Neither H nor psi0
-        # is built before the estimate refuses the run.
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 2**14)
+        # beyond the interpreter's share, the estimate is 123-183 KiB for these specs and
+        # 30 steps (D > steps+1, so the dimension check passes); pretend the machine has
+        # 16 KiB more than that share. Neither H nor psi0 is built before the estimate
+        # refuses the run.
+        monkeypatch.setattr(cli, "_physical_memory", lambda: cli._INTERPRETER_BYTES + 2**14)
         reached = []
         for name in ("evolve_sequence", "ising_chain", "random_hamiltonian", "random_state_vector"):
             monkeypatch.setattr(cli, name, lambda *args, name=name, **kw: reached.append(name))
@@ -605,18 +609,27 @@ class TestEvolve:
         assert not reached and not list(tmp_path.iterdir())
 
     def test_footprint_within_physical_memory_runs(self, tmp_path, monkeypatch):
-        # ising:6 with 5 steps needs 16*64*(5*6 + 5) = 35840 bytes by the estimate:
-        # five trajectories of 6 columns and a series block of 5 vectors
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 35840)
+        # ising:6 with 5 steps needs 64 MiB + 16*64*(3*6 + 5) = 67132416 bytes by the
+        # estimate: the interpreter, three trajectories of 6 columns and a series block
+        # of 5 vectors
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 67132416)
         argv = ["evolve", "--hamiltonian", "ising:6", "--dt", "0.1", "--steps", "5"]
         assert main([*argv, "--out-prefix", str(tmp_path / "x")]) == 0
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 35839)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 67132415)
         assert main([*argv, "--out-prefix", str(tmp_path / "y")]) == 1
 
+    def test_ising_20_with_100_steps_fits_in_8_gib(self, monkeypatch):
+        # 64 MiB + 16 * 2^20 * (3 * 101 + 32) bytes = 5.30 GiB; the run peaks at 4.14 GiB
+        monkeypatch.setattr(cli, "_physical_memory", lambda: int(7.83 * 2**30))
+        cli._check_evolve_memory(2**20, 100, dense=False)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 4 * 2**30)
+        with pytest.raises(MemoryError, match="about 5.3 GiB"):
+            cli._check_evolve_memory(2**20, 100, dense=False)
+
     def test_dense_hamiltonian_counts_its_matrix(self, tmp_path, monkeypatch):
-        # 3 steps: the trajectory term is 16*D*5*4 bytes (10-12.5 KiB here), under the
-        # 64 KiB; the dense D x D term, 16*40*6*40 = 150 KiB, is not
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 2**16)
+        # 3 steps: beyond the interpreter, the chain's terms are 16*32*(3*4 + 3) bytes
+        # = 7.5 KiB, under the 64 KiB; the dense D x D term, 16*40*5*40 = 125 KiB, is not
+        monkeypatch.setattr(cli, "_physical_memory", lambda: cli._INTERPRETER_BYTES + 2**16)
         argv = ["--dt", "0.1", "--steps", "3", "--out-prefix", str(tmp_path / "x")]
         assert main(["evolve", "--hamiltonian", "ising:5", *argv]) == 0
         code, err = _stderr_lines(["evolve", "--hamiltonian", "zero", "--dim", "40", *argv])
@@ -726,3 +739,10 @@ class TestInfoAndParser:
         assert documented <= options, documented - options
         # --output is documented as -o
         assert options - {"--help", "--version", "--output"} <= documented
+
+    def test_readme_states_the_measured_application_count(self, apply_calls):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        words = r"`ising:10` with 60 steps of Δt = 0\.1 takes (\d+) applications"
+        claims = re.findall(words.replace(" ", r"\s+"), readme)
+        evolve_sequence(ising_chain(10), random_state_vector(1024, seed=1), 0.1, 60)
+        assert claims == [str(len(apply_calls))]

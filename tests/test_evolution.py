@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,25 +38,11 @@ from helpers import (
     kron_ising_chain,
     naive_expectation,
     naive_triple_product,
+    peak_bytes,
 )
 
 COUPLINGS = (1.0, -0.7, 0.0, 2.5e-3)
 FIELDS = (1.0, -1.3, 0.0, 0.37)
-
-
-def _peak_bytes(call):
-    """Peak of the memory that call allocates, above what was held before, by tracemalloc."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 class TestEvolveSequence:
@@ -311,7 +296,7 @@ class TestGenerators:
     def test_ising_holds_at_most_six_diagonals(self):
         # one Z vector per site at once would be n = 16 diagonals and more
         diagonal_bytes = 8 * 2**16
-        peak = _peak_bytes(lambda: ising_chain(16, -0.7, 0.37))
+        peak = peak_bytes(lambda: ising_chain(16, -0.7, 0.37))
         assert peak <= 6 * diagonal_bytes, f"peak {peak / diagonal_bytes:.2f} diagonals"
 
     def test_ising_needs_two_sites(self):
@@ -331,10 +316,22 @@ class TestIsingChainAction:
         chain = ising_chain(5, -0.7, 0.37)
         assert isinstance(chain, IsingChain)
         assert chain.dim == 32
-        assert chain.bound == 0.7 * 4 + 0.37 * 5
         assert not chain.diagonal.flags.writeable
         with pytest.raises(AttributeError):
             chain.coupling = 2.0
+        assert "bound" not in vars(chain)
+        assert chain.bound is chain.bound and "bound" in vars(chain)  # computed once
+        # bound is the spectral radius; with J = 0 or G = 0 the terms commute
+        # and the Gershgorin bound is attained
+        for n in range(2, 9):
+            for coupling in COUPLINGS:
+                for field in FIELDS:
+                    chain = ising_chain(n, coupling, field)
+                    radius = np.abs(np.linalg.eigvalsh(chain.dense().real)).max()
+                    assert abs(chain.bound - radius) <= 1e-12 * radius, (n, coupling, field)
+                    gershgorin = abs(coupling) * (n - 1) + abs(field) * n
+                    if coupling == 0.0 or field == 0.0:
+                        assert chain.bound == gershgorin, (n, coupling, field)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_apply_matches_dense(self, n):
@@ -367,7 +364,7 @@ class TestIsingChainAction:
         # result, so one more block (the diagonal product) is the only other
         chain = ising_chain(12)
         x = random_state_vector(2**12, seed=311)[:, np.newaxis] * np.ones(20)
-        peak = _peak_bytes(lambda: chain.apply(x))
+        peak = peak_bytes(lambda: chain.apply(x))
         assert peak <= 2.5 * x.nbytes, f"peak {peak / x.nbytes:.2f} blocks"
 
     def test_apply_rejects_wrong_shapes(self):
@@ -421,20 +418,6 @@ class TestChebyshevSeries:
     def test_phase_beyond_cap_rejected(self, a):
         with pytest.raises(RegimeViolation, match="phase"):
             _check_phase(a)
-
-
-@pytest.fixture
-def apply_calls(monkeypatch):
-    """The shapes of every IsingChain.apply argument, in call order."""
-    calls = []
-    apply = IsingChain.apply
-
-    def counted(chain, x):
-        calls.append(np.shape(x))
-        return apply(chain, x)
-
-    monkeypatch.setattr(IsingChain, "apply", counted)
-    return calls
 
 
 class TestChebyshevPropagation:
@@ -503,15 +486,61 @@ class TestChebyshevPropagation:
 
     def test_one_recurrence_for_all_time_points(self, apply_calls):
         # ising:10, 60 steps of 0.1: K - 1 applications for the last time's K
-        # terms, not K_step - 1 for each of the 59 steps
+        # terms, not K_step - 1 for each of the 59 steps; the phase is taken at
+        # the spectral radius, 0.65 of the Gershgorin bound 19
         chain = ising_chain(10)
         steps, dt = 60, 0.1
         evolve_sequence(chain, random_state_vector(1024, seed=420), dt, steps)
         terms = chebyshev_coefficients(chain.bound * dt * (steps - 1)).size
         per_step = chebyshev_coefficients(chain.bound * dt).size - 1
-        assert len(apply_calls) == terms - 1 == 163
-        assert (steps - 1) * per_step == 1003
+        assert len(apply_calls) == terms - 1 == 117
+        assert chebyshev_coefficients(19 * dt * (steps - 1)).size - 1 == 163
+        assert (steps - 1) * per_step == 885
         assert all(shape == (1024,) for shape in apply_calls)
+
+    def test_each_block_reaches_only_the_states_that_need_it(self, monkeypatch):
+        # ising:10, 60 steps of 0.1: a block of terms k0.. is added only to the
+        # states whose own K_j exceeds k0, a suffix since K_j grows with j, and
+        # every state stays within the K_total * eps of the whole series
+        chain = ising_chain(10)
+        psi0 = random_state_vector(1024, seed=422)
+        steps, dt = 60, 0.1
+        terms = _segment_coefficients(chain.bound * dt, steps - 1, 1024)[1]
+        assert terms.size == steps - 1 and terms[0] < terms[-1]
+        product_rows = []
+        matmul = np.matmul
+
+        def counted(a, b, out=None):
+            product_rows.append(a.shape[0])
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        got = evolve_sequence(chain, psi0, dt, steps).matrix
+        monkeypatch.undo()
+        # the 2 * 1024 float columns go in two panels, so that the product
+        # buffer of 59 rows stays within the block of 32 vectors
+        starts = range(0, terms[-1], evolution._BLOCK)
+        assert product_rows == [int(np.count_nonzero(terms > k0)) for k0 in starts for _ in "ab"]
+        assert product_rows[0] == steps - 1 and product_rows[-1] < steps - 1
+        energies, vectors = np.linalg.eigh(chain.dense().real)
+        phases = np.exp(-1j * np.outer(energies, dt * np.arange(steps)))
+        exact = vectors @ (phases * (vectors.T @ psi0)[:, np.newaxis])
+        errors = np.linalg.norm(got - exact, axis=0)
+        assert errors.max() <= terms[-1] * np.finfo(float).eps
+
+    def test_series_holds_its_block_and_a_few_vectors(self):
+        # _sum_series holds the block of _BLOCK vectors, a product buffer no
+        # larger, and under six vectors beside: the recurrence's two, apply's
+        # three, and the chain scaled to 2 H / bound, whose diagonal is half a
+        # vector; neither the scaling nor a term copies a vector more
+        chain = ising_chain(12)
+        steps, step = 41, chain.bound * 0.1
+        table, terms = _segment_coefficients(step, steps - 1, chain.dim)
+        rows = np.zeros((steps - 1, chain.dim), dtype=complex)
+        start = random_state_vector(chain.dim, seed=423)
+        phases, vector = evolution._phases(step), 16 * chain.dim
+        peak = peak_bytes(lambda: evolution._sum_series(chain, start, table, terms, phases, rows))
+        assert peak <= (2 * evolution._BLOCK + 6) * vector, f"peak {peak / vector:.2f} vectors"
 
     @pytest.mark.parametrize("dt", [0.3, -0.3])
     def test_segments_match_the_single_series(self, monkeypatch, apply_calls, dt):
@@ -594,8 +623,19 @@ class TestChainCompression:
         chain = ising_chain(12)
         traj = evolve_sequence(chain, random_state_vector(2**12, seed=432), 0.1, 30)
         cg = build_map(fit_pca(traj), 20)
-        peak = _peak_bytes(lambda: coarse_grain_hamiltonian(cg, chain))
+        peak = peak_bytes(lambda: coarse_grain_hamiltonian(cg, chain))
         assert peak <= 2.5 * cg.g.nbytes, f"peak {peak / cg.g.nbytes:.2f} blocks"
+
+    def test_holds_a_few_columns_whatever_d(self):
+        # at d = M+1, H acts on 8 basis columns at a time: apply's temporaries
+        # are about 3 * 8 vectors of 16 * D bytes, not 3 * d
+        chain = ising_chain(12)
+        traj = evolve_sequence(chain, random_state_vector(2**12, seed=433), 0.1, 40)
+        cg = build_map(fit_pca(traj), 41)
+        vector = 16 * chain.dim
+        peak = peak_bytes(lambda: coarse_grain_hamiltonian(cg, chain))
+        bound = 4 * evolution._COMPRESS_COLUMNS * vector
+        assert peak <= bound, f"peak {peak / vector:.2f} vectors"
 
     def test_dimension_mismatch(self):
         traj = evolve_sequence(ising_chain(4), random_state_vector(16, seed=430), 0.1, 4)

@@ -19,8 +19,11 @@ from qdecimate.numerics import (
     check_hermitian,
     gram_deviation,
     hermitian_eig,
+    pivot_phases,
     svd,
 )
+
+from helpers import peak_bytes
 
 
 def _random_complex(rows, cols, seed):
@@ -156,6 +159,18 @@ class TestFixPhases:
         got, want = _fix_phases(u, vh), _fix_phases_loop(u, vh)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[0][17, 2] == 10.0
+
+    @pytest.mark.parametrize("rows", [4096, 3 * 4096 + 17])
+    def test_pivot_search_holds_one_block_of_magnitudes(self, rows):
+        # the M deviation columns of a D x (M+1) basis, as the fit passes them;
+        # a block is the 8 * 4096 * M bytes of one row block's float magnitudes
+        # (a copy of the open columns as complex would be two more)
+        basis = np.empty((rows, 201), dtype=complex)
+        basis[:, 1:] = _random_complex(rows, 200, seed=15)
+        u = basis[:, 1:]
+        block = 8 * 4096 * 200
+        peak = peak_bytes(lambda: pivot_phases(u))
+        assert peak <= 1.3 * block, f"peak {peak / block:.2f} blocks"
 
     def test_zero_column_unchanged(self):
         u = _random_complex(5, 3, seed=13)
