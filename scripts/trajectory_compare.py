@@ -53,10 +53,10 @@ def main(argv=None) -> int:
         psi0 = product_state(args.qubits, seed=9000 + k)
         h_rand = random_hamiltonian(dim, seed=9100 + k)
         h_rand = h_rand * (local_norm / float(np.linalg.norm(h_rand, 2)))
-        local = coarse_grained_trajectory(evolve_sequence(h_local, psi0, args.dt, args.steps), args.d)
-        rand = coarse_grained_trajectory(evolve_sequence(h_rand, psi0, args.dt, args.steps), args.d)
-        mean_local = float(np.mean([st.norm_before**2 for st in local]))
-        mean_rand = float(np.mean([st.norm_before**2 for st in rand]))
+        _, local = coarse_grained_trajectory(evolve_sequence(h_local, psi0, args.dt, args.steps), args.d)
+        _, rand = coarse_grained_trajectory(evolve_sequence(h_rand, psi0, args.dt, args.steps), args.d)
+        mean_local = float(local.mean())
+        mean_rand = float(rand.mean())
         wins += mean_local >= mean_rand
         print(f"{k}, {mean_local:.4f}, {mean_rand:.4f}, {mean_local - mean_rand:+.4f}")
     print(f"chain retained at least as much in {wins}/{args.seeds} runs")

@@ -118,21 +118,16 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-# Peak memory of evolve: a fixed 64 MiB for the interpreter and numpy
-# (46 MiB for all of ising:10 with 60 steps), plus multiples of 16*D bytes.
-# The state set, the fitted basis and, at d = M+1, the map g are three
-# copies of the 16*D*(steps+1) bytes of the trajectory; the fit's own
-# temporaries stay below the third. A chain's Chebyshev series holds a
-# block of min(32, steps) vectors and a product buffer no larger while it
-# runs, beside the trajectory alone, and the compression of its
-# Hamiltonian holds about 24 vectors beside the three copies; so the block
-# is counted once on top. With one BLAS thread and 100 steps, the estimate
-# against the measured peak is 148 against 132 MiB at ising:14, 399
-# against 370 MiB at ising:16 and 1404 against 1332 MiB at ising:18 (all
-# at d = M+1; 107, 304 and 1094 MiB at --d 20), and 5.30 GiB against
-# 4.14 GiB at ising:20 with --d 20. A dense D x D Hamiltonian, its
-# hermiticity check and its eigh take about 5 x 16*D^2 bytes: 394 MiB
-# estimated against 364 MiB measured at random --dim 2048 and --d 20.
+# Peak memory of evolve: 64 MiB for the interpreter and numpy (46 MiB for
+# all of ising:10 with 60 steps), plus multiples of 16*D bytes. The state
+# set, the fitted basis and the fit's temporaries (a row block, the stacked
+# R factors, the lift) make three trajectories of steps+1 vectors; the map
+# is a view of the basis. A chain adds its series block of min(32, steps)
+# vectors (its compression's 24 fit beside the three). Estimated against
+# measured with one BLAS thread and 100 steps, at d = M+1 and at --d 20
+# alike: 148/107 MiB at ising:14, 399/304 at ising:16, 1404/1094 at
+# ising:18; 5.30/4.14 GiB at ising:20 with --d 20. A dense D x D H and its
+# eigh take about 5 x 16*D^2 bytes: 394/364 MiB at random --dim 2048.
 _INTERPRETER_BYTES = 64 * 2**20
 _TRAJECTORY_COPIES = 3
 _DENSE_COPIES = 5

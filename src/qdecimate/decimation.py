@@ -1,8 +1,8 @@
 """Truncation of the PCA expansion.
 
-Keeping the first d basis components defines a d x D isometry-row map
-(the first d rows of the basis adjoint). States pushed through it are
-renormalized by hand; Hermitian operators are conjugated by it.
+Keeping the first d basis columns B defines the map g = B^dag, read from
+the basis and never stored. States pushed through it are renormalized
+by hand; Hermitian operators are conjugated by it.
 
 The power a fitted state keeps at d is read from its weight column
 alone: retained_power tabulates the cumulative |W|^2 of every state,
@@ -34,11 +34,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoarseGrainMap:
-    """d x D map g: basis change plus truncation, with g @ g^dag = I_d."""
+    """g = B^dag, B the first 2 <= d <= M+1 basis columns; holds only d and the model."""
 
     d: int
-    g: np.ndarray
     source: PcaModel
+
+    @property
+    def columns(self) -> np.ndarray:
+        """Read-only D x d view of the retained basis columns B."""
+        return self.source.basis[:, : self.d]
 
 
 @dataclass(frozen=True)
@@ -62,11 +66,15 @@ def check_dimension(count: int, d: int) -> None:
 
 
 def build_map(model: PcaModel, d: int) -> CoarseGrainMap:
-    """First d rows of the basis adjoint as a coarse-graining map."""
+    """The first d basis columns as a coarse-graining map; nothing is copied."""
     check_dimension(model.count, d)
-    g = model.basis[:, :d].conj().T
-    g.setflags(write=False)
-    return CoarseGrainMap(d=d, g=g, source=model)
+    return CoarseGrainMap(d=d, source=model)
+
+
+def _adjoint_times(b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """B^dag X as conj(B^T conj(X)): X is overwritten, and no copy of B is made."""
+    out = b.T @ np.conjugate(x, out=x)
+    return np.conjugate(out, out=out)
 
 
 def decimate_state(cg: CoarseGrainMap, v: np.ndarray) -> CoarseState:
@@ -74,16 +82,12 @@ def decimate_state(cg: CoarseGrainMap, v: np.ndarray) -> CoarseState:
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (cg.source.dim,):
         raise DimMismatch(f"expected a vector of length {cg.source.dim}, got shape {v.shape}")
-    basis = cg.source.basis
-    # conj(v^dag basis) = basis^dag v without conjugating a copy of the basis
-    full = (v.conj() @ basis).conj()
+    full = _adjoint_times(cg.source.basis, v.copy())
     w = full[: cg.d]
     norm_before = float(np.linalg.norm(w))
     if norm_before <= Tolerances.zero_norm:
-        raise ZeroNorm(
-            f"state is orthogonal to the retained subspace (norm {norm_before:.3e})"
-        )
-    residual = float(np.linalg.norm(v - basis @ full))
+        raise ZeroNorm(f"state is orthogonal to the retained subspace (norm {norm_before:.3e})")
+    residual = float(np.linalg.norm(v - cg.source.basis @ full))
     outside = residual > Tolerances.base * max(float(np.linalg.norm(v)), 1.0)
     weights = w / norm_before
     weights.setflags(write=False)
@@ -118,14 +122,14 @@ def select_dimension(model: PcaModel, eps: float, state: int | None = None) -> i
 
 
 def coarse_grain_operator(cg: CoarseGrainMap, op: np.ndarray) -> np.ndarray:
-    """Conjugate a D x D Hermitian operator down to d x d."""
+    """Conjugate a D x D Hermitian operator down to d x d: g op g^dag = B^dag (op B)."""
     op = np.asarray(op, dtype=np.complex128)
     if op.shape != (cg.source.dim, cg.source.dim):
         raise DimMismatch(
             f"expected a {cg.source.dim} x {cg.source.dim} operator, got shape {op.shape}"
         )
     check_hermitian(op, "operator")
-    return cg.g @ op @ cg.g.conj().T
+    return _adjoint_times(cg.columns, op @ cg.columns)
 
 
 def expectation(state_weights: np.ndarray, op_matrix: np.ndarray) -> float:

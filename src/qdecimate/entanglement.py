@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadQubitIndex,
-    DimMismatch,
-    NotDensityMatrix,
-    NotPowerOfTwo,
-    ZeroNorm,
-)
+from .errors import BadQubitIndex, DimMismatch, NotDensityMatrix, NotPowerOfTwo, ZeroNorm
 from .numerics import Tolerances
 from .pca import PcaModel
 from .stateset import StateSet
@@ -68,9 +62,7 @@ class EntropyCurve:
     points: tuple[tuple[int, float], ...]
 
 
-def reduced_density_matrix(
-    v: np.ndarray, f: QubitFactorization, q: int
-) -> np.ndarray:
+def reduced_density_matrix(v: np.ndarray, f: QubitFactorization, q: int) -> np.ndarray:
     """Partial trace of |v><v| onto qubit q, by index arithmetic in O(D)."""
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (f.dim,):

@@ -28,10 +28,10 @@ propagator runs depends on the Hamiltonian's type:
   small multiple of K_total * eps of exp(-i H t) psi0, K_total being the
   terms of all segments together.
 
-``coarse_grained_trajectory`` takes such a state set and slices each
-step from the fitted weights, never rebuilding it in D dimensions; a
-chain's Hamiltonian is compressed from its action on the d retained
-basis vectors.
+``coarse_grained_trajectory`` takes such a state set and returns the
+d x M coarse weights of all its steps at once, sliced from the fitted
+weights and never rebuilt in D dimensions; a chain's Hamiltonian is
+compressed from its action on the d retained basis columns themselves.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .decimation import CoarseState, check_dimension, coarse_grain_operator, retained_power
+from .decimation import _adjoint_times, check_dimension, coarse_grain_operator, retained_power
 from .errors import DimMismatch, NonFinite, NotNormalized, RegimeViolation, ZeroNorm
 from .numerics import Tolerances, check_hermitian, hermitian_eig
 from .pca import fit_pca
@@ -70,7 +70,7 @@ _MAX_PHASE = Tolerances.state_norm / float(np.finfo(np.float64).eps)
 _BLOCK = 32
 # Basis columns that a chain's Hamiltonian acts on at once when it is
 # compressed: apply holds about three blocks of them, a few D-vectors
-# beside the D x d map, whatever d is
+# beside the basis, whatever d is
 _COMPRESS_COLUMNS = 8
 # Float columns of the (states x 2D) trajectory per product while adding a
 # block; 8192 keeps each panel of the block and the trajectory in cache
@@ -349,39 +349,40 @@ def evolve_sequence(
 def coarse_grain_hamiltonian(cg, h: np.ndarray | IsingChain) -> np.ndarray:
     """d x d representation of the Hamiltonian under the coarse-graining map.
 
-    A chain is compressed from its action on the d retained basis columns,
-    g @ H(g^dag), in O(n * D * d), a few columns at a time, and its
+    A chain is compressed from its action on the d retained basis columns
+    B, B^dag (H B), in O(n * D * d), a few columns at a time, and its
     hermiticity is checked on the d x d result; a matrix goes through
     coarse_grain_operator.
     """
     if not isinstance(h, IsingChain):
         return coarse_grain_operator(cg, h)
-    # g^dag is the first d basis columns themselves: no D x d conjugate copy.
-    # H acts on a few of them at a time, so apply's temporaries stay small
+    # H acts on a few columns at a time, so apply's temporaries stay small
+    b = cg.columns
     h_cg = np.empty((cg.d, cg.d), dtype=np.complex128)
     for lo in range(0, cg.d, _COMPRESS_COLUMNS):
-        columns = cg.source.basis[:, lo : min(lo + _COMPRESS_COLUMNS, cg.d)]
-        h_cg[:, lo : lo + columns.shape[1]] = cg.g @ h.apply(columns)
+        block = b[:, lo : lo + _COMPRESS_COLUMNS]
+        h_cg[:, lo : lo + block.shape[1]] = _adjoint_times(b, h.apply(block))
     check_hermitian(h_cg, "coarse-grained Hamiltonian")
     return h_cg
 
 
-def coarse_grained_trajectory(states: StateSet, d: int) -> list[CoarseState]:
+def coarse_grained_trajectory(states: StateSet, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Fit a trajectory's states, then keep d weight components of each step.
 
-    Step j is W[:d, j] over the root of its retained power; a fitted state
-    lies in the span by construction. A d outside [2, M+1] is BadDimension.
+    Returns the read-only d x M coarse weights W[:d] / sqrt(P[d-1]) and the
+    M retained powers P[d-1], P = retained_power(fit). A d outside [2, M+1]
+    is BadDimension; ZeroNorm names the first step with no retained norm.
     """
     check_dimension(states.count, d)
     model = fit_pca(states)
-    coarse = []
-    for j, norm in enumerate(np.sqrt(retained_power(model)[d - 1]).tolist()):
-        if norm <= Tolerances.zero_norm:
-            raise ZeroNorm(f"state is orthogonal to the retained subspace (norm {norm:.3e})")
-        weights = model.weights[:d, j] / norm
-        weights.setflags(write=False)
-        coarse.append(CoarseState(d=d, weights=weights, norm_before=norm))
-    return coarse
+    power = retained_power(model)[d - 1]
+    norms = np.sqrt(power)
+    norm = norms[np.argmax(norms <= Tolerances.zero_norm)]
+    if norm <= Tolerances.zero_norm:
+        raise ZeroNorm(f"state is orthogonal to the retained subspace (norm {norm:.3e})")
+    weights = model.weights[:d] / norms
+    weights.setflags(write=False)
+    return weights, power
 
 
 def random_hamiltonian(dim: int, seed: int) -> np.ndarray:

@@ -44,12 +44,20 @@ def check_finite(m: np.ndarray, name: str = "matrix") -> None:
         raise NonFinite(f"{name} contains NaN or Inf entries")
 
 
+# Rows checked for hermiticity at once: the check holds a few rows, never a matrix
+_HERMITIAN_ROWS = 8
+
+
 def check_hermitian(m: np.ndarray, name: str = "matrix") -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitian(f"{name} is not square: shape {m.shape}")
-    check_finite(m, name)
-    scale = max(np.abs(m).max(), 1.0) if m.size else 1.0
-    if np.abs(m - m.conj().T).max() > Tolerances.base * scale:
+    scale, deviation = 1.0, 0.0
+    for lo in range(0, len(m), _HERMITIAN_ROWS):
+        rows, cols = m[lo : lo + _HERMITIAN_ROWS], m[:, lo : lo + _HERMITIAN_ROWS]
+        check_finite(rows, name)
+        scale = max(scale, np.abs(rows).max())
+        deviation = max(deviation, np.abs(rows - cols.T.conj()).max())
+    if deviation > Tolerances.base * scale:
         raise NotHermitian(f"{name} deviates from its conjugate transpose beyond tolerance")
 
 

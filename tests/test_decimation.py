@@ -27,6 +27,7 @@ from qdecimate import (
 from helpers import (
     brute_force_minimal_d,
     naive_expectation,
+    peak_bytes,
     random_hermitian_oracle,
 )
 
@@ -49,26 +50,33 @@ class TestBuildMap:
     def test_full_dimension_is_whole_adjoint(self):
         model = fit_pca(random_state_set(16, 3, seed=50))
         cg = build_map(model, 4)
-        assert np.array_equal(cg.g, model.basis.conj().T)
+        assert np.array_equal(cg.columns.conj().T, model.basis.conj().T)
 
-    def test_g_is_read_only_and_owns_no_basis_memory(self):
+    def test_columns_are_a_read_only_view_of_the_basis(self):
         model = fit_pca(random_state_set(16, 3, seed=54))
         cg = build_map(model, 3)
-        assert not cg.g.flags.writeable
-        assert not np.shares_memory(cg.g, model.basis)
+        assert not cg.columns.flags.writeable
+        assert np.shares_memory(cg.columns, model.basis)
+        assert np.array_equal(cg.columns, model.basis[:, :3])
+
+    def test_map_allocates_no_vector(self):
+        # the map holds d and the model only: at d = M+1 it makes no D-vector
+        model = fit_pca(random_state_set(2**12, 40, seed=59))
+        peak = peak_bytes(lambda: build_map(model, 41))
+        assert peak < 16 * model.dim, f"peak {peak} bytes"
 
     def test_row_orthonormality(self):
         model = fit_pca(random_state_set(16, 3, seed=51))
         for d in (2, 3, 4):
-            cg = build_map(model, d)
-            assert np.abs(cg.g @ cg.g.conj().T - np.eye(d)).max() <= 1e-10
+            g = build_map(model, d).columns.conj().T
+            assert np.abs(g @ g.conj().T - np.eye(d)).max() <= 1e-10
 
     def test_maps_states_to_leading_weights(self):
         s = random_state_set(16, 3, seed=52)
         model = fit_pca(s)
-        cg = build_map(model, 3)
+        g = build_map(model, 3).columns.conj().T
         for mu in range(1, 4):
-            out = cg.g @ s.column(mu)
+            out = g @ s.column(mu)
             assert np.abs(out - model.weights[:3, mu - 1]).max() <= 1e-10
 
     def test_dimension_bounds(self):
@@ -293,6 +301,16 @@ class TestCoarseGrainOperator:
         bad[0, 1] = 1.0
         with pytest.raises(NotHermitian):
             coarse_grain_operator(cg, bad)
+
+    def test_holds_two_blocks_and_the_result(self):
+        # op @ B and the d x d result are all that a dense compression holds;
+        # a block is the 16 * D * d bytes of the d retained columns
+        model = fit_pca(random_state_set(2**10, 40, seed=78))
+        op = random_hermitian_oracle(2**10, seed=79)
+        cg = build_map(model, 41)
+        block, result = 16 * model.dim * cg.d, 16 * cg.d**2
+        peak = peak_bytes(lambda: coarse_grain_operator(cg, op))
+        assert peak <= 2 * block + result, f"peak {peak / block:.2f} blocks"
 
     def test_rejects_wrong_dim(self):
         model = fit_pca(random_state_set(16, 3, seed=77))

@@ -26,6 +26,7 @@ from qdecimate import (
     ising_chain,
     random_hamiltonian,
     random_state_vector,
+    retained_power,
     validate_state_set,
 )
 
@@ -138,7 +139,7 @@ class TestCoarseGrainHamiltonian:
         model = fit_pca(traj)
         cg = build_map(model, 3)
         got = coarse_grain_hamiltonian(cg, h)
-        want = naive_triple_product(np.asarray(cg.g), h)
+        want = naive_triple_product(model.basis[:, :3].conj().T, h)
         assert np.abs(got - want).max() <= 1e-12
 
     def test_full_rank_energy_match(self):
@@ -167,30 +168,31 @@ class TestCoarseGrainedTrajectory:
         dim = 16
         psi0 = np.full(dim, 1.0 / 4.0, dtype=complex)
         traj = evolve_sequence(np.zeros((dim, dim), dtype=complex), psi0, 0.1, 4)
-        coarse = coarse_grained_trajectory(traj, 2)
-        for state in coarse:
-            assert np.abs(state.weights - np.array([1.0, 0.0])).max() <= 1e-12
-            assert abs(state.norm_before - 1.0) <= 1e-12
+        weights, power = coarse_grained_trajectory(traj, 2)
+        assert weights.shape == (2, 4) and power.shape == (4,)
+        for j in range(4):
+            assert np.abs(weights[:, j] - np.array([1.0, 0.0])).max() <= 1e-12
+            assert abs(math.sqrt(power[j]) - 1.0) <= 1e-12
 
     def test_full_dimension_preserves_overlaps(self):
         h = random_hamiltonian(16, seed=108)
         traj = evolve_sequence(h, random_state_vector(16, seed=109), 0.1, 5)
-        coarse = coarse_grained_trajectory(traj, 6)
+        weights, _ = coarse_grained_trajectory(traj, 6)
         for i in range(5):
             for j in range(5):
                 fine = np.vdot(traj.matrix[:, i], traj.matrix[:, j])
-                cg = np.vdot(coarse[i].weights, coarse[j].weights)
+                cg = np.vdot(weights[:, i], weights[:, j])
                 assert abs(fine - cg) <= 1e-10
 
     def test_retained_weight_recorded(self):
         h = random_hamiltonian(16, seed=110)
         traj = evolve_sequence(h, random_state_vector(16, seed=111), 0.3, 5)
         model = fit_pca(traj)
-        coarse = coarse_grained_trajectory(traj, 3)
-        for j, state in enumerate(coarse):
+        _, power = coarse_grained_trajectory(traj, 3)
+        for j in range(5):
             w = model.weights[:3, j]
             expected = float(np.sum(np.abs(w) ** 2))
-            assert abs(state.norm_before**2 - expected) <= 1e-10
+            assert abs(power[j] - expected) <= 1e-10
 
     @pytest.mark.parametrize("case", ["full-rank", "rank-deficient"])
     def test_matches_decimate_state_per_column(self, case):
@@ -207,14 +209,14 @@ class TestCoarseGrainedTrajectory:
         assert (model.rank == 8) == (case == "full-rank")
         for d in (2, 4, 9):
             cg = build_map(model, d)
-            coarse = coarse_grained_trajectory(traj, d)
-            assert len(coarse) == 8
-            for j, state in enumerate(coarse):
+            weights, power = coarse_grained_trajectory(traj, d)
+            assert weights.shape == (d, 8) and power.shape == (8,)
+            assert not weights.flags.writeable
+            for j in range(8):
                 want = decimate_state(cg, traj.matrix[:, j])
-                assert state.d == d and not state.outside_span
-                assert np.abs(state.weights - want.weights).max() <= 1e-12
-                assert abs(state.norm_before - want.norm_before) <= 1e-12
-                assert not state.weights.flags.writeable
+                assert not want.outside_span
+                assert np.abs(weights[:, j] - want.weights).max() <= 1e-12
+                assert abs(math.sqrt(power[j]) - want.norm_before) <= 1e-12
 
     def test_dimension_outside_two_to_m_plus_one(self):
         h = random_hamiltonian(16, seed=116)
@@ -229,9 +231,11 @@ class TestCoarseGrainedTrajectory:
         a = np.array([0.5, -0.5, 0.5, -0.5, 0, 0, 0, 0], dtype=complex)
         b = np.array([0, 0, 0, 0, 0.5, 0.5, -0.5, -0.5], dtype=complex)
         states = validate_state_set(np.stack([a, -a, b], axis=1))
-        assert len(coarse_grained_trajectory(states, 3)) == 3
-        with pytest.raises(ZeroNorm, match="orthogonal to the retained subspace"):
+        assert coarse_grained_trajectory(states, 3)[0].shape == (3, 3)
+        with pytest.raises(ZeroNorm, match="orthogonal to the retained subspace") as err:
             coarse_grained_trajectory(states, 2)
+        norm = math.sqrt(retained_power(fit_pca(states))[1, 2])
+        assert f"(norm {norm:.3e})" in str(err.value)
 
     def test_local_hamiltonian_concentrates_weight(self):
         # paired run: nearest-neighbor chain vs norm-matched dense random
@@ -242,14 +246,10 @@ class TestCoarseGrainedTrajectory:
         for seed in range(3):
             h_rand = random_hamiltonian(dim, seed=200 + seed)
             h_rand = h_rand * (np.linalg.norm(h_local.dense(), 2) / np.linalg.norm(h_rand, 2))
-            local = coarse_grained_trajectory(
-                evolve_sequence(h_local, psi0, dt, steps), d
-            )
-            rand = coarse_grained_trajectory(
-                evolve_sequence(h_rand, psi0, dt, steps), d
-            )
-            mean_local = np.mean([s.norm_before**2 for s in local])
-            mean_rand = np.mean([s.norm_before**2 for s in rand])
+            _, local = coarse_grained_trajectory(evolve_sequence(h_local, psi0, dt, steps), d)
+            _, rand = coarse_grained_trajectory(evolve_sequence(h_rand, psi0, dt, steps), d)
+            mean_local = local.mean()
+            mean_rand = rand.mean()
             if mean_local >= mean_rand:
                 wins += 1
         assert wins >= 2
@@ -619,12 +619,13 @@ class TestChainCompression:
 
     def test_holds_at_most_two_blocks_and_a_half(self):
         # H is applied to the basis columns themselves, not to a conjugate copy
-        # of g^dag; a block is the 16 * D * d bytes of g
+        # of them; a block is the 16 * D * d bytes of the d retained columns
         chain = ising_chain(12)
         traj = evolve_sequence(chain, random_state_vector(2**12, seed=432), 0.1, 30)
         cg = build_map(fit_pca(traj), 20)
+        block = 16 * chain.dim * cg.d
         peak = peak_bytes(lambda: coarse_grain_hamiltonian(cg, chain))
-        assert peak <= 2.5 * cg.g.nbytes, f"peak {peak / cg.g.nbytes:.2f} blocks"
+        assert peak <= 2.5 * block, f"peak {peak / block:.2f} blocks"
 
     def test_holds_a_few_columns_whatever_d(self):
         # at d = M+1, H acts on 8 basis columns at a time: apply's temporaries
@@ -634,6 +635,17 @@ class TestChainCompression:
         cg = build_map(fit_pca(traj), 41)
         vector = 16 * chain.dim
         peak = peak_bytes(lambda: coarse_grain_hamiltonian(cg, chain))
+        bound = 4 * evolution._COMPRESS_COLUMNS * vector
+        assert peak <= bound, f"peak {peak / vector:.2f} vectors"
+
+    def test_map_and_compression_hold_a_few_columns(self):
+        # building the map copies no basis column, so at d = M+1 the map and
+        # the compression together stay within the compression's few columns
+        chain = ising_chain(12)
+        traj = evolve_sequence(chain, random_state_vector(2**12, seed=434), 0.1, 40)
+        model = fit_pca(traj)
+        vector = 16 * chain.dim
+        peak = peak_bytes(lambda: coarse_grain_hamiltonian(build_map(model, 41), chain))
         bound = 4 * evolution._COMPRESS_COLUMNS * vector
         assert peak <= bound, f"peak {peak / vector:.2f} vectors"
 

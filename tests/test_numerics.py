@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,35 @@ class TestChecks:
     def test_check_hermitian_tolerates_roundoff(self):
         m = np.array([[1.0, 0.5 + 1e-13j], [0.5, 2.0]], dtype=complex)
         check_hermitian(m)
+
+    def test_check_hermitian_scale_spans_every_row(self):
+        # the largest entry sits in the last rows, the asymmetry in the first
+        m = np.eye(50, dtype=complex)
+        m[49, 49] = 1e6
+        m[0, 1] = 0.5e-10 * 1e6
+        check_hermitian(m)
+        m[0, 1] = 2e-10 * 1e6
+        with pytest.raises(NotHermitian):
+            check_hermitian(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_check_hermitian_non_finite_anywhere(self, bad):
+        for i, j in ((0, 0), (3, 40), (40, 3), (49, 49)):
+            m = np.eye(50, dtype=complex)
+            m[0, 1] = 1.0  # not Hermitian either: the finiteness error comes first
+            m[i, j] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFinite):
+                    check_hermitian(m)
+
+    def test_check_hermitian_holds_a_few_rows(self):
+        # 8 rows at a time: their magnitudes, m^dag's rows, the difference and
+        # numpy's buffer of 8192 entries for a strided operand; not a D x D copy
+        m = np.eye(1024, dtype=complex)
+        vector = 16 * 1024
+        peak = peak_bytes(lambda: check_hermitian(m))
+        assert peak <= 32 * vector, f"peak {peak / vector:.1f} rows"
 
     def test_tolerances_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
