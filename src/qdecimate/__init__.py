@@ -9,7 +9,6 @@ Hamiltonian dynamics, and single-qubit entanglement entropy.
 
 from .decimation import (
     CoarseGrainMap,
-    CoarseState,
     build_map,
     coarse_grain_operator,
     decimate_state,
@@ -67,7 +66,6 @@ __all__ = [
     "BadDimension",
     "BadQubitIndex",
     "CoarseGrainMap",
-    "CoarseState",
     "DEFAULT_TOL",
     "DimMismatch",
     "DomainError",

@@ -85,9 +85,9 @@ def cmd_decimate(args: argparse.Namespace) -> int:
     columns = []
     for mu in range(1, model.count + 1):
         fine = model.basis @ model.weights[:, mu - 1]
-        coarse = decimate_state(cg, fine)
-        columns.append(coarse.weights)
-        print(f"state {mu}: d={d} retained_power={float(coarse.norm_before) ** 2!r}")
+        weights, power, _ = decimate_state(cg, fine)
+        columns.append(weights)
+        print(f"state {mu}: d={d} retained_power={power!r}")
     fileio.write_state_set(args.output, np.stack(columns, axis=1))
     print(f"coarse weights written: {args.output}")
     return 0
@@ -171,7 +171,7 @@ def _parse_hamiltonian(args: argparse.Namespace) -> tuple[int, bool, Callable]:
         if name == "random":
             if args.dim is None:
                 raise DomainError("random Hamiltonian needs --dim")
-            seed = int(rest) if rest else args.seed
+            seed = int(rest) if rest else 0
             return args.dim, True, lambda: random_hamiltonian(args.dim, seed)
         if name == "ising":
             if not rest:
@@ -193,7 +193,7 @@ def _parse_hamiltonian(args: argparse.Namespace) -> tuple[int, bool, Callable]:
     raise DomainError(f"unknown Hamiltonian spec '{spec}' (use zero | random:seed | ising:n,J,g)")
 
 
-def _parse_psi0(spec: str, dim: int, seed: int) -> np.ndarray:
+def _parse_psi0(spec: str, dim: int) -> np.ndarray:
     name, _, rest = spec.partition(":")
     try:
         if name == "uniform":
@@ -206,7 +206,7 @@ def _parse_psi0(spec: str, dim: int, seed: int) -> np.ndarray:
             psi0[index - 1] = 1.0
             return psi0
         if name == "random":
-            return random_state_vector(dim, int(rest) if rest else seed)
+            return random_state_vector(dim, int(rest) if rest else 0)
         if name == "file":
             matrix, _ = fileio.read_state_set(rest)
             if matrix.shape != (dim, 1):
@@ -230,7 +230,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     _check_room(dim, args.steps)
     _check_evolve_memory(dim, args.steps, dense)
     h = build()
-    psi0 = _parse_psi0(args.psi0, dim, args.seed)
+    psi0 = _parse_psi0(args.psi0, dim)
     states = evolve_sequence(h, psi0, args.dt, args.steps)
     model = fit_pca(states)
     d = args.d if args.d is not None else model.count + 1
@@ -334,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     evo.add_argument("--steps", type=int, required=True, help="number of trajectory states M")
     evo.add_argument("--d", type=int, default=None, help="coarse dimension (default M+1)")
     evo.add_argument("--out-prefix", required=True, help="prefix for the four output files")
-    evo.add_argument("--seed", type=int, default=0, help="seed for any pseudo-random draw")
     evo.set_defaults(func=cmd_evolve)
 
     info = sub.add_parser("info", help="print version, formats, and tolerances")

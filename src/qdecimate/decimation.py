@@ -1,8 +1,8 @@
 """Truncation of the PCA expansion.
 
 Keeping the first d basis columns B defines the map g = B^dag, read from
-the basis and never stored. States pushed through it are renormalized
-by hand; Hermitian operators are conjugated by it.
+the basis and never stored. The weights of states pushed through it are
+renormalized by one rule; Hermitian operators are conjugated by it.
 
 The power a fitted state keeps at d is read from its weight column
 alone: retained_power tabulates the cumulative |W|^2 of every state,
@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension, DimMismatch, DomainError, NonRealExpectation, ZeroNorm
-from .numerics import Tolerances, check_hermitian
+from .numerics import Tolerances, check_finite, check_hermitian
 from .pca import PcaModel
 
 __all__ = [
     "CoarseGrainMap",
-    "CoarseState",
     "build_map",
     "decimate_state",
     "retained_power",
@@ -45,20 +44,6 @@ class CoarseGrainMap:
         return self.source.basis[:, : self.d]
 
 
-@dataclass(frozen=True)
-class CoarseState:
-    """Unit-norm truncated weight vector plus its pre-normalization norm.
-
-    outside_span flags inputs with support beyond the fitted basis; for
-    such states the map alters structure non-systematically.
-    """
-
-    d: int
-    weights: np.ndarray
-    norm_before: float
-    outside_span: bool = False
-
-
 def check_dimension(count: int, d: int) -> None:
     """Raise BadDimension unless 2 <= d <= M+1 for a set of M = count states."""
     if not 2 <= d <= count + 1:
@@ -77,21 +62,37 @@ def _adjoint_times(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.conjugate(out, out=out)
 
 
-def decimate_state(cg: CoarseGrainMap, v: np.ndarray) -> CoarseState:
-    """Truncate a D-vector to d weight components and renormalize."""
+def _unit_weights(w: np.ndarray, norm: float | np.ndarray) -> np.ndarray:
+    """w / norm, read-only, for the retained norm of w's one state or of each of its columns.
+
+    The one renormalization cut: ZeroNorm names the first norm <= Tolerances.zero_norm.
+    """
+    small = np.atleast_1d(norm)
+    small = small[small <= Tolerances.zero_norm]
+    if small.size:
+        raise ZeroNorm(f"state is orthogonal to the retained subspace (norm {small[0]:.3e})")
+    weights = w / norm
+    weights.setflags(write=False)
+    return weights
+
+
+def decimate_state(cg: CoarseGrainMap, v: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Truncate a D-vector to its d weights w and renormalize.
+
+    Returns the read-only unit d-vector w / |w|, the retained power |w|^2 and
+    whether v has support outside the fitted basis, where the map is not systematic.
+    """
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (cg.source.dim,):
         raise DimMismatch(f"expected a vector of length {cg.source.dim}, got shape {v.shape}")
+    check_finite(v, "state")
     full = _adjoint_times(cg.source.basis, v.copy())
     w = full[: cg.d]
-    norm_before = float(np.linalg.norm(w))
-    if norm_before <= Tolerances.zero_norm:
-        raise ZeroNorm(f"state is orthogonal to the retained subspace (norm {norm_before:.3e})")
+    norm = np.linalg.norm(w)
+    weights = _unit_weights(w, norm)
     residual = float(np.linalg.norm(v - cg.source.basis @ full))
     outside = residual > Tolerances.base * max(float(np.linalg.norm(v)), 1.0)
-    weights = w / norm_before
-    weights.setflags(write=False)
-    return CoarseState(d=cg.d, weights=weights, norm_before=norm_before, outside_span=outside)
+    return weights, float(norm) ** 2, outside
 
 
 def retained_power(model: PcaModel) -> np.ndarray:
@@ -138,6 +139,8 @@ def expectation(state_weights: np.ndarray, op_matrix: np.ndarray) -> float:
     op = np.asarray(op_matrix, dtype=np.complex128)
     if op.ndim != 2 or op.shape[0] != op.shape[1] or x.shape != (op.shape[0],):
         raise DimMismatch(f"shape mismatch: state {x.shape} against operator {op.shape}")
+    check_finite(x, "state")
+    check_finite(op, "operator")
     value = complex(np.vdot(x, op @ x))
     if abs(value.imag) > Tolerances.expectation_imag:
         raise NonRealExpectation(f"imaginary residue {value.imag:.3e} beyond tolerance")

@@ -42,8 +42,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .decimation import _adjoint_times, check_dimension, coarse_grain_operator, retained_power
-from .errors import DimMismatch, NonFinite, NotNormalized, RegimeViolation, ZeroNorm
+from .decimation import (
+    _adjoint_times,
+    _unit_weights,
+    check_dimension,
+    coarse_grain_operator,
+    retained_power,
+)
+from .errors import DimMismatch, NonFinite, NotNormalized, RegimeViolation
 from .numerics import Tolerances, check_hermitian, hermitian_eig
 from .pca import fit_pca
 from .stateset import NormPolicy, StateSet, validate_state_set
@@ -376,13 +382,7 @@ def coarse_grained_trajectory(states: StateSet, d: int) -> tuple[np.ndarray, np.
     check_dimension(states.count, d)
     model = fit_pca(states)
     power = retained_power(model)[d - 1]
-    norms = np.sqrt(power)
-    norm = norms[np.argmax(norms <= Tolerances.zero_norm)]
-    if norm <= Tolerances.zero_norm:
-        raise ZeroNorm(f"state is orthogonal to the retained subspace (norm {norm:.3e})")
-    weights = model.weights[:d] / norms
-    weights.setflags(write=False)
-    return weights, power
+    return _unit_weights(model.weights[:d], np.sqrt(power)), power
 
 
 def random_hamiltonian(dim: int, seed: int) -> np.ndarray:

@@ -88,6 +88,13 @@ def entropy_2x2_analytic(rho: np.ndarray) -> float:
     return total + 0.0
 
 
+def entropy_eigvalsh(rho: np.ndarray) -> float:
+    """-sum(lam ln lam) over the eigvalsh spectrum of a Hermitian matrix of any size."""
+    lam = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
+    positive = lam[lam > 0.0]
+    return float(-np.sum(positive * np.log(positive))) + 0.0
+
+
 def brute_force_minimal_d(weights: np.ndarray, eps: float) -> int:
     """Exhaustive scan for the smallest d with cumulative power >= 1 - eps.
 

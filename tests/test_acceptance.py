@@ -38,6 +38,7 @@ from qdecimate.fileio import read_model, write_state_set
 from helpers import (
     brute_force_minimal_d,
     dense_reduced_density_matrix,
+    entropy_eigvalsh,
     random_unitary,
 )
 
@@ -134,14 +135,14 @@ def test_criterion_05_coarse_grain_map_contract(report):
     maps = {d: build_map(model, d) for d in dims}
     for mu in range(1, 41):
         v = s.column(mu)
-        coarse = {d: decimate_state(maps[d], v) for d in dims}
+        coarse = {d: decimate_state(maps[d], v)[0] for d in dims}
         for d in dims:
             for d_prime in dims:
                 if d_prime >= d:
                     continue
-                chopped = coarse[d].weights[:d_prime]
+                chopped = coarse[d][:d_prime]
                 chopped = chopped / np.linalg.norm(chopped)
-                dev = np.abs(chopped - coarse[d_prime].weights).max()
+                dev = np.abs(chopped - coarse[d_prime]).max()
                 worst_nested = max(worst_nested, float(dev))
     ok = worst_iso <= 1e-10 and worst_nested <= 1e-10
     report(5, "coarse-grain map contract", ok, f"(iso {worst_iso:.2e}, nested {worst_nested:.2e})")
@@ -165,7 +166,7 @@ def test_criterion_06_expectation_endpoint(report, capsys):
         for k, op in enumerate(operators):
             op_cg = coarse_grain_operator(cg, op)
             for mu in range(1, count + 1):
-                coarse = expectation(decimate_state(cg, s.column(mu)).weights, op_cg)
+                coarse = expectation(decimate_state(cg, s.column(mu))[0], op_cg)
                 errs.append(abs(coarse - fine[k, mu - 1]))
         table.append((d, float(np.mean(errs)), float(np.max(errs))))
         if d == count + 1:
@@ -237,7 +238,7 @@ def test_criterion_09_saturation_curve_at_scale(report):
     mu, q = 1, 1
     curve = entropy_vs_dimension_curve(s, model, mu, q)
     f = QubitFactorization.from_dim(dim)
-    fine = von_neumann_entropy(reduced_density_matrix(s.column(mu), f, q))
+    fine = entropy_eigvalsh(reduced_density_matrix(s.column(mu), f, q))
     endpoint_err = abs(curve.points[-1][1] - fine)
     d95 = saturation_dimension(curve)
     elapsed = time.perf_counter() - start

@@ -555,17 +555,18 @@ class TestEvolve:
         ]
         assert not reached and not list(tmp_path.iterdir())
 
-    def test_seed_sets_unnumbered_random_specs(self, tmp_path):
-        def trajectory(name, *args):
-            argv = ["evolve", "--hamiltonian", "random", "--dim", "8", "--psi0", "random"]
+    def test_bare_random_is_seed_zero(self, tmp_path):
+        def trajectory(name, hamiltonian, psi0):
+            argv = ["evolve", "--hamiltonian", hamiltonian, "--dim", "8", "--psi0", psi0]
             prefix = tmp_path / name
-            argv += ["--dt", "0.1", "--steps", "3", *args, "--out-prefix", str(prefix)]
+            argv += ["--dt", "0.1", "--steps", "3", "--out-prefix", str(prefix)]
             assert main(argv) == 0
             return read_state_set(f"{prefix}_trajectory.json")[0]
 
-        seeded = trajectory("seeded", "--seed", "7")
-        assert np.array_equal(seeded, trajectory("again", "--seed", "7"))
-        assert not np.array_equal(seeded, trajectory("default"))
+        bare = trajectory("bare", "random", "random")
+        assert np.array_equal(bare, trajectory("zero", "random:0", "random:0"))
+        assert not np.array_equal(bare, trajectory("one", "random:1", "random:0"))
+        assert not np.array_equal(bare, trajectory("psi-one", "random:0", "random:1"))
 
     def test_out_of_memory_exit_1_one_line(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -704,6 +705,8 @@ class TestInfoAndParser:
             + ["--tolerance", "1e-9"],
             ["evolve", "--hamiltonian", "ising:4", "--dt", "0.1", "--steps", "3"]
             + ["--out-prefix", "missing-dir/x", "--tolerance", "1e-9"],
+            ["evolve", "--hamiltonian", "random", "--dim", "8", "--dt", "0.1", "--steps", "3"]
+            + ["--out-prefix", "missing-dir/x", "--seed", "1"],
         ],
         ids=[
             "fit-seed",
@@ -716,6 +719,7 @@ class TestInfoAndParser:
             "decimate-tolerance",
             "entropy-curve-tolerance",
             "evolve-tolerance",
+            "evolve-seed",
         ],
     )
     def test_flags_a_command_does_not_read_are_usage_errors(self, argv):

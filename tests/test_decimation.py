@@ -9,6 +9,7 @@ from qdecimate import (
     BadDimension,
     DimMismatch,
     DomainError,
+    NonFinite,
     NonRealExpectation,
     NotHermitian,
     PcaModel,
@@ -91,12 +92,13 @@ class TestDecimateState:
     def test_uniform_superposition(self):
         model = fit_pca(random_state_set(16, 3, seed=54))
         v = np.full(16, 0.25, dtype=complex)
-        coarse = decimate_state(build_map(model, 2), v)
+        weights, power, outside = decimate_state(build_map(model, 2), v)
         expected = np.zeros(2, dtype=complex)
         expected[0] = 1.0
-        assert np.abs(coarse.weights - expected).max() <= 1e-12
-        assert abs(coarse.norm_before - 1.0) <= 1e-12
-        assert not coarse.outside_span
+        assert np.abs(weights - expected).max() <= 1e-12
+        assert abs(math.sqrt(power) - 1.0) <= 1e-12
+        assert not outside
+        assert weights.shape == (2,) and not weights.flags.writeable
 
     def test_no_truncated_mass(self):
         model = fit_pca(random_state_set(16, 3, seed=55))
@@ -104,19 +106,19 @@ class TestDecimateState:
         v = model.basis @ w
         with pytest.raises(BadDimension):
             build_map(model, 1)
-        coarse = decimate_state(build_map(model, 2), v)
-        assert np.abs(coarse.weights - np.array([0.6, 0.8])).max() <= 1e-10
-        assert abs(coarse.norm_before - 1.0) <= 1e-10
+        weights, power, _ = decimate_state(build_map(model, 2), v)
+        assert np.abs(weights - np.array([0.6, 0.8])).max() <= 1e-10
+        assert abs(math.sqrt(power) - 1.0) <= 1e-10
 
     def test_norm_before_matches_stored_weights(self):
         s = random_state_set(16, 3, seed=56)
         model = fit_pca(s)
         cg = build_map(model, 2)
         for mu in range(1, 4):
-            coarse = decimate_state(cg, s.column(mu))
+            _, power, _ = decimate_state(cg, s.column(mu))
             w = model.weights[:, mu - 1]
             expected = abs(w[0]) ** 2 + abs(w[1]) ** 2
-            assert abs(coarse.norm_before**2 - expected) <= 1e-10
+            assert abs(power - expected) <= 1e-10
 
     def test_zero_norm_raises(self):
         model = fit_pca(random_state_set(16, 3, seed=57))
@@ -128,27 +130,35 @@ class TestDecimateState:
         model = fit_pca(random_state_set(16, 3, seed=58))
         v = np.zeros(16, dtype=complex)
         v[7] = 1.0
-        coarse = decimate_state(build_map(model, 4), v)
-        assert coarse.outside_span
+        assert decimate_state(build_map(model, 4), v)[2]
         inside_vec = model.basis @ np.ones(4) / 2.0
-        inside = decimate_state(build_map(model, 4), inside_vec)
-        assert not inside.outside_span
+        assert not decimate_state(build_map(model, 4), inside_vec)[2]
         # small out-of-span amplitudes must be flagged too
         off = v - model.basis @ (model.basis.conj().T @ v)
         off /= np.linalg.norm(off)
         for amp in (1e-6, 1e-8):
-            assert decimate_state(build_map(model, 4), inside_vec + amp * off).outside_span
+            assert decimate_state(build_map(model, 4), inside_vec + amp * off)[2]
 
     def test_normalized_output(self):
         s = random_state_set(16, 3, seed=59)
         model = fit_pca(s)
-        coarse = decimate_state(build_map(model, 2), s.column(1))
-        assert abs(np.linalg.norm(coarse.weights) - 1.0) <= 1e-10
+        weights, _, _ = decimate_state(build_map(model, 2), s.column(1))
+        assert abs(np.linalg.norm(weights) - 1.0) <= 1e-10
 
     def test_dim_mismatch(self):
         model = fit_pca(random_state_set(16, 3, seed=60))
         with pytest.raises(DimMismatch):
             decimate_state(build_map(model, 2), np.zeros(5, dtype=complex))
+
+    @pytest.mark.parametrize("bad", ["all-nan", "one-inf"])
+    def test_non_finite_state_refused(self, bad):
+        model = fit_pca(random_state_set(16, 3, seed=60))
+        v = np.full(16, np.nan, dtype=complex)
+        if bad == "one-inf":
+            v = model.basis[:, 0].copy()
+            v[5] = np.inf
+        with pytest.raises(NonFinite):
+            decimate_state(build_map(model, 2), v)
 
     def test_nested_consistency(self):
         s = random_state_set(24, 5, seed=61)
@@ -157,11 +167,11 @@ class TestDecimateState:
             v = s.column(mu)
             for d in (4, 6):
                 for d_prime in (2, 3):
-                    direct = decimate_state(build_map(model, d_prime), v)
-                    via_d = decimate_state(build_map(model, d), v)
-                    truncated = via_d.weights[:d_prime]
+                    direct = decimate_state(build_map(model, d_prime), v)[0]
+                    via_d = decimate_state(build_map(model, d), v)[0]
+                    truncated = via_d[:d_prime]
                     truncated = truncated / np.linalg.norm(truncated)
-                    assert np.abs(direct.weights - truncated).max() <= 1e-10
+                    assert np.abs(direct - truncated).max() <= 1e-10
 
 
 class TestSelectDimension:
@@ -344,3 +354,13 @@ class TestExpectation:
     def test_shape_mismatch(self):
         with pytest.raises(DimMismatch):
             expectation(np.zeros(3, dtype=complex), np.eye(2))
+
+    @pytest.mark.parametrize("bad", ["state", "operator"])
+    def test_non_finite_refused(self, bad):
+        x, op = np.array([0.6, 0.8j]), np.eye(2, dtype=complex)
+        if bad == "state":
+            x = np.full(2, np.nan, dtype=complex)
+        else:
+            op[1, 1] = np.inf
+        with pytest.raises(NonFinite):
+            expectation(x, op)

@@ -10,6 +10,7 @@ from qdecimate import (
     BadQubitIndex,
     DimMismatch,
     EntropyCurve,
+    NonFinite,
     NotDensityMatrix,
     NotPowerOfTwo,
     QubitFactorization,
@@ -26,7 +27,7 @@ from qdecimate import (
 
 from qdecimate.entanglement import _qubit_entropies
 
-from helpers import dense_reduced_density_matrix, entropy_2x2_analytic
+from helpers import dense_reduced_density_matrix, entropy_2x2_analytic, entropy_eigvalsh
 
 
 class TestFactorization:
@@ -127,6 +128,17 @@ class TestEntropy:
         with pytest.raises(NotDensityMatrix):
             von_neumann_entropy(rho)
 
+    def test_not_one_qubit_refused(self):
+        for rho in (np.eye(4) / 4.0, np.array([[1.0]]), np.full(2, 0.5)):
+            with pytest.raises(NotDensityMatrix):
+                von_neumann_entropy(rho)
+
+    @pytest.mark.parametrize("bad", ["all-nan", "one-inf"])
+    def test_non_finite_refused(self, bad):
+        rho = np.full((2, 2), np.nan) if bad == "all-nan" else np.diag([1.0, np.inf])
+        with pytest.raises(NonFinite):
+            von_neumann_entropy(rho)
+
     def test_closed_form_rejects_negative_eigenvalue(self):
         # the curve's 2x2 spectra: |rho01|^2 = 0.3 > rho00 * rho11 = 0.25
         half = np.array([0.5])
@@ -148,6 +160,17 @@ class TestEntropy:
         rho = reduced_density_matrix(v, QubitFactorization(n=n), 1)
         s = von_neumann_entropy(rho)
         assert 0.0 <= s <= LN2 + 1e-9
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n=st.integers(min_value=1, max_value=5),
+        q_offset=st.integers(min_value=0, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_eigvalsh_oracle(self, n, q_offset, seed):
+        v = random_state_vector(2**n, seed=seed)
+        rho = reduced_density_matrix(v, QubitFactorization(n=n), 1 + q_offset % n)
+        assert abs(von_neumann_entropy(rho) - entropy_eigvalsh(rho)) <= 1e-12
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -173,7 +196,7 @@ class TestCurve:
         f = QubitFactorization(n=4)
         for mu in (1, 3, 5):
             curve = entropy_vs_dimension_curve(s, model, mu, 2)
-            fine = von_neumann_entropy(reduced_density_matrix(s.column(mu), f, 2))
+            fine = entropy_eigvalsh(reduced_density_matrix(s.column(mu), f, 2))
             assert abs(curve.points[-1][1] - fine) <= 1e-8
 
     @staticmethod

@@ -9,7 +9,6 @@ PUBLIC = [
     "BadDimension",
     "BadQubitIndex",
     "CoarseGrainMap",
-    "CoarseState",
     "DEFAULT_TOL",
     "DimMismatch",
     "DomainError",

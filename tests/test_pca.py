@@ -21,7 +21,7 @@ from qdecimate import (
     random_state_set,
     validate_state_set,
 )
-from qdecimate import fileio, pca
+from qdecimate import fileio, numerics, pca
 from qdecimate.decimation import retained_power
 from qdecimate.numerics import gram_deviation, svd
 
@@ -249,7 +249,7 @@ class TestRowBlocks:
 
 def _full_weights(model, v):
     """Weights of a unit D-vector in the whole basis: decimation at d = M+1."""
-    return decimate_state(build_map(model, model.count + 1), v).weights
+    return decimate_state(build_map(model, model.count + 1), v)[0]
 
 
 class TestWeightsOf:
@@ -390,3 +390,38 @@ class TestModelInvariants:
             assert a.basis.tobytes() == b.basis.tobytes()
             assert a.weights.tobytes() == b.weights.tobytes()
             assert a.singular_values.tobytes() == b.singular_values.tobytes()
+
+
+def _pivot_rows(basis):
+    """Row of each deviation column's pivot: its first entry at or above (1 - 1e-12) * max."""
+    mag = np.abs(basis[:, 1:])
+    return np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=0), axis=0)
+
+
+class TestPhaseConvention:
+    # D = 2^13 + 17 rows make three _PIVOT_ROWS blocks in the fit's phase pass
+    CASES = ["full-rank", "rank-deficient", "several-pivot-blocks"]
+
+    @staticmethod
+    def _states(case):
+        if case == "full-rank":
+            return random_state_set(64, 6, seed=45)
+        if case == "rank-deficient":
+            # 6 states in the span of 2 random vectors: 3 basis columns past the rank
+            pair = random_columns(64, 2, seed=46)
+            mix = np.array([[1.0, 0.0, 1.0, 1.0, 2.0, 1.0j], [0.0, 1.0, 1.0, -1.0, 1.0, 2.0]])
+            raw = pair @ mix
+            return validate_state_set(raw / np.linalg.norm(raw, axis=0))
+        return random_state_set(2**13 + 17, 8, seed=47)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_deviation_pivot_is_real_positive(self, case):
+        model = fit_pca(self._states(case))
+        if case == "rank-deficient":
+            assert model.rank == 2
+        rows = _pivot_rows(model.basis)
+        pivots = model.basis[rows, np.arange(1, model.count + 1)]
+        assert np.all(pivots.real > 0.0)
+        assert np.all(np.abs(pivots.imag) <= 1e-12 * pivots.real)
+        if case == "several-pivot-blocks":
+            assert len(set(rows // numerics._PIVOT_ROWS)) > 1
