@@ -83,9 +83,10 @@ def cmd_decimate(args: argparse.Namespace) -> int:
         d = args.d
     cg = build_map(model, d)
     columns = []
-    for mu in range(1, model.count + 1):
-        fine = model.basis @ model.weights[:, mu - 1]
-        weights, power, _ = decimate_state(cg, fine)
+    # every fitted state rebuilt by one product, one row per state
+    fine = model.weights.T @ model.basis.T
+    for mu, state in enumerate(fine, start=1):
+        weights, power, _ = decimate_state(cg, state)
         columns.append(weights)
         print(f"state {mu}: d={d} retained_power={power!r}")
     fileio.write_state_set(args.output, np.stack(columns, axis=1))

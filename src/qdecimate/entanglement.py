@@ -74,7 +74,12 @@ def reduced_density_matrix(v: np.ndarray, f: QubitFactorization, q: int) -> np.n
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy in nats of a one-qubit 2x2 density matrix, in closed form (0 ln 0 = 0)."""
+    """Entropy in nats of rho / tr(rho) for a one-qubit 2x2 density matrix (0 ln 0 = 0).
+
+    The trace may be off 1 by 2 * state_norm + base: the square of a norm
+    that state validation admits, plus round-off. A trace within base of 1
+    is round-off and counts as 1, so such a matrix is used as it is.
+    """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (2, 2):
         raise NotDensityMatrix(f"expected a one-qubit 2 x 2 matrix, got shape {rho.shape}")
@@ -82,10 +87,11 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     if np.abs(rho - rho.conj().T).max() > Tolerances.base:
         raise NotDensityMatrix("matrix is not Hermitian within tolerance")
     trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > Tolerances.base:
+    if abs(trace - 1.0) > 2 * Tolerances.state_norm + Tolerances.base:
         raise NotDensityMatrix(f"trace is {trace:.12g}, not 1 within tolerance")
-    off2 = rho[0, 1].real ** 2 + rho[0, 1].imag ** 2
-    return float(_qubit_entropies(rho[0, 0].real, rho[1, 1].real, off2))
+    t = trace.real if abs(trace - 1.0) > Tolerances.base else 1.0
+    off2 = (rho[0, 1].real ** 2 + rho[0, 1].imag ** 2) / t**2
+    return float(_qubit_entropies(rho[0, 0].real / t, rho[1, 1].real / t, off2))
 
 
 def _qubit_entropies(rho00: np.ndarray, rho11: np.ndarray, off2: np.ndarray) -> np.ndarray:

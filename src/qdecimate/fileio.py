@@ -15,22 +15,38 @@ umask; a failed write names the requested path.
 Writers never build the document as one text: keys go out in sorted
 order and each array's base64 is streamed in pieces of about 1 MiB, with
 the same bytes as one json.dumps(sort_keys=True) of the whole document.
-Readers pop each array's base64 string out of the parsed document, check
-that it has the canonical length of the bytes its shape needs, and
-decode it strictly in C (binascii.a2b_base64, strict_mode=True), so the
-text is freed before the array is copied or checked.
+Readers never hold a document's text. A first pass over the file's
+bytes finds every JSON string by its quotes; the text of each string
+that follows a "data" key stays in the file, and json.loads parses only
+the rest (keys, header integers, dtype, shape, singular values, labels).
+Then each array runs its checks in order, all before anything is
+allocated: dtype, positive shape entries, and the canonical base64
+length of the bytes its shape needs. Only then is the final array
+allocated and its text read and decoded into it strictly in C
+(binascii.a2b_base64, strict_mode=True), one piece of about 1 MiB at a
+time; every entry must then be finite. So a read holds its arrays, one
+piece and the small rest of the document. A string with a backslash (a
+hand-made file's escapes) is unescaped by json first and then decoded in
+the same pieces, and a "data" string that no array reads (a duplicate
+key's) is still checked as JSON text.
 """
 
 from __future__ import annotations
 
 import binascii
+import codecs
 import csv
+import io
 import json
 import math
 import os
 import re
 import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -40,10 +56,19 @@ from .pca import PcaModel, numerical_rank
 
 FORMAT_VERSION = 2
 _DTYPE = "<c16"
-# base64 text that padding may end, and nothing else
-_BASE64_TEXT = r"[A-Za-z0-9+/]*={0,2}"
 # a multiple of 3, so each streamed piece of an array encodes to unpadded base64
 _CHUNK_BYTES = 3 << 18
+# base64 characters a reader holds at once: the text of _CHUNK_BYTES, a
+# multiple of 64 characters, so every piece but the last is whole entries
+_PIECE_CHARS = 4 * _CHUNK_BYTES // 3
+# base64 text is alphabet characters, with "=" only among the last two
+_ALPHABET = re.compile(rb"[A-Za-z0-9+/]*")
+_BASE64_TAIL = re.compile(rb"[A-Za-z0-9+/]{0,2}|[A-Za-z0-9+/]=|==")
+# the bytes before the opening quote of a "data" value; a string whose
+# key lies further back than _KEY_WINDOW bytes is left to json
+_DATA_KEY = re.compile(rb'"data"[ \t\n\r]*:[ \t\n\r]*\Z')
+_KEY_WINDOW = 64
+_CONTROL = re.compile(rb"[\x00-\x1f]")
 
 
 def _atomic_write(path: str | Path, write_body) -> None:
@@ -119,28 +144,173 @@ def _dump_json(path: str | Path, doc: dict) -> None:
     _atomic_write(path, write_body)
 
 
-def _read_document(path: str | Path, *keys: str) -> tuple[dict, int]:
-    """A format-2 file's JSON object, which must hold keys, and its integer dimension."""
-    with open(path, encoding="utf-8") as handle:
+@dataclass
+class _Text:
+    """A JSON string's text, length bytes from offset in handle, read piece by piece."""
+
+    handle: BinaryIO
+    offset: int
+    length: int
+    read: bool = False
+
+
+def _pieces(text: _Text, start: int, stop: int, path: str | Path) -> Iterator[memoryview]:
+    """Bytes start..stop of text, _PIECE_CHARS at a time, each read into one reused buffer."""
+    buffer = memoryview(bytearray(max(0, min(_PIECE_CHARS, stop - start))))
+    text.handle.seek(text.offset + start)
+    for at in range(start, stop, _PIECE_CHARS):
+        piece = buffer[: min(_PIECE_CHARS, stop - at)]
+        if text.handle.readinto(piece) != len(piece):
+            raise DomainError(f"{path}: file ended while it was read")
+        yield piece
+
+
+def _scan(handle) -> list:
+    """A JSON file's skeleton bytes, with each string that follows a "data" key cut out.
+
+    Strings are found by their quotes, escapes included, one block of
+    _PIECE_CHARS bytes at a time. A cut string leaves (offset, length,
+    escaped) in the list: where its text lies in the file and whether it
+    holds a backslash. Its quotes are cut with it.
+    """
+    parts: list = []
+    offset = 0  # file offset of block[0]
+    opened = None  # file offset of the text of the string being read
+    cut = escaped = False
+    skip = 0  # bytes of an escape pair that run into the next block
+    previous = b""
+    while block := handle.read(_PIECE_CHARS):
+        if skip and not cut:
+            parts.append(block[:skip])
+        at, skip, quote = skip, 0, -1
+        while at < len(block):
+            # quote: the first quote at or after at, len(block) if there is none
+            if quote < at:
+                quote = block.find(b'"', at)
+                quote = len(block) if quote < 0 else quote
+            if opened is None:
+                if quote == len(block):
+                    parts.append(block[at:])
+                    break
+                if quote < _KEY_WINDOW:
+                    window = (previous + block[:quote])[-_KEY_WINDOW:]
+                else:
+                    window = block[quote - _KEY_WINDOW : quote]
+                cut = _DATA_KEY.search(window) is not None
+                parts.append(block[at : quote + (not cut)])
+                opened, escaped, at = offset + quote + 1, False, quote + 1
+                continue
+            slash = block.find(b"\\", at, quote)
+            if slash >= 0:
+                escaped, stop = True, slash + 2
+                if not cut:
+                    parts.append(block[at:stop])
+                skip, at = max(0, stop - len(block)), stop
+                continue
+            if not cut:
+                parts.append(block[at : quote + 1])
+            if quote == len(block):
+                break
+            if cut:
+                parts.append((opened, offset + quote - opened, escaped))
+            opened, at = None, quote + 1
+        previous = block[-_KEY_WINDOW:]
+        offset += len(block)
+    return parts
+
+
+def _parse(handle, path: str | Path) -> tuple[object, list[_Text]]:
+    """The JSON value of a file, each "data" string without a backslash left in the file.
+
+    json.loads reads only the skeleton. Each cut string stands there as a
+    number whose fraction has more digits than any digit run of the file,
+    so it cannot be mistaken for one of the file's numbers; parse_float
+    turns it into its _Text. A cut string that holds a backslash goes
+    back into the skeleton, for json to unescape.
+    """
+    segments, texts, current, start = [], [], [], 0
+    for part in _scan(handle):
+        if isinstance(part, bytes):
+            current.append(part)
+            continue
+        offset, length, escaped = part
+        if escaped:
+            handle.seek(offset)
+            current.append(b'"' + handle.read(length) + b'"')
+            continue
+        segments.append((start, b"".join(current)))
+        texts.append(_Text(handle, offset, length))
+        current, start = [], offset + length + 1
+    segments.append((start, b"".join(current)))
+    runs = [len(run) for _, seg in segments for run in re.findall(rb"[0-9]+", seg)]
+    marker = "." + "1" * (max(runs, default=0) + 1)
+    skeleton, placeholders = [], {}
+    for index, (start, seg) in enumerate(segments):
         try:
-            doc = json.load(handle)
+            skeleton.append(seg.decode("utf-8"))
         except UnicodeDecodeError as exc:
-            raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-        except RecursionError as exc:
-            raise DomainError(f"{path}: JSON nested too deeply") from exc
-        except ValueError as exc:
-            raise DomainError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise DomainError(f"{path}: expected a JSON object at top level")
-    for key in ("format_version", "dimension", *keys):
-        if key not in doc:
-            raise DomainError(f"{path}: missing key '{key}'")
-    version = _int_field(doc, "format_version", path)
-    if version != FORMAT_VERSION:
-        raise DomainError(
-            f"{path}: unsupported format_version {version} (only {FORMAT_VERSION} is read)"
+            raise DomainError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {start + exc.start})"
+            ) from exc
+        if index < len(texts):
+            placeholders[f"{index}{marker}"] = texts[index]
+            # the space keeps a digit that follows the string from joining the number
+            skeleton.append(f"{index}{marker} ")
+    try:
+        doc = json.loads(
+            "".join(skeleton),
+            parse_float=lambda s: placeholders[s] if s in placeholders else float(s),
         )
-    return doc, _int_field(doc, "dimension", path)
+    except RecursionError as exc:
+        raise DomainError(f"{path}: JSON nested too deeply") from exc
+    except json.JSONDecodeError as exc:
+        # a column of the skeleton is not one of the file, but its lines are the file's
+        raise DomainError(f"{path}: not valid JSON ({exc.msg} on line {exc.lineno})") from exc
+    except ValueError as exc:
+        raise DomainError(f"{path}: not valid JSON ({exc})") from exc
+    return doc, texts
+
+
+def _check_string(text: _Text, path: str | Path) -> None:
+    """A cut string that no array read must still be JSON: UTF-8, no control characters."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    at = text.offset
+    try:
+        for piece in _pieces(text, 0, text.length, path):
+            control = _CONTROL.search(piece)
+            if control:
+                raise DomainError(
+                    f"{path}: not valid JSON (control character at byte {at + control.start()})"
+                )
+            decoder.decode(piece, final=at + len(piece) == text.offset + text.length)
+            at += len(piece)
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {at})") from exc
+
+
+@contextmanager
+def _read_document(path: str | Path, *keys: str) -> Iterator[tuple[dict, int]]:
+    """A format-2 file's JSON object, which must hold keys, and its integer dimension.
+
+    The file stays open while the caller decodes its arrays. On leaving,
+    every cut string that no array read is checked as JSON text.
+    """
+    with open(path, "rb") as handle:
+        doc, texts = _parse(handle, path)
+        if not isinstance(doc, dict):
+            raise DomainError(f"{path}: expected a JSON object at top level")
+        for key in ("format_version", "dimension", *keys):
+            if key not in doc:
+                raise DomainError(f"{path}: missing key '{key}'")
+        version = _int_field(doc, "format_version", path)
+        if version != FORMAT_VERSION:
+            raise DomainError(
+                f"{path}: unsupported format_version {version} (only {FORMAT_VERSION} is read)"
+            )
+        yield doc, _int_field(doc, "dimension", path)
+        for text in texts:
+            if not text.read:
+                _check_string(text, path)
 
 
 def _int_field(doc: dict, key: str, path: str | Path) -> int:
@@ -151,14 +321,30 @@ def _int_field(doc: dict, key: str, path: str | Path) -> int:
     return value
 
 
-def _decode_array(value, field: str, path: str | Path) -> np.ndarray:
+def _store(rows: np.ndarray, start: int, values: np.ndarray) -> None:
+    """Write values into the 2-D rows in row-major order, from flat index start on."""
+    width = rows.shape[1]
+    row, col = divmod(start, width)
+    if col:
+        head = values[: width - col]
+        rows[row, col : col + len(head)] = head
+        values, row = values[len(head) :], row + 1
+    full = len(values) // width
+    rows[row : row + full] = values[: full * width].reshape(full, width)
+    if len(values) > full * width:
+        rows[row + full, : len(values) - full * width] = values[full * width :]
+
+
+def _decode_array(value, field: str, path: str | Path, transposed: bool = False) -> np.ndarray:
     """A complex array from its {dtype, shape, data} object.
 
-    The result is a read-only view of the decoded bytes. Its shape entries
-    must be positive, so no decoded dimension exceeds the number of
-    entries the file actually holds. The "data" string is popped
-    out of the object and dropped once decoded; callers pop the object out
-    of their document, so the text is freed before any further copy.
+    Checks run in this order, all before anything is allocated: the dtype,
+    the shape, whose entries must be positive so that no dimension
+    exceeds the entries the file holds, and the canonical length of the
+    base64 text. Only then is the result allocated, and the text is
+    decoded into it piece by piece; every entry must be finite. With
+    transposed, the array must be 2-D and comes back as its C-contiguous
+    transpose, filled piece by piece too.
     """
     if not isinstance(value, dict):
         raise DomainError(f"{path}: {field} must be a {{dtype, shape, data}} object")
@@ -170,27 +356,48 @@ def _decode_array(value, field: str, path: str | Path) -> np.ndarray:
     ):
         raise DomainError(f"{path}: {field} shape must be a list of positive integers")
     data = value.pop("data", None)
-    if not isinstance(data, str):
+    if isinstance(data, str):
+        # a text json unescaped; a non-ASCII character stays one (invalid) character
+        data = _Text(io.BytesIO(data.encode("ascii", "replace")), 0, len(data))
+    elif not isinstance(data, _Text):
         raise DomainError(f"{path}: {field} data must be a base64 string")
+    data.read = True
     expected = 16 * math.prod(shape)
     # Only the padded base64 of the expected bytes is read: the C decoder
     # alone would also take any run of "=" after a complete final quad. A
     # text of another length is refused before anything is decoded.
     chars = 4 * -(-expected // 3)
-    if len(data) == chars:
+    if data.length != chars:
+        body = max(0, data.length - 2)
+        tail = b"".join(_pieces(data, body, data.length, path))
+        if (
+            data.length % 4
+            or not _BASE64_TAIL.fullmatch(tail)
+            or not all(_ALPHABET.fullmatch(piece) for piece in _pieces(data, 0, body, path))
+        ):
+            raise DomainError(f"{path}: {field} data is not valid base64 of {chars} characters")
+        held = 3 * data.length // 4 - tail.count(b"=")
+        raise DomainError(f"{path}: {field} data holds {held} bytes, shape needs {expected}")
+    if transposed and len(shape) != 2:
+        raise DomainError(f"{path}: {field} must have shape [M, D], one row per state")
+    arr = np.empty(shape[::-1] if transposed else shape, dtype=_DTYPE)
+    rows = arr.T if transposed else arr.reshape(1, -1)
+    held = 0
+    # Every piece but the last is a whole number of quads and must decode to
+    # 3 bytes per 4 characters, that is hold no "=": so the pieces accept
+    # exactly the texts that one strict decode of the whole text accepts.
+    for at, piece in zip(range(0, chars, _PIECE_CHARS), _pieces(data, 0, chars, path)):
         try:
-            raw = binascii.a2b_base64(data, strict_mode=True)
+            raw = binascii.a2b_base64(piece, strict_mode=True)
         except ValueError as exc:
             raise DomainError(f"{path}: {field} data is not valid base64 ({exc})") from exc
-        held = len(raw)
-    elif len(data) % 4 or not re.fullmatch(_BASE64_TEXT, data):
-        raise DomainError(f"{path}: {field} data is not valid base64 of {chars} characters")
-    else:
-        held = 3 * len(data) // 4 - data.endswith("=") - data.endswith("==")
-    del data
+        if at + len(piece) < chars and 4 * len(raw) != 3 * len(piece):
+            raise DomainError(f"{path}: {field} data is not valid base64 (padding before the end)")
+        if held + len(raw) <= expected and len(raw) % 16 == 0:
+            _store(rows, held // 16, np.frombuffer(raw, dtype=_DTYPE))
+        held += len(raw)
     if held != expected:
         raise DomainError(f"{path}: {field} data holds {held} bytes, shape needs {expected}")
-    arr = np.frombuffer(raw, dtype=_DTYPE).reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{path}: {field} contains non-finite numbers")
     return arr
@@ -212,11 +419,8 @@ def write_state_set(
 
 def read_state_set(path: str | Path) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """Read back a D x M matrix plus optional labels (no policy applied here)."""
-    doc, dim = _read_document(path, "states")
-    states = _decode_array(doc.pop("states"), "states", path)
-    if states.ndim != 2:
-        raise DomainError(f"{path}: states must have shape [M, D], one row per state")
-    matrix = np.ascontiguousarray(states.T)
+    with _read_document(path, "states") as (doc, dim):
+        matrix = _decode_array(doc.pop("states"), "states", path, transposed=True)
     if matrix.shape[0] != dim:
         raise DomainError(
             f"{path}: dimension field {dim} does not match state length {matrix.shape[0]}"
@@ -247,10 +451,10 @@ def write_model(path: str | Path, model: PcaModel) -> None:
 
 def read_model(path: str | Path) -> PcaModel:
     """Load and re-validate a fitted model."""
-    doc, dim = _read_document(path, "count", "singular_values", "basis", "weights")
-    count = _int_field(doc, "count", path)
-    basis = _decode_array(doc.pop("basis"), "basis", path)
-    weights = _decode_array(doc.pop("weights"), "weights", path)
+    with _read_document(path, "count", "singular_values", "basis", "weights") as (doc, dim):
+        count = _int_field(doc, "count", path)
+        basis = _decode_array(doc.pop("basis"), "basis", path)
+        weights = _decode_array(doc.pop("weights"), "weights", path)
     try:
         sv = np.asarray(doc["singular_values"], dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -290,8 +494,8 @@ def write_operator(path: str | Path, matrix: np.ndarray) -> None:
 
 def read_operator(path: str | Path) -> np.ndarray:
     """Load a square operator and check that it is Hermitian."""
-    doc, dim = _read_document(path, "matrix")
-    matrix = np.array(_decode_array(doc.pop("matrix"), "matrix", path))
+    with _read_document(path, "matrix") as (doc, dim):
+        matrix = _decode_array(doc.pop("matrix"), "matrix", path)
     if matrix.shape != (dim, dim):
         raise DomainError(f"{path}: matrix shape {matrix.shape} != ({dim}, {dim})")
     check_hermitian(matrix, name=str(path))

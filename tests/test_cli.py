@@ -29,6 +29,8 @@ from qdecimate.fileio import (
     write_state_set,
 )
 
+from helpers import dense_reduced_density_matrix, entropy_eigvalsh
+
 
 def _stderr_lines(argv):
     """Exit code and stderr lines of one in-process run; warnings count as lines."""
@@ -244,6 +246,20 @@ class TestEntropyCurve:
         main(["entropy-curve", str(path), "-o", str(out), "--state", "2", "--qubit", "3"])
         rows = read_curve(out)
         assert abs(rows[-1][1] - fine) <= 1e-8
+
+    def test_fine_takes_every_admitted_norm(self, tmp_path, capsys):
+        # norms 1 + 4e-10 pass validation, so --fine must work beside the curve
+        path = tmp_path / "scaled.json"
+        matrix = random_state_set(16, 3, 1).matrix * (1 + 4e-10)
+        write_state_set(path, matrix)
+        assert main(["entropy-curve", str(path), "--state", "1", "--qubit", "1", "--fine"]) == 0
+        fine = float(capsys.readouterr().out.split("=")[1].split()[0])
+        out = tmp_path / "curve.csv"
+        argv = ["entropy-curve", str(path), "-o", str(out), "--state", "1", "--qubit", "1"]
+        assert main(argv) == 0
+        assert abs(read_curve(out)[-1][1] - fine) <= 1e-8
+        rho = dense_reduced_density_matrix(matrix[:, 0], 4, 1)
+        assert abs(entropy_eigvalsh(rho / np.trace(rho).real) - fine) <= 1e-12
 
     def test_d95_printed(self, tmp_path, capsys):
         path, _ = _states_file(tmp_path, 16, 4, seed=151)

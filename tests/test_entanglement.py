@@ -123,6 +123,21 @@ class TestEntropy:
         with pytest.raises(NotDensityMatrix):
             von_neumann_entropy(np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize("scale", [1 - 9.9e-10, 1 - 4e-10, 1 + 4e-10, 1 + 9.9e-10])
+    def test_trace_of_an_admitted_state(self, scale):
+        # a column norm that validation admits (within state_norm of 1) squares
+        # to a trace within 2 * state_norm; the entropy is that of rho / tr(rho)
+        v = random_state_vector(16, seed=160) * scale
+        validate_state_set(v[:, None])
+        rho = reduced_density_matrix(v, QubitFactorization(n=4), 2)
+        want = entropy_eigvalsh(rho / np.trace(rho).real)
+        assert abs(von_neumann_entropy(rho) - want) <= 1e-12
+
+    @pytest.mark.parametrize("trace", [1 - 2.2e-9, 1 + 2.2e-9])
+    def test_trace_beyond_the_admitted_bound(self, trace):
+        with pytest.raises(NotDensityMatrix, match="trace"):
+            von_neumann_entropy(np.diag([0.75, 0.25]) * trace)
+
     def test_non_hermitian(self):
         rho = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
         with pytest.raises(NotDensityMatrix):

@@ -5,6 +5,7 @@ import json
 import os
 import stat
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qdecimate.fileio import (
     write_state_set,
 )
 
-from helpers import random_hermitian_oracle, whole_document_json
+from helpers import peak_bytes, random_hermitian_oracle, whole_document_json
 
 # -0.0, the smallest subnormal, a mid-range subnormal and the largest finite magnitudes
 AWKWARD = np.array([-0.0, 5e-324, 1.1125369292536007e-308, 1e308, -1e308, 0.1 + 0.2])
@@ -608,8 +609,27 @@ _PAYLOAD = base64.b64encode(np.array([1.0 + 2.0j, -0.5 + 0.25j]).tobytes()).deco
 _EDIT_CHARS = list("AQw+/=-_ \n\r\t\x00é") + ["Ａ", " "]
 
 
-def _decoders_agree(data: str) -> bool:
-    """_decode_array accepts data exactly when strict b64decode does, with equal bytes.
+def _decode_in_memory(data: str) -> bytes:
+    obj = {"dtype": "<c16", "shape": [2], "data": data}
+    return fileio._decode_array(obj, "x", "f.json").tobytes()
+
+
+def _decode_through_a_file(data: str, path, shape=(1, 2)) -> bytes:
+    """data as the base64 of a one-state set, read by read_state_set in pieces of 64 characters.
+
+    A string json must escape (a quote, a backslash, a control character)
+    reaches the decoder through json; any other stays in the file as raw
+    bytes, UTF-8 for a non-ASCII character.
+    """
+    text = json.dumps(data, ensure_ascii=False)
+    doc = f'{{"dimension":{shape[1]},"format_version":2,"states":{{"data":{text},'
+    path.write_bytes(f'{doc}"dtype":"<c16","shape":{list(shape)}}}}}'.encode())
+    with mock.patch.object(fileio, "_PIECE_CHARS", 64):
+        return read_state_set(path)[0].tobytes()
+
+
+def _decoders_agree(data: str, decode, field: str = "x") -> bool:
+    """decode accepts data exactly when strict b64decode does, with equal bytes.
 
     A text of any length but the 44 characters of 32 bytes must also be
     canonical, 4 * ceil(n / 3) characters for the n bytes it holds, or it
@@ -621,63 +641,396 @@ def _decoders_agree(data: str) -> bool:
         expected = None
     if expected is not None and len(data) not in (len(_PAYLOAD), 4 * -(-len(expected) // 3)):
         expected = None
-    obj = {"dtype": "<c16", "shape": [2], "data": data}
     try:
-        got = fileio._decode_array(obj, "x", "f.json").tobytes()
+        got = decode(data)
     except DomainError as exc:
         message = str(exc)
         if expected is None:
-            return "x data is not valid base64" in message
+            return f"{field} data is not valid base64" in message
         if len(expected) != 32:
             return f"holds {len(expected)} bytes" in message
         return "non-finite" in message and not np.isfinite(np.frombuffer(expected, "<c16")).all()
     return got == expected
 
 
+def _short_strings() -> list[str]:
+    alphabet = ["A", "Q", "/", "=", "-", "_", " ", "\n", "é"]
+    strings = [
+        "".join(chars)
+        for length in range(6)
+        for chars in itertools.product(alphabet, repeat=length)
+    ]
+    assert len(strings) == 66430
+    return strings
+
+
+def _quad_pairs() -> list[str]:
+    # padding in the middle, extra padding, whitespace, URL-safe and non-ASCII quads
+    quads = ["AAAA", "QQ==", "AAA=", "A===", "====", "AA=A", "=AAA", " AAA", "AA\nA"]
+    quads += ["-AAA", "AA_A", "AAé=", "AA==\n", "AA\r\n"]
+    pairs = [a + b for a, b in itertools.product(quads, repeat=2)]
+    # bare, and as the last two quads of a payload of the canonical length
+    return pairs + [_PAYLOAD[:36] + pair for pair in pairs if len(pair) == 8]
+
+
+_PAYLOAD_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "replace", "delete"]),
+        st.integers(0, len(_PAYLOAD)),
+        st.sampled_from(_EDIT_CHARS),
+    ),
+    max_size=3,
+)
+
+
 class TestBase64Decoder:
     """Differential test of the strict C decoder against base64.b64decode(validate=True)."""
 
     def test_short_strings_exhaustive(self):
-        alphabet = ["A", "Q", "/", "=", "-", "_", " ", "\n", "é"]
-        strings = [
-            "".join(chars)
-            for length in range(6)
-            for chars in itertools.product(alphabet, repeat=length)
-        ]
-        assert len(strings) == 66430
-        assert [s for s in strings if not _decoders_agree(s)] == []
+        assert [s for s in _short_strings() if not _decoders_agree(s, _decode_in_memory)] == []
 
     def test_quad_pairs(self):
-        # padding in the middle, extra padding, whitespace, URL-safe and non-ASCII quads
-        quads = ["AAAA", "QQ==", "AAA=", "A===", "====", "AA=A", "=AAA", " AAA", "AA\nA"]
-        quads += ["-AAA", "AA_A", "AAé=", "AA==\n", "AA\r\n"]
-        pairs = [a + b for a, b in itertools.product(quads, repeat=2)]
-        # bare, and as the last two quads of a payload of the canonical length
-        strings = pairs + [_PAYLOAD[:36] + pair for pair in pairs if len(pair) == 8]
-        assert [s for s in strings if not _decoders_agree(s)] == []
+        assert [s for s in _quad_pairs() if not _decoders_agree(s, _decode_in_memory)] == []
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(edits=_PAYLOAD_EDITS)
+    def test_edited_payloads(self, edits):
+        data = _edit(_PAYLOAD, edits)
+        assert _decoders_agree(data, _decode_in_memory), repr(data)
+
+
+class TestBase64DecoderThroughAFile:
+    """The same cases through a whole file and read_state_set, in pieces of 64 characters."""
+
+    @pytest.fixture(scope="class")
+    def decode(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("decoder") / "states.json"
+        return lambda data: _decode_through_a_file(data, path)
+
+    def test_short_strings_exhaustive(self, decode):
+        # a file write and read each: the strings of up to 4 characters
+        strings = [s for s in _short_strings() if len(s) <= 4]
+        assert len(strings) == 7381
+        assert [s for s in strings if not _decoders_agree(s, decode, "states")] == []
+
+    def test_quad_pairs(self, decode):
+        assert [s for s in _quad_pairs() if not _decoders_agree(s, decode, "states")] == []
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(edits=_PAYLOAD_EDITS)
+    def test_edited_payloads(self, decode, edits):
+        data = _edit(_PAYLOAD, edits)
+        assert _decoders_agree(data, decode, "states"), repr(data)
+
+
+def _edit(data: str, edits) -> str:
+    for op, at, char in edits:
+        at = min(at, len(data))
+        if op == "insert":
+            data = data[:at] + char + data[at:]
+        elif op == "replace":
+            data = data[:at] + char + data[at + 1 :]
+        else:
+            data = data[:at] + data[at + 1 :]
+    return data
+
+
+# 20 finite values: 320 bytes, 428 characters ending in "=", so six pieces of
+# 64 characters and a last one of 44
+_LONG = base64.b64encode(_complex((1, 20), seed=15).tobytes()).decode()
+_BOUNDARIES = [at + step for at in range(64, 428, 64) for step in (-2, -1, 0, 1)]
+
+
+class TestPiecewiseDecoder:
+    """Pieces of 64 characters accept exactly what one strict decode of the whole text does."""
+
+    def _agrees(self, data: str, path) -> bool:
+        try:
+            expected = base64.b64decode(data, validate=True)
+        except ValueError:
+            expected = None
+        accepted = (
+            expected is not None
+            and len(data) == len(_LONG)
+            and len(expected) == 320
+            and np.isfinite(np.frombuffer(expected, "<c16")).all()
+        )
+        try:
+            got = _decode_through_a_file(data, path, shape=(1, 20))
+        except DomainError as exc:
+            return not accepted and "states data" in str(exc)
+        return accepted and got == expected
+
+    def test_unedited(self, tmp_path):
+        assert len(_LONG) == 428 and self._agrees(_LONG, tmp_path / "s.json")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # padding that ends a piece, followed by more quads
+            _LONG[:60] + "AA==" + _LONG[64:],
+            _LONG[:60] + "AAA=" + _LONG[64:],
+            # a run of "=" after a complete quad, from a piece boundary to the end
+            _LONG[:64] + "=" * (428 - 64),
+            _LONG[:384] + "=" * 44,
+            # the last piece alone: padding where the canonical text has data
+            _LONG[:424] + "AA==",
+            # a byte lost to padding in a piece and one gained at the end
+            _LONG[:60] + "AAA=" + _LONG[64:427] + "A",
+        ],
+    )
+    def test_padding_across_pieces(self, tmp_path, data):
+        assert len(data) == len(_LONG)
+        assert self._agrees(data, tmp_path / "s.json")
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
     @given(
         edits=st.lists(
             st.tuples(
                 st.sampled_from(["insert", "replace", "delete"]),
-                st.integers(0, len(_PAYLOAD)),
-                st.sampled_from(_EDIT_CHARS),
+                st.one_of(st.sampled_from(_BOUNDARIES), st.integers(0, len(_LONG))),
+                st.sampled_from(list("A=/-\n ")),
             ),
+            min_size=1,
             max_size=3,
         )
     )
-    def test_edited_payloads(self, edits):
-        data = _PAYLOAD
-        for op, at, char in edits:
-            at = min(at, len(data))
-            if op == "insert":
-                data = data[:at] + char + data[at:]
-            elif op == "replace":
-                data = data[:at] + char + data[at + 1 :]
-            else:
-                data = data[:at] + data[at + 1 :]
-        assert _decoders_agree(data), repr(data)
+    def test_edits_near_piece_boundaries(self, tmp_path_factory, edits):
+        path = tmp_path_factory.mktemp("pieces") / "s.json"
+        data = _edit(_LONG, edits)
+        assert self._agrees(data, path), repr(data)
+
+
+def _oracle(path) -> tuple[dict, dict]:
+    """A file's document by json.load, and each array object decoded by strict b64decode."""
+    with open(path, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    arrays = {
+        key: np.frombuffer(base64.b64decode(value["data"], validate=True), "<c16").reshape(
+            value["shape"]
+        )
+        for key, value in doc.items()
+        if isinstance(value, dict)
+    }
+    return doc, arrays
+
+
+_STALE = {"data": "QUFB" * 4, "dtype": "<c16", "shape": [1]}
+
+
+def _hand_made(doc: dict, form: str) -> str:
+    """The JSON text of doc (array objects as dicts) as a person might write it."""
+    text = json.dumps(doc)
+    if form == "spaced":
+        return json.dumps(doc, indent=2, separators=(" ,\n", " :\t"))
+    if form == "wide-gap":
+        # too wide a gap after the key for the reader to leave the text in the file
+        return text.replace('"data": ', '"data"' + " " * 100 + ": ")
+    if form == "reordered":
+        flip = lambda d: dict(reversed(d.items()))  # noqa: E731
+        return json.dumps(flip({k: flip(v) if isinstance(v, dict) else v for k, v in doc.items()}))
+    if form in ("slash-escape", "unicode-escape"):
+        old, new = ("/", "\\/") if form == "slash-escape" else ("A", "\\u0041")
+        for value in doc.values():
+            if isinstance(value, dict):
+                text = text.replace(value["data"], value["data"].replace(old, new))
+        return text
+    if form == "duplicate-keys":
+        # an earlier value for every key, and an earlier "data" in every array object
+        stale = {k: dict(_STALE) if isinstance(v, dict) else 0 for k, v in doc.items()}
+        text = text.replace('{"data": ', '{"data": "QUFB", "data": ')
+        return json.dumps(stale)[:-1] + ", " + text[1:]
+    assert form == "plain"
+    return text
+
+
+FORMS = ["plain", "spaced", "wide-gap", "reordered", "slash-escape", "unicode-escape"]
+FORMS += ["duplicate-keys"]
+
+
+@pytest.fixture
+def parsed_sizes(monkeypatch) -> list[int]:
+    """The length of every text json.loads parses; a json.load of a whole file fails."""
+    sizes = []
+    loads = json.loads
+
+    def recorded(text, *args, **kwargs):
+        sizes.append(len(text))
+        return loads(text, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("json.load of a whole file")
+
+    monkeypatch.setattr(json, "loads", recorded)
+    monkeypatch.setattr(json, "load", refused)
+    return sizes
+
+
+class TestReaderEquivalence:
+    """Hand-made files read to the arrays a json.load of the whole text gives, bit for bit."""
+
+    @pytest.fixture(params=[None, 64], ids=["default-pieces", "64-char-pieces"])
+    def pieces(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(fileio, "_PIECE_CHARS", request.param)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_state_set(self, tmp_path, pieces, form):
+        matrix = _complex((13, 5), seed=16)
+        labels = ['"data":"AAAA"', "a\\/b", "é", "", '{"data": "QUFB"}']
+        doc = {"format_version": 2, "dimension": 13, "states": _encode(matrix.T), "labels": labels}
+        path = tmp_path / "s.json"
+        path.write_text(_hand_made(doc, form), encoding="utf-8")
+        want, arrays = _oracle(path)
+        got, got_labels = read_state_set(path)
+        assert _bits(got) == _bits(arrays["states"].T) == _bits(matrix)
+        assert got_labels == tuple(want["labels"]) == tuple(labels)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_model(self, tmp_path, pieces, form):
+        model = fit_pca(random_state_set(16, 6, seed=17))
+        doc = {
+            "format_version": 2,
+            "dimension": 16,
+            "count": 6,
+            "singular_values": model.singular_values.tolist(),
+            "basis": _encode(model.basis),
+            "weights": _encode(model.weights),
+        }
+        path = tmp_path / "m.json"
+        path.write_text(_hand_made(doc, form))
+        _, arrays = _oracle(path)
+        back = read_model(path)
+        assert _bits(back.basis) == _bits(arrays["basis"]) == _bits(model.basis)
+        assert _bits(back.weights) == _bits(arrays["weights"]) == _bits(model.weights)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_operator(self, tmp_path, pieces, form):
+        op = random_hermitian_oracle(7, seed=18)
+        path = tmp_path / "op.json"
+        doc = {"format_version": 2, "dimension": 7, "matrix": _encode(op)}
+        path.write_text(_hand_made(doc, form))
+        _, arrays = _oracle(path)
+        assert _bits(read_operator(path)) == _bits(arrays["matrix"]) == _bits(op)
+
+    @pytest.mark.parametrize("shift", range(4))
+    def test_escapes_across_64_char_pieces(self, tmp_path, monkeypatch, parsed_sizes, shift):
+        # every other byte of each label's text starts an escape pair; the
+        # scanner must still find where the states' text starts and cut it
+        labels = ("x" * shift + '\\"' * 50, '"\\' * 50, "\\" * 3 + "\n" * 40)
+        path = tmp_path / "s.json"
+        matrix = _complex((40, 3), seed=20)
+        write_state_set(path, matrix, labels=labels)
+        monkeypatch.setattr(fileio, "_PIECE_CHARS", 64)
+        assert read_state_set(path)[1] == labels
+        assert parsed_sizes[0] < matrix.nbytes
+
+    def test_numbers_like_a_placeholder(self, tmp_path):
+        # a cut text stands in the skeleton as a number; no number of the file may match it
+        model = fit_pca(random_state_set(8, 6, seed=21))
+        sv = np.array([1.5, 1.11111111111, 1.1, 0.5, 0.11, 0.1])
+        path = tmp_path / "m.json"
+        write_model(path, dataclasses.replace(model, singular_values=sv))
+        back = read_model(path)
+        assert np.array_equal(back.singular_values, sv)
+        assert _bits(back.basis) == _bits(model.basis)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(labels=st.lists(st.text(max_size=40), min_size=3, max_size=3))
+    def test_any_labels_in_64_char_pieces(self, tmp_path_factory, labels):
+        # quotes, backslashes and escapes fall across the scanner's block boundaries
+        path = tmp_path_factory.mktemp("labels") / "s.json"
+        matrix = _complex((4, 3), seed=19)
+        write_state_set(path, matrix, labels=tuple(labels))
+        with mock.patch.object(fileio, "_PIECE_CHARS", 64):
+            got, got_labels = read_state_set(path)
+        assert _bits(got) == _bits(matrix) and got_labels == tuple(labels)
+
+
+class TestUnreadText:
+    """A "data" text that no array reads is still checked, as json.load checked it."""
+
+    @pytest.mark.parametrize("bad", [b"\x01", b"\t", b"\xe9A", b"\xc3"])
+    @pytest.mark.parametrize("where", ["duplicate-key", "extra-key"])
+    def test_refused(self, tmp_path, bad, where):
+        path = tmp_path / "s.json"
+        write_state_set(path, random_state_set(8, 2, seed=137).matrix)
+        unread = b'{"data":"QUFB' + bad + b'QUFB","dtype":"<c16","shape":[1]}'
+        text = path.read_bytes()
+        if where == "duplicate-key":
+            path.write_bytes(b'{"states":' + unread + b"," + text[1:])
+        else:
+            path.write_bytes(b'{"notes":' + unread + b"," + text[1:])
+        with pytest.raises(ValueError):
+            json.loads(path.read_bytes().decode("utf-8"))
+        with pytest.raises(DomainError, match="not (valid JSON|UTF-8 text)"):
+            read_state_set(path)
+
+    @pytest.mark.parametrize("after", [b"5", b".5", b"e5", b"0.1"])
+    def test_no_number_right_after_the_text(self, tmp_path, after):
+        path = tmp_path / "s.json"
+        write_state_set(path, random_state_set(8, 2, seed=139).matrix)
+        unread = b'{"data":"QUFB"' + after + b',"dtype":"<c16","shape":[1]}'
+        path.write_bytes(b'{"notes":' + unread + b"," + path.read_bytes()[1:])
+        with pytest.raises(ValueError):
+            json.loads(path.read_bytes())
+        with pytest.raises(DomainError, match="not valid JSON"):
+            read_state_set(path)
+
+    @pytest.mark.parametrize("where", ["duplicate-key", "extra-key"])
+    def test_valid_text_accepted(self, tmp_path, where):
+        matrix = random_state_set(8, 2, seed=138).matrix
+        path = tmp_path / "s.json"
+        write_state_set(path, matrix)
+        key = b"states" if where == "duplicate-key" else b"notes"
+        unread = b'{"data":"not base64 \xc3\xa9","dtype":"<c16","shape":[1]}'
+        path.write_bytes(b'{"' + key + b'":' + unread + b"," + path.read_bytes()[1:])
+        assert _bits(read_state_set(path)[0]) == _bits(matrix)
+
+
+def _large_files(root) -> dict:
+    """A state set, a model and an operator, each of a 12.5-12.6 MiB array."""
+    states = _complex((2**12, 200), seed=11)
+    model = fit_pca(random_state_set(2**12, 200, seed=12))
+    operator = random_hermitian_oracle(905, seed=14)
+    write_state_set(root / "s.json", states)
+    write_model(root / "m.json", model)
+    write_operator(root / "op.json", operator)
+    return {
+        "states": (read_state_set, root / "s.json", states.nbytes),
+        "model": (read_model, root / "m.json", model.basis.nbytes + model.weights.nbytes),
+        "operator": (read_operator, root / "op.json", operator.nbytes),
+    }
+
+
+@pytest.fixture(scope="module")
+def large_files(tmp_path_factory):
+    return _large_files(tmp_path_factory.mktemp("large"))
+
+
+class TestReadMemory:
+    """A reader holds its decoded arrays and one piece of text, never the file's text."""
+
+    @pytest.mark.parametrize("kind", ["states", "model", "operator"])
+    def test_peak_of_a_12_mib_array(self, large_files, kind):
+        read, path, decoded = large_files[kind]
+        peak = peak_bytes(lambda: read(path))
+        extra = peak - decoded
+        assert extra < 4 * 2**20, f"{kind}: {extra / 2**20:.1f} MiB beyond the arrays"
+
+    def test_json_parses_only_the_skeleton(self, large_files, parsed_sizes):
+        for read, path, _ in large_files.values():
+            read(path)
+        assert len(parsed_sizes) == 3 and max(parsed_sizes) <= 64 * 2**10
+
+    def test_key_across_64_char_pieces(self, tmp_path, monkeypatch, parsed_sizes):
+        # wherever a block boundary falls in '"data":"', the text stays in the file
+        monkeypatch.setattr(fileio, "_PIECE_CHARS", 64)
+        matrix = _complex((16, 2), seed=22)
+        for shift in range(64):
+            write_state_set(tmp_path / "s.json", matrix, labels=("x" * shift, ""))
+            assert _bits(read_state_set(tmp_path / "s.json")[0]) == _bits(matrix)
+        assert max(parsed_sizes) < 4 * -(-matrix.nbytes // 3)
 
 
 class TestFailedWrite:
