@@ -321,7 +321,9 @@ def evolve_sequence(
     the exact one, with K_total the series terms of all segments and
     eps = 2^-52 (see the module docstring). A non-finite dt or time span,
     or a chain step whose phase bound*|dt| is too large to expand, is a
-    RegimeViolation.
+    RegimeViolation. A psi0 whose norm is off 1 by more than state_norm is
+    NotNormalized; by more than base, it is divided by its norm, so that
+    round-off cannot carry a later state past state_norm.
     """
     psi0 = np.asarray(psi0, dtype=np.complex128)
     dt = float(dt)
@@ -337,15 +339,18 @@ def evolve_sequence(
     span = abs(dt) * (steps - 1)
     if not (math.isfinite(dt) and math.isfinite(span)):
         raise RegimeViolation(f"time step and span must be finite, got dt={dt!r}, steps={steps}")
-    if abs(np.linalg.norm(psi0) - 1.0) > Tolerances.state_norm:
-        raise NotNormalized(f"initial state has norm {np.linalg.norm(psi0):.12g}")
+    norm = float(np.linalg.norm(psi0))
+    if abs(norm - 1.0) > Tolerances.state_norm:
+        raise NotNormalized(f"initial state has norm {norm:.12g}")
+    if abs(norm - 1.0) > Tolerances.base:
+        psi0 = psi0 / norm
     if chain:
         columns = _chain_trajectory(h, psi0, dt, steps).T
     else:
         energies, vectors = hermitian_eig(h)
         if not math.isfinite(float(np.abs(energies).max()) * span):
             raise RegimeViolation(f"phases E*t overflow over a time span of {span!r}")
-        amplitudes = vectors.conj().T @ psi0
+        amplitudes = _adjoint_times(vectors, psi0.copy())
         times = dt * np.arange(steps)
         phases = np.exp(-1j * np.outer(energies, times))
         columns = vectors @ (phases * amplitudes[:, np.newaxis])

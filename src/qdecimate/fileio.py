@@ -4,7 +4,8 @@ Every complex array is one JSON object
 ``{"dtype": "<c16", "shape": [r, c], "data": "<base64>"}`` whose data is
 the row-major little-endian complex128 bytes, so a write/read cycle is
 bit-exact and identical inputs produce byte-identical files. State sets
-store their D x M matrix transposed, one row per state (shape [M, D]).
+store their D x M matrix transposed, one row per state (shape [M, D]),
+and read back as the transposed view of those rows.
 Every JSON file holds format_version 2, the only version read, and an
 integer dimension, and one header check serves all three readers.
 Singular values stay a plain JSON float list; curves are CSV rows whose
@@ -24,7 +25,8 @@ allocated: dtype, positive shape entries, and the canonical base64
 length of the bytes its shape needs. Only then is the final array
 allocated and its text read and decoded into it strictly in C
 (binascii.a2b_base64, strict_mode=True), one piece of about 1 MiB at a
-time; every entry must then be finite. So a read holds its arrays, one
+time, each at its own byte offset, so every array fills in file order;
+every entry must then be finite. So a read holds its arrays, one
 piece and the small rest of the document. A string with a backslash (a
 hand-made file's escapes) is unescaped by json first and then decoded in
 the same pieces, and a "data" string that no array reads (a duplicate
@@ -321,30 +323,15 @@ def _int_field(doc: dict, key: str, path: str | Path) -> int:
     return value
 
 
-def _store(rows: np.ndarray, start: int, values: np.ndarray) -> None:
-    """Write values into the 2-D rows in row-major order, from flat index start on."""
-    width = rows.shape[1]
-    row, col = divmod(start, width)
-    if col:
-        head = values[: width - col]
-        rows[row, col : col + len(head)] = head
-        values, row = values[len(head) :], row + 1
-    full = len(values) // width
-    rows[row : row + full] = values[: full * width].reshape(full, width)
-    if len(values) > full * width:
-        rows[row + full, : len(values) - full * width] = values[full * width :]
-
-
-def _decode_array(value, field: str, path: str | Path, transposed: bool = False) -> np.ndarray:
-    """A complex array from its {dtype, shape, data} object.
+def _decode_array(value, field: str, path: str | Path) -> np.ndarray:
+    """A complex array from its {dtype, shape, data} object, filled in file order.
 
     Checks run in this order, all before anything is allocated: the dtype,
     the shape, whose entries must be positive so that no dimension
     exceeds the entries the file holds, and the canonical length of the
-    base64 text. Only then is the result allocated, and the text is
-    decoded into it piece by piece; every entry must be finite. With
-    transposed, the array must be 2-D and comes back as its C-contiguous
-    transpose, filled piece by piece too.
+    base64 text. Only then is the C-ordered result allocated, and each
+    piece of the text is decoded into its bytes at the piece's offset;
+    every entry must be finite.
     """
     if not isinstance(value, dict):
         raise DomainError(f"{path}: {field} must be a {{dtype, shape, data}} object")
@@ -378,10 +365,8 @@ def _decode_array(value, field: str, path: str | Path, transposed: bool = False)
             raise DomainError(f"{path}: {field} data is not valid base64 of {chars} characters")
         held = 3 * data.length // 4 - tail.count(b"=")
         raise DomainError(f"{path}: {field} data holds {held} bytes, shape needs {expected}")
-    if transposed and len(shape) != 2:
-        raise DomainError(f"{path}: {field} must have shape [M, D], one row per state")
-    arr = np.empty(shape[::-1] if transposed else shape, dtype=_DTYPE)
-    rows = arr.T if transposed else arr.reshape(1, -1)
+    arr = np.empty(shape, dtype=_DTYPE)
+    flat = arr.reshape(-1).view(np.uint8)
     held = 0
     # Every piece but the last is a whole number of quads and must decode to
     # 3 bytes per 4 characters, that is hold no "=": so the pieces accept
@@ -393,8 +378,8 @@ def _decode_array(value, field: str, path: str | Path, transposed: bool = False)
             raise DomainError(f"{path}: {field} data is not valid base64 ({exc})") from exc
         if at + len(piece) < chars and 4 * len(raw) != 3 * len(piece):
             raise DomainError(f"{path}: {field} data is not valid base64 (padding before the end)")
-        if held + len(raw) <= expected and len(raw) % 16 == 0:
-            _store(rows, held // 16, np.frombuffer(raw, dtype=_DTYPE))
+        if held + len(raw) <= expected:
+            flat[held : held + len(raw)] = np.frombuffer(raw, dtype=np.uint8)
         held += len(raw)
     if held != expected:
         raise DomainError(f"{path}: {field} data holds {held} bytes, shape needs {expected}")
@@ -418,9 +403,16 @@ def write_state_set(
 
 
 def read_state_set(path: str | Path) -> tuple[np.ndarray, tuple[str, ...] | None]:
-    """Read back a D x M matrix plus optional labels (no policy applied here)."""
+    """Read back a D x M matrix plus optional labels (no policy applied here).
+
+    The matrix is the transposed, F-ordered view of the file's [M, D] rows:
+    no copy is made, and validate_state_set makes the one C-ordered copy.
+    """
     with _read_document(path, "states") as (doc, dim):
-        matrix = _decode_array(doc.pop("states"), "states", path, transposed=True)
+        rows = _decode_array(doc.pop("states"), "states", path)
+    if rows.ndim != 2:
+        raise DomainError(f"{path}: states must have shape [M, D], one row per state")
+    matrix = rows.T
     if matrix.shape[0] != dim:
         raise DomainError(
             f"{path}: dimension field {dim} does not match state length {matrix.shape[0]}"

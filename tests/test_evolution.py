@@ -111,6 +111,19 @@ class TestEvolveSequence:
         with pytest.raises(NotNormalized):
             evolve_sequence(np.zeros((8, 8), dtype=complex), np.ones(8, dtype=complex), 0.1, 3)
 
+    @pytest.mark.parametrize("drift", [1e-9 - 1e-15, -1e-9 + 1e-15])
+    def test_admitted_initial_drift_rescaled(self, drift):
+        # the drift alone would carry round-off past the 1e-9 norm check of later states
+        psi0 = random_state_vector(256, seed=4) * (1 + drift)
+        traj = evolve_sequence(ising_chain(8), psi0, 0.3, 60)
+        assert np.array_equal(traj.column(1), psi0 / np.linalg.norm(psi0))
+        norms = np.linalg.norm(traj.matrix, axis=0)
+        assert np.abs(norms - 1.0).max() <= 1e-13
+
+    def test_unit_initial_state_kept_bit_for_bit(self):
+        psi0 = random_state_vector(64, seed=8)
+        assert np.array_equal(evolve_sequence(ising_chain(6), psi0, 0.3, 20).column(1), psi0)
+
     @settings(deadline=None, max_examples=25)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),

@@ -132,6 +132,33 @@ class TestStateSetFile:
         assert doc["states"]["shape"] == [3, 16]
         assert np.array_equal(_decode(doc["states"]), s.matrix.T)
 
+    def test_matrix_is_the_transposed_view_of_the_rows(self, tmp_path, monkeypatch):
+        # the rows fill in file order and the D x M matrix is their view, not a copy
+        decoded, decode = [], fileio._decode_array
+
+        def spy(*args):
+            decoded.append(decode(*args))
+            return decoded[-1]
+
+        monkeypatch.setattr(fileio, "_decode_array", spy)
+        s = random_state_set(16, 3, seed=140)
+        path = tmp_path / "states.json"
+        write_state_set(path, s.matrix)
+        matrix, _ = read_state_set(path)
+        (rows,) = decoded
+        assert rows.shape == (3, 16) and rows.flags.c_contiguous
+        assert matrix.flags.f_contiguous and not matrix.flags.c_contiguous
+        assert matrix.T.flags.c_contiguous and np.shares_memory(matrix.T, rows)
+        assert _bits(matrix) == _bits(s.matrix)
+
+    @pytest.mark.parametrize("shape", [[16], [1, 2, 8], [1, 1, 2, 8]])
+    def test_states_must_be_two_dimensional(self, tmp_path, shape):
+        path = tmp_path / "states.json"
+        rows = random_state_set(16, 1, seed=141).matrix.T.reshape(shape)
+        _write_doc(path, dimension=16, states=rows)
+        with pytest.raises(DomainError, match=r"states must have shape \[M, D\], one row per"):
+            read_state_set(path)
+
     def test_unsupported_format_version(self, tmp_path):
         path = tmp_path / "states.json"
         write_state_set(path, random_state_set(8, 2, seed=132).matrix)
