@@ -11,6 +11,7 @@ from .decimation import (
     CoarseGrainMap,
     build_map,
     coarse_grain_operator,
+    coarse_grained_trajectory,
     decimate_state,
     expectation,
     retained_power,
@@ -44,7 +45,6 @@ from .errors import (
 from .evolution import (
     IsingChain,
     coarse_grain_hamiltonian,
-    coarse_grained_trajectory,
     evolve_sequence,
     ising_chain,
     random_hamiltonian,

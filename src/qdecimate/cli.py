@@ -27,8 +27,8 @@ from .entanglement import (
 )
 from .errors import AllZeroDeviations, DomainError
 from .evolution import (
-    _BLOCK,
-    _check_room,
+    SERIES_BLOCK,
+    check_room,
     check_steps,
     coarse_grain_hamiltonian,
     evolve_sequence,
@@ -128,7 +128,9 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
 # measured with one BLAS thread and 100 steps, at d = M+1 and at --d 20
 # alike: 148/107 MiB at ising:14, 399/304 at ising:16, 1404/1094 at
 # ising:18; 5.30/4.14 GiB at ising:20 with --d 20. A dense D x D H and its
-# eigh take about 5 x 16*D^2 bytes: 394/364 MiB at random --dim 2048.
+# eigh take about 5 x 16*D^2 bytes, the fewest copies that bound both
+# 149/120 MiB at random --dim 1024 and 394/364 at --dim 2048 (4 would say
+# 329 there); its compression holds 8 columns, not d.
 _INTERPRETER_BYTES = 64 * 2**20
 _TRAJECTORY_COPIES = 3
 _DENSE_COPIES = 5
@@ -144,7 +146,7 @@ def _check_evolve_memory(dim: int, steps: int, dense: bool) -> None:
     Sizes that malloc does not refuse outright would otherwise allocate
     and get the process killed instead of ending in a one-line error.
     """
-    extra = _DENSE_COPIES * dim if dense else min(_BLOCK, steps)
+    extra = _DENSE_COPIES * dim if dense else min(SERIES_BLOCK, steps)
     need = _INTERPRETER_BYTES + 16 * dim * (_TRAJECTORY_COPIES * (steps + 1) + extra)
     have = _physical_memory()
     if need > have:
@@ -228,7 +230,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if args.d is not None:
         check_dimension(args.steps, args.d)
     dim, dense, build = _parse_hamiltonian(args)
-    _check_room(dim, args.steps)
+    check_room(dim, args.steps)
     _check_evolve_memory(dim, args.steps, dense)
     h = build()
     psi0 = _parse_psi0(args.psi0, dim)

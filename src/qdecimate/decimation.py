@@ -1,8 +1,9 @@
-"""Truncation of the PCA expansion.
+"""Truncation of the PCA expansion: every coarse-graining step.
 
 Keeping the first d basis columns B defines the map g = B^dag, read from
-the basis and never stored. The weights of states pushed through it are
-renormalized by one rule; Hermitian operators are conjugated by it.
+the basis and never stored. The weights of states, projected or sliced
+from a fit, are renormalized by one rule, and every operator, a matrix
+or an IsingChain, is compressed by one loop over a few columns of B.
 
 The power a fitted state keeps at d is read from its weight column
 alone: retained_power tabulates the cumulative |W|^2 of every state,
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension, DimMismatch, DomainError, NonRealExpectation, ZeroNorm
-from .numerics import Tolerances, check_finite, check_hermitian
-from .pca import PcaModel
+from .numerics import Tolerances, adjoint_times, check_finite, check_hermitian
+from .pca import PcaModel, fit_pca
+from .stateset import StateSet
 
 __all__ = [
     "CoarseGrainMap",
@@ -26,9 +28,14 @@ __all__ = [
     "decimate_state",
     "retained_power",
     "select_dimension",
+    "coarse_grained_trajectory",
     "coarse_grain_operator",
     "expectation",
 ]
+
+# Basis columns an operator acts on at once when it is compressed: op @ B,
+# or a chain's apply, holds a few D-vectors beside the basis, whatever d is
+_COMPRESS_COLUMNS = 8
 
 
 @dataclass(frozen=True)
@@ -56,12 +63,6 @@ def build_map(model: PcaModel, d: int) -> CoarseGrainMap:
     return CoarseGrainMap(d=d, source=model)
 
 
-def _adjoint_times(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """B^dag X as conj(B^T conj(X)): X is overwritten, and no copy of B is made."""
-    out = b.T @ np.conjugate(x, out=x)
-    return np.conjugate(out, out=out)
-
-
 def _unit_weights(w: np.ndarray, norm: float | np.ndarray) -> np.ndarray:
     """w / norm, read-only, for the retained norm of w's one state or of each of its columns.
 
@@ -86,7 +87,7 @@ def decimate_state(cg: CoarseGrainMap, v: np.ndarray) -> tuple[np.ndarray, float
     if v.shape != (cg.source.dim,):
         raise DimMismatch(f"expected a vector of length {cg.source.dim}, got shape {v.shape}")
     check_finite(v, "state")
-    full = _adjoint_times(cg.source.basis, v.copy())
+    full = adjoint_times(cg.source.basis, v.copy())
     w = full[: cg.d]
     norm = np.linalg.norm(w)
     weights = _unit_weights(w, norm)
@@ -122,15 +123,44 @@ def select_dimension(model: PcaModel, eps: float, state: int | None = None) -> i
     return int(dims.max() if state is None else dims[state - 1])
 
 
-def coarse_grain_operator(cg: CoarseGrainMap, op: np.ndarray) -> np.ndarray:
-    """Conjugate a D x D Hermitian operator down to d x d: g op g^dag = B^dag (op B)."""
-    op = np.asarray(op, dtype=np.complex128)
-    if op.shape != (cg.source.dim, cg.source.dim):
-        raise DimMismatch(
-            f"expected a {cg.source.dim} x {cg.source.dim} operator, got shape {op.shape}"
-        )
-    check_hermitian(op, "operator")
-    return _adjoint_times(cg.columns, op @ cg.columns)
+def coarse_grained_trajectory(states: StateSet, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fit a trajectory's states, then keep d weight components of each step.
+
+    Returns the read-only d x M coarse weights W[:d] / sqrt(P[d-1]) and the
+    M retained powers P[d-1], P = retained_power(fit). A d outside [2, M+1]
+    is BadDimension; ZeroNorm names the first step with no retained norm.
+    """
+    check_dimension(states.count, d)
+    model = fit_pca(states)
+    power = retained_power(model)[d - 1]
+    return _unit_weights(model.weights[:d], np.sqrt(power)), power
+
+
+def coarse_grain_operator(cg: CoarseGrainMap, op) -> np.ndarray:
+    """Conjugate a Hermitian operator down to d x d: g op g^dag = B^dag (op B).
+
+    op is a D x D matrix, checked for hermiticity first, or any operator
+    with ``apply`` (an IsingChain), which is never formed as a matrix. op
+    acts on _COMPRESS_COLUMNS basis columns at a time, in O(n * D * d) for
+    a chain, and the d x d result is checked for hermiticity.
+    """
+    if hasattr(op, "apply"):
+        apply = op.apply
+    else:
+        op = np.asarray(op, dtype=np.complex128)
+        if op.shape != (cg.source.dim, cg.source.dim):
+            raise DimMismatch(
+                f"expected a {cg.source.dim} x {cg.source.dim} operator, got shape {op.shape}"
+            )
+        check_hermitian(op, "operator")
+        apply = op.__matmul__
+    b = cg.columns
+    op_cg = np.empty((cg.d, cg.d), dtype=np.complex128)
+    for lo in range(0, cg.d, _COMPRESS_COLUMNS):
+        block = b[:, lo : lo + _COMPRESS_COLUMNS]
+        op_cg[:, lo : lo + block.shape[1]] = adjoint_times(b, apply(block))
+    check_hermitian(op_cg, "coarse-grained operator")
+    return op_cg
 
 
 def expectation(state_weights: np.ndarray, op_matrix: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Discretized unitary trajectories as state sets, and their coarse-graining.
+"""Discretized unitary trajectories as state sets.
 
 A trajectory evolves one initial state under a fixed Hamiltonian (hbar = 1)
 at uniform time steps. ``evolve_sequence`` returns it as the validated
@@ -28,10 +28,8 @@ propagator runs depends on the Hamiltonian's type:
   small multiple of K_total * eps of exp(-i H t) psi0, K_total being the
   terms of all segments together.
 
-``coarse_grained_trajectory`` takes such a state set and returns the
-d x M coarse weights of all its steps at once, sliced from the fitted
-weights and never rebuilt in D dimensions; a chain's Hamiltonian is
-compressed from its action on the d retained basis columns themselves.
+Coarse-graining such a set, its weights and its Hamiltonian, is the
+work of ``decimation``.
 """
 
 from __future__ import annotations
@@ -42,23 +40,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .decimation import (
-    _adjoint_times,
-    _unit_weights,
-    check_dimension,
-    coarse_grain_operator,
-    retained_power,
-)
+from .decimation import coarse_grain_operator
 from .errors import DimMismatch, NonFinite, NotNormalized, RegimeViolation
-from .numerics import Tolerances, check_hermitian, hermitian_eig
-from .pca import fit_pca
+from .numerics import Tolerances, adjoint_times, hermitian_eig
 from .stateset import NormPolicy, StateSet, validate_state_set
 
 __all__ = [
     "IsingChain",
     "evolve_sequence",
     "coarse_grain_hamiltonian",
-    "coarse_grained_trajectory",
     "random_hamiltonian",
     "ising_chain",
 ]
@@ -73,11 +63,7 @@ _MAX_PHASE = Tolerances.state_norm / float(np.finfo(np.float64).eps)
 # Chebyshev vectors held at once before their terms are added to the
 # states that need them; never more than the segment has states, so the block adds at most
 # one trajectory's worth of memory
-_BLOCK = 32
-# Basis columns that a chain's Hamiltonian acts on at once when it is
-# compressed: apply holds about three blocks of them, a few D-vectors
-# beside the basis, whatever d is
-_COMPRESS_COLUMNS = 8
+SERIES_BLOCK = 32
 # Float columns of the (states x 2D) trajectory per product while adding a
 # block; 8192 keeps each panel of the block and the trajectory in cache
 _PANEL = 8192
@@ -235,7 +221,7 @@ def _sum_series(
     to 2 X: the division by bound and the factor 2 ride on its diagonal
     and field, so a term costs one apply and one subtraction (T_1 = X T_0
     takes one exact halving instead). Each T_k, times its exact phase (a
-    swap of re and im and a sign), goes into a block of up to _BLOCK
+    swap of re and im and a sign), goes into a block of up to SERIES_BLOCK
     vectors, and a full block is added as a real product of its float
     view with the block's rows of the real table. K_j = terms[j] does not
     decrease with j, so the states that a block of terms k0.. reaches are
@@ -247,7 +233,7 @@ def _sum_series(
     double = IsingChain(
         chain.sites, chain.coupling * scale, chain.field * scale, chain.diagonal * scale
     )
-    block = np.empty((min(_BLOCK, total, rows.shape[0]), chain.dim), dtype=np.complex128)
+    block = np.empty((min(SERIES_BLOCK, total, rows.shape[0]), chain.dim), dtype=np.complex128)
     flat, flat_block = rows.view(np.float64), block.view(np.float64)
     # one product buffer for every panel, no larger than the block: a fresh
     # one each time would stay on the heap once freed and raise the peak
@@ -299,7 +285,7 @@ def check_steps(steps: int) -> None:
         raise RegimeViolation(f"need at least one step, got {steps}")
 
 
-def _check_room(dim: int, steps: int) -> None:
+def check_room(dim: int, steps: int) -> None:
     """Raise RegimeViolation unless D > steps+1, so a trajectory's basis leaves room in D."""
     if dim <= steps + 1:
         raise RegimeViolation(f"need dimension D > steps+1, got D={dim}, steps={steps}")
@@ -332,7 +318,7 @@ def evolve_sequence(
         h = np.asarray(h, dtype=np.complex128)
     dim = psi0.shape[0] if psi0.ndim == 1 else 0
     check_steps(steps)
-    _check_room(dim, steps)
+    check_room(dim, steps)
     shape = (h.dim, h.dim) if chain else h.shape
     if shape != (dim, dim):
         raise RegimeViolation(f"Hamiltonian shape {shape} does not match state length {dim}")
@@ -350,7 +336,7 @@ def evolve_sequence(
         energies, vectors = hermitian_eig(h)
         if not math.isfinite(float(np.abs(energies).max()) * span):
             raise RegimeViolation(f"phases E*t overflow over a time span of {span!r}")
-        amplitudes = _adjoint_times(vectors, psi0.copy())
+        amplitudes = adjoint_times(vectors, psi0.copy())
         times = dt * np.arange(steps)
         phases = np.exp(-1j * np.outer(energies, times))
         columns = vectors @ (phases * amplitudes[:, np.newaxis])
@@ -358,36 +344,8 @@ def evolve_sequence(
 
 
 def coarse_grain_hamiltonian(cg, h: np.ndarray | IsingChain) -> np.ndarray:
-    """d x d representation of the Hamiltonian under the coarse-graining map.
-
-    A chain is compressed from its action on the d retained basis columns
-    B, B^dag (H B), in O(n * D * d), a few columns at a time, and its
-    hermiticity is checked on the d x d result; a matrix goes through
-    coarse_grain_operator.
-    """
-    if not isinstance(h, IsingChain):
-        return coarse_grain_operator(cg, h)
-    # H acts on a few columns at a time, so apply's temporaries stay small
-    b = cg.columns
-    h_cg = np.empty((cg.d, cg.d), dtype=np.complex128)
-    for lo in range(0, cg.d, _COMPRESS_COLUMNS):
-        block = b[:, lo : lo + _COMPRESS_COLUMNS]
-        h_cg[:, lo : lo + block.shape[1]] = _adjoint_times(b, h.apply(block))
-    check_hermitian(h_cg, "coarse-grained Hamiltonian")
-    return h_cg
-
-
-def coarse_grained_trajectory(states: StateSet, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fit a trajectory's states, then keep d weight components of each step.
-
-    Returns the read-only d x M coarse weights W[:d] / sqrt(P[d-1]) and the
-    M retained powers P[d-1], P = retained_power(fit). A d outside [2, M+1]
-    is BadDimension; ZeroNorm names the first step with no retained norm.
-    """
-    check_dimension(states.count, d)
-    model = fit_pca(states)
-    power = retained_power(model)[d - 1]
-    return _unit_weights(model.weights[:d], np.sqrt(power)), power
+    """d x d representation of the Hamiltonian: coarse_grain_operator(cg, h)."""
+    return coarse_grain_operator(cg, h)
 
 
 def random_hamiltonian(dim: int, seed: int) -> np.ndarray:

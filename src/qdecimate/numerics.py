@@ -117,6 +117,12 @@ def _fix_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u * np.conj(phase), vh * phase[:, np.newaxis]
 
 
+def adjoint_times(b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """B^dag X as conj(B^T conj(X)): X is overwritten, and no copy of B is made."""
+    out = b.T @ np.conjugate(x, out=x)
+    return np.conjugate(out, out=out)
+
+
 def gram_deviation(x: np.ndarray) -> float:
     """Largest entry of |x^H x - I| for a complex matrix x.
 

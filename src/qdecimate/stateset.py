@@ -62,7 +62,7 @@ def validate_state_set(raw: np.ndarray, policy: NormPolicy = NormPolicy.STRICT) 
         if policy is NormPolicy.STRICT:
             raise NotNormalized(
                 f"column {worst} has norm {norms[worst]:.12g}; "
-                "pass AUTO_NORMALIZE to rescale"
+                "pass NormPolicy.AUTO_NORMALIZE (CLI: --auto-normalize) to rescale"
             )
         if np.any(norms <= 0.0):
             raise NotNormalized("cannot auto-normalize a zero column")

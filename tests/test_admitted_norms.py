@@ -5,8 +5,11 @@ drawn set, with its norms anywhere in that band, edges included, must
 pass every command that reads it: fit, decimate by --d and by --eps,
 entropy-curve with -o and with --fine on every state and qubit, and
 evolve from one of its states under a chain and under a dense
-Hamiltonian. Hypothesis runs derandomized, so the examples are the same
-on every run.
+Hamiltonian. In the library, each of its states lies inside the fitted
+basis (decimate_state's out-of-span check stays quiet), and its coarse
+weights give a real expectation of the compressed chain Hamiltonian at
+every d. Hypothesis runs derandomized, so the examples are the same on
+every run.
 """
 
 import contextlib
@@ -16,7 +19,18 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qdecimate import DEFAULT_TOL, NotNormalized, validate_state_set
+from qdecimate import (
+    DEFAULT_TOL,
+    NotNormalized,
+    build_map,
+    coarse_grain_operator,
+    coarse_grained_trajectory,
+    decimate_state,
+    expectation,
+    fit_pca,
+    ising_chain,
+    validate_state_set,
+)
 from qdecimate.cli import main
 from qdecimate.fileio import read_state_set, write_state_set
 
@@ -52,9 +66,17 @@ def test_admitted_set_passes_every_command(tmp_path_factory, qubits, seed, drift
     dim, count = 2**qubits, len(drifts)
     matrix = random_columns(dim, count, seed) * (1.0 + np.array(drifts))
     try:
-        validate_state_set(matrix)
+        admitted = validate_state_set(matrix)
     except NotNormalized:
         assume(False)
+    model, chain = fit_pca(admitted), ising_chain(qubits)
+    for d in range(2, count + 2):
+        cg = build_map(model, d)
+        h_cg = coarse_grain_operator(cg, chain)
+        weights, _ = coarse_grained_trajectory(admitted, d)
+        for mu in range(count):
+            assert not decimate_state(cg, matrix[:, mu])[2]
+            expectation(weights[:, mu], h_cg)  # NonRealExpectation would fail here
     root = tmp_path_factory.mktemp("admitted")
     states, model, psi0 = root / "s.json", root / "m.json", root / "psi.json"
     write_state_set(states, matrix)

@@ -141,6 +141,17 @@ class TestFit:
         assert main(["fit", str(path), "-o", str(out)]) == 2
         assert main(["fit", str(path), "-o", str(out), "--auto-normalize"]) == 0
 
+    def test_strict_norm_error_names_the_flag(self, tmp_path, capsys):
+        # norms drawn in 0.9..1.1: the one-line error tells a CLI user what to pass
+        s = random_state_set(64, 20, seed=136)
+        norms = np.random.Generator(np.random.PCG64(137)).uniform(0.9, 1.1, 20)
+        path = tmp_path / "drift.json"
+        write_state_set(path, s.matrix * norms)
+        assert main(["fit", str(path), "-o", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "NotNormalized" in err
+        assert "--auto-normalize" in err and "NormPolicy.AUTO_NORMALIZE" in err
+
     def test_all_uniform_set_still_fits(self, tmp_path, capsys):
         path = tmp_path / "uniform.json"
         write_state_set(path, np.full((16, 3), 0.25, dtype=complex))

@@ -30,7 +30,7 @@ from qdecimate import (
     validate_state_set,
 )
 
-from qdecimate import evolution
+from qdecimate import decimation, evolution
 from qdecimate.evolution import _MAX_PHASE, _bessel_table, _check_phase, _segment_coefficients
 
 from helpers import (
@@ -532,7 +532,7 @@ class TestChebyshevPropagation:
         monkeypatch.undo()
         # the 2 * 1024 float columns go in two panels, so that the product
         # buffer of 59 rows stays within the block of 32 vectors
-        starts = range(0, terms[-1], evolution._BLOCK)
+        starts = range(0, terms[-1], evolution.SERIES_BLOCK)
         assert product_rows == [int(np.count_nonzero(terms > k0)) for k0 in starts for _ in "ab"]
         assert product_rows[0] == steps - 1 and product_rows[-1] < steps - 1
         energies, vectors = np.linalg.eigh(chain.dense().real)
@@ -542,7 +542,7 @@ class TestChebyshevPropagation:
         assert errors.max() <= terms[-1] * np.finfo(float).eps
 
     def test_series_holds_its_block_and_a_few_vectors(self):
-        # _sum_series holds the block of _BLOCK vectors, a product buffer no
+        # _sum_series holds the block of SERIES_BLOCK vectors, a product buffer no
         # larger, and under six vectors beside: the recurrence's two, apply's
         # three, and the chain scaled to 2 H / bound, whose diagonal is half a
         # vector; neither the scaling nor a term copies a vector more
@@ -553,7 +553,8 @@ class TestChebyshevPropagation:
         start = random_state_vector(chain.dim, seed=423)
         phases, vector = evolution._phases(step), 16 * chain.dim
         peak = peak_bytes(lambda: evolution._sum_series(chain, start, table, terms, phases, rows))
-        assert peak <= (2 * evolution._BLOCK + 6) * vector, f"peak {peak / vector:.2f} vectors"
+        bound = (2 * evolution.SERIES_BLOCK + 6) * vector
+        assert peak <= bound, f"peak {peak / vector:.2f} vectors"
 
     @pytest.mark.parametrize("dt", [0.3, -0.3])
     def test_segments_match_the_single_series(self, monkeypatch, apply_calls, dt):
@@ -625,7 +626,8 @@ class TestChainCompression:
             traj = evolve_sequence(chain, random_state_vector(2**n, seed=420 + n), 0.1, 8)
             cg = build_map(fit_pca(traj), d)
             got = coarse_grain_hamiltonian(cg, chain)
-            want = coarse_grain_operator(cg, chain.dense())
+            b = cg.columns
+            want = b.conj().T @ (chain.dense() @ b)
             assert got.shape == (d, d)
             assert np.abs(got - want).max() <= 1e-12
             assert np.abs(got - got.conj().T).max() <= 1e-12
@@ -648,7 +650,7 @@ class TestChainCompression:
         cg = build_map(fit_pca(traj), 41)
         vector = 16 * chain.dim
         peak = peak_bytes(lambda: coarse_grain_hamiltonian(cg, chain))
-        bound = 4 * evolution._COMPRESS_COLUMNS * vector
+        bound = 4 * decimation._COMPRESS_COLUMNS * vector
         assert peak <= bound, f"peak {peak / vector:.2f} vectors"
 
     def test_map_and_compression_hold_a_few_columns(self):
@@ -659,14 +661,25 @@ class TestChainCompression:
         model = fit_pca(traj)
         vector = 16 * chain.dim
         peak = peak_bytes(lambda: coarse_grain_hamiltonian(build_map(model, 41), chain))
-        bound = 4 * evolution._COMPRESS_COLUMNS * vector
+        bound = 4 * decimation._COMPRESS_COLUMNS * vector
         assert peak <= bound, f"peak {peak / vector:.2f} vectors"
+
+    @pytest.mark.parametrize("d", [2, 8, 9, 17])
+    def test_operator_takes_a_chain(self, d):
+        # one compression for matrices and chains: coarse_grain_hamiltonian
+        # only forwards, so the two agree bit for bit at every block split
+        chain = ising_chain(8, -0.7, 0.37)
+        traj = evolve_sequence(chain, random_state_vector(256, seed=435), 0.1, 16)
+        cg = build_map(fit_pca(traj), d)
+        got = coarse_grain_operator(cg, chain)
+        assert got.shape == (d, d)
+        assert np.array_equal(got, coarse_grain_hamiltonian(cg, chain))
 
     def test_dimension_mismatch(self):
         traj = evolve_sequence(ising_chain(4), random_state_vector(16, seed=430), 0.1, 4)
         cg = build_map(fit_pca(traj), 3)
         with pytest.raises(DimMismatch):
-            coarse_grain_hamiltonian(cg, ising_chain(5))
+            coarse_grain_operator(cg, ising_chain(5))
 
     def test_result_is_checked(self):
         # a hand-built chain whose compressed matrix is not finite
@@ -674,4 +687,4 @@ class TestChainCompression:
         cg = build_map(fit_pca(traj), 3)
         broken = IsingChain(sites=4, coupling=1.0, field=1.0, diagonal=np.full(16, np.nan))
         with pytest.raises(NonFinite):
-            coarse_grain_hamiltonian(cg, broken)
+            coarse_grain_operator(cg, broken)

@@ -144,3 +144,16 @@ def test_no_unused_import_or_unreferenced_private_name():
             if name.startswith("_") and not name.startswith("__") and name not in read:
                 unreferenced.append(f"{module}: {name}")
     assert (unused, unreferenced) == ([], [])
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a helper two modules share is public in the module that owns it
+    private = [
+        f"{module}: {alias.name}"
+        for module, tree in _module_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert private == []
