@@ -72,9 +72,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_decimate(args: argparse.Namespace) -> int:
-    if (args.d is None) == (args.eps is None):
-        print("error: exactly one of --d / --eps is required", file=sys.stderr)
-        return 2
     model = fileio.read_model(args.model)
     if args.eps is not None:
         d = select_dimension(model, args.eps)
@@ -95,9 +92,6 @@ def cmd_decimate(args: argparse.Namespace) -> int:
 
 
 def cmd_entropy_curve(args: argparse.Namespace) -> int:
-    if args.output is None and not args.fine:
-        print("error: --output is required unless --fine is given", file=sys.stderr)
-        return 2
     states = _load_states(args.states, _policy(args))
     factor = QubitFactorization.from_dim(states.dim)
     scale = 1.0 / LN2 if args.bits else 1.0
@@ -293,10 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decimate", help="truncate model weights to d components")
     dec.add_argument("model", help="model JSON file from fit")
     dec.add_argument("-o", "--output", required=True, help="coarse-weight state-set JSON to write")
-    dec.add_argument("--d", type=int, default=None, help="target dimension (2..M+1)")
-    dec.add_argument(
-        "--eps", type=float, default=None, help="pick minimal d with retained power >= 1-eps"
-    )
+    size = dec.add_mutually_exclusive_group(required=True)
+    size.add_argument("--d", type=int, help="target dimension (2..M+1)")
+    size.add_argument("--eps", type=float, help="pick minimal d with retained power >= 1-eps")
     dec.set_defaults(func=cmd_decimate)
 
     ent = sub.add_parser(
@@ -304,16 +297,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ent.add_argument("states", help="input state-set JSON file (dimension must be 2^n)")
     # --fine prints one value and writes no file
-    target = ent.add_mutually_exclusive_group()
+    target = ent.add_mutually_exclusive_group(required=True)
     target.add_argument("-o", "--output", default=None, help="curve CSV file to write")
-    ent.add_argument("--state", type=int, required=True, help="1-based state index")
-    ent.add_argument("--qubit", type=int, required=True, help="1-based qubit index (big-endian)")
-    ent.add_argument("--bits", action="store_true", help="report entropy in bits instead of nats")
     target.add_argument(
         "--fine",
         action="store_true",
         help="print the untruncated entropy of the chosen state and exit",
     )
+    ent.add_argument("--state", type=int, required=True, help="1-based state index")
+    ent.add_argument("--qubit", type=int, required=True, help="1-based qubit index (big-endian)")
+    ent.add_argument("--bits", action="store_true", help="report entropy in bits instead of nats")
     ent.add_argument(
         "--auto-normalize",
         action="store_true",

@@ -140,26 +140,28 @@ def coarse_grain_operator(cg: CoarseGrainMap, op) -> np.ndarray:
     """Conjugate a Hermitian operator down to d x d: g op g^dag = B^dag (op B).
 
     op is a D x D matrix, checked for hermiticity first, or any operator
-    with ``apply`` (an IsingChain), which is never formed as a matrix. op
-    acts on _COMPRESS_COLUMNS basis columns at a time, in O(n * D * d) for
-    a chain, and the d x d result is checked for hermiticity.
+    with ``apply`` and a spectral ``bound`` (an IsingChain), which is never
+    formed as a matrix. op acts on _COMPRESS_COLUMNS basis columns at a
+    time, in O(n * D * d) for a chain. The d x d result, which may be far
+    smaller than op, is checked for hermiticity against op's scale: the
+    largest entry of a matrix or a chain's bound, and at least 1.
     """
     if hasattr(op, "apply"):
-        apply = op.apply
+        apply, scale = op.apply, max(op.bound, 1.0)
     else:
         op = np.asarray(op, dtype=np.complex128)
         if op.shape != (cg.source.dim, cg.source.dim):
             raise DimMismatch(
                 f"expected a {cg.source.dim} x {cg.source.dim} operator, got shape {op.shape}"
             )
-        check_hermitian(op, "operator")
+        scale = check_hermitian(op, "operator")
         apply = op.__matmul__
     b = cg.columns
     op_cg = np.empty((cg.d, cg.d), dtype=np.complex128)
     for lo in range(0, cg.d, _COMPRESS_COLUMNS):
         block = b[:, lo : lo + _COMPRESS_COLUMNS]
         op_cg[:, lo : lo + block.shape[1]] = adjoint_times(b, apply(block))
-    check_hermitian(op_cg, "coarse-grained operator")
+    check_hermitian(op_cg / scale, "coarse-grained operator")
     return op_cg
 
 

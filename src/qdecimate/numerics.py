@@ -1,9 +1,10 @@
-"""Dense complex linear algebra kernels with fixed conventions.
+"""Dense complex linear algebra kernels and the fixed tolerances.
 
-Thin wrappers around numpy's LAPACK bindings that add input validation,
-a deterministic phase convention for singular vectors, and the fixed
-tolerances every module reads. Everything here is a pure function of
-its inputs.
+Thin wrappers around numpy's LAPACK bindings that add input validation
+and return LAPACK's factors unchanged; singular vectors carry LAPACK's
+phases, and the one phase convention is the fit's (``pca.fit_pca``,
+through ``pivot_phases``). Every function leaves its inputs alone except
+``adjoint_times``, which overwrites X.
 """
 
 from __future__ import annotations
@@ -48,7 +49,11 @@ def check_finite(m: np.ndarray, name: str = "matrix") -> None:
 _HERMITIAN_ROWS = 8
 
 
-def check_hermitian(m: np.ndarray, name: str = "matrix") -> None:
+def check_hermitian(m: np.ndarray, name: str = "matrix") -> float:
+    """Raise NotHermitian if |m - m^dag| passes Tolerances.base times m's scale.
+
+    Returns that scale, the larger of 1 and m's largest entry.
+    """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitian(f"{name} is not square: shape {m.shape}")
     scale, deviation = 1.0, 0.0
@@ -59,6 +64,7 @@ def check_hermitian(m: np.ndarray, name: str = "matrix") -> None:
         deviation = max(deviation, np.abs(rows - cols.T.conj()).max())
     if deviation > Tolerances.base * scale:
         raise NotHermitian(f"{name} deviates from its conjugate transpose beyond tolerance")
+    return scale
 
 
 # A column's pivot is its first entry whose magnitude reaches this
@@ -107,16 +113,6 @@ def pivot_phases(u: np.ndarray) -> np.ndarray:
     return phase
 
 
-def _fix_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate each left vector so its pivot entry (``pivot_phases``) is real positive.
-
-    The inverse phase goes to the matching right vector, preserving the
-    product u @ diag(s) @ vh exactly.
-    """
-    phase = pivot_phases(u)
-    return u * np.conj(phase), vh * phase[:, np.newaxis]
-
-
 def adjoint_times(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """B^dag X as conj(B^T conj(X)): X is overwritten, and no copy of B is made."""
     out = b.T @ np.conjugate(x, out=x)
@@ -142,9 +138,8 @@ def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Economy SVD ``m = u @ diag(s) @ vh``, returned as ``(u, s, vh)``.
 
     Singular values are non-negative and descending; u has orthonormal
-    columns and vh orthonormal rows. Phases are fixed so that the pivot
-    entry of each column of u (``pivot_phases``: its largest-magnitude
-    entry, ties going to the lowest row) is real and positive.
+    columns and vh orthonormal rows. The factors are LAPACK's: each pair
+    of singular vectors carries whatever phase LAPACK gave it.
     """
     # C-contiguous input so equal values give bit-identical backend output
     m = np.ascontiguousarray(m, dtype=np.complex128)
@@ -155,7 +150,6 @@ def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"SVD backend failed: {exc}") from exc
-    u, vh = _fix_phases(u, vh)
     for arr in (u, s, vh):
         arr.setflags(write=False)
     return u, s, vh

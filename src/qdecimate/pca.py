@@ -18,6 +18,10 @@ deviation columns come out orthonormal, those past the rank included:
 they span the rest of the QR's range, and their weight rows are zero.
 The Gram check afterwards only validates; it raises NoConvergence.
 
+A singular vector is defined up to a phase, and the fit fixes it once,
+on the D-space columns: each deviation column's pivot (``pivot_phases``)
+is real and positive, and its weight row takes the inverse phase.
+
 A state is rebuilt from its weights as ``model.basis @ w``; the numerical
 rank is the same function of the singular values whether the model was
 just fitted or read back from a file (``numerical_rank``).
@@ -41,7 +45,8 @@ __all__ = ["PcaModel", "fit_pca", "importances"]
 class PcaModel:
     """Fitted basis, singular values, and per-state weights.
 
-    basis:           D x (M+1) isometry; column 0 is ones(D)/sqrt(D)
+    basis:           D x (M+1) isometry; column 0 is ones(D)/sqrt(D), and
+                     each later column's pivot entry is real and positive
     singular_values: M deviation singular values, descending
     weights:         (M+1) x M; column mu expands state mu in the basis
     rank:            singular values above rank_rel * e_1 (the rest count
@@ -119,7 +124,7 @@ def fit_pca(s: StateSet) -> PcaModel:
         phi[lo:hi, 1:] = phi[lo:hi] @ lift[i * width : (i + 1) * width]
     phi[:, 0] = u0
 
-    # 5. the phase convention of numerics.svd, taken on the D-space columns
+    # 5. the phase convention: each deviation column's pivot is real positive
     phase = pivot_phases(phi[:, 1:])
     phi[:, 1:] *= np.conj(phase)
     gram_dev = gram_deviation(phi)

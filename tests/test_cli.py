@@ -199,14 +199,17 @@ class TestDecimate:
         assert matrix.shape == (expected, 6)
         assert np.abs(np.linalg.norm(matrix, axis=0) - 1.0).max() <= 1e-10
 
-    def test_requires_exactly_one_selector(self, tmp_path):
+    def test_requires_exactly_one_selector(self, tmp_path, monkeypatch):
+        # a usage error, like an unknown command: argparse exits 2 before the model is read
         model_path, _ = self._fitted(tmp_path, seed=143)
         out = tmp_path / "coarse.json"
-        assert main(["decimate", str(model_path), "-o", str(out)]) == 2
-        assert (
-            main(["decimate", str(model_path), "-o", str(out), "--d", "2", "--eps", "0.1"])
-            == 2
-        )
+        reached = []
+        monkeypatch.setattr(cli.fileio, "read_model", lambda *args: reached.append(args))
+        for selector in ([], ["--d", "2", "--eps", "0.1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["decimate", str(model_path), "-o", str(out), *selector])
+            assert exc.value.code == 2
+        assert not reached and not out.exists()
 
     def test_bad_dimension_exit_2(self, tmp_path, capsys):
         model_path, _ = self._fitted(tmp_path, seed=144)
@@ -312,7 +315,9 @@ class TestEntropyCurve:
 
     def test_output_required_without_fine(self, tmp_path):
         path, _ = _states_file(tmp_path, 16, 3, seed=154)
-        assert main(["entropy-curve", str(path), "--state", "1", "--qubit", "1"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["entropy-curve", str(path), "--state", "1", "--qubit", "1"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("fine", [[], ["--fine"]], ids=["curve", "fine"])
     @pytest.mark.parametrize("state", ["0", "4"])
@@ -344,8 +349,13 @@ class TestEntropyCurve:
         reached = []
         monkeypatch.setattr(cli, "_load_states", lambda *args: reached.append(args))
         monkeypatch.setattr(cli, "fit_pca", lambda *args: reached.append(args))
-        code, err = _stderr_lines(["entropy-curve", str(path), "--state", "1", "--qubit", "1"])
-        assert code == 2 and err == ["error: --output is required unless --fine is given"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(["entropy-curve", str(path), "--state", "1", "--qubit", "1"])
+        assert exc.value.code == 2
+        assert err.getvalue().splitlines()[-1] == (
+            "qdecimate entropy-curve: error: one of the arguments -o/--output --fine is required"
+        )
         assert not reached
 
 

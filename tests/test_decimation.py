@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -313,6 +314,25 @@ class TestCoarseGrainOperator:
         bad[0, 1] = 1.0
         with pytest.raises(NotHermitian):
             coarse_grain_operator(cg, bad)
+
+    def test_rejects_a_non_hermitian_result(self):
+        # an operator with apply is never checked as a matrix, only its d x d result
+        model = fit_pca(random_state_set(16, 3, seed=76))
+        bad = np.zeros((16, 16), dtype=complex)
+        bad[0, 1] = 1.0
+        op = SimpleNamespace(apply=bad.__matmul__, bound=1.0)
+        with pytest.raises(NotHermitian):
+            coarse_grain_operator(build_map(model, 4), op)
+
+    def test_result_checked_against_the_operator_scale(self):
+        # 1e8 (I - P) nearly vanishes on the fitted span: its compression is
+        # round-off of 1e8, Hermitian to the operator's scale but not to its own
+        small = fit_pca(random_state_set(64, 5, seed=2))
+        op = 1e8 * (np.eye(64) - small.basis @ small.basis.conj().T)
+        op = (op + op.conj().T) / 2
+        out = coarse_grain_operator(build_map(small, 6), op)
+        assert out.shape == (6, 6)
+        assert np.abs(out).max() <= 1e-10 * 1e8
 
     def test_holds_two_blocks_and_the_result(self):
         # op @ B and the d x d result are all that a dense compression holds;

@@ -15,7 +15,6 @@ from qdecimate import (
 )
 from qdecimate import numerics
 from qdecimate.numerics import (
-    _fix_phases,
     check_finite,
     check_hermitian,
     gram_deviation,
@@ -59,14 +58,6 @@ class TestSvd:
         u, s, vh = svd(m)
         rebuilt = u @ np.diag(s) @ vh
         assert np.abs(rebuilt - m).max() <= 1e-10 * np.abs(m).max()
-
-    def test_phase_convention_pivot_real_positive(self):
-        u, _, _ = svd(_random_complex(9, 4, seed=3))
-        for k in range(4):
-            col = u[:, k]
-            pivot = col[np.argmax(np.abs(col))]
-            assert pivot.real > 0.0
-            assert abs(pivot.imag) <= 1e-12 * abs(pivot.real)
 
     def test_nan_rejected(self):
         m = np.eye(3, dtype=complex)
@@ -118,48 +109,42 @@ class TestSvd:
 
 
 
-def _fix_phases_loop(u, vh):
-    """The column-by-column phase fix with a plain argmax pivot."""
-    u = u.copy()
-    vh = vh.copy()
+def _pivot_phases_loop(u):
+    """Each column's phase, column by column, with a plain argmax pivot."""
+    phase = np.ones(u.shape[1], dtype=complex)
     for k in range(u.shape[1]):
         col = u[:, k]
         pivot = col[np.argmax(np.abs(col))]
         mag = abs(pivot)
-        if mag == 0.0:
-            continue
-        phase = pivot / mag
-        u[:, k] *= np.conj(phase)
-        vh[k, :] *= phase
-    return u, vh
+        if mag != 0.0:
+            phase[k] = pivot / mag
+    return phase
 
 
 class TestFixPhases:
+    """pivot_phases: the phase of each column that the fit divides off."""
+
     @pytest.mark.parametrize("rows, cols", [(9, 4), (50, 7), (3, 6), (9000, 3)])
     def test_bit_identical_to_loop_without_ties(self, rows, cols):
         # 9000 rows spans three blocks of the pivot search
         u = _random_complex(rows, cols, seed=rows + cols)
-        vh = _random_complex(cols, 5, seed=rows * cols)
-        got, want = _fix_phases(u, vh), _fix_phases_loop(u, vh)
-        for x, y in zip(got, want):
-            assert x.tobytes() == y.tobytes()
+        assert pivot_phases(u).tobytes() == _pivot_phases_loop(u).tobytes()
 
     def test_round_off_tie_goes_to_the_lowest_row(self):
         u = np.zeros((6, 1), dtype=complex)
         u[1, 0] = 0.6j
         u[4, 0] = -0.6 * (1.0 + 4e-16)  # larger by round-off
-        fixed, _ = _fix_phases(u, np.ones((1, 1), dtype=complex))
-        assert fixed[1, 0] == 0.6 and fixed[4, 0].imag != 0.0
+        assert pivot_phases(u)[0] == _pivot_phases_loop(u[:2])[0]
+        assert _pivot_phases_loop(u)[0].imag == 0.0
 
     def test_pivot_in_a_later_block(self, monkeypatch):
         monkeypatch.setattr(numerics, "_PIVOT_ROWS", 4)
         u = _random_complex(23, 5, seed=12)
         u[17, 2] = 10.0j
         u[3, 2] = 10.0 * (1.0 - 1e-9)
-        vh = np.eye(5, dtype=complex)
-        got, want = _fix_phases(u, vh), _fix_phases_loop(u, vh)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[0][17, 2] == 10.0
+        got = pivot_phases(u)
+        assert got.tobytes() == _pivot_phases_loop(u).tobytes()
+        assert got[2] == _pivot_phases_loop(u[17:18])[2]
 
     @pytest.mark.parametrize("rows", [4096, 3 * 4096 + 17])
     def test_pivot_search_holds_one_block_of_magnitudes(self, rows):
@@ -174,12 +159,12 @@ class TestFixPhases:
         assert peak <= 1.3 * block, f"peak {peak / block:.2f} blocks"
 
     def test_zero_column_unchanged(self):
+        # phase 1: dividing it off leaves the column as it is
         u = _random_complex(5, 3, seed=13)
         u[:, 1] = 0.0
-        vh = _random_complex(3, 3, seed=14)
-        fixed_u, fixed_vh = _fix_phases(u, vh)
-        assert np.all(fixed_u[:, 1] == 0.0)
-        assert fixed_vh[1].tobytes() == vh[1].tobytes()
+        got = pivot_phases(u)
+        assert got[1] == 1.0
+        assert got.tobytes() == _pivot_phases_loop(u).tobytes()
 
 
 class TestGramDeviation:
@@ -274,6 +259,10 @@ class TestChecks:
         m[0, 1] = 2e-10 * 1e6
         with pytest.raises(NotHermitian):
             check_hermitian(m)
+
+    def test_check_hermitian_returns_its_scale(self):
+        assert check_hermitian(np.diag([3.0, -5.0, 0.5])) == 5.0
+        assert check_hermitian(np.eye(2) * 1e-3) == 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_check_hermitian_non_finite_anywhere(self, bad):

@@ -142,6 +142,9 @@ class TestBasisCompletion:
         assert np.array_equal(model.basis[:, 0], np.full(s.dim, 1.0 / math.sqrt(s.dim)))
         x = s.matrix - s.matrix.mean(axis=0)
         u, sv, _ = svd(x)
+        # the fit's phase convention: each column's pivot real and positive
+        pivots = u[_pivot_rows(u), np.arange(u.shape[1])]
+        u = u * (np.abs(pivots) / pivots)
         retained = slice(1, model.rank + 1)
         overlaps = np.einsum("ij,ij->j", model.basis[:, retained].conj(), u[:, : model.rank])
         # Wedin: a backward-stable SVD moves singular vector k by up to
@@ -392,9 +395,9 @@ class TestModelInvariants:
             assert a.singular_values.tobytes() == b.singular_values.tobytes()
 
 
-def _pivot_rows(basis):
-    """Row of each deviation column's pivot: its first entry at or above (1 - 1e-12) * max."""
-    mag = np.abs(basis[:, 1:])
+def _pivot_rows(columns):
+    """Row of each column's pivot: its first entry at or above (1 - 1e-12) * max."""
+    mag = np.abs(columns)
     return np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=0), axis=0)
 
 
@@ -419,9 +422,27 @@ class TestPhaseConvention:
         model = fit_pca(self._states(case))
         if case == "rank-deficient":
             assert model.rank == 2
-        rows = _pivot_rows(model.basis)
+        rows = _pivot_rows(model.basis[:, 1:])
         pivots = model.basis[rows, np.arange(1, model.count + 1)]
         assert np.all(pivots.real > 0.0)
         assert np.all(np.abs(pivots.imag) <= 1e-12 * pivots.real)
         if case == "several-pivot-blocks":
             assert len(set(rows // numerics._PIVOT_ROWS)) > 1
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_independent_of_the_svd_phases(self, monkeypatch, case):
+        # the M x M SVD fixes no phase: any unit p on its vector pairs gives the same model
+        s = self._states(case)
+        want = fit_pca(s)
+        rng = np.random.Generator(np.random.PCG64(48))
+
+        def rotated(m):
+            u, sv, vh = svd(m)
+            p = np.exp(2j * np.pi * rng.random(sv.size))
+            return u * p, sv, np.conj(p)[:, np.newaxis] * vh
+
+        monkeypatch.setattr(pca, "svd", rotated)
+        got = fit_pca(s)
+        assert got.singular_values.tobytes() == want.singular_values.tobytes()
+        assert np.abs(got.basis - want.basis).max() <= 1e-15
+        assert np.abs(got.weights - want.weights).max() <= 1e-15
