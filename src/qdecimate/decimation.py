@@ -3,7 +3,7 @@
 Keeping the first d basis columns B defines the map g = B^dag, read from
 the basis and never stored. The weights of states, projected or sliced
 from a fit, are renormalized by one rule, and every operator, a matrix
-or an IsingChain, is compressed by one loop over a few columns of B.
+or an IsingChain, is compressed by one function.
 
 The power a fitted state keeps at d is read from its weight column
 alone: retained_power tabulates the cumulative |W|^2 of every state,
@@ -33,8 +33,8 @@ __all__ = [
     "expectation",
 ]
 
-# Basis columns an operator acts on at once when it is compressed: op @ B,
-# or a chain's apply, holds a few D-vectors beside the basis, whatever d is
+# Basis columns a chain acts on at once when it is compressed: its apply
+# holds a few D-vectors beside the basis, whatever d is
 _COMPRESS_COLUMNS = 8
 
 
@@ -139,15 +139,21 @@ def coarse_grained_trajectory(states: StateSet, d: int) -> tuple[np.ndarray, np.
 def coarse_grain_operator(cg: CoarseGrainMap, op) -> np.ndarray:
     """Conjugate a Hermitian operator down to d x d: g op g^dag = B^dag (op B).
 
-    op is a D x D matrix, checked for hermiticity first, or any operator
-    with ``apply`` and a spectral ``bound`` (an IsingChain), which is never
-    formed as a matrix. op acts on _COMPRESS_COLUMNS basis columns at a
-    time, in O(n * D * d) for a chain. The d x d result, which may be far
-    smaller than op, is checked for hermiticity against op's scale: the
-    largest entry of a matrix or a chain's bound, and at least 1.
+    op is a D x D matrix, checked for hermiticity first and read once in
+    one product op @ B, or any operator with ``apply`` and a spectral
+    ``bound`` (an IsingChain), which is never formed as a matrix and acts
+    on _COMPRESS_COLUMNS basis columns at a time, in O(n * D * d). The
+    d x d result, which may be far smaller than op, is checked for
+    hermiticity against op's scale: the largest entry of a matrix or a
+    chain's bound, and at least 1.
     """
+    b = cg.columns
     if hasattr(op, "apply"):
-        apply, scale = op.apply, max(op.bound, 1.0)
+        scale = max(op.bound, 1.0)
+        op_cg = np.empty((cg.d, cg.d), dtype=np.complex128)
+        for lo in range(0, cg.d, _COMPRESS_COLUMNS):
+            block = b[:, lo : lo + _COMPRESS_COLUMNS]
+            op_cg[:, lo : lo + block.shape[1]] = adjoint_times(b, op.apply(block))
     else:
         op = np.asarray(op, dtype=np.complex128)
         if op.shape != (cg.source.dim, cg.source.dim):
@@ -155,12 +161,7 @@ def coarse_grain_operator(cg: CoarseGrainMap, op) -> np.ndarray:
                 f"expected a {cg.source.dim} x {cg.source.dim} operator, got shape {op.shape}"
             )
         scale = check_hermitian(op, "operator")
-        apply = op.__matmul__
-    b = cg.columns
-    op_cg = np.empty((cg.d, cg.d), dtype=np.complex128)
-    for lo in range(0, cg.d, _COMPRESS_COLUMNS):
-        block = b[:, lo : lo + _COMPRESS_COLUMNS]
-        op_cg[:, lo : lo + block.shape[1]] = adjoint_times(b, apply(block))
+        op_cg = adjoint_times(b, op @ b)
     check_hermitian(op_cg / scale, "coarse-grained operator")
     return op_cg
 

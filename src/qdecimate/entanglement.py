@@ -5,9 +5,10 @@ significant bit of the basis index), these routines compute one-qubit
 reduced density matrices, their von Neumann entropy in nats, and the
 entropy of a state rebuilt from its first d basis components as d grows.
 
-The curve over d = 1..M+1 costs O(D*M): running column sums give every
-reconstruction at once, one reshape of that block gives every one-qubit
-reduced density matrix, and their 2x2 spectra are taken in closed form.
+The curve over d = 1..M+1 costs O(D*M) time: running row sums over d give
+every reconstruction at once, one block of basis rows at a time, and the
+block's bit-q halves add to every one-qubit reduced density matrix, whose
+2x2 spectra are taken in closed form. Its temporaries are one block.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ __all__ = [
 LN2 = float(np.log(2.0))
 # saturation_dimension's band, as a fraction of the endpoint entropy (d95)
 _SATURATION_BAND = 0.05
+# basis rows an entropy curve holds at once: its temporaries are one
+# _CURVE_ROWS x (M+1) block, whatever D is
+_CURVE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -115,9 +119,9 @@ def entropy_vs_dimension_curve(s: StateSet, model: PcaModel, mu: int, q: int) ->
     """Entropy of the renormalized d-component reconstruction of state mu.
 
     d runs from 1 (mean component only) to M+1 (full expansion, which
-    matches the original state's entropy). One cumulative D x (M+1) block
-    holds every reconstruction, so a curve costs O(D*M) time and one
-    D x (M+1) temporary.
+    matches the original state's entropy). The basis is read in blocks of
+    _CURVE_ROWS rows, each holding whole bit-q pairs, so a curve costs
+    O(D*M) time and one _CURVE_ROWS x (M+1) temporary.
     """
     if s.dim != model.dim or s.count != model.count:
         raise DimMismatch("state set and model disagree on dimensions")
@@ -126,21 +130,35 @@ def entropy_vs_dimension_curve(s: StateSet, model: PcaModel, mu: int, q: int) ->
     f = QubitFactorization.from_dim(model.dim)
     if not 1 <= q <= f.n:
         raise BadQubitIndex(f"qubit index must lie in 1..{f.n}, got {q}")
-    # column d-1 of the running sums is basis[:, :d] @ w[:d]
-    c = model.basis * model.weights[:, mu - 1]
-    np.cumsum(c, axis=1, out=c)
-    # float view indexed (higher bits, bit q, lower bits, d-1, re/im), no copy
-    parts = c.view(np.float64).reshape(2 ** (q - 1), 2, -1, c.shape[1], 2)
-    x, y = parts[:, 0], parts[:, 1]
-    # keeping (d-1, re/im) as output axes lets einsum stream whole rows, and
-    # summing rho01's real part like rho00 and rho11 makes det exactly 0 for
-    # equal halves (the uniform state at d=1)
-    power0 = np.einsum("abkl,abkl->kl", x, x).sum(axis=1)
-    power1 = np.einsum("abkl,abkl->kl", y, y).sum(axis=1)
-    cross_re = np.einsum("abkl,abkl->kl", x, y).sum(axis=1)
-    cross_im = np.einsum("abk,abk->k", x[..., 1], y[..., 0]) - np.einsum(
-        "abk,abk->k", x[..., 0], y[..., 1]
-    )
+    w = model.weights[:, mu - 1]
+    high, low = 2 ** (q - 1), 2 ** (f.n - q)
+    # basis rows indexed (higher bits, bit q, lower bits); a block of at most
+    # _CURVE_ROWS rows takes whole bit-q pairs: a slice of the lower bits, or
+    # all of them for a group of higher-bit indices
+    rows = model.basis.reshape(high, 2, low, -1)
+    step_low = min(low, _CURVE_ROWS // 2)
+    step_high = max(_CURVE_ROWS // 2 // low, 1)
+    buf = np.empty(_CURVE_ROWS * w.size, dtype=np.complex128)
+    power0, power1, cross_re, cross_im = np.zeros((4, w.size))
+    for a in range(0, high, step_high):
+        for b in range(0, low, step_low):
+            part = rows[a : a + step_high, :, b : b + step_low]
+            # column d-1 of the running sums is part[..., :d] @ w[:d]
+            c = buf[: part.size].reshape(part.shape)
+            np.multiply(part, w, out=c)
+            np.cumsum(c, axis=-1, out=c)
+            # float view indexed (higher bits, bit q, lower bits, d-1, re/im), no copy
+            parts = c.view(np.float64).reshape(*part.shape, 2)
+            x, y = parts[:, 0], parts[:, 1]
+            # keeping (d-1, re/im) as output axes lets einsum stream whole rows, and
+            # summing rho01's real part like rho00 and rho11 makes det exactly 0 for
+            # equal halves (the uniform state at d=1)
+            power0 += np.einsum("abkl,abkl->kl", x, x).sum(axis=1)
+            power1 += np.einsum("abkl,abkl->kl", y, y).sum(axis=1)
+            cross_re += np.einsum("abkl,abkl->kl", x, y).sum(axis=1)
+            cross_im += np.einsum("abk,abk->k", x[..., 1], y[..., 0]) - np.einsum(
+                "abk,abk->k", x[..., 0], y[..., 1]
+            )
     norm2 = power0 + power1
     norm = np.sqrt(norm2)
     vanishing = np.flatnonzero(norm <= Tolerances.zero_norm)

@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import NoConvergence, NonFinite, NotHermitian
+from .errors import DimMismatch, NoConvergence, NonFinite, NotHermitian
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # C-contiguous input so equal values give bit-identical backend output
     m = np.ascontiguousarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise NonFinite(f"svd expects a non-empty 2-d matrix, got shape {m.shape}")
+        raise DimMismatch(f"svd expects a non-empty 2-d matrix, got shape {m.shape}")
     check_finite(m)
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)

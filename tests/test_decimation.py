@@ -26,7 +26,7 @@ from qdecimate import (
     validate_state_set,
 )
 
-from qdecimate import decimation
+from qdecimate import numerics
 
 from helpers import (
     brute_force_minimal_d,
@@ -344,16 +344,15 @@ class TestCoarseGrainOperator:
         peak = peak_bytes(lambda: coarse_grain_operator(cg, op))
         assert peak <= 2 * block + result, f"peak {peak / block:.2f} blocks"
 
-    def test_holds_a_few_columns_whatever_d(self):
-        # at d = M+1 the matrix acts on 8 basis columns at a time, so the
-        # product holds 8 vectors of 16 * D bytes, not d; the hermiticity check
-        # of the input, 8 rows at a time, holds about three such panels
+    def test_hermiticity_check_holds_a_few_rows(self):
+        # the check of the input reads 8 rows at a time and holds about three
+        # such panels of 16 * D bytes; at d = 2 it, not op @ B, sets the peak
         model = fit_pca(random_state_set(2**10, 40, seed=80))
         op = random_hermitian_oracle(2**10, seed=81)
-        cg = build_map(model, 41)
-        vector, result = 16 * model.dim, 16 * cg.d**2
+        cg = build_map(model, 2)
+        vector = 16 * model.dim
         peak = peak_bytes(lambda: coarse_grain_operator(cg, op))
-        bound = 4 * decimation._COMPRESS_COLUMNS * vector + result
+        bound = 4 * numerics._HERMITIAN_ROWS * vector
         assert peak <= bound, f"peak {peak / vector:.2f} vectors"
 
     def test_rejects_wrong_dim(self):

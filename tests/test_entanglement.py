@@ -27,7 +27,12 @@ from qdecimate import (
 
 from qdecimate.entanglement import _qubit_entropies
 
-from helpers import dense_reduced_density_matrix, entropy_2x2_analytic, entropy_eigvalsh
+from helpers import (
+    dense_reduced_density_matrix,
+    entropy_2x2_analytic,
+    entropy_eigvalsh,
+    peak_bytes,
+)
 
 
 class TestFactorization:
@@ -222,37 +227,66 @@ class TestCurve:
         raw = pair @ mix
         return validate_state_set(raw / np.linalg.norm(raw, axis=0))
 
-    CURVE_CASES = [("random", 2, q) for q in (1, 2, 3, 4)] + [
-        ("rank-2", mu, 2) for mu in (1, 4, 6)
-    ]
+    @staticmethod
+    def _blocked_set():
+        # D = 2^10 spans several row blocks of the curve at every qubit
+        return random_state_set(2**10, 6, seed=90)
+
+    # q = 1 and 3 slice the lower bits of a block; q = 9 and 10 group higher bits
+    CURVE_CASES = (
+        [("random", 2, q) for q in (1, 2, 3, 4)]
+        + [("rank-2", mu, 2) for mu in (1, 4, 6)]
+        + [("blocked", 4, q) for q in (1, 3, 9, 10)]
+    )
 
     @pytest.mark.parametrize(
         "case, mu, q", CURVE_CASES, ids=[f"{c}-mu{mu}-q{q}" for c, mu, q in CURVE_CASES]
     )
     def test_matches_independent_pipeline(self, case, mu, q):
         # truncate by explicit loop, dense partial trace, closed-form 2x2 entropy
-        s = random_state_set(16, 5, seed=83) if case == "random" else self._rank_two_set()
+        s = {
+            "random": lambda: random_state_set(16, 5, seed=83),
+            "rank-2": self._rank_two_set,
+            "blocked": self._blocked_set,
+        }[case]()
         model = fit_pca(s)
         if case == "rank-2":
             assert model.rank <= 2
         curve = entropy_vs_dimension_curve(s, model, mu, q)
         assert [d for d, _ in curve.points] == list(range(1, s.count + 2))
+        n = s.dim.bit_length() - 1
         for d, value in curve.points:
-            vec = np.zeros(16, dtype=complex)
+            vec = np.zeros(s.dim, dtype=complex)
             for k in range(d):
                 vec += model.weights[k, mu - 1] * model.basis[:, k]
             vec = vec / math.sqrt(sum(abs(x) ** 2 for x in vec))
-            rho = dense_reduced_density_matrix(vec, 4, q)
+            rho = dense_reduced_density_matrix(vec, n, q)
             assert abs(value - entropy_2x2_analytic(rho)) <= 1e-10
 
+    @pytest.mark.parametrize("q", [1, 3, 9, 10])
+    def test_mean_component_is_exactly_pure_across_blocks(self, q):
+        # the uniform d=1 reconstruction has equal bit-q halves in every block
+        s = self._blocked_set()
+        curve = entropy_vs_dimension_curve(s, fit_pca(s), 2, q)
+        assert curve.points[0] == (1, 0.0)
+
     def test_zero_mean_component_raises_at_d1(self):
-        # (|000> - |111>)/sqrt(2) is orthogonal to the uniform superposition
-        ghz_minus = np.zeros(8, dtype=complex)
-        ghz_minus[0], ghz_minus[7] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-        others = random_state_set(8, 2, seed=89).matrix
-        s = validate_state_set(np.column_stack([others[:, 0], ghz_minus, others[:, 1]]))
-        with pytest.raises(ZeroNorm, match="d=1 "):
-            entropy_vs_dimension_curve(s, fit_pca(s), 2, 1)
+        # (|0...0> - |1...1>)/sqrt(2) is orthogonal to the uniform superposition;
+        # D = 2^10 spans several row blocks of the curve
+        for dim in (8, 2**10):
+            ghz_minus = np.zeros(dim, dtype=complex)
+            ghz_minus[0], ghz_minus[-1] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+            others = random_state_set(dim, 2, seed=89).matrix
+            s = validate_state_set(np.column_stack([others[:, 0], ghz_minus, others[:, 1]]))
+            with pytest.raises(ZeroNorm, match="d=1 "):
+                entropy_vs_dimension_curve(s, fit_pca(s), 2, 1)
+
+    def test_holds_a_row_block_not_the_basis(self):
+        # the running sums live in one block of rows, never in a D x (M+1) array
+        s = random_state_set(2**12, 60, seed=91)
+        model = fit_pca(s)
+        peak = peak_bytes(lambda: entropy_vs_dimension_curve(s, model, 7, 5))
+        assert peak < model.basis.nbytes / 4, f"peak {peak / model.basis.nbytes:.2f} bases"
 
     def test_points_cover_all_dimensions(self):
         s = random_state_set(16, 3, seed=84)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qdecimate import (
     DEFAULT_TOL,
+    DimMismatch,
     NoConvergence,
     NonFinite,
     NotHermitian,
@@ -72,8 +73,11 @@ class TestSvd:
             svd(m)
 
     def test_empty_rejected(self):
-        with pytest.raises(NonFinite):
+        # a shape fault, not a value fault
+        with pytest.raises(DimMismatch):
             svd(np.zeros((0, 3)))
+        with pytest.raises(DimMismatch):
+            svd(np.ones(3))
 
     def test_determinism_bit_identical(self):
         m = _random_complex(10, 5, seed=4)
