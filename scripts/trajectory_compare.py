@@ -43,7 +43,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     h_local = ising_chain(args.qubits, args.coupling, args.field)
-    local_norm = float(np.linalg.norm(h_local.dense(), 2))  # the random partner is dense anyway
+    local_norm = h_local.bound  # the spectral radius, which is |H|_2 for a Hermitian H
     dim = 2**args.qubits
 
     wins = 0

@@ -1,8 +1,9 @@
 """Command-line front end: fit, decimate, entropy-curve, evolve, info.
 
 Exit codes: 0 success, 1 I/O failure or out of memory, 2 validation or
-domain error. Output files are deterministic: identical inputs and seeds
-give byte-identical bytes on disk.
+domain error. Output files are deterministic: with a fixed BLAS build and
+BLAS thread count, identical inputs and seeds give byte-identical bytes
+on disk. Another thread count moves them by round-off.
 """
 
 from __future__ import annotations

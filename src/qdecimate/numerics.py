@@ -2,9 +2,9 @@
 
 Thin wrappers around numpy's LAPACK bindings that add input validation
 and return LAPACK's factors unchanged; singular vectors carry LAPACK's
-phases, and the one phase convention is the fit's (``pca.fit_pca``,
-through ``pivot_phases``). Every function leaves its inputs alone except
-``adjoint_times``, which overwrites X.
+phases, and the one phase convention is the fit's: ``pca.fit_pca``
+passes its right singular vectors to ``pivot_phases``. Every function
+leaves its inputs alone except ``adjoint_times``, which overwrites X.
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ def check_hermitian(m: np.ndarray, name: str = "matrix") -> float:
 # A column's pivot is its first entry whose magnitude reaches this
 # fraction of the column's largest magnitude.
 _PIVOT_REL = 1.0 - 1e-12
-# Rows of a matrix whose magnitudes are taken at once by pivot_phases.
-_PIVOT_ROWS = 4096
 
 
 def pivot_phases(u: np.ndarray) -> np.ndarray:
@@ -80,35 +78,15 @@ def pivot_phases(u: np.ndarray) -> np.ndarray:
     The pivot is the first entry, in row order, whose magnitude reaches
     (1 - 1e-12) times the column maximum. Entries tied with the maximum
     to round-off therefore resolve to the lowest row, not to whichever
-    one round-off made largest. Magnitudes are taken a block of rows at
-    a time, as floats, so no temporary is as large as u. A column's pivot
-    lies in the first block whose maximum reaches its threshold; only
-    those blocks are searched, and the last block, whose magnitudes are
-    still at hand, first: a matrix of one block takes them once.
+    one round-off made largest.
     """
-    rows, cols = u.shape
-    starts = range(0, rows, _PIVOT_ROWS)
-    buffer = np.empty((min(rows, _PIVOT_ROWS), cols))
-    tops = np.empty((len(starts), cols))
-    for b, lo in enumerate(starts):
-        mag = np.abs(u[lo : lo + _PIVOT_ROWS], out=buffer[: rows - lo])
-        mag.max(axis=0, out=tops[b])
-    threshold = _PIVOT_REL * tops.max(axis=0)
-    home = np.argmax(tops >= threshold, axis=0)
-    pivot = np.zeros(cols, dtype=np.complex128)
-    for b in reversed(range(len(starts))):
-        mine = np.flatnonzero(home == b)
-        if mine.size == 0:
-            continue
-        lo = starts[b]
-        if b != len(starts) - 1:
-            mag = np.abs(u[lo : lo + _PIVOT_ROWS], out=buffer)
-        first = np.argmax(mag >= threshold, axis=0)[mine]
-        pivot[mine] = u[lo + first, mine]
+    mag = np.abs(u)
+    first = np.argmax(mag >= _PIVOT_REL * mag.max(axis=0), axis=0)
+    pivot = u[first, np.arange(u.shape[1])]
     # hypot, like abs() of one complex scalar; np.abs of a complex array
     # may round differently
     mag = np.hypot(pivot.real, pivot.imag)
-    phase = np.ones(cols, dtype=np.complex128)
+    phase = np.ones(u.shape[1], dtype=np.complex128)
     np.divide(pivot, mag, out=phase, where=mag > 0.0)
     return phase
 

@@ -18,9 +18,11 @@ deviation columns come out orthonormal, those past the rank included:
 they span the rest of the QR's range, and their weight rows are zero.
 The Gram check afterwards only validates; it raises NoConvergence.
 
-A singular vector is defined up to a phase, and the fit fixes it once,
-on the D-space columns: each deviation column's pivot (``pivot_phases``)
-is real and positive, and its weight row takes the inverse phase.
+A singular vector pair is defined up to a phase, and the fit fixes it
+once, on the M x M factor: the pivot (``pivot_phases``) of each weight
+row is real and positive, and the basis column takes the matching phase.
+The right singular vectors are the deviations' own, whatever the QR:
+R[1:, 1:] and the deviations have the same Gram matrix.
 
 A state is rebuilt from its weights as ``model.basis @ w``; the numerical
 rank is the same function of the singular values whether the model was
@@ -45,10 +47,10 @@ __all__ = ["PcaModel", "fit_pca", "importances"]
 class PcaModel:
     """Fitted basis, singular values, and per-state weights.
 
-    basis:           D x (M+1) isometry; column 0 is ones(D)/sqrt(D), and
-                     each later column's pivot entry is real and positive
+    basis:           D x (M+1) isometry; column 0 is ones(D)/sqrt(D)
     singular_values: M deviation singular values, descending
-    weights:         (M+1) x M; column mu expands state mu in the basis
+    weights:         (M+1) x M; column mu expands state mu in the basis,
+                     and the pivot entry of each row 1..rank is real positive
     rank:            singular values above rank_rel * e_1 (the rest count
                      as zero; their basis columns are the remaining
                      singular vectors of the M x M block R[1:, 1:], still
@@ -111,29 +113,28 @@ def fit_pca(s: StateSet) -> PcaModel:
     q2, r = np.linalg.qr(np.concatenate(rs))
     del rs
 
-    # 3. the deviations are Q[:, 1:] @ R[1:, 1:]: their SVD is the M x M one
+    # 3. the deviations are Q[:, 1:] @ R[1:, 1:]: their SVD is the M x M one.
+    # Each Vh row's pivot phase moves onto its U_b column.
     u_b, sv, vh = svd(r[1:, 1:])
     if constant:
         sv = np.zeros(count)
     rank = numerical_rank(sv)
+    phase = pivot_phases(vh.T)
 
-    # 4. basis rows of block i: Q_i @ (Q2_i[:, 1:] @ U_b)
-    lift = q2[:, 1:] @ u_b
+    # 4. basis rows of block i: Q_i @ (Q2_i[:, 1:] @ U_b), phased
+    lift = q2[:, 1:] @ (u_b * phase)
     width = count + 1
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         phi[lo:hi, 1:] = phi[lo:hi] @ lift[i * width : (i + 1) * width]
     phi[:, 0] = u0
-
-    # 5. the phase convention: each deviation column's pivot is real positive
-    phase = pivot_phases(phi[:, 1:])
-    phi[:, 1:] *= np.conj(phase)
     gram_dev = gram_deviation(phi)
     if not gram_dev <= Tolerances.base:
         raise NoConvergence(f"fitted basis not orthonormal (deviation {gram_dev:.3e})")
 
     weights = np.zeros((count + 1, count), dtype=np.complex128)
     weights[0, :] = math.sqrt(dim) * s.matrix.mean(axis=0)
-    weights[1 : rank + 1, :] = sv[:rank, np.newaxis] * (vh[:rank, :] * phase[:rank, np.newaxis])
+    phased = vh[:rank, :] * np.conj(phase[:rank, np.newaxis])
+    weights[1 : rank + 1, :] = sv[:rank, np.newaxis] * phased
 
     phi.setflags(write=False)
     weights.setflags(write=False)

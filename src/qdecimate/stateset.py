@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalized, RegimeViolation
+from .errors import DimMismatch, NotNormalized, RegimeViolation
 from .numerics import Tolerances, check_finite
 
 log = logging.getLogger(__name__)
@@ -35,7 +35,9 @@ class StateSet:
     matrix: np.ndarray
 
     def column(self, mu: int) -> np.ndarray:
-        """State coefficients for 1-based state index mu."""
+        """State coefficients for 1-based state index mu; DimMismatch outside 1..M."""
+        if not 1 <= mu <= self.count:
+            raise DimMismatch(f"state index must lie in 1..{self.count}, got {mu}")
         return self.matrix[:, mu - 1]
 
 

@@ -3,7 +3,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -164,6 +167,26 @@ class TestFit:
         main(["fit", str(path), "-o", str(a)])
         main(["fit", str(path), "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_blas_thread_count_moves_the_model_by_round_off_only(self, tmp_path):
+        # files are byte-identical only at a fixed BLAS build and thread count;
+        # across thread counts the model, phases included, agrees to round-off
+        path, _ = _states_file(tmp_path, 2**12, 200, seed=3)
+        src = str(Path(cli.__file__).parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        models = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"model_{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+            argv = ["fit", str(path), "-o", str(out)]
+            code = "import sys; from qdecimate.cli import main; sys.exit(main())"
+            subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True, capture_output=True)
+            models.append(read_model(out))
+        one, two = models
+        assert one.rank == two.rank
+        for name in ("basis", "weights", "singular_values"):
+            a, b = getattr(one, name), getattr(two, name)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
 
 class TestDecimate:

@@ -21,7 +21,7 @@ from qdecimate import (
     random_state_set,
     validate_state_set,
 )
-from qdecimate import fileio, numerics, pca
+from qdecimate import fileio, pca
 from qdecimate.decimation import retained_power
 from qdecimate.numerics import gram_deviation, svd
 
@@ -141,10 +141,10 @@ class TestBasisCompletion:
         assert model.rank < model.count
         assert np.array_equal(model.basis[:, 0], np.full(s.dim, 1.0 / math.sqrt(s.dim)))
         x = s.matrix - s.matrix.mean(axis=0)
-        u, sv, _ = svd(x)
-        # the fit's phase convention: each column's pivot real and positive
-        pivots = u[_pivot_rows(u), np.arange(u.shape[1])]
-        u = u * (np.abs(pivots) / pivots)
+        u, sv, vh = svd(x)
+        # the fit's phase convention: the pivot of each row of vh real and positive
+        pivots = vh[np.arange(vh.shape[0]), _pivot_rows(vh.T)]
+        u = u * (pivots / np.abs(pivots))
         retained = slice(1, model.rank + 1)
         overlaps = np.einsum("ij,ij->j", model.basis[:, retained].conj(), u[:, : model.rank])
         # Wedin: a backward-stable SVD moves singular vector k by up to
@@ -402,7 +402,7 @@ def _pivot_rows(columns):
 
 
 class TestPhaseConvention:
-    # D = 2^13 + 17 rows make three _PIVOT_ROWS blocks in the fit's phase pass
+    # the large case: D = 2^13 + 17 rows, eight row blocks of the fit's QR
     CASES = ["full-rank", "rank-deficient", "several-pivot-blocks"]
 
     @staticmethod
@@ -418,16 +418,14 @@ class TestPhaseConvention:
         return random_state_set(2**13 + 17, 8, seed=47)
 
     @pytest.mark.parametrize("case", CASES)
-    def test_every_deviation_pivot_is_real_positive(self, case):
+    def test_every_weight_row_pivot_is_real_positive(self, case):
         model = fit_pca(self._states(case))
         if case == "rank-deficient":
             assert model.rank == 2
-        rows = _pivot_rows(model.basis[:, 1:])
-        pivots = model.basis[rows, np.arange(1, model.count + 1)]
+        rows = model.weights[1 : model.rank + 1]
+        pivots = rows[np.arange(model.rank), _pivot_rows(rows.T)]
         assert np.all(pivots.real > 0.0)
         assert np.all(np.abs(pivots.imag) <= 1e-12 * pivots.real)
-        if case == "several-pivot-blocks":
-            assert len(set(rows // numerics._PIVOT_ROWS)) > 1
 
     @pytest.mark.parametrize("case", CASES)
     def test_independent_of_the_svd_phases(self, monkeypatch, case):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdecimate import (
+    DimMismatch,
     DomainError,
     NonFinite,
     NormPolicy,
@@ -205,3 +206,9 @@ class TestGenerators:
         s = random_state_set(16, 3, seed=5)
         assert np.array_equal(s.column(1), s.matrix[:, 0])
         assert np.array_equal(s.column(3), s.matrix[:, 2])
+
+    @pytest.mark.parametrize("mu", [0, 4])
+    def test_column_index_outside_one_to_m(self, mu):
+        # 0 would wrap to the last state, 4 past the end
+        with pytest.raises(DimMismatch, match=rf"1\.\.3, got {mu}"):
+            random_state_set(16, 3, seed=5).column(mu)
