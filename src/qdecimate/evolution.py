@@ -73,19 +73,21 @@ _PANEL = 8192
 class IsingChain:
     """Open transverse-field Ising chain as an action on vectors.
 
-    H = -coupling * sum_s Z_s Z_{s+1} - field * sum_s X_s on ``sites``
-    qubits, big-endian as in the entanglement diagnostics: site s is bit
-    n-s of the basis index. ``diagonal`` holds the ZZ part.
+    H = -coupling * sum_s Z_s Z_{s+1} - field * sum_s X_s on n qubits,
+    big-endian as in the entanglement diagnostics: site s is bit n-s of
+    the basis index. ``diagonal`` holds the ZZ part, made read-only, and
+    its length 2^n fixes ``dim`` and ``sites``.
     """
 
-    sites: int
     coupling: float
     field: float
     diagonal: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.diagonal.size
+    dim = property(lambda self: self.diagonal.size)
+    sites = property(lambda self: self.dim.bit_length() - 1)
+
+    def __post_init__(self) -> None:
+        self.diagonal.setflags(write=False)
 
     @cached_property
     def bound(self) -> float:
@@ -230,9 +232,7 @@ def _sum_series(
     """
     total = table.shape[0]
     scale = 2.0 / chain.bound
-    double = IsingChain(
-        chain.sites, chain.coupling * scale, chain.field * scale, chain.diagonal * scale
-    )
+    double = IsingChain(chain.coupling * scale, chain.field * scale, chain.diagonal * scale)
     block = np.empty((min(SERIES_BLOCK, total, rows.shape[0]), chain.dim), dtype=np.complex128)
     flat, flat_block = rows.view(np.float64), block.view(np.float64)
     # one product buffer for every panel, no larger than the block: a fresh
@@ -381,5 +381,4 @@ def ising_chain(n: int, coupling: float = 1.0, field: float = 1.0) -> IsingChain
         z = 1.0 - 2.0 * ((index >> (n - site - 1)) & 1)
         bond *= z
         diagonal -= coupling * bond
-    diagonal.setflags(write=False)
-    return IsingChain(sites=n, coupling=coupling, field=field, diagonal=diagonal)
+    return IsingChain(coupling=coupling, field=field, diagonal=diagonal)

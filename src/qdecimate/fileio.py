@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import Tolerances, check_hermitian, gram_deviation
-from .pca import PcaModel, numerical_rank
+from .pca import PcaModel
 
 FORMAT_VERSION = 2
 _DTYPE = "<c16"
@@ -388,14 +388,30 @@ def _decode_array(value, field: str, path: str | Path) -> np.ndarray:
     return arr
 
 
+def _check_labels(labels, count: int, path: str | Path) -> None:
+    """Labels are a list or tuple of exactly count str values, never one bare str."""
+    if not (isinstance(labels, (list, tuple)) and len(labels) == count) or not all(
+        isinstance(item, str) for item in labels
+    ):
+        raise DomainError(f"{path}: labels must list one string per state")
+
+
 def write_state_set(
     path: str | Path, matrix: np.ndarray, labels: tuple[str, ...] | None = None
 ) -> None:
-    """Write a D x M complex matrix; row mu of "states" is column mu."""
+    """Write a D x M complex matrix; row mu of "states" is column mu.
+
+    A matrix or labels that read_state_set would refuse are refused first.
+    """
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2:
+        raise DomainError(f"{path}: state matrix must be 2-d, got shape {matrix.shape}")
+    if labels is not None:
+        _check_labels(labels, matrix.shape[1], path)
     doc = {
         "format_version": FORMAT_VERSION,
         "dimension": int(matrix.shape[0]),
-        "states": np.asarray(matrix).T,
+        "states": matrix.T,
     }
     if labels is not None:
         doc["labels"] = list(labels)
@@ -419,12 +435,7 @@ def read_state_set(path: str | Path) -> tuple[np.ndarray, tuple[str, ...] | None
         )
     labels = doc.get("labels")
     if labels is not None:
-        if (
-            not isinstance(labels, list)
-            or len(labels) != matrix.shape[1]
-            or not all(isinstance(item, str) for item in labels)
-        ):
-            raise DomainError(f"{path}: labels must list one string per state")
+        _check_labels(labels, matrix.shape[1], path)
         labels = tuple(labels)
     return matrix, labels
 
@@ -465,17 +476,14 @@ def read_model(path: str | Path) -> PcaModel:
         gram_dev = gram_deviation(basis)
     if not gram_dev <= Tolerances.base:  # also rejects a NaN deviation from overflowing entries
         raise DomainError(f"{path}: basis columns not orthonormal (deviation {gram_dev:.3e})")
-    rank = numerical_rank(sv)
-    basis.setflags(write=False)
-    weights.setflags(write=False)
-    sv.setflags(write=False)
-    return PcaModel(
-        dim=dim, count=count, basis=basis, singular_values=sv, weights=weights, rank=rank
-    )
+    return PcaModel(basis=basis, singular_values=sv, weights=weights)
 
 
 def write_operator(path: str | Path, matrix: np.ndarray) -> None:
+    """Write a square matrix; any other shape is refused before anything is written."""
     matrix = np.asarray(matrix, dtype=np.complex128)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise DomainError(f"{path}: operator must be a square matrix, got shape {matrix.shape}")
     doc = {
         "format_version": FORMAT_VERSION,
         "dimension": int(matrix.shape[0]),

@@ -24,9 +24,9 @@ row is real and positive, and the basis column takes the matching phase.
 The right singular vectors are the deviations' own, whatever the QR:
 R[1:, 1:] and the deviations have the same Gram matrix.
 
-A state is rebuilt from its weights as ``model.basis @ w``; the numerical
-rank is the same function of the singular values whether the model was
-just fitted or read back from a file (``numerical_rank``).
+A state is rebuilt from its weights as ``model.basis @ w``. A model stores
+only its arrays, so its rank is one function of the singular values
+(``numerical_rank``), whether just fitted or read back from a file.
 """
 
 from __future__ import annotations
@@ -45,7 +45,9 @@ __all__ = ["PcaModel", "fit_pca", "importances"]
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Fitted basis, singular values, and per-state weights.
+    """Fitted basis, singular values, and per-state weights, made read-only.
+
+    D, M and the rank are properties read off the arrays, never stored.
 
     basis:           D x (M+1) isometry; column 0 is ones(D)/sqrt(D)
     singular_values: M deviation singular values, descending
@@ -58,12 +60,17 @@ class PcaModel:
                      rows are zero); 0 when every state is constant
     """
 
-    dim: int
-    count: int
     basis: np.ndarray
     singular_values: np.ndarray
     weights: np.ndarray
-    rank: int
+
+    dim = property(lambda self: self.basis.shape[0])
+    count = property(lambda self: self.weights.shape[1])
+    rank = property(lambda self: numerical_rank(self.singular_values))
+
+    def __post_init__(self) -> None:
+        for arr in (self.basis, self.singular_values, self.weights):
+            arr.setflags(write=False)
 
 
 def numerical_rank(sv: np.ndarray) -> int:
@@ -136,17 +143,7 @@ def fit_pca(s: StateSet) -> PcaModel:
     phased = vh[:rank, :] * np.conj(phase[:rank, np.newaxis])
     weights[1 : rank + 1, :] = sv[:rank, np.newaxis] * phased
 
-    phi.setflags(write=False)
-    weights.setflags(write=False)
-    sv.setflags(write=False)
-    return PcaModel(
-        dim=dim,
-        count=count,
-        basis=phi,
-        singular_values=sv,
-        weights=weights,
-        rank=rank,
-    )
+    return PcaModel(basis=phi, singular_values=sv, weights=weights)
 
 
 def importances(model: PcaModel) -> np.ndarray:

@@ -28,11 +28,15 @@ class NormPolicy(enum.Enum):
 
 @dataclass(frozen=True)
 class StateSet:
-    """M pure states as columns of a D x M matrix (D > M+1)."""
+    """M pure states as columns of a D x M matrix (D > M+1), made read-only."""
 
-    dim: int
-    count: int
     matrix: np.ndarray
+
+    dim = property(lambda self: self.matrix.shape[0])
+    count = property(lambda self: self.matrix.shape[1])
+
+    def __post_init__(self) -> None:
+        self.matrix.setflags(write=False)
 
     def column(self, mu: int) -> np.ndarray:
         """State coefficients for 1-based state index mu; DimMismatch outside 1..M."""
@@ -71,9 +75,7 @@ def validate_state_set(raw: np.ndarray, policy: NormPolicy = NormPolicy.STRICT) 
         for mu in np.nonzero(drift > Tolerances.state_norm)[0]:
             log.info("auto-normalize: column %d rescaled by %.12g", mu, 1.0 / norms[mu])
         raw = raw / norms
-    matrix = np.array(raw, dtype=np.complex128, order="C")
-    matrix.setflags(write=False)
-    return StateSet(dim=dim, count=count, matrix=matrix)
+    return StateSet(np.array(raw, dtype=np.complex128, order="C"))
 
 
 def random_state_set(dim: int, count: int, seed: int) -> StateSet:

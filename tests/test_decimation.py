@@ -41,12 +41,9 @@ def _weights_model(columns):
     w = np.asarray(columns, dtype=complex)
     rows, count = w.shape
     return PcaModel(
-        dim=rows + 2,
-        count=count,
         basis=np.zeros((rows + 2, rows), dtype=complex),
         singular_values=np.linspace(1.0, 0.5, count),
         weights=w,
-        rank=count,
     )
 
 

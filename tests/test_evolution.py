@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -258,7 +259,7 @@ class TestCoarseGrainedTrajectory:
         wins = 0
         for seed in range(3):
             h_rand = random_hamiltonian(dim, seed=200 + seed)
-            h_rand = h_rand * (np.linalg.norm(h_local.dense(), 2) / np.linalg.norm(h_rand, 2))
+            h_rand = h_rand * (h_local.bound / np.linalg.norm(h_rand, 2))
             _, local = coarse_grained_trajectory(evolve_sequence(h_local, psi0, dt, steps), d)
             _, rand = coarse_grained_trajectory(evolve_sequence(h_rand, psi0, dt, steps), d)
             mean_local = local.mean()
@@ -322,6 +323,32 @@ class TestGenerators:
     def test_ising_rejects_non_finite_parameters_and_bound(self, coupling, field):
         with pytest.raises(NonFinite):
             ising_chain(6, coupling, field)
+
+
+class TestIsingChainRecord:
+    def test_fields_leave_out_the_site_count(self):
+        names = [field.name for field in dataclasses.fields(IsingChain)]
+        assert names == ["coupling", "field", "diagonal"]
+        assert isinstance(IsingChain.sites, property)
+
+    def test_hand_built_chain_is_read_only(self):
+        chain = IsingChain(coupling=1.0, field=0.5, diagonal=np.zeros(16))
+        assert (chain.dim, chain.sites) == (16, 4)
+        assert not chain.diagonal.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            chain.sites = 3
+
+    def test_scaled_series_chain_is_read_only(self, monkeypatch):
+        # the series applies a copy of the chain scaled to 2 H / bound
+        apply, writeable = IsingChain.apply, []
+
+        def spy(chain, x):
+            writeable.append(chain.diagonal.flags.writeable)
+            return apply(chain, x)
+
+        monkeypatch.setattr(IsingChain, "apply", spy)
+        evolve_sequence(ising_chain(4), random_state_vector(16, seed=5), 0.1, 4)
+        assert writeable and not any(writeable)
 
 
 class TestIsingChainAction:
@@ -685,6 +712,6 @@ class TestChainCompression:
         # a hand-built chain whose compressed matrix is not finite
         traj = evolve_sequence(ising_chain(4), random_state_vector(16, seed=431), 0.1, 4)
         cg = build_map(fit_pca(traj), 3)
-        broken = IsingChain(sites=4, coupling=1.0, field=1.0, diagonal=np.full(16, np.nan))
+        broken = IsingChain(coupling=1.0, field=1.0, diagonal=np.full(16, np.nan))
         with pytest.raises(NonFinite):
             coarse_grain_operator(cg, broken)

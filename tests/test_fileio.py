@@ -527,9 +527,21 @@ class TestStreamedWriter:
 
     @pytest.mark.parametrize("rows, cols", STREAM_SHAPES)
     def test_operator(self, tmp_path, rows, cols):
+        # write_operator takes square matrices only (test_square_operator);
+        # an operator document of any rows x cols array streams the same way
         matrix = _complex((rows, cols), seed=rows + cols)
+        doc = {"format_version": 2, "dimension": rows, "matrix": matrix}
+        fileio._dump_json(tmp_path / "op.json", doc)
+        assert (tmp_path / "op.json").read_bytes() == whole_document_json(doc)
+
+    # fileio._block_rows(16 * n) is 222 at n = 221 (one block), 219 at n = 222
+    # and 223 (a second block of 3 and 4 rows) and 156 at n = 314 (two blocks
+    # and 2 rows)
+    @pytest.mark.parametrize("n", [1, 2, 3, 221, 222, 223, 314])
+    def test_square_operator(self, tmp_path, n):
+        matrix = _complex((n, n), seed=n)
         write_operator(tmp_path / "op.json", matrix)
-        expected = whole_document_json({"format_version": 2, "dimension": rows, "matrix": matrix})
+        expected = whole_document_json({"format_version": 2, "dimension": n, "matrix": matrix})
         assert (tmp_path / "op.json").read_bytes() == expected
 
     @pytest.mark.parametrize("rows, cols", STREAM_SHAPES)
@@ -544,9 +556,7 @@ class TestStreamedWriter:
     def test_model(self, tmp_path, rows, cols):
         basis, weights = _complex((rows, cols), seed=1), _complex((3, 2), seed=2)
         sv = np.array([2.5, 0.1 + 0.2])
-        model = PcaModel(
-            dim=rows, count=2, basis=basis, singular_values=sv, weights=weights, rank=2
-        )
+        model = PcaModel(basis=basis, singular_values=sv, weights=weights)
         write_model(tmp_path / "m.json", model)
         doc = {
             "format_version": 2,
@@ -580,10 +590,10 @@ class TestStreamedWriter:
     @pytest.mark.parametrize(
         "matrix",
         [
-            np.arange(60.0).reshape(12, 5),
-            np.asfortranarray(_complex((40, 7), seed=8)),
-            _complex((40, 14), seed=9)[::2, ::3],
-            _complex((9, 4), seed=10).astype(">c16"),
+            np.arange(144.0).reshape(12, 12),
+            np.asfortranarray(_complex((40, 40), seed=8)),
+            _complex((40, 60), seed=9)[::2, ::3],
+            _complex((9, 9), seed=10).astype(">c16"),
         ],
         ids=["real", "fortran", "strided", "big-endian"],
     )
@@ -593,6 +603,42 @@ class TestStreamedWriter:
             {"format_version": 2, "dimension": matrix.shape[0], "matrix": matrix}
         )
         assert (tmp_path / "op.json").read_bytes() == expected
+
+
+_THREE_STATES = random_state_set(16, 3, seed=1).matrix
+
+
+class TestWriterRefusals:
+    """A writer refuses what its reader would refuse, before it makes any file."""
+
+    @pytest.mark.parametrize(
+        "matrix, labels",
+        [
+            (_THREE_STATES, ("a",)),
+            (_THREE_STATES, ("a", "b", "c", "d")),
+            (_THREE_STATES, (1, 2, 3)),
+            (_THREE_STATES, "abc"),
+            (_THREE_STATES[:, 0], None),
+            (np.zeros((2, 16, 3), dtype=complex), None),
+        ],
+        ids=["too-few-labels", "too-many-labels", "int-labels", "bare-str", "1-d", "3-d"],
+    )
+    def test_state_set(self, tmp_path, matrix, labels):
+        path = tmp_path / "s.json"
+        with pytest.raises(DomainError, match=str(path)):
+            write_state_set(path, matrix, labels=labels)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(4), np.zeros((2, 2, 2))],
+        ids=["2x3", "3x2", "1-d", "3-d"],
+    )
+    def test_operator(self, tmp_path, matrix):
+        path = tmp_path / "op.json"
+        with pytest.raises(DomainError, match=str(path)):
+            write_operator(path, matrix)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWriteMemory:
@@ -606,12 +652,9 @@ class TestWriteMemory:
             call = lambda: write_state_set(tmp_path / "s.json", matrix)  # noqa: E731
         elif kind == "model":
             model = PcaModel(
-                dim=2**12,
-                count=200,
                 basis=_complex((2**12, 201), seed=12),
                 singular_values=np.linspace(2.0, 1.0, 200),
                 weights=_complex((201, 200), seed=13),
-                rank=200,
             )
             call = lambda: write_model(tmp_path / "m.json", model)  # noqa: E731
         else:

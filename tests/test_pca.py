@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -47,13 +48,35 @@ def _model_with_singular_values(sv):
     sv = np.asarray(sv, dtype=np.float64)
     count = sv.size
     return PcaModel(
-        dim=count + 2,
-        count=count,
         basis=np.zeros((count + 2, count + 1), dtype=complex),
         singular_values=sv,
         weights=np.zeros((count + 1, count), dtype=complex),
-        rank=count,
     )
+
+
+class TestRecord:
+    """A model stores its three arrays, read-only, and derives D, M and the rank."""
+
+    def test_fields_are_the_arrays(self):
+        names = [field.name for field in dataclasses.fields(PcaModel)]
+        assert names == ["basis", "singular_values", "weights"]
+        for name in ("dim", "count", "rank"):
+            assert isinstance(getattr(PcaModel, name), property)
+
+    def test_rank_follows_the_singular_values(self, tmp_path):
+        model = fit_pca(random_state_set(16, 3, seed=1))
+        zeroed = dataclasses.replace(model, singular_values=np.zeros(3))
+        assert (model.rank, zeroed.rank) == (3, 0)
+        fileio.write_model(tmp_path / "m.json", zeroed)
+        assert fileio.read_model(tmp_path / "m.json").rank == zeroed.rank
+
+    def test_hand_built_model_is_read_only(self):
+        model = _model_with_singular_values([2.0, 1.0, 0.0])
+        assert (model.dim, model.count, model.rank) == (5, 3, 2)
+        for arr in (model.basis, model.singular_values, model.weights):
+            assert not arr.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.rank = 3
 
 
 class TestFitAnalytic:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from qdecimate import (
     NormPolicy,
     NotNormalized,
     RegimeViolation,
+    StateSet,
     fit_pca,
     random_state_set,
     random_state_vector,
@@ -19,6 +21,19 @@ from qdecimate import (
 )
 
 from helpers import random_columns
+
+
+class TestRecord:
+    def test_matrix_is_the_only_field(self):
+        assert [field.name for field in dataclasses.fields(StateSet)] == ["matrix"]
+        assert isinstance(StateSet.dim, property) and isinstance(StateSet.count, property)
+
+    def test_hand_built_set_is_read_only(self):
+        s = StateSet(np.eye(8, 3, dtype=complex))
+        assert (s.dim, s.count) == (8, 3)
+        assert not s.matrix.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.dim = 9
 
 
 class TestValidate:
