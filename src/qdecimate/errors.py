@@ -15,7 +15,7 @@ class NonFinite(DomainError):
 
 
 class NoConvergence(DomainError):
-    """The decomposition backend failed to converge."""
+    """A decomposition failed to converge, or a basis failed its orthonormality check."""
 
 
 class NotHermitian(DomainError):

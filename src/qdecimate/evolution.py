@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .decimation import coarse_grain_operator
-from .errors import DimMismatch, NonFinite, NotNormalized, RegimeViolation
+from .errors import DimMismatch, NonFinite, NotNormalized, NotPowerOfTwo, RegimeViolation
 from .numerics import Tolerances, adjoint_times, hermitian_eig
 from .stateset import NormPolicy, StateSet, validate_state_set
 
@@ -73,10 +73,10 @@ _PANEL = 8192
 class IsingChain:
     """Open transverse-field Ising chain as an action on vectors.
 
-    H = -coupling * sum_s Z_s Z_{s+1} - field * sum_s X_s on n qubits,
-    big-endian as in the entanglement diagnostics: site s is bit n-s of
-    the basis index. ``diagonal`` holds the ZZ part, made read-only, and
-    its length 2^n fixes ``dim`` and ``sites``.
+    H = -coupling * sum_s Z_s Z_{s+1} - field * sum_s X_s on n qubits, big-endian
+    as in the entanglement diagnostics: site s is bit n-s of the basis index.
+    ``diagonal`` holds the ZZ part, made read-only; its length 2^n, n >= 2, fixes
+    ``dim`` and ``sites``. H and its Gershgorin bound |J|(n-1) + |G|n are finite.
     """
 
     coupling: float
@@ -85,8 +85,17 @@ class IsingChain:
 
     dim = property(lambda self: self.diagonal.size)
     sites = property(lambda self: self.dim.bit_length() - 1)
+    _gershgorin = property(
+        lambda self: abs(self.coupling) * (self.sites - 1) + abs(self.field) * self.sites
+    )
 
     def __post_init__(self) -> None:
+        if self.diagonal.ndim != 1 or self.dim != 2**self.sites:
+            raise NotPowerOfTwo(f"diagonal must have length 2^n, got shape {self.diagonal.shape}")
+        if self.sites < 2:
+            raise RegimeViolation(f"chain needs at least 2 qubits, got {self.sites}")
+        if not (math.isfinite(self._gershgorin) and np.all(np.isfinite(self.diagonal))):
+            raise NonFinite(f"J={self.coupling!r}, G={self.field!r}: diagonal or bound not finite")
         self.diagonal.setflags(write=False)
 
     @cached_property
@@ -106,9 +115,8 @@ class IsingChain:
         cosh(k sqrt(2 delta)), 1.0001 for k = 1e5 and delta = 1e-14, so the
         kept terms, the dropped tail and the round-off barely grow.
         """
-        gershgorin = abs(self.coupling) * (self.sites - 1) + abs(self.field) * self.sites
         if self.coupling == 0.0 or self.field == 0.0:
-            return gershgorin
+            return self._gershgorin
         b = np.diag(np.full(self.sites, self.field))
         b[np.arange(self.sites - 1), np.arange(1, self.sites)] = self.coupling
         return float(np.linalg.svd(b, compute_uv=False).sum())
@@ -366,19 +374,14 @@ def ising_chain(n: int, coupling: float = 1.0, field: float = 1.0) -> IsingChain
     if n < 2:
         raise RegimeViolation(f"chain needs at least 2 qubits, got {n}")
     coupling, field = float(coupling), float(field)
-    # a NaN or infinite J or G makes the Gershgorin bound non-finite too; a
-    # finite one caps the spectral radius, so ``bound`` is finite
-    if not math.isfinite(abs(coupling) * (n - 1) + abs(field) * n):
-        raise NonFinite(
-            f"J, G and the bound |J|(n-1)+|G|n must be finite, got J={coupling!r}, G={field!r}"
-        )
     index = np.arange(2**n)
     diagonal = np.zeros(2**n)
-    # Z_s one site at a time: only the two Z vectors of one bond are held
+    # Z_s one site at a time, two Z vectors held; IsingChain refuses an overflowed sum
     z = 1.0 - 2.0 * ((index >> (n - 1)) & 1)
-    for site in range(1, n):
-        bond = z
-        z = 1.0 - 2.0 * ((index >> (n - site - 1)) & 1)
-        bond *= z
-        diagonal -= coupling * bond
+    with np.errstate(over="ignore", invalid="ignore"):
+        for site in range(1, n):
+            bond = z
+            z = 1.0 - 2.0 * ((index >> (n - site - 1)) & 1)
+            bond *= z
+            diagonal -= coupling * bond
     return IsingChain(coupling=coupling, field=field, diagonal=diagonal)

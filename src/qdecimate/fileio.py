@@ -53,7 +53,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import DomainError
-from .numerics import Tolerances, check_hermitian, gram_deviation
+from .numerics import check_hermitian
 from .pca import PcaModel
 
 FORMAT_VERSION = 2
@@ -453,7 +453,7 @@ def write_model(path: str | Path, model: PcaModel) -> None:
 
 
 def read_model(path: str | Path) -> PcaModel:
-    """Load and re-validate a fitted model."""
+    """Load a fitted model; PcaModel re-validates it, and every error names the path."""
     with _read_document(path, "count", "singular_values", "basis", "weights") as (doc, dim):
         count = _int_field(doc, "count", path)
         basis = _decode_array(doc.pop("basis"), "basis", path)
@@ -462,21 +462,12 @@ def read_model(path: str | Path) -> PcaModel:
         sv = np.asarray(doc["singular_values"], dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{path}: singular_values is not a numeric array") from exc
-    if basis.shape != (dim, count + 1):
-        raise DomainError(f"{path}: basis shape {basis.shape} != ({dim}, {count + 1})")
-    if weights.shape != (count + 1, count):
-        raise DomainError(f"{path}: weights shape {weights.shape} != ({count + 1}, {count})")
-    if sv.shape != (count,) or not np.all(np.isfinite(sv)):
-        raise DomainError(f"{path}: expected {count} finite singular values")
-    if np.any(np.diff(sv) > 0) or np.any(sv < 0):
-        raise DomainError(f"{path}: singular values must be non-negative and descending")
-    if np.abs(basis[:, 0] - 1.0 / math.sqrt(dim)).max() > Tolerances.base:
-        raise DomainError(f"{path}: basis column 0 is not the uniform superposition")
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram_dev = gram_deviation(basis)
-    if not gram_dev <= Tolerances.base:  # also rejects a NaN deviation from overflowing entries
-        raise DomainError(f"{path}: basis columns not orthonormal (deviation {gram_dev:.3e})")
-    return PcaModel(basis=basis, singular_values=sv, weights=weights)
+    try:
+        if basis.shape[:1] + sv.shape != (dim, count):
+            raise DomainError(f"header (D, M) = ({dim}, {count}) does not match the arrays")
+        return PcaModel(basis=basis, singular_values=sv, weights=weights)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
 
 
 def write_operator(path: str | Path, matrix: np.ndarray) -> None:

@@ -16,7 +16,6 @@ the SVD runs on that M x M block, R[1:, 1:] = U_b diag(s) Vh. The basis
 is [u0 | Q[:, 1:] @ U_b], written one row block at a time. All M of its
 deviation columns come out orthonormal, those past the rank included:
 they span the rest of the QR's range, and their weight rows are zero.
-The Gram check afterwards only validates; it raises NoConvergence.
 
 A singular vector pair is defined up to a phase, and the fit fixes it
 once, on the M x M factor: the pivot (``pivot_phases``) of each weight
@@ -26,7 +25,8 @@ R[1:, 1:] and the deviations have the same Gram matrix.
 
 A state is rebuilt from its weights as ``model.basis @ w``. A model stores
 only its arrays, so its rank is one function of the singular values
-(``numerical_rank``), whether just fitted or read back from a file.
+(``numerical_rank``). However built, a model checks shapes (DimMismatch),
+spectrum and column 0 (DomainError) and orthonormality (NoConvergence).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroDeviations, NoConvergence
+from .errors import AllZeroDeviations, DimMismatch, DomainError, NoConvergence
 from .numerics import Tolerances, gram_deviation, pivot_phases, svd
 from .stateset import StateSet
 
@@ -47,10 +47,11 @@ __all__ = ["PcaModel", "fit_pca", "importances"]
 class PcaModel:
     """Fitted basis, singular values, and per-state weights, made read-only.
 
-    D, M and the rank are properties read off the arrays, never stored.
+    D, M and the rank are read off the arrays. Building one checks, in order:
+    shapes (DimMismatch), spectrum and column 0 (DomainError), isometry (NoConvergence).
 
-    basis:           D x (M+1) isometry; column 0 is ones(D)/sqrt(D)
-    singular_values: M deviation singular values, descending
+    basis:           D x (M+1), D > M >= 1; isometric, column 0 ones(D)/sqrt(D), to Tolerances.base
+    singular_values: M deviation singular values: finite, non-negative, descending
     weights:         (M+1) x M; column mu expands state mu in the basis,
                      and the pivot entry of each row 1..rank is real positive
     rank:            singular values above rank_rel * e_1 (the rest count
@@ -69,13 +70,26 @@ class PcaModel:
     rank = property(lambda self: numerical_rank(self.singular_values))
 
     def __post_init__(self) -> None:
-        for arr in (self.basis, self.singular_values, self.weights):
+        basis, sv, weights = self.basis, self.singular_values, self.weights
+        dim, count = basis.shape[0] if basis.ndim else 0, sv.size
+        shapes = (basis.shape, sv.shape, weights.shape)
+        if not 1 <= count < dim or shapes != ((dim, count + 1), (count,), (count + 1, count)):
+            raise DimMismatch(f"model shapes {shapes} != D x (M+1), (M,), (M+1) x M, D > M > 0")
+        if not np.all(np.isfinite(sv)) or np.any(sv < 0) or np.any(np.diff(sv) > 0):
+            raise DomainError("singular values must be finite, non-negative and descending")
+        if np.abs(basis[:, 0] - 1.0 / math.sqrt(dim)).max() > Tolerances.base:
+            raise DomainError("basis column 0 is not the uniform superposition")
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram_dev = gram_deviation(basis)
+        if not gram_dev <= Tolerances.base:  # also fails the NaN of overflowing entries
+            raise NoConvergence(f"basis columns not orthonormal (deviation {gram_dev:.3e})")
+        for arr in (basis, sv, weights):
             arr.setflags(write=False)
 
 
 def numerical_rank(sv: np.ndarray) -> int:
     """Number of singular values above Tolerances.rank_rel * e_1; sv is descending."""
-    return int(np.sum(sv > Tolerances.rank_rel * (float(sv[0]) if sv.size else 0.0)))
+    return int(np.sum(sv > Tolerances.rank_rel * float(sv[0])))
 
 
 # Rows per block of the tall-skinny QR. Each block's Q waits in the basis
@@ -134,9 +148,6 @@ def fit_pca(s: StateSet) -> PcaModel:
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         phi[lo:hi, 1:] = phi[lo:hi] @ lift[i * width : (i + 1) * width]
     phi[:, 0] = u0
-    gram_dev = gram_deviation(phi)
-    if not gram_dev <= Tolerances.base:
-        raise NoConvergence(f"fitted basis not orthonormal (deviation {gram_dev:.3e})")
 
     weights = np.zeros((count + 1, count), dtype=np.complex128)
     weights[0, :] = math.sqrt(dim) * s.matrix.mean(axis=0)

@@ -37,11 +37,15 @@ from helpers import (
 
 
 def _weights_model(columns):
-    """PcaModel stub carrying prescribed weight columns (selection tests only)."""
+    """A valid model carrying prescribed weight columns (selection tests only).
+
+    Its basis is the first M+1 columns of the unitary DFT matrix, whose
+    column 0 is exactly u0.
+    """
     w = np.asarray(columns, dtype=complex)
     rows, count = w.shape
     return PcaModel(
-        basis=np.zeros((rows + 2, rows), dtype=complex),
+        basis=np.fft.fft(np.eye(rows + 2))[:, :rows] / np.sqrt(rows + 2),
         singular_values=np.linspace(1.0, 0.5, count),
         weights=w,
     )
@@ -181,8 +185,9 @@ class TestSelectDimension:
         assert select_dimension(model, 0.5, state=1) == 2
 
     def test_cumulative_arithmetic(self):
-        col = np.array([[0.6], [0.6], [math.sqrt(0.28)]])
-        model = _weights_model(col)
+        # three weight rows need M = 2 states; the second one is not asked about
+        cols = np.array([[0.6, 1.0], [0.6, 0.0], [math.sqrt(0.28), 0.0]])
+        model = _weights_model(cols)
         assert select_dimension(model, 0.2, state=1) == 3
 
     def test_set_max_is_max_of_per_state(self):

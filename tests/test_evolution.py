@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qdecimate import (
     NonFinite,
     NotHermitian,
     NotNormalized,
+    NotPowerOfTwo,
     RegimeViolation,
     ZeroNorm,
     build_map,
@@ -349,6 +351,33 @@ class TestIsingChainRecord:
         monkeypatch.setattr(IsingChain, "apply", spy)
         evolve_sequence(ising_chain(4), random_state_vector(16, seed=5), 0.1, 4)
         assert writeable and not any(writeable)
+
+    @pytest.mark.parametrize("shape", [(12,), (0,), (4, 4), ()])
+    def test_diagonal_length_is_a_power_of_two(self, shape):
+        # unchecked, a length of 12 would reach apply's reshape as a bare ValueError
+        with pytest.raises(NotPowerOfTwo):
+            IsingChain(1.0, 1.0, np.zeros(shape))
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_chain_needs_two_sites(self, size):
+        with pytest.raises(RegimeViolation, match="at least 2 qubits"):
+            IsingChain(1.0, 1.0, np.zeros(size))
+
+    @pytest.mark.parametrize(
+        "coupling, field, entry",
+        [
+            (float("nan"), 1.0, 0.0),
+            (1.0, float("-inf"), 0.0),
+            (1e308, 1e308, 0.0),  # finite J and G, but |J|(n-1)+|G|n overflows
+            (1.0, 1.0, np.inf),
+        ],
+    )
+    def test_non_finite_chain_refused(self, coupling, field, entry):
+        # unchecked, a NaN J would reach bound's SVD as numpy's LinAlgError
+        diagonal = np.zeros(16)
+        diagonal[3] = entry
+        with pytest.raises(NonFinite):
+            IsingChain(coupling, field, diagonal)
 
 
 class TestIsingChainAction:
@@ -709,9 +738,10 @@ class TestChainCompression:
             coarse_grain_operator(cg, ising_chain(5))
 
     def test_result_is_checked(self):
-        # a hand-built chain whose compressed matrix is not finite
+        # an operator with apply and bound whose compressed matrix is not finite
+        # (an IsingChain cannot hold a non-finite diagonal)
         traj = evolve_sequence(ising_chain(4), random_state_vector(16, seed=431), 0.1, 4)
         cg = build_map(fit_pca(traj), 3)
-        broken = IsingChain(coupling=1.0, field=1.0, diagonal=np.full(16, np.nan))
+        broken = SimpleNamespace(apply=lambda x: np.full(x.shape, np.nan), bound=1.0)
         with pytest.raises(NonFinite):
             coarse_grain_operator(cg, broken)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdecimate import DomainError, NotHermitian, PcaModel, fit_pca, random_state_set
+from qdecimate import DomainError, NotHermitian, fit_pca, random_state_set
 from qdecimate import fileio
 from qdecimate.fileio import (
     read_curve,
@@ -245,6 +245,14 @@ class TestArrayObject:
             read_state_set(self._write(tmp_path, **_encode(matrix)))
 
 
+def _write_model_with_basis(path, model, basis) -> None:
+    """model's file with its basis replaced by one no PcaModel would hold."""
+    write_model(path, model)
+    doc = json.loads(path.read_text())
+    doc["basis"] = _encode(basis)
+    path.write_text(json.dumps(doc))
+
+
 class TestModelFile:
     def test_round_trip_exact(self, tmp_path):
         model = fit_pca(random_state_set(16, 4, seed=123))
@@ -270,14 +278,23 @@ class TestModelFile:
     def test_tampered_basis_rejected(self, tmp_path):
         model = fit_pca(random_state_set(8, 2, seed=125))
         path = tmp_path / "model.json"
-        write_model(path, model)
-        doc = json.loads(path.read_text())
-        basis = _decode(doc["basis"]).copy()
+        basis = model.basis.copy()
         basis[0, 1] = 5.0
-        doc["basis"] = _encode(basis)
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DomainError):
+        _write_model_with_basis(path, model, basis)
+        with pytest.raises(DomainError, match="not orthonormal") as info:
             read_model(path)
+        # the model's own refusal comes back as a DomainError naming the path
+        assert type(info.value) is DomainError and str(info.value).startswith(f"{path}: ")
+
+    def test_wrong_column_zero_rejected(self, tmp_path):
+        model = fit_pca(random_state_set(8, 2, seed=125))
+        path = tmp_path / "model.json"
+        basis = model.basis.copy()
+        basis[0, 0] = 0.5
+        _write_model_with_basis(path, model, basis)
+        with pytest.raises(DomainError, match="column 0 is not the uniform") as info:
+            read_model(path)
+        assert type(info.value) is DomainError and str(info.value).startswith(f"{path}: ")
 
     def test_overflowing_basis_rejected(self, tmp_path):
         # The Gram product of these columns holds inf - inf = nan, which a
@@ -287,7 +304,7 @@ class TestModelFile:
         basis[:, 1] = [1e200, 1e200, 0, 0, 0, 0, 0, 0]
         basis[:, 2] = [1e200, 1e200j, 0, 0, 0, 0, 0, 0]
         path = tmp_path / "model.json"
-        write_model(path, dataclasses.replace(model, basis=basis))
+        _write_model_with_basis(path, model, basis)
         with pytest.raises(DomainError, match="not orthonormal"):
             read_model(path)
 
@@ -554,17 +571,32 @@ class TestStreamedWriter:
 
     @pytest.mark.parametrize("rows, cols", STREAM_SHAPES)
     def test_model(self, tmp_path, rows, cols):
+        # write_model takes valid models only (test_fitted_model); a model
+        # document of any rows x cols basis streams the same way
         basis, weights = _complex((rows, cols), seed=1), _complex((3, 2), seed=2)
-        sv = np.array([2.5, 0.1 + 0.2])
-        model = PcaModel(basis=basis, singular_values=sv, weights=weights)
-        write_model(tmp_path / "m.json", model)
         doc = {
             "format_version": 2,
             "dimension": rows,
             "count": 2,
-            "singular_values": sv.tolist(),
+            "singular_values": [2.5, 0.1 + 0.2],
             "basis": basis,
             "weights": weights,
+        }
+        fileio._dump_json(tmp_path / "m.json", doc)
+        assert (tmp_path / "m.json").read_bytes() == whole_document_json(doc)
+
+    def test_fitted_model(self, tmp_path):
+        # fileio._block_rows(16 * 4) is 12288: a basis of 12289 rows of 4
+        # columns streams in two blocks, the second of one row
+        model = fit_pca(random_state_set(12289, 3, seed=3))
+        write_model(tmp_path / "m.json", model)
+        doc = {
+            "format_version": 2,
+            "dimension": 12289,
+            "count": 3,
+            "singular_values": model.singular_values.tolist(),
+            "basis": model.basis,
+            "weights": model.weights,
         }
         assert (tmp_path / "m.json").read_bytes() == whole_document_json(doc)
 
@@ -651,11 +683,7 @@ class TestWriteMemory:
             matrix = _complex((2**12, 200), seed=11)
             call = lambda: write_state_set(tmp_path / "s.json", matrix)  # noqa: E731
         elif kind == "model":
-            model = PcaModel(
-                basis=_complex((2**12, 201), seed=12),
-                singular_values=np.linspace(2.0, 1.0, 200),
-                weights=_complex((201, 200), seed=13),
-            )
+            model = fit_pca(random_state_set(2**12, 200, seed=12))
             call = lambda: write_model(tmp_path / "m.json", model)  # noqa: E731
         else:
             matrix = _complex((905, 905), seed=14)

@@ -10,6 +10,7 @@ from qdecimate import (
     DEFAULT_TOL,
     AllZeroDeviations,
     DimMismatch,
+    DomainError,
     NoConvergence,
     PcaModel,
     Tolerances,
@@ -44,11 +45,16 @@ def _canonical_duplicates():
     return validate_state_set(np.eye(16, dtype=complex)[:, [0, 0, 1, 1, 2]])
 
 
+def _fourier_basis(dim, width):
+    """The first width columns of the unitary DFT matrix; column 0 is exactly u0."""
+    return np.fft.fft(np.eye(dim))[:, :width] / np.sqrt(dim)
+
+
 def _model_with_singular_values(sv):
     sv = np.asarray(sv, dtype=np.float64)
     count = sv.size
     return PcaModel(
-        basis=np.zeros((count + 2, count + 1), dtype=complex),
+        basis=_fourier_basis(count + 2, count + 1),
         singular_values=sv,
         weights=np.zeros((count + 1, count), dtype=complex),
     )
@@ -77,6 +83,71 @@ class TestRecord:
             assert not arr.flags.writeable
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.rank = 3
+
+
+class TestModelRules:
+    """Every PcaModel, however built, holds the rules that read_model checks."""
+
+    @pytest.mark.parametrize(
+        "basis, sv, weights",
+        [
+            ((5, 4), (3,), (4, 2)),  # 2 weight columns beside 3 singular values
+            ((5, 4), (3,), (3, 3)),  # weights need M+1 rows
+            ((5, 3), (3,), (4, 3)),  # basis needs M+1 columns
+            ((3, 4), (3,), (4, 3)),  # D < M+1 rows cannot hold M+1 orthonormal columns
+            ((4,), (3,), (4, 3)),  # a basis must be 2-d
+            ((5, 4), (3, 1), (4, 3)),  # singular values must be 1-d
+            ((5, 1), (0,), (1, 0)),  # M >= 1
+        ],
+        ids=[
+            "weight-columns",
+            "weight-rows",
+            "basis-columns",
+            "short-basis",
+            "1-d-basis",
+            "2-d-spectrum",
+            "no-state",
+        ],
+    )
+    def test_each_shape_is_checked(self, basis, sv, weights):
+        with pytest.raises(DimMismatch):
+            PcaModel(basis=np.zeros(basis), singular_values=np.ones(sv), weights=np.zeros(weights))
+
+    @pytest.mark.parametrize(
+        "sv",
+        [[1.0, 2.0, 3.0], [1.0, -0.5, -1.0], [np.nan, 1.0, 0.5]],
+        ids=["ascending", "negative", "nan"],
+    )
+    def test_spectrum_refused_before_any_file_exists(self, tmp_path, sv):
+        # write_model can only receive a model that read_model would accept
+        model = fit_pca(random_state_set(16, 3, seed=1))
+        with pytest.raises(DomainError, match="finite, non-negative and descending"):
+            bad = dataclasses.replace(model, singular_values=np.array(sv))
+            fileio.write_model(tmp_path / "m.json", bad)
+        assert not list(tmp_path.iterdir())
+
+    def test_column_zero_must_be_u0(self):
+        model = fit_pca(random_state_set(16, 3, seed=2))
+        # still orthonormal: columns 0 and 1 swapped
+        basis = model.basis[:, [1, 0, 2, 3]]
+        assert gram_deviation(basis) <= 1e-13
+        with pytest.raises(DomainError, match="column 0 is not the uniform superposition"):
+            dataclasses.replace(model, basis=basis)
+
+    @pytest.mark.parametrize("entry", [1e-9, 1e200])
+    def test_basis_must_be_orthonormal(self, entry):
+        model = fit_pca(random_state_set(16, 3, seed=3))
+        basis = model.basis.copy()
+        basis[3, 2] += entry
+        with pytest.raises(NoConvergence, match="not orthonormal"):
+            dataclasses.replace(model, basis=basis)
+
+    def test_a_refused_model_leaves_its_arrays_writable(self):
+        # the arrays are frozen only once every rule holds
+        basis = np.zeros((5, 4))
+        with pytest.raises(DomainError):
+            PcaModel(basis=basis, singular_values=np.ones(3), weights=np.zeros((4, 3)))
+        assert basis.flags.writeable
 
 
 class TestFitAnalytic:
