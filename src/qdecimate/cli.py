@@ -29,8 +29,6 @@ from .entanglement import (
 from .errors import AllZeroDeviations, DomainError
 from .evolution import (
     SERIES_BLOCK,
-    check_room,
-    check_steps,
     coarse_grain_hamiltonian,
     evolve_sequence,
     ising_chain,
@@ -38,22 +36,17 @@ from .evolution import (
 )
 from .numerics import Tolerances
 from .pca import fit_pca, importances
-from .stateset import NormPolicy, random_state_vector, validate_state_set
+from .stateset import NormPolicy, check_regime, random_state_vector, validate_state_set
 
 
-def _policy(args: argparse.Namespace) -> NormPolicy:
-    if getattr(args, "auto_normalize", False):
-        return NormPolicy.AUTO_NORMALIZE
-    return NormPolicy.STRICT
-
-
-def _load_states(path: str, policy: NormPolicy):
-    matrix, _ = fileio.read_state_set(path)
+def _load_states(args: argparse.Namespace):
+    matrix, _ = fileio.read_state_set(args.states)
+    policy = NormPolicy.AUTO_NORMALIZE if args.auto_normalize else NormPolicy.STRICT
     return validate_state_set(matrix, policy=policy)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    states = _load_states(args.states, _policy(args))
+    states = _load_states(args)
     model = fit_pca(states)
     fileio.write_model(args.output, model)
     print(f"states: M={states.count}")
@@ -93,7 +86,7 @@ def cmd_decimate(args: argparse.Namespace) -> int:
 
 
 def cmd_entropy_curve(args: argparse.Namespace) -> int:
-    states = _load_states(args.states, _policy(args))
+    states = _load_states(args)
     factor = QubitFactorization.from_dim(states.dim)
     scale = 1.0 / LN2 if args.bits else 1.0
     unit = "bits" if args.bits else "nats"
@@ -221,11 +214,10 @@ def _parse_psi0(spec: str, dim: int) -> np.ndarray:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    check_steps(args.steps)
+    dim, dense, build = _parse_hamiltonian(args)
+    check_regime(dim, args.steps)
     if args.d is not None:
         check_dimension(args.steps, args.d)
-    dim, dense, build = _parse_hamiltonian(args)
-    check_room(dim, args.steps)
     _check_evolve_memory(dim, args.steps, dense)
     h = build()
     psi0 = _parse_psi0(args.psi0, dim)

@@ -27,7 +27,11 @@ class NotNormalized(DomainError):
 
 
 class RegimeViolation(DomainError):
-    """The dimension/count regime D > M+1 does not hold."""
+    """A state set is not 2-d with M >= 1 and D > M+1 (``stateset.check_regime``).
+
+    Evolution also raises it for a chain with n < 2, too large a step phase,
+    a non-finite dt or span, and a Hamiltonian of the wrong shape.
+    """
 
 
 class DimMismatch(DomainError):

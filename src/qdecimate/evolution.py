@@ -3,8 +3,9 @@
 A trajectory evolves one initial state under a fixed Hamiltonian (hbar = 1)
 at uniform time steps. ``evolve_sequence`` returns it as the validated
 ``StateSet`` of psi(j dt), j = 0..steps-1: column 1 is the initial state,
-and the set can serve directly as input to the PCA pipeline. Which
-propagator runs depends on the Hamiltonian's type:
+and the set can serve directly as input to the PCA pipeline. The regime
+and psi0's norm are the state set's own (``stateset``), so a state that a
+set admits evolves. Which propagator runs depends on the Hamiltonian's type:
 
 - A dense matrix (``random_hamiltonian``, any caller's array) is
   diagonalised once with ``eigh``, and every state comes straight from
@@ -43,7 +44,7 @@ import numpy as np
 from .decimation import coarse_grain_operator
 from .errors import DimMismatch, NonFinite, NotNormalized, NotPowerOfTwo, RegimeViolation
 from .numerics import Tolerances, adjoint_times, hermitian_eig
-from .stateset import NormPolicy, StateSet, validate_state_set
+from .stateset import NormPolicy, StateSet, check_regime, column_norms, validate_state_set
 
 __all__ = [
     "IsingChain",
@@ -287,18 +288,6 @@ def _chain_trajectory(chain: IsingChain, psi0: np.ndarray, dt: float, steps: int
     return rows
 
 
-def check_steps(steps: int) -> None:
-    """Raise RegimeViolation unless a trajectory has at least one step."""
-    if steps < 1:
-        raise RegimeViolation(f"need at least one step, got {steps}")
-
-
-def check_room(dim: int, steps: int) -> None:
-    """Raise RegimeViolation unless D > steps+1, so a trajectory's basis leaves room in D."""
-    if dim <= steps + 1:
-        raise RegimeViolation(f"need dimension D > steps+1, got D={dim}, steps={steps}")
-
-
 def evolve_sequence(
     h: np.ndarray | IsingChain,
     psi0: np.ndarray,
@@ -313,11 +302,12 @@ def evolve_sequence(
     term count K would grow too large, so no error grows with the step
     index: every state lies within a small multiple of K_total * eps of
     the exact one, with K_total the series terms of all segments and
-    eps = 2^-52 (see the module docstring). A non-finite dt or time span,
-    or a chain step whose phase bound*|dt| is too large to expand, is a
-    RegimeViolation. A psi0 whose norm is off 1 by more than state_norm is
-    NotNormalized; by more than base, it is divided by its norm, so that
-    round-off cannot carry a later state past state_norm.
+    eps = 2^-52 (see the module docstring). Steps outside check_regime, a
+    non-finite dt or time span, or a chain step whose phase bound*|dt| is
+    too large to expand, is a RegimeViolation. A psi0 with NaN or Inf
+    entries is NonFinite; one whose column_norms norm is off 1 by more than
+    state_norm is NotNormalized, and by more than base, it is divided by
+    its norm, so that round-off cannot carry a later state past state_norm.
     """
     psi0 = np.asarray(psi0, dtype=np.complex128)
     dt = float(dt)
@@ -325,15 +315,14 @@ def evolve_sequence(
     if not chain:
         h = np.asarray(h, dtype=np.complex128)
     dim = psi0.shape[0] if psi0.ndim == 1 else 0
-    check_steps(steps)
-    check_room(dim, steps)
+    check_regime(dim, steps)
     shape = (h.dim, h.dim) if chain else h.shape
     if shape != (dim, dim):
         raise RegimeViolation(f"Hamiltonian shape {shape} does not match state length {dim}")
     span = abs(dt) * (steps - 1)
     if not (math.isfinite(dt) and math.isfinite(span)):
         raise RegimeViolation(f"time step and span must be finite, got dt={dt!r}, steps={steps}")
-    norm = float(np.linalg.norm(psi0))
+    norm = float(column_norms(psi0[:, np.newaxis])[0])
     if abs(norm - 1.0) > Tolerances.state_norm:
         raise NotNormalized(f"initial state has norm {norm:.12g}")
     if abs(norm - 1.0) > Tolerances.base:

@@ -1,8 +1,6 @@
-"""Ingestion and preprocessing of input state sets.
+"""Input state sets: a ``StateSet`` checks its rules however it is built.
 
-A state set is a D x M complex matrix whose columns are unit-norm pure
-states expressed in a fixed global basis; validation makes it the
-read-only input of the PCA stage.
+``check_regime`` and ``column_norms`` decide them for trajectories and psi0 too.
 """
 
 from __future__ import annotations
@@ -13,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NotNormalized, RegimeViolation
-from .numerics import Tolerances, check_finite
+from .errors import DimMismatch, NonFinite, NotNormalized, RegimeViolation
+from .numerics import Tolerances
 
 log = logging.getLogger(__name__)
 
@@ -26,9 +24,48 @@ class NormPolicy(enum.Enum):
     AUTO_NORMALIZE = "auto-normalize"
 
 
+def check_regime(dim: int, count: int) -> None:
+    """Raise RegimeViolation unless M >= 1 states lie in D > M+1 dimensions."""
+    if count < 1:
+        raise RegimeViolation(f"need at least one state, got M={count}")
+    if dim <= count + 1:
+        raise RegimeViolation(f"need dimension D > M+1, got D={dim}, M={count}")
+
+
+def column_norms(matrix: np.ndarray) -> np.ndarray:
+    """Each column's Euclidean norm, inf where its squares overflow; NonFinite for NaN or Inf.
+
+    Each column is copied into one reused vector whose float view is dotted
+    with itself: a norm depends on its column's entries alone, not on the layout.
+    """
+    column = np.empty(matrix.shape[0], dtype=np.complex128)
+    flat, norms = column.view(np.float64), np.empty(matrix.shape[1])
+    with np.errstate(over="ignore"):
+        for mu in range(norms.size):
+            column[:] = matrix[:, mu]
+            norms[mu] = flat @ flat
+    for mu in np.flatnonzero(~np.isfinite(norms)):  # an overflow, or NaN or Inf entries
+        if not np.all(np.isfinite(matrix[:, mu])):
+            raise NonFinite(f"state matrix column {mu} contains NaN or Inf entries")
+    return np.sqrt(norms)
+
+
+def _drifting_norms(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if matrix.ndim != 2:
+        raise RegimeViolation(f"state matrix must be 2-d, got shape {matrix.shape}")
+    check_regime(*matrix.shape)
+    norms = column_norms(matrix)
+    return norms, np.flatnonzero(np.abs(norms - 1.0) > Tolerances.state_norm)
+
+
 @dataclass(frozen=True)
 class StateSet:
-    """M pure states as columns of a D x M matrix (D > M+1), made read-only."""
+    """M pure states as columns of a D x M matrix, made read-only.
+
+    Building one checks, in order: a 2-d matrix that passes check_regime
+    (RegimeViolation), finite entries (NonFinite), and column norms within
+    Tolerances.state_norm of 1 (NotNormalized).
+    """
 
     matrix: np.ndarray
 
@@ -36,6 +73,12 @@ class StateSet:
     count = property(lambda self: self.matrix.shape[1])
 
     def __post_init__(self) -> None:
+        norms, drifting = _drifting_norms(self.matrix)
+        if drifting.size:
+            mu = int(drifting[np.argmax(np.abs(norms[drifting] - 1.0))])
+            hint = "pass NormPolicy.AUTO_NORMALIZE (CLI: --auto-normalize) to rescale"
+            hint = hint if 0.0 < norms[mu] < np.inf else "it cannot be rescaled"
+            raise NotNormalized(f"column {mu} has norm {norms[mu]:.12g}; {hint}")
         self.matrix.setflags(write=False)
 
     def column(self, mu: int) -> np.ndarray:
@@ -46,35 +89,19 @@ class StateSet:
 
 
 def validate_state_set(raw: np.ndarray, policy: NormPolicy = NormPolicy.STRICT) -> StateSet:
-    """Validate (and under AUTO_NORMALIZE, rescale) columns into a StateSet.
+    """A StateSet of a C-order complex128 copy of raw.
 
-    Enforces finiteness, unit column norms within Tolerances.state_norm,
-    and the regime D > M+1. The matrix is a read-only C-order copy.
+    Under AUTO_NORMALIZE, if a column drifts past state_norm, every column is first
+    divided by its np.linalg.norm; one whose norm is 0 or not finite is NotNormalized.
     """
     raw = np.asarray(raw, dtype=np.complex128)
-    if raw.ndim != 2:
-        raise RegimeViolation(f"state matrix must be 2-d, got shape {raw.shape}")
-    dim, count = raw.shape
-    if count < 1:
-        raise RegimeViolation("state set needs at least one state")
-    if dim <= count + 1:
-        raise RegimeViolation(f"need dimension D > M+1, got D={dim}, M={count}")
-    check_finite(raw, "state matrix")
-
-    norms = np.linalg.norm(raw, axis=0)
-    drift = np.abs(norms - 1.0)
-    if np.any(drift > Tolerances.state_norm):
-        worst = int(np.argmax(drift))
-        if policy is NormPolicy.STRICT:
-            raise NotNormalized(
-                f"column {worst} has norm {norms[worst]:.12g}; "
-                "pass NormPolicy.AUTO_NORMALIZE (CLI: --auto-normalize) to rescale"
-            )
-        if np.any(norms <= 0.0):
-            raise NotNormalized("cannot auto-normalize a zero column")
-        for mu in np.nonzero(drift > Tolerances.state_norm)[0]:
+    if policy is NormPolicy.AUTO_NORMALIZE:
+        norms, drifting = _drifting_norms(raw)
+        for mu in drifting:
+            if not 0.0 < norms[mu] < np.inf:
+                raise NotNormalized(f"cannot auto-normalize column {mu}: its norm is {norms[mu]}")
             log.info("auto-normalize: column %d rescaled by %.12g", mu, 1.0 / norms[mu])
-        raw = raw / norms
+        raw = raw / np.linalg.norm(raw, axis=0) if drifting.size else raw
     return StateSet(np.array(raw, dtype=np.complex128, order="C"))
 
 

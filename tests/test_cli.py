@@ -611,7 +611,7 @@ class TestEvolve:
         argv = ["evolve", "--hamiltonian", "ising:6", "--dt", "0.1", "--steps", steps, *d]
         code, err = _stderr_lines([*argv, "--out-prefix", str(tmp_path / "x")])
         assert code == 2 and err == [
-            f"error: RegimeViolation: need at least one step, got {steps}"
+            f"error: RegimeViolation: need at least one state, got M={steps}"
         ]
         assert not reached and not list(tmp_path.iterdir())
 
@@ -665,7 +665,7 @@ class TestEvolve:
         argv = ["evolve", "--hamiltonian", "ising:4", "--dt", "0.1", "--steps", "1000000000"]
         code, err = _stderr_lines([*argv, "--out-prefix", str(tmp_path / "x")])
         assert code == 2 and err == [
-            "error: RegimeViolation: need dimension D > steps+1, got D=16, steps=1000000000"
+            "error: RegimeViolation: need dimension D > M+1, got D=16, M=1000000000"
         ]
         assert not reached and not list(tmp_path.iterdir())
 

@@ -299,3 +299,22 @@ def test_cli_fails_with_one_line(sources, command, data):
         assert not invalid and err == []
     else:
         assert code in (1, 2) and len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("fit", []), ("fit", ["--auto-normalize"]), ("entropy-curve", []), ("evolve", [])],
+    ids=["fit", "fit-auto-normalize", "entropy-curve-fine", "evolve-psi0-file"],
+)
+def test_overflowing_norm_is_one_not_normalized_line(tmp_path, command, extra):
+    # 1e200 is finite, but its square overflows: the state's norm is inf, and
+    # neither numpy's RuntimeWarning nor a rescale to zeros may get through
+    state = np.zeros((16, 1), dtype=complex)
+    state[0, 0] = 1e200
+    path = tmp_path / "overflow.json"
+    write_state_set(path, state)
+    _, argv = COMMANDS[command]
+    code, err = _run_cli(argv(str(path), str(tmp_path / "out")) + extra)
+    assert code == 2 and len(err) == 1 and err[0].startswith("error: NotNormalized: "), err
+    assert "norm" in err[0] and "inf" in err[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["overflow.json"]

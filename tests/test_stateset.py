@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +20,28 @@ from qdecimate import (
     random_state_vector,
     validate_state_set,
 )
+from qdecimate.stateset import column_norms
 
-from helpers import random_columns
+from helpers import peak_bytes, random_columns
+
+
+def _with_entry(value):
+    raw = random_columns(8, 2, seed=21)
+    raw[3, 1] = value
+    return raw
+
+
+# each builds a fresh matrix that a StateSet must refuse, with the error it must raise
+REFUSED = {
+    "regime-3x5": (lambda: np.zeros((3, 5), complex), RegimeViolation),
+    "non-unit": (lambda: np.full((8, 2), 3.0 + 0j), NotNormalized),
+    "nan": (lambda: _with_entry(np.nan), NonFinite),
+    "inf": (lambda: _with_entry(np.inf), NonFinite),
+    "1-d": (lambda: random_columns(8, 1, seed=22)[:, 0], RegimeViolation),
+    "3-d": (lambda: random_columns(8, 2, seed=23)[:, :, np.newaxis], RegimeViolation),
+    "M=0": (lambda: np.zeros((8, 0), complex), RegimeViolation),
+    "D=M+1": (lambda: random_columns(4, 3, seed=24), RegimeViolation),
+}
 
 
 class TestRecord:
@@ -34,6 +55,48 @@ class TestRecord:
         assert not s.matrix.flags.writeable
         with pytest.raises(dataclasses.FrozenInstanceError):
             s.dim = 9
+
+    @pytest.mark.parametrize("build", ["direct", "replace"])
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_refused_however_built(self, case, build):
+        make, error = REFUSED[case]
+        matrix = make()
+        with pytest.raises(error):
+            if build == "direct":
+                StateSet(matrix)
+            else:
+                dataclasses.replace(StateSet(np.eye(8, 3, dtype=complex)), matrix=matrix)
+        assert matrix.flags.writeable
+
+    def test_f_order_and_strided_sets_accepted(self):
+        raw = random_columns(8, 3, seed=25)
+        strided = np.zeros((16, 6), dtype=complex)
+        strided[::2, ::2] = raw
+        for matrix in (np.asfortranarray(raw), strided[::2, ::2]):
+            s = StateSet(matrix)
+            assert (s.dim, s.count) == (8, 3) and not s.matrix.flags.writeable
+
+
+class TestColumnNormFunction:
+    def test_layout_and_neighbours_do_not_change_a_norm(self):
+        raw = random_columns(300, 41, seed=26) * np.linspace(0.5, 2.0, 41)
+        strided = np.zeros((600, 82), dtype=complex)
+        strided[::2, ::2] = raw
+        want = column_norms(raw).tobytes()
+        for matrix in (np.asfortranarray(raw), strided[::2, ::2]):
+            assert column_norms(matrix).tobytes() == want
+        alone = [column_norms(raw[:, mu : mu + 1]) for mu in range(41)]
+        assert np.concatenate(alone).tobytes() == want
+        assert np.allclose(column_norms(raw), np.linspace(0.5, 2.0, 41), rtol=1e-15, atol=0)
+
+    def test_overflow_is_an_infinite_norm_not_a_warning(self):
+        raw = np.zeros((8, 2), dtype=complex)
+        raw[0] = [1e200, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert column_norms(raw).tolist() == [np.inf, 1.0]
+        with pytest.raises(NotNormalized, match="column 0 has norm inf; it cannot be rescaled"):
+            StateSet(raw)
 
 
 class TestValidate:
@@ -86,9 +149,26 @@ class TestValidate:
         assert s.matrix.flags.c_contiguous and np.array_equal(s.matrix, raw)
         assert not np.shares_memory(s.matrix, raw)
 
-    def test_non_2d_rejected(self):
+    @pytest.mark.parametrize("policy", list(NormPolicy))
+    @pytest.mark.parametrize("shape", [(), (4,), (8, 2, 1)])
+    def test_non_2d_rejected(self, shape, policy):
+        # a DomainError, never numpy's AxisError from a norm over axis 0
         with pytest.raises(DomainError):
-            validate_state_set(np.zeros(4, dtype=complex))
+            validate_state_set(np.full(shape, 0.5, dtype=complex), policy)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e200])
+    def test_auto_normalize_refuses_zero_and_overflowing_columns(self, scale):
+        raw = random_columns(8, 3, seed=27)
+        raw[:, 1] = 0.0
+        raw[0, 1] = scale
+        with pytest.raises(NotNormalized, match="cannot auto-normalize column 1"):
+            validate_state_set(raw, NormPolicy.AUTO_NORMALIZE)
+
+    def test_peak_is_the_copy_of_a_reader_view(self):
+        # read_state_set gives the transposed view of the file's rows
+        view = np.ascontiguousarray(random_state_set(4096, 200, seed=28).matrix.T).T
+        assert view.flags.f_contiguous
+        assert peak_bytes(lambda: validate_state_set(view)) <= view.nbytes + 2**20
 
 
 class TestColumnNorms:
