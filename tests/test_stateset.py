@@ -149,9 +149,13 @@ class TestValidate:
         assert s.matrix.flags.c_contiguous and np.array_equal(s.matrix, raw)
         assert not np.shares_memory(s.matrix, raw)
 
+    def test_non_2d_rejected(self):
+        with pytest.raises(DomainError):
+            validate_state_set(np.zeros(4, dtype=complex))
+
     @pytest.mark.parametrize("policy", list(NormPolicy))
     @pytest.mark.parametrize("shape", [(), (4,), (8, 2, 1)])
-    def test_non_2d_rejected(self, shape, policy):
+    def test_non_2d_rejected_under_every_policy(self, shape, policy):
         # a DomainError, never numpy's AxisError from a norm over axis 0
         with pytest.raises(DomainError):
             validate_state_set(np.full(shape, 0.5, dtype=complex), policy)
