@@ -36,18 +36,20 @@ from .evolution import (
 )
 from .numerics import Tolerances
 from .pca import fit_pca, importances
-from .stateset import NormPolicy, check_regime, random_state_vector, validate_state_set
+from .stateset import NormPolicy, StateSet, check_regime, random_state_vector, validate_state_set
 
 
-def _load_states(args: argparse.Namespace):
+def _load_states(args: argparse.Namespace) -> tuple[StateSet, np.ndarray]:
+    """The checked states, held once: columns 1..M of a fit buffer, returned beside it."""
     matrix, _ = fileio.read_state_set(args.states)
+    phi = np.empty((matrix.shape[0], matrix.shape[1] + 1), dtype=np.complex128)
     policy = NormPolicy.AUTO_NORMALIZE if args.auto_normalize else NormPolicy.STRICT
-    return validate_state_set(matrix, policy=policy)
+    return validate_state_set(matrix, policy=policy, out=phi[:, 1:]), phi
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    states = _load_states(args)
-    model = fit_pca(states)
+    states, phi = _load_states(args)
+    model = fit_pca(phi)
     fileio.write_model(args.output, model)
     print(f"states: M={states.count}")
     print(f"dimension: D={states.dim}")
@@ -86,7 +88,7 @@ def cmd_decimate(args: argparse.Namespace) -> int:
 
 
 def cmd_entropy_curve(args: argparse.Namespace) -> int:
-    states = _load_states(args)
+    states, phi = _load_states(args)
     factor = QubitFactorization.from_dim(states.dim)
     scale = 1.0 / LN2 if args.bits else 1.0
     unit = "bits" if args.bits else "nats"
@@ -99,7 +101,8 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
         value = von_neumann_entropy(rho) * scale
         print(f"fine_entropy={value!r} ({unit})")
         return 0
-    model = fit_pca(states)
+    model = fit_pca(phi)
+    # states is now a view of basis columns; the curve reads only its shape
     curve = entropy_vs_dimension_curve(states, model, args.state, args.qubit)
     fileio.write_curve(args.output, [(d, value * scale) for d, value in curve.points])
     print(f"curve written: {args.output} ({len(curve.points)} rows, {unit})")

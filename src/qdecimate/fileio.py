@@ -422,7 +422,8 @@ def read_state_set(path: str | Path) -> tuple[np.ndarray, tuple[str, ...] | None
     """Read back a D x M matrix plus optional labels (no policy applied here).
 
     The matrix is the transposed, F-ordered view of the file's [M, D] rows:
-    no copy is made, and validate_state_set makes the one C-ordered copy.
+    no copy is made. validate_state_set copies it into C order, or into the
+    columns of a fit buffer (see fit_pca).
     """
     with _read_document(path, "states") as (doc, dim):
         rows = _decode_array(doc.pop("states"), "states", path)

@@ -23,6 +23,11 @@ row is real and positive, and the basis column takes the matching phase.
 The right singular vectors are the deviations' own, whatever the QR:
 R[1:, 1:] and the deviations have the same Gram matrix.
 
+The factored matrix is one D x (M+1) buffer that becomes the basis. The
+fit copies a StateSet into a fresh one, or takes the caller's buffer, whose
+columns 1..M already hold the states, and overwrites it: the CLI validates
+a state file straight into such a buffer, so it holds the states once.
+
 A state is rebuilt from its weights as ``model.basis @ w``. A model stores
 only its arrays, so its rank is one function of the singular values
 (``numerical_rank``). However built, a model checks shapes (DimMismatch),
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroDeviations, DimMismatch, DomainError, NoConvergence
+from .errors import AllZeroDeviations, DimMismatch, DomainError, NoConvergence, RegimeViolation
 from .numerics import Tolerances, gram_deviation, pivot_phases, svd
 from .stateset import StateSet
 
@@ -103,8 +108,31 @@ _BLOCK_ROWS = 1024
 _BLOCK_WIDTHS = 4
 
 
-def fit_pca(s: StateSet) -> PcaModel:
+def _checked_buffer(phi: np.ndarray) -> np.ndarray:
+    """phi, once its columns 1..M pass as a StateSet; a refused buffer is left as it was."""
+    if not (
+        isinstance(phi, np.ndarray)
+        and phi.dtype == np.complex128
+        and phi.flags.c_contiguous
+        and phi.flags.writeable
+    ):
+        raise DomainError("a fit buffer must be a writable C-order complex128 array")
+    if phi.ndim < 2:  # a buffer with no columns to slice
+        raise RegimeViolation(f"state matrix must be 2-d, got shape {phi.shape}")
+    StateSet(phi[:, 1:])
+    return phi
+
+
+def fit_pca(s: StateSet | np.ndarray) -> PcaModel:
     """Fit the mean-plus-deviations PCA model of a state set.
+
+    s is a StateSet, copied into a fresh D x (M+1) buffer, or that buffer
+    itself: a writable C-order complex128 array whose columns 1..M hold the
+    states. Those columns are checked as a StateSet checks them, with the
+    same errors in the same order, and a refused buffer is left unchanged.
+    An accepted buffer is factored in place and becomes the model's basis,
+    read-only; column 0 is never read. Both inputs give the same model bit
+    for bit.
 
     When every state is constant over the basis index, the deviations
     are exactly zero: the singular values are set to 0 and the rank
@@ -112,17 +140,23 @@ def fit_pca(s: StateSet) -> PcaModel:
 
     Raises NoConvergence if the basis is not orthonormal within Tolerances.base.
     """
-    dim, count = s.dim, s.count
+    if isinstance(s, StateSet):
+        phi = np.empty((s.dim, s.count + 1), dtype=np.complex128)
+        phi[:, 1:] = s.matrix
+    else:
+        phi = _checked_buffer(s)
+    states = phi[:, 1:]
+    dim, count = states.shape
     u0 = 1.0 / math.sqrt(dim)
     # balanced row blocks, none shorter than the block height
     blocks = max(1, dim // max(_BLOCK_ROWS, _BLOCK_WIDTHS * (count + 1)))
     edges = [dim * i // blocks for i in range(blocks + 1)]
 
-    # 1. QR of every row block of [u0 | S]; Q_i waits in the basis rows it becomes
-    phi = np.empty((dim, count + 1), dtype=np.complex128)
+    # 1. QR of every row block of [u0 | S]; Q_i waits in the basis rows it becomes.
+    # What the weights need of the states is read before the QR overwrites them.
+    constant = bool(np.all(states == states[0]))
+    means = states.mean(axis=0)
     phi[:, 0] = u0
-    phi[:, 1:] = s.matrix
-    constant = bool(np.all(phi[:, 1:] == s.matrix[0]))
     rs = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         phi[lo:hi], r = np.linalg.qr(phi[lo:hi])
@@ -150,7 +184,7 @@ def fit_pca(s: StateSet) -> PcaModel:
     phi[:, 0] = u0
 
     weights = np.zeros((count + 1, count), dtype=np.complex128)
-    weights[0, :] = math.sqrt(dim) * s.matrix.mean(axis=0)
+    weights[0, :] = math.sqrt(dim) * means
     phased = vh[:rank, :] * np.conj(phase[:rank, np.newaxis])
     weights[1 : rank + 1, :] = sv[:rank, np.newaxis] * phased
 

@@ -88,21 +88,51 @@ class StateSet:
         return self.matrix[:, mu - 1]
 
 
-def validate_state_set(raw: np.ndarray, policy: NormPolicy = NormPolicy.STRICT) -> StateSet:
-    """A StateSet of a C-order complex128 copy of raw.
+# Entries per panel of np.linalg.norm under AUTO_NORMALIZE, whose temporary
+# is one panel. A panel has at least two columns: a single C-order column
+# would be summed pairwise, the whole set row by row, and the bytes would differ.
+_NORM_PANEL = 2**15
 
-    Under AUTO_NORMALIZE, if a column drifts past state_norm, every column is first
-    divided by its np.linalg.norm; one whose norm is 0 or not finite is NotNormalized.
+
+def _divide_by_norms(raw: np.ndarray, out: np.ndarray) -> None:
+    """out = raw / np.linalg.norm(raw, axis=0), byte for byte, one panel of columns at a time."""
+    count = raw.shape[1]
+    panels = max(1, count // max(2, _NORM_PANEL // raw.shape[0]))
+    edges = [count * i // panels for i in range(panels + 1)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        np.divide(raw[:, lo:hi], np.linalg.norm(raw[:, lo:hi], axis=0), out=out[:, lo:hi])
+
+
+def validate_state_set(
+    raw: np.ndarray, policy: NormPolicy = NormPolicy.STRICT, out: np.ndarray | None = None
+) -> StateSet:
+    """A StateSet of raw's columns, written as complex128 into out, or into a C-order copy.
+
+    Under AUTO_NORMALIZE, if a column drifts past state_norm, every column is
+    divided by its np.linalg.norm on the way into out; one whose norm is 0 or
+    not finite is NotNormalized. The norms are taken on raw in panels, so the
+    set is held once more only in out. out must have raw's shape and dtype
+    complex128 (DimMismatch); it is written before StateSet checks it, and its
+    view of the states is made read-only.
     """
     raw = np.asarray(raw, dtype=np.complex128)
+    rescale = False
     if policy is NormPolicy.AUTO_NORMALIZE:
         norms, drifting = _drifting_norms(raw)
         for mu in drifting:
             if not 0.0 < norms[mu] < np.inf:
                 raise NotNormalized(f"cannot auto-normalize column {mu}: its norm is {norms[mu]}")
             log.info("auto-normalize: column %d rescaled by %.12g", mu, 1.0 / norms[mu])
-        raw = raw / np.linalg.norm(raw, axis=0) if drifting.size else raw
-    return StateSet(np.array(raw, dtype=np.complex128, order="C"))
+        rescale = drifting.size > 0
+    if out is None:
+        out = np.empty(raw.shape, dtype=np.complex128)
+    elif out.shape != raw.shape or out.dtype != np.complex128:
+        raise DimMismatch(f"out is {out.dtype} {out.shape}, not complex128 {raw.shape}")
+    if rescale:
+        _divide_by_norms(raw, out)
+    else:
+        out[...] = raw
+    return StateSet(out)
 
 
 def random_state_set(dim: int, count: int, seed: int) -> StateSet:

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from qdecimate import (
+    NormPolicy,
+    entropy_vs_dimension_curve,
     evolve_sequence,
     fit_pca,
     ising_chain,
@@ -29,10 +31,12 @@ from qdecimate.fileio import (
     read_model,
     read_operator,
     read_state_set,
+    write_curve,
+    write_model,
     write_state_set,
 )
 
-from helpers import dense_reduced_density_matrix, entropy_eigvalsh
+from helpers import dense_reduced_density_matrix, entropy_eigvalsh, peak_bytes
 
 
 def _stderr_lines(argv):
@@ -187,6 +191,60 @@ class TestFit:
         for name in ("basis", "weights", "singular_values"):
             a, b = getattr(one, name), getattr(two, name)
             assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
+
+def _quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
+class TestOneBuffer:
+    """fit and entropy-curve hold the states once: in the fit buffer that becomes the basis."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        # D=2^12, M=200, and the same set drifting by up to 5e-9, past state_norm
+        folder = tmp_path_factory.mktemp("one-buffer")
+        s = random_state_set(2**12, 200, seed=3)
+        drift = 1.0 + 5e-9 * np.random.Generator(np.random.PCG64(11)).uniform(-1, 1, 200)
+        write_state_set(folder / "unit.json", s.matrix)
+        write_state_set(folder / "drift.json", s.matrix * drift)
+        return folder
+
+    @pytest.mark.parametrize(
+        "command, name, flags",
+        [
+            ("fit", "unit.json", []),
+            ("fit", "drift.json", ["--auto-normalize"]),
+            ("entropy-curve", "unit.json", ["--state", "7", "--qubit", "3"]),
+        ],
+        ids=["fit", "fit-auto-normalize", "entropy-curve"],
+    )
+    def test_peak_holds_the_states_once(self, files, tmp_path, command, name, flags):
+        # 12.5 MiB of states: the reader's array and the fit buffer, then the
+        # buffer and the fit's temporaries; three copies of the states read 35.6-37.6
+        argv = [command, str(files / name), "-o", str(tmp_path / "out"), *flags]
+        assert peak_bytes(lambda: _quiet_main(argv)) <= 26 * 2**20
+
+    @pytest.mark.parametrize("name", ["unit.json", "drift.json"])
+    def test_fit_writes_the_public_path_model(self, files, tmp_path, name):
+        flags = ["--auto-normalize"] if name == "drift.json" else []
+        policy = NormPolicy.AUTO_NORMALIZE if flags else NormPolicy.STRICT
+        matrix, _ = read_state_set(files / name)
+        write_model(tmp_path / "want.json", fit_pca(validate_state_set(matrix, policy)))
+        argv = ["fit", str(files / name), "-o", str(tmp_path / "got.json"), *flags]
+        assert _quiet_main(argv) == 0
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    @pytest.mark.parametrize("name", ["unit.json", "drift.json"])
+    def test_curve_writes_the_public_path_csv(self, files, tmp_path, name):
+        flags = ["--auto-normalize"] if name == "drift.json" else []
+        policy = NormPolicy.AUTO_NORMALIZE if flags else NormPolicy.STRICT
+        s = validate_state_set(read_state_set(files / name)[0], policy)
+        write_curve(tmp_path / "want.csv", entropy_vs_dimension_curve(s, fit_pca(s), 7, 3).points)
+        argv = ["entropy-curve", str(files / name), "--state", "7", "--qubit", "3", *flags]
+        assert _quiet_main([*argv, "-o", str(tmp_path / "got.csv")]) == 0
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestDecimate:

@@ -344,6 +344,60 @@ class TestRowBlocks:
         assert np.abs(model.basis @ model.weights - raw).max() <= 1e-15
 
 
+def _constant_set():
+    raw = np.ones((256, 3), dtype=complex) * np.array([1.0, 1j, -(0.6 + 0.8j)]) / 16.0
+    return validate_state_set(raw)
+
+
+# full rank in one row block of the fit's QR and in two (3000 rows), rank 8 of 150, rank 0
+BUFFER_SETS = {
+    "one-block": lambda: random_state_set(600, 30, seed=90),
+    "several-blocks": lambda: random_state_set(3000, 40, seed=91),
+    "lowrank": lambda: _rank_deficient_set(2**10, 150, 8, seed=92),
+    "constant": _constant_set,
+}
+
+
+def _buffer_of(s):
+    """A fresh D x (M+1) fit buffer: the states in columns 1..M, NaN in column 0."""
+    phi = np.full((s.dim, s.count + 1), np.nan, dtype=complex)
+    phi[:, 1:] = s.matrix
+    return phi
+
+
+class TestBufferInput:
+    """fit_pca of a D x (M+1) buffer factors it in place: the buffer becomes the basis."""
+
+    @pytest.mark.parametrize("case", sorted(BUFFER_SETS))
+    def test_bit_identical_to_the_state_set_path(self, case):
+        s = BUFFER_SETS[case]()
+        want = fit_pca(s)
+        phi = _buffer_of(s)
+        got = fit_pca(phi)
+        assert np.shares_memory(got.basis, phi) and not phi.flags.writeable
+        for name in ("basis", "singular_values", "weights"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert np.abs(got.basis @ got.weights - s.matrix).max() <= 1e-10
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda phi: np.asfortranarray(phi),
+            lambda phi: phi.astype(np.complex64),
+            lambda phi: phi[:, ::2],
+            lambda phi: np.lib.stride_tricks.as_strided(phi, writeable=False),
+            lambda phi: phi.tolist(),
+        ],
+        ids=["F-order", "complex64", "strided", "read-only", "list"],
+    )
+    def test_a_buffer_of_another_layout_is_refused_untouched(self, layout):
+        buffer = layout(_buffer_of(random_state_set(16, 4, seed=93)))
+        before = np.array(buffer).tobytes()
+        with pytest.raises(DomainError, match="writable C-order complex128"):
+            fit_pca(buffer)
+        assert np.array(buffer).tobytes() == before
+
+
 def _full_weights(model, v):
     """Weights of a unit D-vector in the whole basis: decimation at d = M+1."""
     return decimate_state(build_map(model, model.count + 1), v)[0]

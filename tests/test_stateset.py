@@ -20,6 +20,7 @@ from qdecimate import (
     random_state_vector,
     validate_state_set,
 )
+from qdecimate import stateset
 from qdecimate.stateset import column_norms
 
 from helpers import peak_bytes, random_columns
@@ -67,6 +68,22 @@ class TestRecord:
             else:
                 dataclasses.replace(StateSet(np.eye(8, 3, dtype=complex)), matrix=matrix)
         assert matrix.flags.writeable
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_a_fit_buffer_is_refused_as_its_states(self, case):
+        # columns 1..M of the buffer hold the states; column 0 is never read
+        make, error = REFUSED[case]
+        matrix = make()
+        buffer = matrix.copy()
+        if matrix.ndim >= 2:
+            buffer = np.concatenate([np.full_like(matrix[:, :1], 7.0), matrix], axis=1)
+        before = buffer.tobytes()
+        with pytest.raises(error) as want:
+            StateSet(matrix)
+        with pytest.raises(error) as got:
+            fit_pca(buffer)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        assert buffer.tobytes() == before and buffer.flags.writeable
 
     def test_f_order_and_strided_sets_accepted(self):
         raw = random_columns(8, 3, seed=25)
@@ -174,26 +191,59 @@ class TestValidate:
         assert view.flags.f_contiguous
         assert peak_bytes(lambda: validate_state_set(view)) <= view.nbytes + 2**20
 
+    def test_auto_normalize_peak_is_the_copy_of_a_reader_view(self):
+        # every column drifts past state_norm, so every column is rescaled
+        drift = 1.0 + 5e-9 * np.linspace(-1.0, 1.0, 200)
+        rows = random_state_set(4096, 200, seed=28).matrix.T * drift[:, np.newaxis]
+        view = np.ascontiguousarray(rows).T
+        assert view.flags.f_contiguous
+        policy = NormPolicy.AUTO_NORMALIZE
+        assert peak_bytes(lambda: validate_state_set(view, policy)) <= view.nbytes + 2**20
+
+    @pytest.mark.parametrize("scale", [1.0, 1.001], ids=["copied", "rescaled"])
+    def test_out_receives_the_copy(self, scale):
+        # the CLI validates the reader's F-order view into columns 1..M of a fit buffer
+        raw = np.asfortranarray(random_columns(16, 3, seed=29) * scale)
+        want = validate_state_set(raw, NormPolicy.AUTO_NORMALIZE).matrix
+        buffer = np.zeros((16, 4), dtype=complex)
+        s = validate_state_set(raw, NormPolicy.AUTO_NORMALIZE, out=buffer[:, 1:])
+        assert np.shares_memory(s.matrix, buffer) and s.matrix.tobytes() == want.tobytes()
+        assert np.all(buffer[:, 0] == 0.0) and buffer.flags.writeable
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty((16, 4), complex), np.empty((16, 3), np.complex64), np.empty((3, 16), complex)],
+        ids=["shape", "dtype", "transposed"],
+    )
+    def test_out_of_another_shape_or_dtype_refused(self, out):
+        with pytest.raises(DimMismatch, match="not complex128"):
+            validate_state_set(random_columns(16, 3, seed=30), out=out)
+
 
 class TestColumnNorms:
     @pytest.mark.parametrize("block", [8, 2**16])
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("dim, count", [(16, 1), (16, 7), (300, 41)])
-    def test_bit_identical_to_numpy_norm(self, block, layout, dim, count):
+    def test_bit_identical_to_numpy_norm(self, monkeypatch, block, layout, dim, count):
         # The set is validated in slices of about `block` entries (at least two
         # columns each; block=8 gives two- and three-column slices, 2**16 the
         # whole set): a state's normalised bytes must not depend on the other
         # states it is validated with.
         raw = random_columns(2 * dim, count, seed=dim + count) * 1.25
         raw = {"C": raw[:dim], "F": np.asfortranarray(raw[:dim]), "strided": raw[::2]}[layout]
-        want = raw / np.linalg.norm(raw, axis=0)
+        want = np.ascontiguousarray(raw / np.linalg.norm(raw, axis=0)).tobytes()
         pieces = max(1, count // max(2, block // dim))
         edges = [count * i // pieces for i in range(pieces + 1)]
         got = [
             validate_state_set(raw[:, lo:hi], policy=NormPolicy.AUTO_NORMALIZE).matrix
             for lo, hi in zip(edges[:-1], edges[1:])
         ]
-        assert np.hstack(got).tobytes() == np.ascontiguousarray(want).tobytes()
+        assert np.hstack(got).tobytes() == want
+        # the whole set in norm panels of about `block` entries, into a fit buffer's columns
+        monkeypatch.setattr(stateset, "_NORM_PANEL", block)
+        buffer = np.empty((dim, count + 1), dtype=complex)
+        validate_state_set(raw, NormPolicy.AUTO_NORMALIZE, out=buffer[:, 1:])
+        assert np.ascontiguousarray(buffer[:, 1:]).tobytes() == want
 
 
 def _means_and_deviations(s):
