@@ -13,12 +13,10 @@ from .decimation import (
     coarse_grain_operator,
     coarse_grained_trajectory,
     decimate_state,
-    expectation,
     retained_power,
     select_dimension,
 )
 from .entanglement import (
-    LN2,
     EntropyCurve,
     QubitFactorization,
     entropy_vs_dimension_curve,
@@ -34,7 +32,6 @@ from .errors import (
     DomainError,
     NoConvergence,
     NonFinite,
-    NonRealExpectation,
     NotDensityMatrix,
     NotHermitian,
     NotNormalized,
@@ -71,10 +68,8 @@ __all__ = [
     "DomainError",
     "EntropyCurve",
     "IsingChain",
-    "LN2",
     "NoConvergence",
     "NonFinite",
-    "NonRealExpectation",
     "NormPolicy",
     "NotDensityMatrix",
     "NotHermitian",
@@ -93,7 +88,6 @@ __all__ = [
     "decimate_state",
     "entropy_vs_dimension_curve",
     "evolve_sequence",
-    "expectation",
     "fit_pca",
     "importances",
     "ising_chain",

@@ -257,7 +257,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         '{"dtype": "<c16", "shape": [...], "data": base64 of little-endian complex128}'
     )
     print("curve files: CSV with header d,value")
-    for name in ("base", "state_norm", "zero_norm", "expectation_imag", "rank_rel", "psd_slack"):
+    for name in Tolerances.__annotations__:
         print(f"tolerance {name}: {getattr(Tolerances, name)!r}")
     return 0
 

@@ -3,7 +3,9 @@
 Keeping the first d basis columns B defines the map g = B^dag, read from
 the basis and never stored. The weights of states, projected or sliced
 from a fit, are renormalized by one rule, and every operator, a matrix
-or an IsingChain, is compressed by one function.
+or an IsingChain, is compressed by one function. A compressed operator's
+expectation in a state is np.vdot(w, op_cg @ w), w the state's coarse
+weights.
 
 The power a fitted state keeps at d is read from its weight column
 alone: retained_power tabulates the cumulative |W|^2 of every state,
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimension, DimMismatch, DomainError, NonRealExpectation, ZeroNorm
+from .errors import BadDimension, DimMismatch, DomainError, ZeroNorm
 from .numerics import Tolerances, adjoint_times, check_finite, check_hermitian
 from .pca import PcaModel, fit_pca
 from .stateset import StateSet
@@ -30,7 +32,6 @@ __all__ = [
     "select_dimension",
     "coarse_grained_trajectory",
     "coarse_grain_operator",
-    "expectation",
 ]
 
 # Basis columns a chain acts on at once when it is compressed: its apply
@@ -164,17 +165,3 @@ def coarse_grain_operator(cg: CoarseGrainMap, op) -> np.ndarray:
         op_cg = adjoint_times(b, op @ b)
     check_hermitian(op_cg / scale, "coarse-grained operator")
     return op_cg
-
-
-def expectation(state_weights: np.ndarray, op_matrix: np.ndarray) -> float:
-    """Quadratic form x^dag O x, verified real within tolerance."""
-    x = np.asarray(state_weights, dtype=np.complex128)
-    op = np.asarray(op_matrix, dtype=np.complex128)
-    if op.ndim != 2 or op.shape[0] != op.shape[1] or x.shape != (op.shape[0],):
-        raise DimMismatch(f"shape mismatch: state {x.shape} against operator {op.shape}")
-    check_finite(x, "state")
-    check_finite(op, "operator")
-    value = complex(np.vdot(x, op @ x))
-    if abs(value.imag) > Tolerances.expectation_imag:
-        raise NonRealExpectation(f"imaginary residue {value.imag:.3e} beyond tolerance")
-    return value.real

@@ -50,10 +50,6 @@ class ZeroNorm(DomainError):
     """Truncated state has norm below the renormalization cutoff."""
 
 
-class NonRealExpectation(DomainError):
-    """Expectation value has an imaginary part beyond tolerance."""
-
-
 class NotPowerOfTwo(DomainError):
     """Hilbert-space dimension is not 2**n for integer n."""
 

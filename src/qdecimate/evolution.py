@@ -13,8 +13,9 @@ set admits evolves. Which propagator runs depends on the Hamiltonian's type:
   step-to-step error accumulation. This costs O(D^3) time and a D x D
   matrix.
 - An ``IsingChain`` is never stored as a matrix: it acts on vectors in
-  O(n D). exp(-i H t) = sum_k c_k(bound * t) T_k(H / bound) holds for
-  every t at once (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)),
+  O(n D), and ``chain.apply(np.eye(D))`` is its matrix.
+  exp(-i H t) = sum_k c_k(bound * t) T_k(H / bound) holds for every t
+  at once (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)),
   so one Chebyshev recurrence T_k(H / bound) psi0, run to the K terms
   that the last time needs, gives every state: K - 1 applications of H
   in all (117 for ``ising:10``, 60 steps of dt = 0.1), not K_step - 1
@@ -141,15 +142,6 @@ class IsingChain:
         flips *= -self.field
         flips += diagonal * x
         return flips
-
-    def dense(self) -> np.ndarray:
-        """The D x D matrix: the ZZ diagonal, and -field where X_s flips bit n-s."""
-        index = np.arange(self.dim)
-        h = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        h[index, index] = self.diagonal
-        for site in range(1, self.sites + 1):
-            h[index, index ^ (1 << (self.sites - site))] -= self.field
-        return h
 
 
 def _check_phase(a: float) -> None:
@@ -358,7 +350,7 @@ def ising_chain(n: int, coupling: float = 1.0, field: float = 1.0) -> IsingChain
     H = -coupling * sum_i Z_i Z_{i+1} - field * sum_i X_i, in the same
     big-endian qubit ordering used by the entanglement diagnostics: site s
     is bit n-s of the basis index and Z_s is 1 - 2 * bit on the diagonal.
-    Only the diagonal is stored (O(n * D)); ``dense()`` gives the matrix.
+    Only the diagonal is stored (O(n * D)); ``apply(np.eye(2**n))`` gives the matrix.
     """
     if n < 2:
         raise RegimeViolation(f"chain needs at least 2 qubits, got {n}")

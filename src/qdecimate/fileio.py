@@ -53,7 +53,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import DomainError
-from .numerics import check_hermitian
+from .numerics import check_finite, check_hermitian
 from .pca import PcaModel
 
 FORMAT_VERSION = 2
@@ -401,11 +401,13 @@ def write_state_set(
 ) -> None:
     """Write a D x M complex matrix; row mu of "states" is column mu.
 
-    A matrix or labels that read_state_set would refuse are refused first.
+    A matrix or labels that read_state_set would refuse (not 2-d, empty,
+    non-finite) are refused first.
     """
     matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
-        raise DomainError(f"{path}: state matrix must be 2-d, got shape {matrix.shape}")
+    if matrix.ndim != 2 or matrix.size == 0:
+        raise DomainError(f"{path}: states must be 2-d and non-empty, got shape {matrix.shape}")
+    check_finite(matrix, f"{path}: states")
     if labels is not None:
         _check_labels(labels, matrix.shape[1], path)
     doc = {
@@ -472,10 +474,11 @@ def read_model(path: str | Path) -> PcaModel:
 
 
 def write_operator(path: str | Path, matrix: np.ndarray) -> None:
-    """Write a square matrix; any other shape is refused before anything is written."""
+    """Write a Hermitian matrix; one that read_operator would refuse is refused first."""
     matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DomainError(f"{path}: operator must be a square matrix, got shape {matrix.shape}")
+    if matrix.size == 0:
+        raise DomainError(f"{path}: operator must not be empty, got shape {matrix.shape}")
+    check_hermitian(matrix, name=str(path))
     doc = {
         "format_version": FORMAT_VERSION,
         "dimension": int(matrix.shape[0]),

@@ -24,7 +24,6 @@ class Tolerances:
     base:             orthonormality / reconstruction / hermiticity checks
     state_norm:       unit-norm validation of input state vectors
     zero_norm:        absolute cutoff below which renormalization is refused
-    expectation_imag: allowed imaginary residue of a Hermitian expectation
     rank_rel:         singular values below rank_rel * e_1 count as zero
     psd_slack:        how negative a density-matrix eigenvalue may be
     """
@@ -32,7 +31,6 @@ class Tolerances:
     base: ClassVar[float] = 1e-10
     state_norm: ClassVar[float] = 1e-9
     zero_norm: ClassVar[float] = 1e-14
-    expectation_imag: ClassVar[float] = 1e-8
     rank_rel: ClassVar[float] = 1e-12
     psd_slack: ClassVar[float] = 1e-12
 

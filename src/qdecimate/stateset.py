@@ -1,6 +1,8 @@
 """Input state sets: a ``StateSet`` checks its rules however it is built.
 
-``check_regime`` and ``column_norms`` decide them for trajectories and psi0 too.
+``check_regime`` and ``column_norms`` decide them for trajectories and psi0 too,
+and under ``NormPolicy.AUTO_NORMALIZE`` a set is divided by the ``column_norms``
+it was checked with, so its bytes do not depend on the input's layout.
 """
 
 from __future__ import annotations
@@ -88,32 +90,17 @@ class StateSet:
         return self.matrix[:, mu - 1]
 
 
-# Entries per panel of np.linalg.norm under AUTO_NORMALIZE, whose temporary
-# is one panel. A panel has at least two columns: a single C-order column
-# would be summed pairwise, the whole set row by row, and the bytes would differ.
-_NORM_PANEL = 2**15
-
-
-def _divide_by_norms(raw: np.ndarray, out: np.ndarray) -> None:
-    """out = raw / np.linalg.norm(raw, axis=0), byte for byte, one panel of columns at a time."""
-    count = raw.shape[1]
-    panels = max(1, count // max(2, _NORM_PANEL // raw.shape[0]))
-    edges = [count * i // panels for i in range(panels + 1)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        np.divide(raw[:, lo:hi], np.linalg.norm(raw[:, lo:hi], axis=0), out=out[:, lo:hi])
-
-
 def validate_state_set(
     raw: np.ndarray, policy: NormPolicy = NormPolicy.STRICT, out: np.ndarray | None = None
 ) -> StateSet:
     """A StateSet of raw's columns, written as complex128 into out, or into a C-order copy.
 
     Under AUTO_NORMALIZE, if a column drifts past state_norm, every column is
-    divided by its np.linalg.norm on the way into out; one whose norm is 0 or
-    not finite is NotNormalized. The norms are taken on raw in panels, so the
-    set is held once more only in out. out must have raw's shape and dtype
-    complex128 (DimMismatch); it is written before StateSet checks it, and its
-    view of the states is made read-only.
+    divided by its column_norms norm on the way into out, so the bytes do not
+    depend on raw's layout; one whose norm is 0 or not finite is NotNormalized.
+    out must have raw's shape and dtype complex128 (DimMismatch); it is
+    written before StateSet checks it, and its view of the states is made
+    read-only.
     """
     raw = np.asarray(raw, dtype=np.complex128)
     rescale = False
@@ -129,7 +116,7 @@ def validate_state_set(
     elif out.shape != raw.shape or out.dtype != np.complex128:
         raise DimMismatch(f"out is {out.dtype} {out.shape}, not complex128 {raw.shape}")
     if rescale:
-        _divide_by_norms(raw, out)
+        np.divide(raw, norms, out=out)
     else:
         out[...] = raw
     return StateSet(out)

@@ -187,6 +187,13 @@ def naive_triple_product(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return out
 
 
+def real_expectation(x: np.ndarray, op: np.ndarray) -> float:
+    """x^dag O x by np.vdot, asserted real: its imaginary residue is at most 1e-8."""
+    value = complex(np.vdot(x, op @ x))
+    assert abs(value.imag) <= 1e-8, f"imaginary residue {value.imag:.3e}"
+    return value.real
+
+
 def naive_expectation(x: np.ndarray, op: np.ndarray) -> complex:
     """Double-loop sum_ij conj(x_i) O_ij x_j."""
     acc = 0.0 + 0.0j

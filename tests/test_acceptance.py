@@ -5,13 +5,13 @@ terminal (capture bypassed) so a full run always shows the scoreboard,
 then asserts.
 """
 
+import math
 import time
 
 import numpy as np
 import pytest
 
 from qdecimate import (
-    LN2,
     QubitFactorization,
     build_map,
     coarse_grain_hamiltonian,
@@ -20,7 +20,6 @@ from qdecimate import (
     decimate_state,
     entropy_vs_dimension_curve,
     evolve_sequence,
-    expectation,
     fit_pca,
     ising_chain,
     random_hamiltonian,
@@ -40,6 +39,7 @@ from helpers import (
     dense_reduced_density_matrix,
     entropy_eigvalsh,
     random_unitary,
+    real_expectation,
 )
 
 
@@ -157,7 +157,7 @@ def test_criterion_06_expectation_endpoint(report, capsys):
     fine = np.empty((20, count))
     for k, op in enumerate(operators):
         for mu in range(1, count + 1):
-            fine[k, mu - 1] = expectation(s.column(mu), op)
+            fine[k, mu - 1] = real_expectation(s.column(mu), op)
     worst_endpoint = 0.0
     table = []
     for d in range(2, count + 2):
@@ -166,7 +166,7 @@ def test_criterion_06_expectation_endpoint(report, capsys):
         for k, op in enumerate(operators):
             op_cg = coarse_grain_operator(cg, op)
             for mu in range(1, count + 1):
-                coarse = expectation(decimate_state(cg, s.column(mu))[0], op_cg)
+                coarse = real_expectation(decimate_state(cg, s.column(mu))[0], op_cg)
                 errs.append(abs(coarse - fine[k, mu - 1]))
         table.append((d, float(np.mean(errs)), float(np.max(errs))))
         if d == count + 1:
@@ -214,7 +214,7 @@ def test_criterion_08_entanglement_oracles(report):
             got = reduced_density_matrix(v, f, q)
             want = dense_reduced_density_matrix(v, 4, q)
             worst_rdm = max(worst_rdm, float(np.abs(got - want).max()))
-    mixed_err = abs(von_neumann_entropy(np.eye(2) / 2.0) - LN2)
+    mixed_err = abs(von_neumann_entropy(np.eye(2) / 2.0) - math.log(2))
     bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
     f2 = QubitFactorization(n=2)
     s1 = von_neumann_entropy(reduced_density_matrix(bell, f2, 1))
@@ -267,7 +267,7 @@ def test_criterion_10_evolution_suite(report, capsys):
     psi0 = random_state_vector(dim, seed=101)
     traj = evolve_sequence(h, psi0, dt, steps)
     norm_err = float(np.abs(np.linalg.norm(traj.matrix, axis=0) - 1.0).max())
-    energies = [expectation(traj.matrix[:, j], h) for j in range(steps)]
+    energies = [real_expectation(traj.matrix[:, j], h) for j in range(steps)]
     energy_drift = max(energies) - min(energies)
     model = fit_pca(traj)
     h_norm = float(np.linalg.norm(h, 2))

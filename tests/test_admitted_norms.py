@@ -26,7 +26,6 @@ from qdecimate import (
     coarse_grain_operator,
     coarse_grained_trajectory,
     decimate_state,
-    expectation,
     fit_pca,
     ising_chain,
     validate_state_set,
@@ -34,7 +33,7 @@ from qdecimate import (
 from qdecimate.cli import main
 from qdecimate.fileio import read_state_set, write_state_set
 
-from helpers import random_columns
+from helpers import random_columns, real_expectation
 
 ADMITTED = settings(derandomize=True, deadline=None, database=None, max_examples=40)
 EDGE = DEFAULT_TOL.state_norm - 1e-15
@@ -79,7 +78,7 @@ def test_admitted_set_passes_every_command(tmp_path_factory, qubits, seed, drift
         weights, _ = coarse_grained_trajectory(admitted, d)
         for mu in range(count):
             assert not decimate_state(cg, matrix[:, mu])[2]
-            expectation(weights[:, mu], h_cg)  # NonRealExpectation would fail here
+            real_expectation(weights[:, mu], h_cg)  # asserts a real value
     root = tmp_path_factory.mktemp("admitted")
     states, model, psi0 = root / "s.json", root / "m.json", root / "psi.json"
     write_state_set(states, matrix)

@@ -15,6 +15,7 @@ import pytest
 
 from qdecimate import (
     NormPolicy,
+    Tolerances,
     entropy_vs_dimension_curve,
     evolve_sequence,
     fit_pca,
@@ -797,6 +798,16 @@ class TestInfoAndParser:
         assert "model format_version: 2" in out
         assert '"dtype": "<c16"' in out and "[re, im]" not in out
         assert "tolerance base: 1e-10" in out
+
+    def test_info_prints_every_tolerance_constant(self, capsys):
+        assert main(["info"]) == 0
+        printed = [
+            line.split()[1].rstrip(":")
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("tolerance ")
+        ]
+        constants = [name for name, value in vars(Tolerances).items() if isinstance(value, float)]
+        assert printed == constants == ["base", "state_norm", "zero_norm", "rank_rel", "psd_slack"]
 
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -11,14 +11,12 @@ from qdecimate import (
     DimMismatch,
     DomainError,
     NonFinite,
-    NonRealExpectation,
     NotHermitian,
     PcaModel,
     ZeroNorm,
     build_map,
     coarse_grain_operator,
     decimate_state,
-    expectation,
     fit_pca,
     random_state_set,
     retained_power,
@@ -30,9 +28,9 @@ from qdecimate import numerics
 
 from helpers import (
     brute_force_minimal_d,
-    naive_expectation,
     peak_bytes,
     random_hermitian_oracle,
+    real_expectation,
 )
 
 
@@ -290,8 +288,8 @@ class TestCoarseGrainOperator:
         op = random_hermitian_oracle(16, seed=70)
         op_cg = coarse_grain_operator(cg, op)
         for mu in range(1, 4):
-            fine = expectation(s.column(mu), op)
-            coarse = expectation(model.weights[:, mu - 1], op_cg)
+            fine = real_expectation(s.column(mu), op)
+            coarse = real_expectation(model.weights[:, mu - 1], op_cg)
             assert abs(fine - coarse) <= 1e-10
 
     def test_hermiticity_preserved(self):
@@ -362,40 +360,3 @@ class TestCoarseGrainOperator:
         cg = build_map(model, 3)
         with pytest.raises(DimMismatch):
             coarse_grain_operator(cg, np.eye(8))
-
-
-class TestExpectation:
-    def test_diagonal_pick(self):
-        x = np.array([1.0, 0.0], dtype=complex)
-        assert expectation(x, np.diag([3.0, 5.0])) == 3.0
-
-    def test_identity_on_unit_vector(self):
-        x = np.array([0.6, 0.8j], dtype=complex)
-        assert abs(expectation(x, np.eye(2)) - 1.0) <= 1e-15
-
-    def test_matches_double_loop(self):
-        rng = np.random.Generator(np.random.PCG64(78))
-        x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        op = random_hermitian_oracle(6, seed=79)
-        want = naive_expectation(x, op)
-        assert abs(expectation(x, op) - want.real) <= 1e-12
-
-    def test_imaginary_residue_rejected(self):
-        x = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-        skew = np.array([[0.0, 1.0j], [0.0, 0.0]])
-        with pytest.raises(NonRealExpectation):
-            expectation(x, skew)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimMismatch):
-            expectation(np.zeros(3, dtype=complex), np.eye(2))
-
-    @pytest.mark.parametrize("bad", ["state", "operator"])
-    def test_non_finite_refused(self, bad):
-        x, op = np.array([0.6, 0.8j]), np.eye(2, dtype=complex)
-        if bad == "state":
-            x = np.full(2, np.nan, dtype=complex)
-        else:
-            op[1, 1] = np.inf
-        with pytest.raises(NonFinite):
-            expectation(x, op)

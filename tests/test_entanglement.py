@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdecimate import (
-    LN2,
     BadQubitIndex,
     DimMismatch,
     EntropyCurve,
@@ -112,7 +111,7 @@ class TestEntropy:
         assert von_neumann_entropy(np.diag([1.0, 0.0])) == 0.0
 
     def test_maximally_mixed(self):
-        assert abs(von_neumann_entropy(np.eye(2) / 2.0) - LN2) <= 1e-12
+        assert abs(von_neumann_entropy(np.eye(2) / 2.0) - math.log(2)) <= 1e-12
 
     def test_scalar_evaluation(self):
         # oracle: direct scalar formula -sum(lam ln lam)
@@ -179,7 +178,7 @@ class TestEntropy:
         v = random_state_vector(2**n, seed=seed)
         rho = reduced_density_matrix(v, QubitFactorization(n=n), 1)
         s = von_neumann_entropy(rho)
-        assert 0.0 <= s <= LN2 + 1e-9
+        assert 0.0 <= s <= math.log(2) + 1e-9
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -311,7 +310,7 @@ class TestCurve:
     def test_entropy_values_within_qubit_bound(self):
         s = random_state_set(32, 6, seed=87)
         curve = entropy_vs_dimension_curve(s, fit_pca(s), 4, 5)
-        assert all(0.0 <= value <= LN2 + 1e-9 for _, value in curve.points)
+        assert all(0.0 <= value <= math.log(2) + 1e-9 for _, value in curve.points)
 
 
 class TestSaturation:

@@ -24,7 +24,6 @@ from qdecimate import (
     coarse_grained_trajectory,
     decimate_state,
     evolve_sequence,
-    expectation,
     fit_pca,
     ising_chain,
     random_hamiltonian,
@@ -43,6 +42,7 @@ from helpers import (
     naive_expectation,
     naive_triple_product,
     peak_bytes,
+    real_expectation,
 )
 
 COUPLINGS = (1.0, -0.7, 0.0, 2.5e-3)
@@ -165,8 +165,8 @@ class TestCoarseGrainHamiltonian:
         cg = build_map(model, 6)
         h_cg = coarse_grain_hamiltonian(cg, h)
         for j in range(5):
-            fine = expectation(traj.matrix[:, j], h)
-            coarse = expectation(model.weights[:, j], h_cg)
+            fine = real_expectation(traj.matrix[:, j], h)
+            coarse = real_expectation(model.weights[:, j], h_cg)
             assert abs(fine - coarse) <= 1e-10
 
     def test_hermiticity(self):
@@ -291,11 +291,11 @@ class TestGenerators:
                 [0.0, 1.0, 1.0, 0.0],
             ]
         )
-        got = ising_chain(2, coupling=coupling, field=field).dense()
+        got = ising_chain(2, coupling=coupling, field=field).apply(np.eye(4))
         assert np.abs(got - want).max() <= 1e-15
 
     def test_ising_properties(self):
-        h = ising_chain(4).dense()
+        h = ising_chain(4).apply(np.eye(16))
         assert h.shape == (16, 16)
         assert np.abs(h - h.conj().T).max() == 0.0
         assert abs(np.trace(h)) <= 1e-12
@@ -304,10 +304,12 @@ class TestGenerators:
     def test_ising_matches_kron_builder_bytes(self, n):
         for coupling in COUPLINGS:
             for field in FIELDS:
-                got = ising_chain(n, coupling, field).dense()
+                chain = ising_chain(n, coupling, field)
                 want = kron_ising_chain(n, coupling, field)
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), (coupling, field)
+                assert not want.diagonal().imag.any()
+                assert chain.diagonal.tobytes() == want.diagonal().real.tobytes(), (coupling, field)
+                got = chain.apply(np.eye(chain.dim))
+                assert got.dtype == want.dtype and np.array_equal(got, want), (coupling, field)
 
     def test_ising_holds_at_most_six_diagonals(self):
         # one Z vector per site at once would be n = 16 diagonals and more
@@ -396,7 +398,8 @@ class TestIsingChainAction:
             for coupling in COUPLINGS:
                 for field in FIELDS:
                     chain = ising_chain(n, coupling, field)
-                    radius = np.abs(np.linalg.eigvalsh(chain.dense().real)).max()
+                    h = kron_ising_chain(n, coupling, field)
+                    radius = np.abs(np.linalg.eigvalsh(h.real)).max()
                     assert abs(chain.bound - radius) <= 1e-12 * radius, (n, coupling, field)
                     gershgorin = abs(coupling) * (n - 1) + abs(field) * n
                     if coupling == 0.0 or field == 0.0:
@@ -411,7 +414,7 @@ class TestIsingChainAction:
         for coupling in COUPLINGS:
             for field in FIELDS:
                 chain = ising_chain(n, coupling, field)
-                h = chain.dense()
+                h = kron_ising_chain(n, coupling, field)
                 assert np.abs(chain.apply(x) - h @ x).max() <= 1e-14
                 assert chain.apply(block).shape == (dim, 3)
                 assert np.abs(chain.apply(block) - h @ block).max() <= 1e-14
@@ -499,7 +502,7 @@ class TestChebyshevPropagation:
         for coupling in COUPLINGS:
             for field in FIELDS:
                 chain = ising_chain(n, coupling, field)
-                dense = chain.dense()
+                dense = chain.apply(np.eye(dim))
                 assert not dense.imag.any()  # real symmetric: the real eigh is the oracle
                 energies, vectors = np.linalg.eigh(dense.real)
                 amplitudes = vectors.T @ psi0
@@ -515,7 +518,7 @@ class TestChebyshevPropagation:
         chain = ising_chain(4, 0.9, 0.6)
         psi0 = random_state_vector(16, seed=410)
         via_chain = evolve_sequence(chain, psi0, 0.2, 6).matrix
-        via_dense = evolve_sequence(chain.dense(), psi0, 0.2, 6).matrix
+        via_dense = evolve_sequence(chain.apply(np.eye(16)), psi0, 0.2, 6).matrix
         assert not np.array_equal(via_chain, via_dense)  # two different propagators
         assert np.abs(via_chain - via_dense).max() <= 1e-13
 
@@ -547,7 +550,7 @@ class TestChebyshevPropagation:
         segments = -(-(steps - 1) // terms.size)
         assert segments == 2
         total_terms = len(apply_calls) + segments  # a K-term segment applies H K - 1 times
-        energies, vectors = np.linalg.eigh(chain.dense().real)
+        energies, vectors = np.linalg.eigh(chain.apply(np.eye(chain.dim)).real)
         phases = np.exp(-1j * np.outer(energies, dt * np.arange(steps)))
         exact = vectors @ (phases * (vectors.T @ psi0)[:, np.newaxis])
         errors = np.linalg.norm(got - exact, axis=0)
@@ -591,7 +594,7 @@ class TestChebyshevPropagation:
         starts = range(0, terms[-1], evolution.SERIES_BLOCK)
         assert product_rows == [int(np.count_nonzero(terms > k0)) for k0 in starts for _ in "ab"]
         assert product_rows[0] == steps - 1 and product_rows[-1] < steps - 1
-        energies, vectors = np.linalg.eigh(chain.dense().real)
+        energies, vectors = np.linalg.eigh(chain.apply(np.eye(chain.dim)).real)
         phases = np.exp(-1j * np.outer(energies, dt * np.arange(steps)))
         exact = vectors @ (phases * (vectors.T @ psi0)[:, np.newaxis])
         errors = np.linalg.norm(got - exact, axis=0)
@@ -683,7 +686,7 @@ class TestChainCompression:
             cg = build_map(fit_pca(traj), d)
             got = coarse_grain_hamiltonian(cg, chain)
             b = cg.columns
-            want = b.conj().T @ (chain.dense() @ b)
+            want = b.conj().T @ (kron_ising_chain(n, coupling, field) @ b)
             assert got.shape == (d, d)
             assert np.abs(got - want).max() <= 1e-12
             assert np.abs(got - got.conj().T).max() <= 1e-12

@@ -400,7 +400,7 @@ class TestOperatorFile:
 
     def test_non_hermitian_rejected(self, tmp_path):
         path = tmp_path / "op.json"
-        write_operator(path, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        _write_doc(path, dimension=2, matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(NotHermitian):
             read_operator(path)
 
@@ -556,7 +556,7 @@ class TestStreamedWriter:
     # and 2 rows)
     @pytest.mark.parametrize("n", [1, 2, 3, 221, 222, 223, 314])
     def test_square_operator(self, tmp_path, n):
-        matrix = _complex((n, n), seed=n)
+        matrix = random_hermitian_oracle(n, seed=n)
         write_operator(tmp_path / "op.json", matrix)
         expected = whole_document_json({"format_version": 2, "dimension": n, "matrix": matrix})
         assert (tmp_path / "op.json").read_bytes() == expected
@@ -622,10 +622,10 @@ class TestStreamedWriter:
     @pytest.mark.parametrize(
         "matrix",
         [
-            np.arange(144.0).reshape(12, 12),
-            np.asfortranarray(_complex((40, 40), seed=8)),
-            _complex((40, 60), seed=9)[::2, ::3],
-            _complex((9, 9), seed=10).astype(">c16"),
+            np.add.outer(np.arange(12.0), np.arange(12.0)),
+            np.asfortranarray(random_hermitian_oracle(40, seed=8)),
+            random_hermitian_oracle(60, seed=9)[::3, ::3],
+            random_hermitian_oracle(9, seed=10).astype(">c16"),
         ],
         ids=["real", "fortran", "strided", "big-endian"],
     )
@@ -652,8 +652,21 @@ class TestWriterRefusals:
             (_THREE_STATES, "abc"),
             (_THREE_STATES[:, 0], None),
             (np.zeros((2, 16, 3), dtype=complex), None),
+            (np.where(np.arange(3) == 1, np.nan, _THREE_STATES), None),
+            (np.where(np.arange(3) == 2, np.inf, _THREE_STATES), None),
+            (np.zeros((16, 0), dtype=complex), None),
         ],
-        ids=["too-few-labels", "too-many-labels", "int-labels", "bare-str", "1-d", "3-d"],
+        ids=[
+            "too-few-labels",
+            "too-many-labels",
+            "int-labels",
+            "bare-str",
+            "1-d",
+            "3-d",
+            "nan",
+            "inf",
+            "empty",
+        ],
     )
     def test_state_set(self, tmp_path, matrix, labels):
         path = tmp_path / "s.json"
@@ -663,8 +676,16 @@ class TestWriterRefusals:
 
     @pytest.mark.parametrize(
         "matrix",
-        [np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(4), np.zeros((2, 2, 2))],
-        ids=["2x3", "3x2", "1-d", "3-d"],
+        [
+            np.zeros((2, 3)),
+            np.zeros((3, 2)),
+            np.zeros(4),
+            np.zeros((2, 2, 2)),
+            np.zeros((0, 0)),
+            np.diag([1.0, np.inf]),
+            np.array([[0.0, 1.0], [0.0, 0.0]]),
+        ],
+        ids=["2x3", "3x2", "1-d", "3-d", "empty", "inf", "non-hermitian"],
     )
     def test_operator(self, tmp_path, matrix):
         path = tmp_path / "op.json"
@@ -686,7 +707,7 @@ class TestWriteMemory:
             model = fit_pca(random_state_set(2**12, 200, seed=12))
             call = lambda: write_model(tmp_path / "m.json", model)  # noqa: E731
         else:
-            matrix = _complex((905, 905), seed=14)
+            matrix = random_hermitian_oracle(905, seed=14)
             call = lambda: write_operator(tmp_path / "op.json", matrix)  # noqa: E731
         tracing = tracemalloc.is_tracing()
         if not tracing:

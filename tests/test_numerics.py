@@ -273,7 +273,8 @@ class TestChecks:
         assert tol.base == 1e-10
         assert tol.state_norm == 1e-9
         assert tol.zero_norm == 1e-14
-        assert tol.expectation_imag == 1e-8
+        assert tol.rank_rel == 1e-12
+        assert tol.psd_slack == 1e-12
 
     def test_noconvergence_is_domain_error(self):
         from qdecimate import DomainError

@@ -14,10 +14,8 @@ PUBLIC = [
     "DomainError",
     "EntropyCurve",
     "IsingChain",
-    "LN2",
     "NoConvergence",
     "NonFinite",
-    "NonRealExpectation",
     "NormPolicy",
     "NotDensityMatrix",
     "NotHermitian",
@@ -36,7 +34,6 @@ PUBLIC = [
     "decimate_state",
     "entropy_vs_dimension_curve",
     "evolve_sequence",
-    "expectation",
     "fit_pca",
     "importances",
     "ising_chain",

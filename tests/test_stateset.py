@@ -20,7 +20,6 @@ from qdecimate import (
     random_state_vector,
     validate_state_set,
 )
-from qdecimate import stateset
 from qdecimate.stateset import column_norms
 
 from helpers import peak_bytes, random_columns
@@ -224,14 +223,16 @@ class TestColumnNorms:
     @pytest.mark.parametrize("block", [8, 2**16])
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("dim, count", [(16, 1), (16, 7), (300, 41)])
-    def test_bit_identical_to_numpy_norm(self, monkeypatch, block, layout, dim, count):
-        # The set is validated in slices of about `block` entries (at least two
-        # columns each; block=8 gives two- and three-column slices, 2**16 the
-        # whole set): a state's normalised bytes must not depend on the other
-        # states it is validated with.
+    def test_bit_identical_to_numpy_norm(self, block, layout, dim, count):
+        # AUTO_NORMALIZE divides each column by its column_norms norm, here
+        # taken on a C-order copy. The set is validated in slices of about
+        # `block` entries (at least two columns each; block=8 gives two- and
+        # three-column slices, 2**16 the whole set): a state's normalised bytes
+        # must depend neither on the layout nor on the states beside it.
         raw = random_columns(2 * dim, count, seed=dim + count) * 1.25
         raw = {"C": raw[:dim], "F": np.asfortranarray(raw[:dim]), "strided": raw[::2]}[layout]
-        want = np.ascontiguousarray(raw / np.linalg.norm(raw, axis=0)).tobytes()
+        copy = np.ascontiguousarray(raw)
+        want = (copy / column_norms(copy)).tobytes()
         pieces = max(1, count // max(2, block // dim))
         edges = [count * i // pieces for i in range(pieces + 1)]
         got = [
@@ -239,11 +240,24 @@ class TestColumnNorms:
             for lo, hi in zip(edges[:-1], edges[1:])
         ]
         assert np.hstack(got).tobytes() == want
-        # the whole set in norm panels of about `block` entries, into a fit buffer's columns
-        monkeypatch.setattr(stateset, "_NORM_PANEL", block)
+        # the whole set into a fit buffer's columns
         buffer = np.empty((dim, count + 1), dtype=complex)
         validate_state_set(raw, NormPolicy.AUTO_NORMALIZE, out=buffer[:, 1:])
         assert np.ascontiguousarray(buffer[:, 1:]).tobytes() == want
+
+    def test_rescaled_set_at_scale(self):
+        # D=2^12, M=200, norms 0.9 to 1.1: the bytes do not depend on the
+        # layout, and every column's norm, summed exactly, is 1 within 1e-15
+        raw = random_columns(2**12, 200, seed=31) * np.linspace(0.9, 1.1, 200)
+        strided = np.zeros((2**13, 400), dtype=complex)
+        strided[::2, ::2] = raw
+        policy = NormPolicy.AUTO_NORMALIZE
+        want = validate_state_set(np.ascontiguousarray(raw), policy).matrix
+        for matrix in (np.asfortranarray(raw), strided[::2, ::2]):
+            assert validate_state_set(matrix, policy).matrix.tobytes() == want.tobytes()
+        rows = np.ascontiguousarray(want.T).view(np.float64)
+        norms = np.array([math.sqrt(math.fsum(row * row)) for row in rows])
+        assert np.abs(norms - 1.0).max() <= 1e-15
 
 
 def _means_and_deviations(s):
