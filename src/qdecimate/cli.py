@@ -112,16 +112,17 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
 
 # Peak memory of evolve: 64 MiB for the interpreter and numpy (46 MiB for
 # all of ising:10 with 60 steps), plus multiples of 16*D bytes. The state
-# set, the fitted basis and the fit's temporaries (a row block, the stacked
-# R factors, the lift) make three trajectories of steps+1 vectors; the map
-# is a view of the basis. A chain adds its series block of min(32, steps)
-# vectors (its compression's 24 fit beside the three). Estimated against
-# measured with one BLAS thread and 100 steps, at d = M+1 and at --d 20
-# alike: 148/107 MiB at ising:14, 399/304 at ising:16, 1404/1094 at
-# ising:18; 5.30/4.14 GiB at ising:20 with --d 20. A dense D x D H and its
-# eigh take about 5 x 16*D^2 bytes, the fewest copies that bound both
-# 149/120 MiB at random --dim 1024 and 394/364 at --dim 2048 (4 would say
-# 329 there); its compression holds 8 columns, not d.
+# set, the fitted basis and the fit's temporaries (a row block's QR copies,
+# the stacked R factors, a product buffer) make at most three trajectories
+# of steps+1 vectors; the map is a view of the basis. A chain adds its
+# series block of min(32, steps) vectors (its compression's 24 fit beside
+# the three). Estimated against measured with one BLAS thread, 100 steps
+# and --d 20: 148/99 MiB at ising:14, 399/274 at ising:16, 1404/972 at
+# ising:18; 5.30/4.14 GiB at ising:20, measured when the fit still formed
+# explicit Q factors. A dense D x D H and its eigh take about 5 x 16*D^2
+# bytes, the fewest copies that bound both 149/120 MiB at random --dim 1024
+# and 394/364 at --dim 2048 (4 would say 329 there); its compression holds
+# 8 columns, not d.
 _INTERPRETER_BYTES = 64 * 2**20
 _TRAJECTORY_COPIES = 3
 _DENSE_COPIES = 5

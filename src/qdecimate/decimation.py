@@ -141,16 +141,14 @@ def coarse_grain_operator(cg: CoarseGrainMap, op) -> np.ndarray:
     """Conjugate a Hermitian operator down to d x d: g op g^dag = B^dag (op B).
 
     op is a D x D matrix, checked for hermiticity first and read once in
-    one product op @ B, or any operator with ``apply`` and a spectral
-    ``bound`` (an IsingChain), which is never formed as a matrix and acts
-    on _COMPRESS_COLUMNS basis columns at a time, in O(n * D * d). The
-    d x d result, which may be far smaller than op, is checked for
-    hermiticity against op's scale: the largest entry of a matrix or a
-    chain's bound, and at least 1.
+    one product op @ B, or any operator with ``apply`` (an IsingChain),
+    which is never formed as a matrix and acts on _COMPRESS_COLUMNS basis
+    columns at a time, in O(n * D * d). The d x d result is checked for
+    hermiticity by check_hermitian against its own scale, the rule that
+    fileio.write_operator and read_operator apply to it.
     """
     b = cg.columns
     if hasattr(op, "apply"):
-        scale = max(op.bound, 1.0)
         op_cg = np.empty((cg.d, cg.d), dtype=np.complex128)
         for lo in range(0, cg.d, _COMPRESS_COLUMNS):
             block = b[:, lo : lo + _COMPRESS_COLUMNS]
@@ -161,7 +159,7 @@ def coarse_grain_operator(cg: CoarseGrainMap, op) -> np.ndarray:
             raise DimMismatch(
                 f"expected a {cg.source.dim} x {cg.source.dim} operator, got shape {op.shape}"
             )
-        scale = check_hermitian(op, "operator")
+        check_hermitian(op, "operator")
         op_cg = adjoint_times(b, op @ b)
-    check_hermitian(op_cg / scale, "coarse-grained operator")
+    check_hermitian(op_cg, "coarse-grained operator")
     return op_cg

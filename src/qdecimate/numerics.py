@@ -47,10 +47,10 @@ def check_finite(m: np.ndarray, name: str = "matrix") -> None:
 _HERMITIAN_ROWS = 8
 
 
-def check_hermitian(m: np.ndarray, name: str = "matrix") -> float:
+def check_hermitian(m: np.ndarray, name: str = "matrix") -> None:
     """Raise NotHermitian if |m - m^dag| passes Tolerances.base times m's scale.
 
-    Returns that scale, the larger of 1 and m's largest entry.
+    The scale is m's own: the larger of 1 and m's largest entry.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitian(f"{name} is not square: shape {m.shape}")
@@ -62,7 +62,6 @@ def check_hermitian(m: np.ndarray, name: str = "matrix") -> float:
         deviation = max(deviation, np.abs(rows - cols.T.conj()).max())
     if deviation > Tolerances.base * scale:
         raise NotHermitian(f"{name} deviates from its conjugate transpose beyond tolerance")
-    return scale
 
 
 # A column's pivot is its first entry whose magnitude reaches this
@@ -95,19 +94,29 @@ def adjoint_times(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.conjugate(out, out=out)
 
 
-def gram_deviation(x: np.ndarray) -> float:
-    """Largest entry of |x^H x - I| for a complex matrix x.
+def gram(x: np.ndarray) -> np.ndarray:
+    """x^H x for a C-order complex128 matrix x.
 
-    The Gram matrix comes from the real view v of x (re and im parts as
-    adjacent columns): ``v.T @ v`` is one symmetric rank-k update, and
-    no conjugate copy of x is made. NaN when x holds non-finite entries.
+    It comes from the real view v of x (re and im parts as adjacent
+    columns): ``v.T @ v`` is one symmetric rank-k update, and no
+    conjugate copy of x is made.
     """
-    v = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+    v = x.view(np.float64)
     g = v.T @ v
-    real = g[0::2, 0::2] + g[1::2, 1::2]
-    imag = g[0::2, 1::2] - g[1::2, 0::2]
-    real[np.diag_indices_from(real)] -= 1.0
-    return float(np.hypot(real, imag).max())
+    out = np.empty((x.shape[1], x.shape[1]), dtype=np.complex128)
+    np.add(g[0::2, 0::2], g[1::2, 1::2], out=out.real)
+    np.subtract(g[0::2, 1::2], g[1::2, 0::2], out=out.imag)
+    return out
+
+
+def gram_deviation(x: np.ndarray) -> float:
+    """Largest entry of |x^H x - I| for a complex matrix x, by ``gram``.
+
+    NaN when x holds non-finite entries.
+    """
+    g = gram(np.ascontiguousarray(x, dtype=np.complex128))
+    g.real[np.diag_indices_from(g)] -= 1.0
+    return float(np.hypot(g.real, g.imag).max())
 
 
 def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,13 +9,22 @@ of every input state in that basis.
 The fit never leaves M+1 dimensions for its factorizations (Chan's
 QR-preconditioned SVD, ACM TOMS 8, 72 (1982)). A = [u0 | S] is factored
 as Q R by a tall-skinny QR over blocks of rows (Demmel, Grigori, Hoemmen
-and Langou, SIAM J. Sci. Comput. 34 (2012) A206): each block's QR, then
-one QR of the stacked R factors. Q's column 0 is u0 up to a phase and
-R's row 0 holds u0^H S, so the deviations are Q[:, 1:] @ R[1:, 1:], and
-the SVD runs on that M x M block, R[1:, 1:] = U_b diag(s) Vh. The basis
-is [u0 | Q[:, 1:] @ U_b], written one row block at a time. All M of its
-deviation columns come out orthonormal, those past the rank included:
-they span the rest of the QR's range, and their weight rows are zero.
+and Langou, SIAM J. Sci. Comput. 34 (2012) A206): each block's
+Householder QR, then, for more than one block, one Householder QR of the
+stacked R factors. Q's column 0 is u0 up to a phase and R's row 0 holds
+u0^H S, so the deviations are Q[:, 1:] @ R[1:, 1:], and the SVD runs on
+that M x M block, R[1:, 1:] = U_b diag(s) Vh. The basis is
+[u0 | Q[:, 1:] @ U_b]. All M of its deviation columns come out
+orthonormal, those past the rank included: they span the rest of the
+QR's range, and their weight rows are zero.
+
+No Q is formed. Each QR keeps its reflectors V (n x k, unit lower
+trapezoidal, k = M+1) and scalars tau, and applies Q = I - V T V^H in
+compact WY form (Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 10
+(1989) 53): Q [X; 0] = [X; 0] - V T (V[:k]^H X), two products and a
+k x k triangle T. A block's reflectors wait in the basis rows they
+become, and its rows are written over them; its k rows of the lift
+Q2 [0; U_b] are formed only then.
 
 A singular vector pair is defined up to a phase, and the fit fixes it
 once, on the M x M factor: the pivot (``pivot_phases``) of each weight
@@ -42,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZeroDeviations, DimMismatch, DomainError, NoConvergence, RegimeViolation
-from .numerics import Tolerances, gram_deviation, pivot_phases, svd
+from .numerics import Tolerances, gram, gram_deviation, pivot_phases, svd
 from .stateset import StateSet
 
 __all__ = ["PcaModel", "fit_pca", "importances"]
@@ -97,15 +106,17 @@ def numerical_rank(sv: np.ndarray) -> int:
     return int(np.sum(sv > Tolerances.rank_rel * float(sv[0])))
 
 
-# Rows per block of the tall-skinny QR. Each block's Q waits in the basis
-# rows it turns into, so blocks bound only the temporaries: the peak RSS
-# of the random-cli benchmark (D=2^12, M=200; one BLAS thread) read 128,
-# 123, 129 and 129 MiB at 512, 1024, 1536 and 2048 rows. A block also has
-# at least _BLOCK_WIDTHS * (M+1) rows, so that the stacked R factors stay
-# a fraction of A: at D=2^12 and M=1000 the fit took 6.4-7.2 s with blocks
-# of M+1 rows and 4.2-4.9 s with blocks of 4(M+1).
+# Rows per block of the tall-skinny QR. Each block's reflectors wait in the
+# basis rows they turn into, so blocks bound only the temporaries: a
+# block's QR copies and the stacked R factors. A block also has at least
+# _BLOCK_WIDTHS * (M+1) rows, so that the stacked R factors stay a fraction
+# of A: at D=2^12 and M=1000 the fit takes 3.7 s with blocks of M+1 rows
+# and 2.1 s with one block of 4(M+1) or more (one BLAS thread).
 _BLOCK_ROWS = 1024
 _BLOCK_WIDTHS = 4
+# Rows of a block multiplied at once when its basis rows are written over
+# its reflectors: the one product buffer holds this many rows of M entries.
+_PRODUCT_ROWS = 256
 
 
 def _checked_buffer(phi: np.ndarray) -> np.ndarray:
@@ -123,6 +134,62 @@ def _checked_buffer(phi: np.ndarray) -> np.ndarray:
     return phi
 
 
+def _householder_qr(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Factor the n x k block a (n >= k) in place by LAPACK's Householder QR.
+
+    R goes to the k x k array r. a becomes V, the unit lower trapezoidal
+    reflector vectors, and the reflector scalars tau are returned:
+    Q = H_1 ... H_k with H_j = I - tau_j v_j v_j^H.
+    """
+    h, tau = np.linalg.qr(a, mode="raw")  # R on and above the diagonal, V below, transposed
+    a[...] = h.T
+    k = tau.size
+    np.copyto(r, np.triu(a[:k]))
+    a[:k][np.triu_indices(k, 1)] = 0.0
+    np.fill_diagonal(a[:k], 1.0)
+    return tau
+
+
+def _wy_triangle(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The upper triangle T of the compact WY form H_1 ... H_k = I - V T V^H.
+
+    Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 10 (1989) 53. T is
+    built directly from V^H V: T_jj = tau_j, and two adjacent column ranges
+    with triangles T1 and T2 join as [[T1, -T1 (V1^H V2) T2], [0, T2]].
+    No 1/tau is taken, so an identity reflector (tau_j = 0, a column
+    already zero below its diagonal) leaves an exact zero row and column.
+    """
+    k = tau.size
+    g = gram(v)
+    t = np.diag(tau)
+    width = 1
+    while width < k:
+        for lo in range(0, k - width, 2 * width):
+            mid, hi = lo + width, min(lo + 2 * width, k)
+            t[lo:mid, mid:hi] = -(t[lo:mid, lo:mid] @ g[lo:mid, mid:hi]) @ t[mid:hi, mid:hi]
+        width *= 2
+    return t
+
+
+def _wy_coefficients(v: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """C = T V[:k]^H x: the first k columns of Q = I - V T V^H give Q x = [x; 0] - V C."""
+    return _wy_triangle(v, tau) @ (v[: tau.size].conj().T @ x)
+
+
+def _write_basis_rows(rows: np.ndarray, tau: np.ndarray, x: np.ndarray, buffer: np.ndarray) -> None:
+    """Overwrite columns 1..M of a block's reflectors V with Q x = [x; 0] - V C.
+
+    Row j of the product V C reads only row j of V, so the block is
+    written _PRODUCT_ROWS rows at a time through the one buffer.
+    """
+    c = _wy_coefficients(rows, tau, x)
+    for lo in range(0, len(rows), _PRODUCT_ROWS):
+        part = rows[lo : lo + _PRODUCT_ROWS]
+        product = np.matmul(part, c, out=buffer[: len(part)])
+        np.negative(product, out=part[:, 1:])
+    rows[: tau.size, 1:] += x
+
+
 def fit_pca(s: StateSet | np.ndarray) -> PcaModel:
     """Fit the mean-plus-deviations PCA model of a state set.
 
@@ -133,6 +200,10 @@ def fit_pca(s: StateSet | np.ndarray) -> PcaModel:
     An accepted buffer is factored in place and becomes the model's basis,
     read-only; column 0 is never read. Both inputs give the same model bit
     for bit.
+
+    No Q factor is formed: each QR keeps its Householder reflectors, in
+    the basis rows they turn into, and the basis is written from them in
+    compact WY form. With one row block there is no second QR.
 
     When every state is constant over the basis index, the deviations
     are exactly zero: the singular values are set to 0 and the rank
@@ -147,40 +218,57 @@ def fit_pca(s: StateSet | np.ndarray) -> PcaModel:
         phi = _checked_buffer(s)
     states = phi[:, 1:]
     dim, count = states.shape
+    width = count + 1
     u0 = 1.0 / math.sqrt(dim)
     # balanced row blocks, none shorter than the block height
-    blocks = max(1, dim // max(_BLOCK_ROWS, _BLOCK_WIDTHS * (count + 1)))
+    blocks = max(1, dim // max(_BLOCK_ROWS, _BLOCK_WIDTHS * width))
     edges = [dim * i // blocks for i in range(blocks + 1)]
+    spans = list(zip(edges[:-1], edges[1:]))
 
-    # 1. QR of every row block of [u0 | S]; Q_i waits in the basis rows it becomes.
-    # What the weights need of the states is read before the QR overwrites them.
+    # 1. Householder QR of every row block of [u0 | S]: V_i waits in the
+    # basis rows it becomes, R_i goes to the stack. What the weights need
+    # of the states is read before the QR overwrites them.
     constant = bool(np.all(states == states[0]))
     means = states.mean(axis=0)
     phi[:, 0] = u0
-    rs = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        phi[lo:hi], r = np.linalg.qr(phi[lo:hi])
-        rs.append(r)
+    stacked = np.empty((blocks * width, width), dtype=np.complex128)
+    taus = [
+        _householder_qr(phi[lo:hi], stacked[i * width : (i + 1) * width])
+        for i, (lo, hi) in enumerate(spans)
+    ]
 
-    # 2. one QR of the stacked R factors; for a single block R is upper
-    # triangular with a real diagonal, and its Householder QR is exactly
-    # Q2 = I. Q's column 0 is u0 up to a phase; the basis takes u0 itself there.
-    q2, r = np.linalg.qr(np.concatenate(rs))
-    del rs
+    # 2. several blocks: one QR of the stacked R factors, whose reflectors
+    # V2 replace them. One block: R_1 is upper triangular with a real
+    # diagonal already, where that QR's Q2 is exactly I.
+    if blocks == 1:
+        r = stacked
+    else:
+        r = np.empty((width, width), dtype=np.complex128)
+        tau2 = _householder_qr(stacked, r)
 
     # 3. the deviations are Q[:, 1:] @ R[1:, 1:]: their SVD is the M x M one.
-    # Each Vh row's pivot phase moves onto its U_b column.
+    # Each Vh row's pivot phase moves onto its U_b column and off the weights.
     u_b, sv, vh = svd(r[1:, 1:])
     if constant:
         sv = np.zeros(count)
     rank = numerical_rank(sv)
     phase = pivot_phases(vh.T)
+    lift = np.zeros((width, count), dtype=np.complex128)
+    np.multiply(u_b, phase, out=lift[1:])
+    del u_b  # not held while the basis is written
 
-    # 4. basis rows of block i: Q_i @ (Q2_i[:, 1:] @ U_b), phased
-    lift = q2[:, 1:] @ (u_b * phase)
-    width = count + 1
-    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        phi[lo:hi, 1:] = phi[lo:hi] @ lift[i * width : (i + 1) * width]
+    # 4. basis rows of block i: Q_i X_i, where X_i is block i's rows of the
+    # lift Q2 [0; U_b phased], formed only when the block is written. Q's
+    # column 0 is u0 up to a phase; the basis takes u0 itself there.
+    if blocks > 1:
+        c2 = _wy_coefficients(stacked, tau2, lift)
+    buffer = np.empty((_PRODUCT_ROWS, count), dtype=np.complex128)
+    for i, (lo, hi) in enumerate(spans):
+        x = lift
+        if blocks > 1:  # rows of Q2 [lift; 0] = [lift; 0] - V2 C2
+            x = stacked[i * width : (i + 1) * width] @ c2
+            x = np.subtract(lift, x, out=x) if i == 0 else np.negative(x, out=x)
+        _write_basis_rows(phi[lo:hi], taus[i], x, buffer)
     phi[:, 0] = u0
 
     weights = np.zeros((count + 1, count), dtype=np.complex128)

@@ -241,9 +241,15 @@ class TestChecks:
         with pytest.raises(NotHermitian):
             check_hermitian(m)
 
-    def test_check_hermitian_returns_its_scale(self):
-        assert check_hermitian(np.diag([3.0, -5.0, 0.5])) == 5.0
-        assert check_hermitian(np.eye(2) * 1e-3) == 1.0
+    def test_check_hermitian_scale_is_its_own(self):
+        # the larger of 1 and the matrix's largest entry: 5 here, 1 for entries of 1e-3
+        for diagonal, scale in (([3.0, -5.0, 0.5], 5.0), ([1e-3, 1e-3], 1.0)):
+            m = np.diag(diagonal).astype(complex)
+            m[0, 1] = 0.9e-10 * scale
+            check_hermitian(m)
+            m[0, 1] = 1.1e-10 * scale
+            with pytest.raises(NotHermitian):
+                check_hermitian(m)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_check_hermitian_non_finite_anywhere(self, bad):

@@ -25,9 +25,9 @@ from qdecimate import (
 )
 from qdecimate import fileio, pca
 from qdecimate.decimation import retained_power
-from qdecimate.numerics import gram_deviation, svd
+from qdecimate.numerics import gram_deviation, pivot_phases, svd
 
-from helpers import random_columns, random_unitary
+from helpers import peak_bytes, random_columns, random_unitary
 
 
 def _fit(dim, count, seed):
@@ -396,6 +396,107 @@ class TestBufferInput:
         with pytest.raises(DomainError, match="writable C-order complex128"):
             fit_pca(buffer)
         assert np.array(buffer).tobytes() == before
+
+
+def _explicit_q_fit(s):
+    """The fit with every Q formed by np.linalg.qr and multiplied by the lift: the reference.
+
+    Returns the basis, singular values and weights, and the number of row blocks.
+    """
+    dim, count = s.dim, s.count
+    width = count + 1
+    blocks = max(1, dim // max(pca._BLOCK_ROWS, pca._BLOCK_WIDTHS * width))
+    edges = [dim * i // blocks for i in range(blocks + 1)]
+    a = np.empty((dim, width), dtype=complex)
+    a[:, 1:] = s.matrix
+    means = a[:, 1:].mean(axis=0)
+    a[:, 0] = 1.0 / math.sqrt(dim)
+    qs, rs = zip(*(np.linalg.qr(a[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])))
+    q2, r = np.linalg.qr(np.concatenate(rs))
+    u_b, sv, vh = np.linalg.svd(np.ascontiguousarray(r[1:, 1:]), full_matrices=False)
+    if np.all(s.matrix == s.matrix[0]):
+        sv = np.zeros(count)
+    phase = pivot_phases(vh.T)
+    lift = q2[:, 1:] @ (u_b * phase)
+    basis = np.concatenate([q @ lift[i * width : (i + 1) * width] for i, q in enumerate(qs)])
+    basis = np.concatenate([a[:, :1], basis], axis=1)
+    rank = int(np.sum(sv > Tolerances.rank_rel * sv[0]))
+    weights = np.zeros((width, count), dtype=complex)
+    weights[0] = math.sqrt(dim) * means
+    weights[1 : rank + 1] = sv[:rank, np.newaxis] * (vh[:rank] * np.conj(phase[:rank, np.newaxis]))
+    return basis, sv, weights, blocks
+
+
+# sets whose QR meets identity reflectors (tau = 0, a column already zero
+# below its diagonal), beside a random one
+REFLECTOR_SETS = {
+    "constant": _constant_set,
+    "uniform-state": lambda: validate_state_set(np.full((4, 1), 0.5, dtype=complex)),
+    "uniform-state-16": lambda: validate_state_set(np.full((16, 1), 0.25, dtype=complex)),
+    "standard-basis": lambda: validate_state_set(np.eye(64, dtype=complex)[:, :5]),
+    "random": lambda: random_state_set(600, 30, seed=94),
+}
+
+
+class TestHouseholderFactors:
+    """The basis comes from each QR's reflectors in compact WY form, never from an explicit Q."""
+
+    @pytest.mark.parametrize("rows", [1024, 4], ids=["one-block", "many-blocks"])
+    @pytest.mark.parametrize("case", sorted(REFLECTOR_SETS))
+    def test_matches_the_explicit_q_reference(self, monkeypatch, case, rows):
+        monkeypatch.setattr(pca, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(pca, "_BLOCK_WIDTHS", 1)
+        s = REFLECTOR_SETS[case]()
+        basis, sv, weights, blocks = _explicit_q_fit(s)
+        if rows == 1024:
+            assert blocks == 1
+        elif s.dim >= 16:  # 4 rows at D=4 make one block
+            assert blocks >= 3
+        model = fit_pca(s)
+        assert model.singular_values.tobytes() == sv.tobytes()
+        assert model.weights.tobytes() == weights.tobytes()
+        assert np.abs(model.basis - basis).max() <= 1e-14 * np.abs(basis).max()
+
+    @pytest.mark.parametrize(
+        "case, rows",
+        [
+            ("uniform-state", 1024),
+            ("uniform-state-16", 4),
+            ("constant", 4),
+            ("standard-basis", 4),
+        ],
+    )
+    def test_the_degenerate_sets_meet_identity_reflectors(self, monkeypatch, case, rows):
+        # blocks where every column but u0's is zero, or a multiple of it, to the last bit
+        monkeypatch.setattr(pca, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(pca, "_BLOCK_WIDTHS", 1)
+        taus, factor = [], pca._householder_qr
+        monkeypatch.setattr(pca, "_householder_qr", lambda a, r: taus.append(factor(a, r)) or taus[-1])
+        fit_pca(REFLECTOR_SETS[case]())
+        assert any(np.any(tau == 0.0) for tau in taus)
+
+    def test_an_identity_reflector_leaves_an_exact_zero_row_and_column(self):
+        # columns 3..5 are zero, and stay zero under the reflectors of columns 0..2
+        a = np.zeros((40, 6), dtype=complex)
+        a[:, 0] = 1.0 / math.sqrt(40)
+        a[:, 1:3] = random_columns(40, 2, seed=95)
+        tau = pca._householder_qr(a, np.empty((6, 6), dtype=complex))
+        zero = np.flatnonzero(tau == 0.0)
+        assert list(zero) == [3, 4, 5]
+        t = pca._wy_triangle(a, tau)
+        assert np.all(t[zero, :] == 0.0) and np.all(t[:, zero] == 0.0)
+        wy = np.eye(40, dtype=complex) - a @ t @ a.conj().T
+        reference = np.eye(40, dtype=complex)
+        for j in range(6):
+            v = a[:, j : j + 1]
+            reference = reference @ (np.eye(40) - tau[j] * (v @ v.conj().T))
+        assert np.abs(wy - reference).max() <= 1e-14
+
+    def test_peak_holds_no_q_factor(self):
+        # D=2^12, M=200, four row blocks: 10.53 MiB with explicit Q factors
+        s = random_state_set(2**12, 200, seed=3)
+        phi = _buffer_of(s)
+        assert peak_bytes(lambda: fit_pca(phi)) <= 10.6 * 2**20
 
 
 def _full_weights(model, v):
