@@ -300,6 +300,8 @@ def evolve_sequence(
     entries is NonFinite; one whose column_norms norm is off 1 by more than
     state_norm is NotNormalized, and by more than base, it is divided by
     its norm, so that round-off cannot carry a later state past state_norm.
+    The returned set is the propagator's own array, checked in place: a
+    chain's is the transposed view of its series rows.
     """
     psi0 = np.asarray(psi0, dtype=np.complex128)
     dt = float(dt)
@@ -329,7 +331,7 @@ def evolve_sequence(
         times = dt * np.arange(steps)
         phases = np.exp(-1j * np.outer(energies, times))
         columns = vectors @ (phases * amplitudes[:, np.newaxis])
-    return validate_state_set(columns, NormPolicy.STRICT)
+    return validate_state_set(columns, NormPolicy.STRICT, out=columns)
 
 
 def coarse_grain_hamiltonian(cg, h: np.ndarray | IsingChain) -> np.ndarray:

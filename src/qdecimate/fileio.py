@@ -17,20 +17,22 @@ Writers never build the document as one text: keys go out in sorted
 order and each array's base64 is streamed in pieces of about 1 MiB, with
 the same bytes as one json.dumps(sort_keys=True) of the whole document.
 Readers never hold a document's text. A first pass over the file's
-bytes finds every JSON string by its quotes; the text of each string
-that follows a "data" key stays in the file, and json.loads parses only
-the rest (keys, header integers, dtype, shape, singular values, labels).
-Then each array runs its checks in order, all before anything is
+bytes finds every JSON string by its quotes and lists where each cut
+string lies: a string that follows a "data" key and holds no backslash,
+whose text stays in the file. Every other byte is the skeleton (keys,
+header integers, dtype, shape, singular values, labels), which is read
+back from the file by offset and is all that json.loads parses. Then
+each array runs its checks in order, all before anything is
 allocated: dtype, positive shape entries, and the canonical base64
 length of the bytes its shape needs. Only then is the final array
 allocated and its text read and decoded into it strictly in C
 (binascii.a2b_base64, strict_mode=True), one piece of about 1 MiB at a
 time, each at its own byte offset, so every array fills in file order;
 every entry must then be finite. So a read holds its arrays, one
-piece and the small rest of the document. A string with a backslash (a
-hand-made file's escapes) is unescaped by json first and then decoded in
-the same pieces, and a "data" string that no array reads (a duplicate
-key's) is still checked as JSON text.
+piece and the skeleton. A "data" string with a backslash (a hand-made
+file's escapes) is never cut: json unescapes it in the skeleton, and it
+is decoded in the same pieces. A cut string that no array reads (a
+duplicate key's) is still checked as JSON text.
 """
 
 from __future__ import annotations
@@ -167,24 +169,22 @@ def _pieces(text: _Text, start: int, stop: int, path: str | Path) -> Iterator[me
         yield piece
 
 
-def _scan(handle) -> list:
-    """A JSON file's skeleton bytes, with each string that follows a "data" key cut out.
+def _scan(handle) -> tuple[list[tuple[int, int]], int]:
+    """Where each cut string's text lies, as (offset, length), and where the skeleton ends.
 
-    Strings are found by their quotes, escapes included, one block of
-    _PIECE_CHARS bytes at a time. A cut string leaves (offset, length,
-    escaped) in the list: where its text lies in the file and whether it
-    holds a backslash. Its quotes are cut with it.
+    Strings are found by their quotes, escape pairs skipped, one block of
+    _PIECE_CHARS bytes at a time; no skeleton byte is copied. A cut
+    string follows a "data" key and holds no backslash. The skeleton ends
+    at the end of the file, or at the opening quote of a "data" string
+    that the file never closes.
     """
-    parts: list = []
-    offset = 0  # file offset of block[0]
+    spans = []
+    offset = at = 0  # file offset of block[0]; next byte to look at, from block[0]
     opened = None  # file offset of the text of the string being read
-    cut = escaped = False
-    skip = 0  # bytes of an escape pair that run into the next block
+    data = escaped = False  # the string follows a "data" key; it holds a backslash
     previous = b""
     while block := handle.read(_PIECE_CHARS):
-        if skip and not cut:
-            parts.append(block[:skip])
-        at, skip, quote = skip, 0, -1
+        quote = -1
         while at < len(block):
             # quote: the first quote at or after at, len(block) if there is none
             if quote < at:
@@ -192,75 +192,57 @@ def _scan(handle) -> list:
                 quote = len(block) if quote < 0 else quote
             if opened is None:
                 if quote == len(block):
-                    parts.append(block[at:])
                     break
-                if quote < _KEY_WINDOW:
-                    window = (previous + block[:quote])[-_KEY_WINDOW:]
-                else:
-                    window = block[quote - _KEY_WINDOW : quote]
-                cut = _DATA_KEY.search(window) is not None
-                parts.append(block[at : quote + (not cut)])
+                window = (previous + block[max(0, quote - _KEY_WINDOW) : quote])[-_KEY_WINDOW:]
+                data = _DATA_KEY.search(window) is not None
                 opened, escaped, at = offset + quote + 1, False, quote + 1
                 continue
             slash = block.find(b"\\", at, quote)
             if slash >= 0:
-                escaped, stop = True, slash + 2
-                if not cut:
-                    parts.append(block[at:stop])
-                skip, at = max(0, stop - len(block)), stop
+                # the pair may end in the next block
+                escaped, at = True, slash + 2
                 continue
-            if not cut:
-                parts.append(block[at : quote + 1])
             if quote == len(block):
                 break
-            if cut:
-                parts.append((opened, offset + quote - opened, escaped))
+            if data and not escaped:
+                spans.append((opened, offset + quote - opened))
             opened, at = None, quote + 1
         previous = block[-_KEY_WINDOW:]
-        offset += len(block)
-    return parts
+        offset, at = offset + len(block), max(0, at - len(block))
+    return spans, opened - 1 if opened is not None and data else offset
 
 
 def _parse(handle, path: str | Path) -> tuple[object, list[_Text]]:
-    """The JSON value of a file, each "data" string without a backslash left in the file.
+    """The JSON value of a file, whose cut strings stay in the file.
 
-    json.loads reads only the skeleton. Each cut string stands there as a
+    json.loads reads only the skeleton, read back from the file between
+    the cut strings and their quotes. Each cut string stands there as a
     number whose fraction has more digits than any digit run of the file,
     so it cannot be mistaken for one of the file's numbers; parse_float
-    turns it into its _Text. A cut string that holds a backslash goes
-    back into the skeleton, for json to unescape.
+    turns it into its _Text. A "data" string with a backslash is no cut
+    string: it stays in the skeleton, for json to unescape.
     """
-    segments, texts, current, start = [], [], [], 0
-    for part in _scan(handle):
-        if isinstance(part, bytes):
-            current.append(part)
-            continue
-        offset, length, escaped = part
-        if escaped:
-            handle.seek(offset)
-            current.append(b'"' + handle.read(length) + b'"')
-            continue
-        segments.append((start, b"".join(current)))
-        texts.append(_Text(handle, offset, length))
-        current, start = [], offset + length + 1
-    segments.append((start, b"".join(current)))
-    runs = [len(run) for _, seg in segments for run in re.findall(rb"[0-9]+", seg)]
-    marker = "." + "1" * (max(runs, default=0) + 1)
-    skeleton, placeholders = [], {}
-    for index, (start, seg) in enumerate(segments):
+    spans, end = _scan(handle)
+    edges = [0, *(edge for at, length in spans for edge in (at - 1, at + length + 1)), end]
+    segments = []
+    for start, stop in zip(edges[::2], edges[1::2]):
+        handle.seek(start)
+        if len(seg := handle.read(stop - start)) != stop - start:
+            raise DomainError(f"{path}: file ended while it was read")
         try:
-            skeleton.append(seg.decode("utf-8"))
+            segments.append(seg.decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise DomainError(
                 f"{path}: not UTF-8 text ({exc.reason} at byte {start + exc.start})"
             ) from exc
-        if index < len(texts):
-            placeholders[f"{index}{marker}"] = texts[index]
-            # the space keeps a digit that follows the string from joining the number
-            skeleton.append(f"{index}{marker} ")
+    runs = [len(run) for seg in segments for run in re.findall("[0-9]+", seg)]
+    marker = "." + "1" * (max(runs, default=0) + 1)
+    placeholders = {f"{index}{marker}": _Text(handle, *span) for index, span in enumerate(spans)}
+    # the space keeps a digit that follows a cut string from joining its number
+    skeleton = "".join(seg + f"{key} " for seg, key in zip(segments, placeholders)) + segments[-1]
     try:
         doc = json.loads(
-            "".join(skeleton),
+            skeleton,
             parse_float=lambda s: placeholders[s] if s in placeholders else float(s),
         )
     except RecursionError as exc:
@@ -270,7 +252,7 @@ def _parse(handle, path: str | Path) -> tuple[object, list[_Text]]:
         raise DomainError(f"{path}: not valid JSON ({exc.msg} on line {exc.lineno})") from exc
     except ValueError as exc:
         raise DomainError(f"{path}: not valid JSON ({exc})") from exc
-    return doc, texts
+    return doc, list(placeholders.values())
 
 
 def _check_string(text: _Text, path: str | Path) -> None:

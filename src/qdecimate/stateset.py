@@ -8,15 +8,12 @@ it was checked with, so its bytes do not depend on the input's layout.
 from __future__ import annotations
 
 import enum
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimMismatch, NonFinite, NotNormalized, RegimeViolation
 from .numerics import Tolerances
-
-log = logging.getLogger(__name__)
 
 
 class NormPolicy(enum.Enum):
@@ -109,7 +106,6 @@ def validate_state_set(
         for mu in drifting:
             if not 0.0 < norms[mu] < np.inf:
                 raise NotNormalized(f"cannot auto-normalize column {mu}: its norm is {norms[mu]}")
-            log.info("auto-normalize: column %d rescaled by %.12g", mu, 1.0 / norms[mu])
         rescale = drifting.size > 0
     if out is None:
         out = np.empty(raw.shape, dtype=np.complex128)
@@ -131,7 +127,7 @@ def random_state_set(dim: int, count: int, seed: int) -> StateSet:
     rng = np.random.Generator(np.random.PCG64(seed))
     raw = rng.uniform(-1.0, 1.0, (dim, count)) + 1j * rng.uniform(-1.0, 1.0, (dim, count))
     raw /= np.linalg.norm(raw, axis=0)
-    return validate_state_set(raw, NormPolicy.STRICT)
+    return validate_state_set(raw, NormPolicy.STRICT, out=raw)
 
 
 def random_state_vector(dim: int, seed: int) -> np.ndarray:

@@ -127,6 +127,15 @@ class TestEvolveSequence:
         psi0 = random_state_vector(64, seed=8)
         assert np.array_equal(evolve_sequence(ising_chain(6), psi0, 0.3, 20).column(1), psi0)
 
+    def test_trajectory_is_not_copied(self):
+        # the set is the transposed view of the series rows: the 6.25 MiB
+        # trajectory, one series block and its product buffer, and no copy
+        chain, psi0 = ising_chain(12), random_state_vector(4096, seed=1)
+        traj = evolve_sequence(chain, psi0, 0.1, 100)
+        assert traj.matrix.flags.f_contiguous and not traj.matrix.flags.writeable
+        peak = peak_bytes(lambda: evolve_sequence(chain, psi0, 0.1, 100))
+        assert peak <= 11.5 * 2**20, f"{peak / 2**20:.2f} MiB"
+
     @settings(deadline=None, max_examples=25)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),

@@ -1152,6 +1152,49 @@ class TestReadMemory:
         assert max(parsed_sizes) < 4 * -(-matrix.nbytes // 3)
 
 
+@pytest.fixture(scope="module")
+def cut_files(tmp_path_factory) -> dict:
+    """A 16.7 MiB state file (D=2^12, M=200, labelled) cut in a label or halfway."""
+    root = tmp_path_factory.mktemp("cut")
+    labels = tuple(f"state {mu}" for mu in range(200))
+    write_state_set(root / "s.json", random_state_set(2**12, 200, seed=1).matrix, labels=labels)
+    text = (root / "s.json").read_bytes()
+    data = text.index(b'"data":"') + len(b'"data":"')
+    escaped = text[:data] + text[data:].replace(b"/", b"\\/", 1)
+    cuts = {
+        "data": text[: len(text) // 2],
+        "escaped-data": escaped[: len(escaped) // 2],
+        "label": text[: text.index(b"state 100") + 3],
+    }
+    for name, cut in cuts.items():
+        (root / f"{name}.json").write_bytes(cut)
+    return {name: root / f"{name}.json" for name in cuts}
+
+
+class TestTruncatedRead:
+    """A file cut short is refused without holding the text that was read."""
+
+    MESSAGES = {
+        "data": "Expecting value on line 1",
+        "escaped-data": "Expecting value on line 1",
+        "label": "Unterminated string starting at on line 1",
+    }
+
+    @pytest.mark.parametrize("where", list(MESSAGES))
+    def test_refused_within_two_pieces(self, cut_files, where):
+        refused = []
+
+        def read():
+            with pytest.raises(DomainError) as caught:
+                read_state_set(cut_files[where])
+            refused.append(str(caught.value))
+
+        peak = peak_bytes(read)
+        assert refused == [f"{cut_files[where]}: not valid JSON ({self.MESSAGES[where]})"]
+        # the scan holds the block it reads and the one before it
+        assert peak < 2.2 * fileio._PIECE_CHARS, f"{peak / 2**20:.2f} MiB"
+
+
 class TestFailedWrite:
     """A failed write names the requested path, not the temp file, and leaves nothing."""
 
