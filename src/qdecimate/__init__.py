@@ -13,6 +13,7 @@ from .decimation import (
     coarse_grain_operator,
     coarse_grained_trajectory,
     decimate_state,
+    outside_span,
     retained_power,
     select_dimension,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "fit_pca",
     "importances",
     "ising_chain",
+    "outside_span",
     "random_hamiltonian",
     "random_state_set",
     "random_state_vector",

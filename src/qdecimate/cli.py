@@ -79,7 +79,7 @@ def cmd_decimate(args: argparse.Namespace) -> int:
     # every fitted state rebuilt by one product, one row per state
     fine = model.weights.T @ model.basis.T
     for mu, state in enumerate(fine, start=1):
-        weights, power, _ = decimate_state(cg, state)
+        weights, power = decimate_state(cg, state)
         columns.append(weights)
         print(f"state {mu}: d={d} retained_power={power!r}")
     fileio.write_state_set(args.output, np.stack(columns, axis=1))
@@ -116,13 +116,12 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
 # the stacked R factors, a product buffer) make at most three trajectories
 # of steps+1 vectors; the map is a view of the basis. A chain adds its
 # series block of min(32, steps) vectors (its compression's 24 fit beside
-# the three). Estimated against measured with one BLAS thread, 100 steps
-# and --d 20: 148/99 MiB at ising:14, 399/274 at ising:16, 1404/972 at
-# ising:18; 5.30/4.14 GiB at ising:20, measured when the fit still formed
-# explicit Q factors. A dense D x D H and its eigh take about 5 x 16*D^2
-# bytes, the fewest copies that bound both 149/120 MiB at random --dim 1024
-# and 394/364 at --dim 2048 (4 would say 329 there); its compression holds
-# 8 columns, not d.
+# the three). Estimated against measured peak RSS with one BLAS thread,
+# 100 steps and --d 20: 148/92 MiB at ising:14, 399/268 at ising:16 and
+# 1404/966 at ising:18; ising:20 is estimated at 5.30 GiB. A dense D x D H
+# and its eigh take about 5 x 16*D^2 bytes, the fewest copies that bound
+# both 149/120 MiB at random --dim 1024 and 394/364 at --dim 2048 (4 would
+# say 329 there); its compression holds 8 columns, not d.
 _INTERPRETER_BYTES = 64 * 2**20
 _TRAJECTORY_COPIES = 3
 _DENSE_COPIES = 5

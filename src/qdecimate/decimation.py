@@ -1,11 +1,13 @@
 """Truncation of the PCA expansion: every coarse-graining step.
 
 Keeping the first d basis columns B defines the map g = B^dag, read from
-the basis and never stored. The weights of states, projected or sliced
-from a fit, are renormalized by one rule, and every operator, a matrix
-or an IsingChain, is compressed by one function. A compressed operator's
-expectation in a state is np.vdot(w, op_cg @ w), w the state's coarse
-weights.
+the basis and never stored. Decimating a D-vector reads only B, in
+O(D*d); whether the vector lies in the fitted span at all is a separate
+question, asked of the whole basis by outside_span. The weights of
+states, projected or sliced from a fit, are renormalized by one rule,
+and every operator, a matrix or an IsingChain, is compressed by one
+function. A compressed operator's expectation in a state is
+np.vdot(w, op_cg @ w), w the state's coarse weights.
 
 The power a fitted state keeps at d is read from its weight column
 alone: retained_power tabulates the cumulative |W|^2 of every state,
@@ -28,6 +30,7 @@ __all__ = [
     "CoarseGrainMap",
     "build_map",
     "decimate_state",
+    "outside_span",
     "retained_power",
     "select_dimension",
     "coarse_grained_trajectory",
@@ -78,23 +81,37 @@ def _unit_weights(w: np.ndarray, norm: float | np.ndarray) -> np.ndarray:
     return weights
 
 
-def decimate_state(cg: CoarseGrainMap, v: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Truncate a D-vector to its d weights w and renormalize.
-
-    Returns the read-only unit d-vector w / |w|, the retained power |w|^2 and
-    whether v has support outside the fitted basis, where the map is not systematic.
-    """
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (cg.source.dim,):
-        raise DimMismatch(f"expected a vector of length {cg.source.dim}, got shape {v.shape}")
+def _checked_copy(model: PcaModel, v: np.ndarray) -> np.ndarray:
+    """A complex128 copy of the D-vector v; DimMismatch or NonFinite otherwise."""
+    v = np.array(v, dtype=np.complex128)
+    if v.shape != (model.dim,):
+        raise DimMismatch(f"expected a vector of length {model.dim}, got shape {v.shape}")
     check_finite(v, "state")
-    full = adjoint_times(cg.source.basis, v.copy())
-    w = full[: cg.d]
+    return v
+
+
+def decimate_state(cg: CoarseGrainMap, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """Truncate a D-vector to its d weights w = B^dag v and renormalize.
+
+    Returns the read-only unit d-vector w / |w| and the retained power |w|^2.
+    Only the d retained basis columns are read, in one O(D*d) product;
+    support of v outside the fitted basis is not looked for (outside_span).
+    """
+    w = adjoint_times(cg.columns, _checked_copy(cg.source, v))
     norm = np.linalg.norm(w)
-    weights = _unit_weights(w, norm)
-    residual = float(np.linalg.norm(v - cg.source.basis @ full))
-    outside = residual > Tolerances.base * max(float(np.linalg.norm(v)), 1.0)
-    return weights, float(norm) ** 2, outside
+    return _unit_weights(w, norm), float(norm) ** 2
+
+
+def outside_span(model: PcaModel, v: np.ndarray) -> bool:
+    """Whether the D-vector v has support outside the fitted basis Phi.
+
+    True when |v - Phi Phi^dag v| > Tolerances.base * max(|v|, 1): there the
+    coarse-graining map is not systematic. Reads all M+1 basis columns.
+    """
+    v = _checked_copy(model, v)
+    full = adjoint_times(model.basis, v.copy())
+    residual = float(np.linalg.norm(v - model.basis @ full))
+    return residual > Tolerances.base * max(float(np.linalg.norm(v)), 1.0)
 
 
 def retained_power(model: PcaModel) -> np.ndarray:

@@ -130,7 +130,8 @@ def entropy_vs_dimension_curve(s: StateSet, model: PcaModel, mu: int, q: int) ->
     f = QubitFactorization.from_dim(model.dim)
     if not 1 <= q <= f.n:
         raise BadQubitIndex(f"qubit index must lie in 1..{f.n}, got {q}")
-    w = model.weights[:, mu - 1]
+    # a contiguous copy: the column view strides M entries, and every block reads it
+    w = np.ascontiguousarray(model.weights[:, mu - 1])
     high, low = 2 ** (q - 1), 2 ** (f.n - q)
     # basis rows indexed (higher bits, bit q, lower bits); a block of at most
     # _CURVE_ROWS rows takes whole bit-q pairs: a slice of the lower bits, or

@@ -117,6 +117,7 @@ class TestFit:
             (b'{"format_version": 1, %s}' % _ONE_STATE, "unsupported format_version 1"),
             (b'{"format_version": 2, "dimension": 1, "states": [[[1.0, 0.0]]]}', _NOT_AN_OBJECT),
             (b"{%s}" % _ONE_STATE, "missing key 'format_version'"),
+            (b"[{%s}]" % _ONE_STATE, "expected a JSON object at top level"),
         ],
     )
     def test_unreadable_json_exit_2_one_line(self, tmp_path, capsys, fine, content, message):
@@ -551,6 +552,47 @@ class TestEvolve:
         assert main(["evolve", "--hamiltonian", "ising:3", "--dim", "32", *base]) == 2
         assert main(["evolve", "--hamiltonian", "ising:nope", *base]) == 2
         assert main(["evolve", "--hamiltonian", "zero", "--dim", "8", "--psi0", "basis:99", *base]) == 2
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (["zero:1", "--dim", "8"], "zero takes no parameters, got 'zero:1'"),
+            (["zero"], "zero Hamiltonian needs --dim"),
+            (["ising:"], "ising spec needs a site count"),
+            (["ising:1"], "chain needs at least 2 qubits, got 1"),
+            (["ising:4,1,1,1"], "ising takes at most n,J,g, got 'ising:4,1,1,1'"),
+        ],
+        ids=["zero-parameter", "zero-no-dim", "ising-empty", "ising-one-site", "ising-four-fields"],
+    )
+    def test_hamiltonian_spec_refused_one_line(self, tmp_path, spec, message):
+        argv = ["evolve", "--hamiltonian", *spec, "--dt", "0.1", "--steps", "3"]
+        code, err = _stderr_lines([*argv, "--out-prefix", str(tmp_path / "x")])
+        assert code == 2 and len(err) == 1, err
+        assert err[0].startswith("error: DomainError: ") and message in err[0], err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("kind", ["unknown", "two-state-file"])
+    def test_psi0_spec_refused_one_line(self, tmp_path, kind):
+        if kind == "unknown":
+            psi0, message = "banana:1", "unknown initial-state spec 'banana:1'"
+        else:
+            path, _ = _states_file(tmp_path, 8, 2, seed=141, name="psi.json")
+            psi0, message = f"file:{path}", "exactly one length-8 state, got shape (8, 2)"
+        argv = ["evolve", "--hamiltonian", "ising:3", "--psi0", psi0, "--dt", "0.1"]
+        code, err = _stderr_lines([*argv, "--steps", "3", "--out-prefix", str(tmp_path / "x")])
+        assert code == 2 and len(err) == 1, err
+        assert err[0].startswith("error: DomainError: ") and message in err[0], err
+        assert not list(tmp_path.glob("x_*"))
+
+    @pytest.mark.parametrize("index", [1, 6, 8])
+    def test_psi0_basis_state_starts_the_trajectory(self, tmp_path, index):
+        prefix = tmp_path / "run"
+        argv = ["evolve", "--hamiltonian", "ising:3", "--psi0", f"basis:{index}", "--dt", "0.1"]
+        assert main([*argv, "--steps", "4", "--out-prefix", str(prefix)]) == 0
+        matrix, _ = read_state_set(f"{prefix}_trajectory.json")
+        expected = np.zeros(8, dtype=complex)
+        expected[index - 1] = 1.0
+        assert matrix.shape == (8, 4) and np.array_equal(matrix[:, 0], expected)
 
     def test_regime_violation_exit_2(self, tmp_path, capsys):
         rc = main(

@@ -18,17 +18,19 @@ from qdecimate import (
     coarse_grain_operator,
     decimate_state,
     fit_pca,
+    outside_span,
     random_state_set,
     retained_power,
     select_dimension,
     validate_state_set,
 )
 
-from qdecimate import numerics
+from qdecimate import decimation, numerics
 
 from helpers import (
     brute_force_minimal_d,
     peak_bytes,
+    random_columns,
     random_hermitian_oracle,
     real_expectation,
 )
@@ -94,12 +96,12 @@ class TestDecimateState:
     def test_uniform_superposition(self):
         model = fit_pca(random_state_set(16, 3, seed=54))
         v = np.full(16, 0.25, dtype=complex)
-        weights, power, outside = decimate_state(build_map(model, 2), v)
+        weights, power = decimate_state(build_map(model, 2), v)
         expected = np.zeros(2, dtype=complex)
         expected[0] = 1.0
         assert np.abs(weights - expected).max() <= 1e-12
         assert abs(math.sqrt(power) - 1.0) <= 1e-12
-        assert not outside
+        assert not outside_span(model, v)
         assert weights.shape == (2,) and not weights.flags.writeable
 
     def test_no_truncated_mass(self):
@@ -108,7 +110,7 @@ class TestDecimateState:
         v = model.basis @ w
         with pytest.raises(BadDimension):
             build_map(model, 1)
-        weights, power, _ = decimate_state(build_map(model, 2), v)
+        weights, power = decimate_state(build_map(model, 2), v)
         assert np.abs(weights - np.array([0.6, 0.8])).max() <= 1e-10
         assert abs(math.sqrt(power) - 1.0) <= 1e-10
 
@@ -117,7 +119,7 @@ class TestDecimateState:
         model = fit_pca(s)
         cg = build_map(model, 2)
         for mu in range(1, 4):
-            _, power, _ = decimate_state(cg, s.column(mu))
+            _, power = decimate_state(cg, s.column(mu))
             w = model.weights[:, mu - 1]
             expected = abs(w[0]) ** 2 + abs(w[1]) ** 2
             assert abs(power - expected) <= 1e-10
@@ -132,19 +134,66 @@ class TestDecimateState:
         model = fit_pca(random_state_set(16, 3, seed=58))
         v = np.zeros(16, dtype=complex)
         v[7] = 1.0
-        assert decimate_state(build_map(model, 4), v)[2]
+        assert outside_span(model, v)
         inside_vec = model.basis @ np.ones(4) / 2.0
-        assert not decimate_state(build_map(model, 4), inside_vec)[2]
+        assert not outside_span(model, inside_vec)
         # small out-of-span amplitudes must be flagged too
         off = v - model.basis @ (model.basis.conj().T @ v)
         off /= np.linalg.norm(off)
         for amp in (1e-6, 1e-8):
-            assert decimate_state(build_map(model, 4), inside_vec + amp * off)[2]
+            assert outside_span(model, inside_vec + amp * off)
+
+    def test_outside_span_checks_its_input(self):
+        model = fit_pca(random_state_set(16, 3, seed=60))
+        with pytest.raises(DimMismatch):
+            outside_span(model, np.zeros(5, dtype=complex))
+        v = model.basis[:, 0].copy()
+        v[5] = np.nan
+        with pytest.raises(NonFinite):
+            outside_span(model, v)
+        # the caller's vector is left as it was
+        assert np.isnan(v[5]) and np.array_equal(v[:5], model.basis[:5, 0])
+
+    def test_reads_only_the_retained_columns(self, monkeypatch):
+        # one adjoint product per state, against the D x d retained block only
+        model = fit_pca(random_state_set(64, 9, seed=63))
+        v = random_state_set(64, 1, seed=64).column(1)
+        before = v.copy()
+        seen = []
+
+        def record(b, x):
+            seen.append(b)
+            return numerics.adjoint_times(b, x)
+
+        monkeypatch.setattr(decimation, "adjoint_times", record)
+        for d in (2, 5, 10):
+            decimate_state(build_map(model, d), v)
+        assert [b.shape for b in seen] == [(64, 2), (64, 5), (64, 10)]
+        assert all(np.shares_memory(b, model.basis) for b in seen)
+        assert np.array_equal(v, before)
+
+    @pytest.mark.parametrize("case", ["full-rank", "rank-deficient"])
+    def test_fitted_states_match_retained_power_table(self, case):
+        # decimating a fitted state is slicing its weight column and renormalizing
+        if case == "full-rank":
+            model = fit_pca(random_state_set(32, 6, seed=65))
+        else:
+            mixed = random_columns(32, 3, 66) @ random_columns(3, 8, 67)
+            model = fit_pca(validate_state_set(mixed / np.linalg.norm(mixed, axis=0)))
+        assert (model.rank == model.count) == (case == "full-rank")
+        power = retained_power(model)
+        for d in sorted({2, model.rank + 1, model.count + 1}):
+            cg = build_map(model, d)
+            for mu in range(model.count):
+                weights, got = decimate_state(cg, model.basis @ model.weights[:, mu])
+                assert abs(got - power[d - 1, mu]) <= 1e-12
+                want = model.weights[:d, mu] / math.sqrt(power[d - 1, mu])
+                assert np.abs(weights - want).max() <= 1e-12
 
     def test_normalized_output(self):
         s = random_state_set(16, 3, seed=59)
         model = fit_pca(s)
-        weights, _, _ = decimate_state(build_map(model, 2), s.column(1))
+        weights, _ = decimate_state(build_map(model, 2), s.column(1))
         assert abs(np.linalg.norm(weights) - 1.0) <= 1e-10
 
     def test_dim_mismatch(self):

@@ -37,6 +37,7 @@ PUBLIC = [
     "fit_pca",
     "importances",
     "ising_chain",
+    "outside_span",
     "random_hamiltonian",
     "random_state_set",
     "random_state_vector",
