@@ -8,7 +8,6 @@ Hamiltonian dynamics, and single-qubit entanglement entropy.
 """
 
 from .decimation import (
-    CoarseGrainMap,
     build_map,
     coarse_grain_operator,
     coarse_grained_trajectory,
@@ -63,7 +62,6 @@ __all__ = [
     "AllZeroDeviations",
     "BadDimension",
     "BadQubitIndex",
-    "CoarseGrainMap",
     "DEFAULT_TOL",
     "DimMismatch",
     "DomainError",

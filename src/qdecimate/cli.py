@@ -74,12 +74,12 @@ def cmd_decimate(args: argparse.Namespace) -> int:
         print(f"selected d={d} (eps={args.eps!r}, set-max rule)")
     else:
         d = args.d
-    cg = build_map(model, d)
+    b = build_map(model, d)
     columns = []
     # every fitted state rebuilt by one product, one row per state
     fine = model.weights.T @ model.basis.T
     for mu, state in enumerate(fine, start=1):
-        weights, power = decimate_state(cg, state)
+        weights, power = decimate_state(b, state)
         columns.append(weights)
         print(f"state {mu}: d={d} retained_power={power!r}")
     fileio.write_state_set(args.output, np.stack(columns, axis=1))
@@ -227,8 +227,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     states = evolve_sequence(h, psi0, args.dt, args.steps)
     model = fit_pca(states)
     d = args.d if args.d is not None else model.count + 1
-    cg = build_map(model, d)
-    h_cg = coarse_grain_hamiltonian(cg, h)
+    h_cg = coarse_grain_hamiltonian(build_map(model, d), h)
 
     mean_power = retained_power(model).mean(axis=1).tolist()
     rows = list(enumerate(mean_power, start=1))

@@ -1,13 +1,13 @@
 """Truncation of the PCA expansion: every coarse-graining step.
 
-Keeping the first d basis columns B defines the map g = B^dag, read from
-the basis and never stored. Decimating a D-vector reads only B, in
-O(D*d); whether the vector lies in the fitted span at all is a separate
-question, asked of the whole basis by outside_span. The weights of
-states, projected or sliced from a fit, are renormalized by one rule,
-and every operator, a matrix or an IsingChain, is compressed by one
-function. A compressed operator's expectation in a state is
-np.vdot(w, op_cg @ w), w the state's coarse weights.
+The map g = B^dag is the isometry B, the first d basis columns, which
+build_map returns as a read-only D x d view and every coarse-graining
+function takes. Decimating a D-vector reads only B, in O(D*d); whether
+it lies in the fitted span at all is asked of the whole basis by
+outside_span. The weights of states, projected or sliced from a fit, are
+renormalized by one rule, and every operator, a matrix or an IsingChain,
+is compressed by one function. A compressed operator's expectation in a
+state is np.vdot(w, op_cg @ w), w the state's coarse weights.
 
 The power a fitted state keeps at d is read from its weight column
 alone: retained_power tabulates the cumulative |W|^2 of every state,
@@ -17,8 +17,6 @@ index) or for the whole set (no index: the largest per-state answer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BadDimension, DimMismatch, DomainError, ZeroNorm
@@ -27,7 +25,6 @@ from .pca import PcaModel, fit_pca
 from .stateset import StateSet
 
 __all__ = [
-    "CoarseGrainMap",
     "build_map",
     "decimate_state",
     "outside_span",
@@ -42,29 +39,16 @@ __all__ = [
 _COMPRESS_COLUMNS = 8
 
 
-@dataclass(frozen=True)
-class CoarseGrainMap:
-    """g = B^dag, B the first 2 <= d <= M+1 basis columns; holds only d and the model."""
-
-    d: int
-    source: PcaModel
-
-    @property
-    def columns(self) -> np.ndarray:
-        """Read-only D x d view of the retained basis columns B."""
-        return self.source.basis[:, : self.d]
-
-
 def check_dimension(count: int, d: int) -> None:
     """Raise BadDimension unless 2 <= d <= M+1 for a set of M = count states."""
     if not 2 <= d <= count + 1:
         raise BadDimension(f"coarse dimension must lie in [2, {count + 1}], got {d}")
 
 
-def build_map(model: PcaModel, d: int) -> CoarseGrainMap:
-    """The first d basis columns as a coarse-graining map; nothing is copied."""
+def build_map(model: PcaModel, d: int) -> np.ndarray:
+    """B, the first 2 <= d <= M+1 basis columns as a read-only D x d view; g = B^dag."""
     check_dimension(model.count, d)
-    return CoarseGrainMap(d=d, source=model)
+    return model.basis[:, :d]
 
 
 def _unit_weights(w: np.ndarray, norm: float | np.ndarray) -> np.ndarray:
@@ -81,23 +65,23 @@ def _unit_weights(w: np.ndarray, norm: float | np.ndarray) -> np.ndarray:
     return weights
 
 
-def _checked_copy(model: PcaModel, v: np.ndarray) -> np.ndarray:
-    """A complex128 copy of the D-vector v; DimMismatch or NonFinite otherwise."""
+def _checked_copy(dim: int, v: np.ndarray) -> np.ndarray:
+    """A complex128 copy of the dim-vector v; DimMismatch or NonFinite otherwise."""
     v = np.array(v, dtype=np.complex128)
-    if v.shape != (model.dim,):
-        raise DimMismatch(f"expected a vector of length {model.dim}, got shape {v.shape}")
+    if v.shape != (dim,):
+        raise DimMismatch(f"expected a vector of length {dim}, got shape {v.shape}")
     check_finite(v, "state")
     return v
 
 
-def decimate_state(cg: CoarseGrainMap, v: np.ndarray) -> tuple[np.ndarray, float]:
+def decimate_state(b: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
     """Truncate a D-vector to its d weights w = B^dag v and renormalize.
 
-    Returns the read-only unit d-vector w / |w| and the retained power |w|^2.
-    Only the d retained basis columns are read, in one O(D*d) product;
-    support of v outside the fitted basis is not looked for (outside_span).
+    b is the D x d map of build_map. Returns the read-only unit d-vector
+    w / |w| and the retained power |w|^2, in one O(D*d) product; support
+    of v outside the fitted basis is not looked for (outside_span).
     """
-    w = adjoint_times(cg.columns, _checked_copy(cg.source, v))
+    w = adjoint_times(b, _checked_copy(b.shape[0], v))
     norm = np.linalg.norm(w)
     return _unit_weights(w, norm), float(norm) ** 2
 
@@ -108,7 +92,7 @@ def outside_span(model: PcaModel, v: np.ndarray) -> bool:
     True when |v - Phi Phi^dag v| > Tolerances.base * max(|v|, 1): there the
     coarse-graining map is not systematic. Reads all M+1 basis columns.
     """
-    v = _checked_copy(model, v)
+    v = _checked_copy(model.dim, v)
     full = adjoint_times(model.basis, v.copy())
     residual = float(np.linalg.norm(v - model.basis @ full))
     return residual > Tolerances.base * max(float(np.linalg.norm(v)), 1.0)
@@ -154,28 +138,26 @@ def coarse_grained_trajectory(states: StateSet, d: int) -> tuple[np.ndarray, np.
     return _unit_weights(model.weights[:d], np.sqrt(power)), power
 
 
-def coarse_grain_operator(cg: CoarseGrainMap, op) -> np.ndarray:
+def coarse_grain_operator(b: np.ndarray, op) -> np.ndarray:
     """Conjugate a Hermitian operator down to d x d: g op g^dag = B^dag (op B).
 
-    op is a D x D matrix, checked for hermiticity first and read once in
-    one product op @ B, or any operator with ``apply`` (an IsingChain),
-    which is never formed as a matrix and acts on _COMPRESS_COLUMNS basis
-    columns at a time, in O(n * D * d). The d x d result is checked for
-    hermiticity by check_hermitian against its own scale, the rule that
-    fileio.write_operator and read_operator apply to it.
+    b is build_map's D x d map. op is a D x D matrix, checked for hermiticity
+    first and read once in one product op @ B, or any operator with ``apply``
+    (an IsingChain), which is never formed as a matrix and acts on
+    _COMPRESS_COLUMNS basis columns at a time, in O(n * D * d). The d x d
+    result is checked for hermiticity by check_hermitian against its own
+    scale, the rule that fileio.write_operator and read_operator apply to it.
     """
-    b = cg.columns
+    dim, d = b.shape
     if hasattr(op, "apply"):
-        op_cg = np.empty((cg.d, cg.d), dtype=np.complex128)
-        for lo in range(0, cg.d, _COMPRESS_COLUMNS):
+        op_cg = np.empty((d, d), dtype=np.complex128)
+        for lo in range(0, d, _COMPRESS_COLUMNS):
             block = b[:, lo : lo + _COMPRESS_COLUMNS]
             op_cg[:, lo : lo + block.shape[1]] = adjoint_times(b, op.apply(block))
     else:
         op = np.asarray(op, dtype=np.complex128)
-        if op.shape != (cg.source.dim, cg.source.dim):
-            raise DimMismatch(
-                f"expected a {cg.source.dim} x {cg.source.dim} operator, got shape {op.shape}"
-            )
+        if op.shape != (dim, dim):
+            raise DimMismatch(f"expected a {dim} x {dim} operator, got shape {op.shape}")
         check_hermitian(op, "operator")
         op_cg = adjoint_times(b, op @ b)
     check_hermitian(op_cg, "coarse-grained operator")

@@ -334,9 +334,9 @@ def evolve_sequence(
     return validate_state_set(columns, NormPolicy.STRICT, out=columns)
 
 
-def coarse_grain_hamiltonian(cg, h: np.ndarray | IsingChain) -> np.ndarray:
-    """d x d representation of the Hamiltonian: coarse_grain_operator(cg, h)."""
-    return coarse_grain_operator(cg, h)
+def coarse_grain_hamiltonian(b: np.ndarray, h: np.ndarray | IsingChain) -> np.ndarray:
+    """d x d Hamiltonian B^dag H B, b the D x d map of build_map: coarse_grain_operator(b, h)."""
+    return coarse_grain_operator(b, h)
 
 
 def random_hamiltonian(dim: int, seed: int) -> np.ndarray:

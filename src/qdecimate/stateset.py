@@ -122,11 +122,17 @@ def random_state_set(dim: int, count: int, seed: int) -> StateSet:
     """Seeded pseudo-random states: re/im uniform on [-1, 1], then normalized.
 
     Uses numpy's PCG64 generator so identical seeds reproduce identical
-    sets on any platform.
+    sets on any platform. Both halves are drawn straight into one complex
+    array, real first, so the draw holds the set and one float half of it.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    raw = rng.uniform(-1.0, 1.0, (dim, count)) + 1j * rng.uniform(-1.0, 1.0, (dim, count))
-    raw /= np.linalg.norm(raw, axis=0)
+    raw = np.empty((dim, count), dtype=np.complex128)
+    raw.real = rng.uniform(-1.0, 1.0, (dim, count))
+    raw.imag = rng.uniform(-1.0, 1.0, (dim, count))
+    # norms in even panels of at most 16 columns: no temporary copy of the set,
+    # and no lone column, which numpy would sum pairwise, not row by row
+    for panel in np.array_split(raw, max(1, -(-count // 16)), axis=1):
+        panel /= np.linalg.norm(panel, axis=0)
     return validate_state_set(raw, NormPolicy.STRICT, out=raw)
 
 

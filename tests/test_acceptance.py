@@ -129,7 +129,7 @@ def test_criterion_05_coarse_grain_map_contract(report):
     dims = (2, 5, 40, 41)
     worst_iso = 0.0
     for d in dims:
-        g = build_map(model, d).columns.conj().T
+        g = build_map(model, d).conj().T
         worst_iso = max(worst_iso, float(np.abs(g @ g.conj().T - np.eye(d)).max()))
     worst_nested = 0.0
     maps = {d: build_map(model, d) for d in dims}

@@ -54,18 +54,18 @@ def _weights_model(columns):
 class TestBuildMap:
     def test_full_dimension_is_whole_adjoint(self):
         model = fit_pca(random_state_set(16, 3, seed=50))
-        cg = build_map(model, 4)
-        assert np.array_equal(cg.columns.conj().T, model.basis.conj().T)
+        b = build_map(model, 4)
+        assert np.array_equal(b.conj().T, model.basis.conj().T)
 
     def test_columns_are_a_read_only_view_of_the_basis(self):
         model = fit_pca(random_state_set(16, 3, seed=54))
-        cg = build_map(model, 3)
-        assert not cg.columns.flags.writeable
-        assert np.shares_memory(cg.columns, model.basis)
-        assert np.array_equal(cg.columns, model.basis[:, :3])
+        b = build_map(model, 3)
+        assert not b.flags.writeable
+        assert np.shares_memory(b, model.basis)
+        assert np.array_equal(b, model.basis[:, :3])
 
     def test_map_allocates_no_vector(self):
-        # the map holds d and the model only: at d = M+1 it makes no D-vector
+        # the map is a view of the basis: at d = M+1 it makes no D-vector
         model = fit_pca(random_state_set(2**12, 40, seed=59))
         peak = peak_bytes(lambda: build_map(model, 41))
         assert peak < 16 * model.dim, f"peak {peak} bytes"
@@ -73,23 +73,23 @@ class TestBuildMap:
     def test_row_orthonormality(self):
         model = fit_pca(random_state_set(16, 3, seed=51))
         for d in (2, 3, 4):
-            g = build_map(model, d).columns.conj().T
+            g = build_map(model, d).conj().T
             assert np.abs(g @ g.conj().T - np.eye(d)).max() <= 1e-10
 
     def test_maps_states_to_leading_weights(self):
         s = random_state_set(16, 3, seed=52)
         model = fit_pca(s)
-        g = build_map(model, 3).columns.conj().T
+        g = build_map(model, 3).conj().T
         for mu in range(1, 4):
             out = g @ s.column(mu)
             assert np.abs(out - model.weights[:3, mu - 1]).max() <= 1e-10
 
     def test_dimension_bounds(self):
+        # every d outside [2, M+1], M = 3, is refused before a view is made
         model = fit_pca(random_state_set(16, 3, seed=53))
-        with pytest.raises(BadDimension):
-            build_map(model, 1)
-        with pytest.raises(BadDimension):
-            build_map(model, 5)
+        for d in (-1, 0, 1, 5):
+            with pytest.raises(BadDimension):
+                build_map(model, d)
 
 
 class TestDecimateState:
@@ -390,7 +390,7 @@ class TestCoarseGrainOperator:
         model = fit_pca(random_state_set(2**10, 40, seed=78))
         op = random_hermitian_oracle(2**10, seed=79)
         cg = build_map(model, 41)
-        block, result = 16 * model.dim * cg.d, 16 * cg.d**2
+        block, result = 16 * model.dim * cg.shape[1], 16 * cg.shape[1] ** 2
         peak = peak_bytes(lambda: coarse_grain_operator(cg, op))
         assert peak <= 2 * block + result, f"peak {peak / block:.2f} blocks"
 

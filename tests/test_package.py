@@ -8,7 +8,6 @@ PUBLIC = [
     "AllZeroDeviations",
     "BadDimension",
     "BadQubitIndex",
-    "CoarseGrainMap",
     "DEFAULT_TOL",
     "DimMismatch",
     "DomainError",

@@ -355,6 +355,23 @@ class TestGenerators:
         s = random_state_set(32, 5, seed=3)
         assert np.abs(np.linalg.norm(s.matrix, axis=0) - 1.0).max() <= 1e-12
 
+    def test_random_state_set_draw_holds_the_set_and_one_half(self):
+        # the oracle draws both halves whole and normalizes all columns at once;
+        # 17 and 33 columns would leave a lone column after panels of 16
+        def oracle(dim, count, seed):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            raw = rng.uniform(-1.0, 1.0, (dim, count)) + 1j * rng.uniform(-1.0, 1.0, (dim, count))
+            raw /= np.linalg.norm(raw, axis=0)
+            return raw
+
+        cases = [(4096, 200, 1), (1024, 150, 2), (2**14, 20, 3)]
+        for dim, count, seed in cases + [(64, 17, 0), (256, 33, 7), (64, 1, 5)]:
+            got = random_state_set(dim, count, seed).matrix
+            assert got.tobytes() == oracle(dim, count, seed).tobytes(), (dim, count, seed)
+        set_bytes = 16 * 4096 * 200
+        peak = peak_bytes(lambda: random_state_set(4096, 200, 1))
+        assert peak <= 1.6 * set_bytes, f"peak {peak / set_bytes:.2f} sets"
+
     def test_random_state_set_regime(self):
         with pytest.raises(RegimeViolation):
             random_state_set(4, 4, seed=0)
