@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 I/O failure or out of memory, 2 validation or
 domain error. Output files are deterministic: with a fixed BLAS build and
 BLAS thread count, identical inputs and seeds give byte-identical bytes
-on disk. Another thread count moves them by round-off.
+on disk. Another thread count moves retained basis columns by round-off
+over the spectral gap; past a rank r < M, the basis columns and the
+_hcg.json rows and columns past r+1 can change outright.
 """
 
 from __future__ import annotations
@@ -240,6 +242,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     fileio.write_curve(f"{prefix}_retained.csv", rows)
     print(f"dimension: D={dim}")
     print(f"trajectory states: M={args.steps}")
+    print(f"rank: {model.rank}")
     print(f"coarse dimension: d={d}")
     print(f"mean retained power at d: {mean_power[d - 1]!r}")
     for suffix in ("_trajectory.json", "_model.json", "_hcg.json", "_retained.csv"):

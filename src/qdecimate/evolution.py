@@ -79,6 +79,9 @@ class IsingChain:
     as in the entanglement diagnostics: site s is bit n-s of the basis index.
     ``diagonal`` holds the ZZ part, made read-only; its length 2^n, n >= 2, fixes
     ``dim`` and ``sites``. H and its Gershgorin bound |J|(n-1) + |G|n are finite.
+    ``bound`` is the spectral radius of (J, G) alone, so a diagonal farther than
+    Tolerances.base * max(1, Gershgorin bound) from the ZZ part of (sites,
+    coupling) is a RegimeViolation: no series could trust that bound.
     """
 
     coupling: float
@@ -98,6 +101,14 @@ class IsingChain:
             raise RegimeViolation(f"chain needs at least 2 qubits, got {self.sites}")
         if not (math.isfinite(self._gershgorin) and np.all(np.isfinite(self.diagonal))):
             raise NonFinite(f"J={self.coupling!r}, G={self.field!r}: diagonal or bound not finite")
+        tol = Tolerances.base * max(1.0, self._gershgorin)
+        gap = _zz_diagonal(self.sites, self.coupling)
+        gap -= self.diagonal
+        if not np.abs(gap, out=gap).max() <= tol:
+            raise RegimeViolation(
+                f"diagonal lies {gap.max():.3g} from the ZZ part of J={self.coupling!r} "
+                f"on {self.sites} sites, more than {tol:.3g}"
+            )
         self.diagonal.setflags(write=False)
 
     @cached_property
@@ -357,14 +368,22 @@ def ising_chain(n: int, coupling: float = 1.0, field: float = 1.0) -> IsingChain
     if n < 2:
         raise RegimeViolation(f"chain needs at least 2 qubits, got {n}")
     coupling, field = float(coupling), float(field)
-    index = np.arange(2**n)
-    diagonal = np.zeros(2**n)
-    # Z_s one site at a time, two Z vectors held; IsingChain refuses an overflowed sum
-    z = 1.0 - 2.0 * ((index >> (n - 1)) & 1)
+    return IsingChain(coupling=coupling, field=field, diagonal=_zz_diagonal(n, coupling))
+
+
+def _zz_diagonal(sites: int, coupling: float) -> np.ndarray:
+    """-coupling * sum_s Z_s Z_{s+1} over the 2^sites basis states, as a new array.
+
+    Bond s is +-coupling, written straight into one bond vector viewed with
+    the bits of sites s and s+1 as their own axes; an overflowed sum is left
+    for IsingChain to refuse.
+    """
+    diagonal = np.zeros(2**sites)
+    bond = np.empty(2**sites)
     with np.errstate(over="ignore", invalid="ignore"):
-        for site in range(1, n):
-            bond = z
-            z = 1.0 - 2.0 * ((index >> (n - site - 1)) & 1)
-            bond *= z
-            diagonal -= coupling * bond
-    return IsingChain(coupling=coupling, field=field, diagonal=diagonal)
+        for site in range(1, sites):
+            cube = bond.reshape(2 ** (site - 1), 2, 2, 2 ** (sites - site - 1))
+            cube[:, 0, 0] = cube[:, 1, 1] = coupling
+            cube[:, 0, 1] = cube[:, 1, 0] = -coupling
+            diagonal -= bond
+    return diagonal

@@ -19,12 +19,11 @@ orthonormal, those past the rank included: they span the rest of the
 QR's range, and their weight rows are zero.
 
 No Q is formed. Each QR keeps its reflectors V (n x k, unit lower
-trapezoidal, k = M+1) and scalars tau, and applies Q = I - V T V^H in
+trapezoidal, k = M+1) and scalars tau, and one writer overwrites V's
+columns 1..M in place with Q [X; 0] = [X; 0] - V T (V[:k]^H X), in
 compact WY form (Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 10
-(1989) 53): Q [X; 0] = [X; 0] - V T (V[:k]^H X), two products and a
-k x k triangle T. A block's reflectors wait in the basis rows they
-become, and its rows are written over them; its k rows of the lift
-Q2 [0; U_b] are formed only then.
+(1989) 53). It writes Q2 [0; U_b] over the stacked level's reflectors,
+then each block's basis rows from that block's k rows of the result.
 
 A singular vector pair is defined up to a phase, and the fit fixes it
 once, on the M x M factor: the pivot (``pivot_phases``) of each weight
@@ -171,18 +170,13 @@ def _wy_triangle(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return t
 
 
-def _wy_coefficients(v: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """C = T V[:k]^H x: the first k columns of Q = I - V T V^H give Q x = [x; 0] - V C."""
-    return _wy_triangle(v, tau) @ (v[: tau.size].conj().T @ x)
-
-
 def _write_basis_rows(rows: np.ndarray, tau: np.ndarray, x: np.ndarray, buffer: np.ndarray) -> None:
-    """Overwrite columns 1..M of a block's reflectors V with Q x = [x; 0] - V C.
+    """Overwrite columns 1..M of reflectors V with Q [x; 0] = [x; 0] - V C, C = T V[:k]^H x.
 
-    Row j of the product V C reads only row j of V, so the block is
-    written _PRODUCT_ROWS rows at a time through the one buffer.
+    Row j of the product V C reads only row j of V, so the rows are
+    written _PRODUCT_ROWS at a time through the one buffer.
     """
-    c = _wy_coefficients(rows, tau, x)
+    c = _wy_triangle(rows, tau) @ (rows[: tau.size].conj().T @ x)
     for lo in range(0, len(rows), _PRODUCT_ROWS):
         part = rows[lo : lo + _PRODUCT_ROWS]
         product = np.matmul(part, c, out=buffer[: len(part)])
@@ -201,9 +195,9 @@ def fit_pca(s: StateSet | np.ndarray) -> PcaModel:
     read-only; column 0 is never read. Both inputs give the same model bit
     for bit.
 
-    No Q factor is formed: each QR keeps its Householder reflectors, in
-    the basis rows they turn into, and the basis is written from them in
-    compact WY form. With one row block there is no second QR.
+    No Q factor is formed: one compact WY writer overwrites each QR's
+    reflectors in place, the stacked R factors' first, then each row
+    block's, which become basis rows. One row block needs no second QR.
 
     When every state is constant over the basis index, the deviations
     are exactly zero: the singular values are set to 0 and the rank
@@ -257,18 +251,16 @@ def fit_pca(s: StateSet | np.ndarray) -> PcaModel:
     np.multiply(u_b, phase, out=lift[1:])
     del u_b  # not held while the basis is written
 
-    # 4. basis rows of block i: Q_i X_i, where X_i is block i's rows of the
-    # lift Q2 [0; U_b phased], formed only when the block is written. Q's
+    # 4. several blocks: Q2 [lift; 0] is written over the stack's columns
+    # 1..M by the same writer. Basis rows of block i are then Q_i X_i, with
+    # X_i block i's rows of that (the lift itself with one block). Q's
     # column 0 is u0 up to a phase; the basis takes u0 itself there.
-    if blocks > 1:
-        c2 = _wy_coefficients(stacked, tau2, lift)
     buffer = np.empty((_PRODUCT_ROWS, count), dtype=np.complex128)
+    if blocks > 1:
+        _write_basis_rows(stacked, tau2, lift, buffer)
+        lift = stacked[:, 1:]
     for i, (lo, hi) in enumerate(spans):
-        x = lift
-        if blocks > 1:  # rows of Q2 [lift; 0] = [lift; 0] - V2 C2
-            x = stacked[i * width : (i + 1) * width] @ c2
-            x = np.subtract(lift, x, out=x) if i == 0 else np.negative(x, out=x)
-        _write_basis_rows(phi[lo:hi], taus[i], x, buffer)
+        _write_basis_rows(phi[lo:hi], taus[i], lift[i * width : (i + 1) * width], buffer)
     phi[:, 0] = u0
 
     weights = np.zeros((count + 1, count), dtype=np.complex128)

@@ -467,6 +467,14 @@ class TestEvolve:
             assert np.abs(matrix[:, j] - matrix[:, 0]).max() <= 1e-12
         assert labels is not None and labels[0] == "t=0.0"
 
+    def test_prints_the_rank_of_its_fit(self, tmp_path, capsys):
+        prefix = tmp_path / "run"
+        argv = ["evolve", "--hamiltonian", "ising:10", "--psi0", "random:3"]
+        assert main(argv + ["--dt", "0.1", "--steps", "60", "--out-prefix", str(prefix)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "rank: 42" in lines
+        assert read_model(f"{prefix}_model.json").rank == 42
+
     def test_ising_norms_validated_on_reload(self, tmp_path):
         prefix = tmp_path / "run"
         rc = main(

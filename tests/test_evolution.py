@@ -327,6 +327,17 @@ class TestGenerators:
         peak = peak_bytes(lambda: ising_chain(16, -0.7, 0.37))
         assert peak <= 6 * diagonal_bytes, f"peak {peak / diagonal_bytes:.2f} diagonals"
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 12])
+    @pytest.mark.parametrize("coupling", [-0.7, 0.1, 1e-300])
+    def test_ising_diagonal_matches_the_bitwise_loop(self, n, coupling):
+        # Z_s = 1 - 2 * (bit n-s of the index), the bonds subtracted from site 1 on
+        index = np.arange(2**n)
+        z = [1.0 - 2.0 * ((index >> (n - s)) & 1) for s in range(1, n + 1)]
+        reference = np.zeros(2**n)
+        for s in range(n - 1):
+            reference -= coupling * (z[s] * z[s + 1])
+        assert ising_chain(n, coupling, 0.37).diagonal.tobytes() == reference.tobytes()
+
     def test_ising_needs_two_sites(self):
         with pytest.raises(RegimeViolation):
             ising_chain(1)
@@ -346,7 +357,7 @@ class TestIsingChainRecord:
         assert isinstance(IsingChain.sites, property)
 
     def test_hand_built_chain_is_read_only(self):
-        chain = IsingChain(coupling=1.0, field=0.5, diagonal=np.zeros(16))
+        chain = IsingChain(coupling=0.0, field=0.5, diagonal=np.zeros(16))
         assert (chain.dim, chain.sites) == (16, 4)
         assert not chain.diagonal.flags.writeable
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -390,6 +401,27 @@ class TestIsingChainRecord:
         diagonal[3] = entry
         with pytest.raises(NonFinite):
             IsingChain(coupling, field, diagonal)
+
+
+    @pytest.mark.parametrize(
+        "coupling, field, diagonal",
+        [
+            # bound 0.73 against a radius of 5.11: the series would blow up
+            (0.1, 0.1, lambda: np.linspace(-5.0, 5.0, 64)),
+            # J = 1's diagonal under J = 0.8: states would drift off 2.9e-11, silently
+            (0.8, 1.0, lambda: ising_chain(6).diagonal.copy()),
+        ],
+    )
+    def test_diagonal_of_another_coupling_refused(self, coupling, field, diagonal):
+        with pytest.raises(RegimeViolation, match="ZZ part"):
+            IsingChain(coupling, field, diagonal())
+
+    def test_diagonal_within_round_off_accepted(self):
+        # the series' copy scaled to 2 H / bound differs from a fresh one by round-off
+        chain = ising_chain(6, -0.7, 0.37)
+        scale = 2.0 / chain.bound
+        IsingChain(chain.coupling * scale, chain.field * scale, chain.diagonal * scale)
+        IsingChain(chain.coupling, chain.field, chain.diagonal + 1e-11)
 
 
 class TestIsingChainAction:

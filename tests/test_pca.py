@@ -493,10 +493,12 @@ class TestHouseholderFactors:
         assert np.abs(wy - reference).max() <= 1e-14
 
     def test_peak_holds_no_q_factor(self):
-        # D=2^12, M=200, four row blocks: 10.53 MiB with explicit Q factors
+        # D=2^12, M=200, four row blocks: 10.53 MiB with explicit Q factors,
+        # 9.54 MiB with a per-block product of the stacked level, 7.70 MiB
+        # when the stacked level is written over its own reflectors
         s = random_state_set(2**12, 200, seed=3)
         phi = _buffer_of(s)
-        assert peak_bytes(lambda: fit_pca(phi)) <= 10.6 * 2**20
+        assert peak_bytes(lambda: fit_pca(phi)) <= 8.8 * 2**20
 
 
 def _full_weights(model, v):
