@@ -9,7 +9,11 @@ file and per command's stdout, with the run directory's path replaced by
 set, and ``evolve`` on an Ising chain at ``--d 8`` and at the default d
 and on a dense random Hamiltonian. ``--small`` runs the same list at
 small sizes. ``--compare A B`` reads two digest files, prints every entry
-that differs or that only one holds, and exits 1 if there is any.
+that differs or that only one holds, and exits 1 if there is any. When a
+differing entry's two files both sit beside their digest files and differ
+in bytes, it also prints by how much each moved: max |a - b| / max |a|
+for each complex array and for the singular values of a JSON file, and
+max |a - b| of a CSV's value column.
 
 Usage:
     python3 scripts/output_digest.py RUN_DIR [--small]
@@ -17,10 +21,13 @@ Usage:
 """
 
 import argparse
+import base64
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -101,12 +108,55 @@ def run_digests(run: Path, sizes: dict) -> dict[str, str]:
     return digests
 
 
+def _arrays(path: Path) -> dict[str, np.ndarray]:
+    """The complex arrays and singular values of a JSON output, or a CSV's value column."""
+    if path.suffix == ".csv":
+        with path.open(newline="") as handle:
+            return {"value": np.array([float(row[-1]) for row in list(csv.reader(handle))[1:]])}
+    arrays = {}
+    for key, value in json.loads(path.read_text()).items():
+        if key == "singular_values":
+            arrays[key] = np.array(value, dtype=np.float64)
+        elif isinstance(value, dict) and value.get("dtype") == "<c16":
+            raw = base64.b64decode(value["data"])
+            arrays[key] = np.frombuffer(raw, dtype="<c16").reshape(value["shape"])
+    return arrays
+
+
+def _movement(a: Path, b: Path) -> list[str]:
+    """One line per array of two differing output files: how far it moved."""
+    lines = []
+    first, second = _arrays(a), _arrays(b)
+    for key in sorted(first.keys() | second.keys()):
+        x, y = first.get(key), second.get(key)
+        if x is None or y is None or x.shape != y.shape:
+            shapes = [None if v is None else v.shape for v in (x, y)]
+            lines.append(f"  {key}: shape {shapes[0]} vs {shapes[1]}")
+            continue
+        moved = float(np.abs(x - y).max(initial=0.0))
+        if a.suffix == ".csv":
+            lines.append(f"  {key}: max |a - b| = {moved:.3g}")
+            continue
+        top = float(np.abs(x).max(initial=0.0))
+        ratio = moved / top if top else (math.inf if moved else 0.0)
+        lines.append(f"  {key}: max |a - b| / max |a| = {ratio:.3g}")
+    return lines
+
+
 def compare(a: Path, b: Path) -> int:
-    """Print each entry whose digest differs or that one file lacks; 1 if any, else 0."""
+    """Print each entry whose digest differs or that one file lacks; 1 if any, else 0.
+
+    Under an entry whose two files both sit beside their digest file and
+    differ in bytes, print how far each of their arrays moved.
+    """
     first, second = (json.loads(path.read_text())["digests"] for path in (a, b))
     differ = sorted(k for k in first.keys() | second.keys() if first.get(k) != second.get(k))
     for key in differ:
         print(f"differs: {key}")
+        files = a.parent / key, b.parent / key
+        if all(f.is_file() for f in files) and files[0].read_bytes() != files[1].read_bytes():
+            for line in _movement(*files):
+                print(line)
     print(f"{len(differ)} of {len(first.keys() | second.keys())} entries differ")
     return 1 if differ else 0
 

@@ -123,7 +123,8 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
 # 1404/966 at ising:18; ising:20 is estimated at 5.30 GiB. A dense D x D H
 # and its eigh take about 5 x 16*D^2 bytes, the fewest copies that bound
 # both 149/120 MiB at random --dim 1024 and 394/364 at --dim 2048 (4 would
-# say 329 there); its compression holds 8 columns, not d.
+# say 329 there); its compression, one product op @ B over all d columns,
+# stays within them: 478/364 MiB at --dim 2048 with 1000 steps.
 _INTERPRETER_BYTES = 64 * 2**20
 _TRAJECTORY_COPIES = 3
 _DENSE_COPIES = 5
@@ -168,6 +169,8 @@ def _parse_hamiltonian(args: argparse.Namespace) -> tuple[int, bool, Callable]:
             if args.dim is None:
                 raise DomainError("random Hamiltonian needs --dim")
             seed = int(rest) if rest else 0
+            if seed < 0:
+                raise ValueError(f"seed must be non-negative, got {seed}")
             return args.dim, True, lambda: random_hamiltonian(args.dim, seed)
         if name == "ising":
             if not rest:
@@ -193,6 +196,8 @@ def _parse_psi0(spec: str, dim: int) -> np.ndarray:
     name, _, rest = spec.partition(":")
     try:
         if name == "uniform":
+            if rest:
+                raise DomainError("uniform takes no parameters")
             return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
         if name == "basis":
             index = int(rest) if rest else 1

@@ -3,18 +3,21 @@
 import numpy as np
 import pytest
 
-from qdecimate import IsingChain
+from qdecimate import evolution
 
 
 @pytest.fixture
 def apply_calls(monkeypatch):
-    """The shapes of every IsingChain.apply argument, in call order."""
+    """The shapes of every vector an IsingChain acts on, in call order.
+
+    ``IsingChain.apply`` and the Chebyshev series share one private action.
+    """
     calls = []
-    apply = IsingChain.apply
+    action = evolution._ising_action
 
-    def counted(chain, x):
+    def counted(sites, field, diagonal, x):
         calls.append(np.shape(x))
-        return apply(chain, x)
+        return action(sites, field, diagonal, x)
 
-    monkeypatch.setattr(IsingChain, "apply", counted)
+    monkeypatch.setattr(evolution, "_ising_action", counted)
     return calls

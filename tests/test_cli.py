@@ -592,6 +592,35 @@ class TestEvolve:
         assert err[0].startswith("error: DomainError: ") and message in err[0], err
         assert not list(tmp_path.glob("x_*"))
 
+    def test_negative_hamiltonian_seed_refused_before_building(self, tmp_path, monkeypatch):
+        # numpy would refuse it only inside the build, as "invalid input"
+        reached = []
+        monkeypatch.setattr(cli, "random_hamiltonian", lambda *args: reached.append(args))
+        monkeypatch.setattr(cli, "_check_evolve_memory", lambda *args: reached.append(args))
+        argv = ["evolve", "--hamiltonian", "random:-1", "--dim", "8", "--dt", "0.1"]
+        code, err = _stderr_lines([*argv, "--steps", "2", "--out-prefix", str(tmp_path / "P")])
+        assert code == 2 and err == [
+            "error: DomainError: bad Hamiltonian spec 'random:-1': "
+            "seed must be non-negative, got -1"
+        ]
+        assert not reached and not list(tmp_path.iterdir())
+
+    def test_uniform_takes_no_parameters(self, tmp_path):
+        argv = ["evolve", "--hamiltonian", "ising:3", "--psi0", "uniform:garbage", "--dt", "0.1"]
+        code, err = _stderr_lines([*argv, "--steps", "3", "--out-prefix", str(tmp_path / "x")])
+        assert code == 2 and err == [
+            "error: DomainError: bad initial-state spec 'uniform:garbage': "
+            "uniform takes no parameters"
+        ]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("psi0, rank", [([], 9), (["--psi0", "random:1"], 10)])
+    def test_default_uniform_start_loses_one_rank(self, tmp_path, capsys, psi0, rank):
+        # the default psi0 is u0 itself: state 1 deviates from u0 by exactly zero
+        argv = ["evolve", "--hamiltonian", "random:3", "--dim", "64", *psi0, "--dt", "0.1"]
+        assert main(argv + ["--steps", "10", "--out-prefix", str(tmp_path / "r")]) == 0
+        assert f"rank: {rank}" in capsys.readouterr().out.splitlines()
+
     @pytest.mark.parametrize("index", [1, 6, 8])
     def test_psi0_basis_state_starts_the_trajectory(self, tmp_path, index):
         prefix = tmp_path / "run"

@@ -15,7 +15,6 @@ from qdecimate import (
     NonFinite,
     NotHermitian,
     NotNormalized,
-    NotPowerOfTwo,
     RegimeViolation,
     ZeroNorm,
     build_map,
@@ -322,10 +321,11 @@ class TestGenerators:
                 assert got.dtype == want.dtype and np.array_equal(got, want), (coupling, field)
 
     def test_ising_holds_at_most_six_diagonals(self):
-        # one Z vector per site at once would be n = 16 diagonals and more
+        # the diagonal and one bond vector; one Z vector per site at once would
+        # be n = 16 diagonals and more
         diagonal_bytes = 8 * 2**16
         peak = peak_bytes(lambda: ising_chain(16, -0.7, 0.37))
-        assert peak <= 6 * diagonal_bytes, f"peak {peak / diagonal_bytes:.2f} diagonals"
+        assert peak <= 2.5 * diagonal_bytes, f"peak {peak / diagonal_bytes:.2f} diagonals"
 
     @pytest.mark.parametrize("n", [2, 3, 7, 12])
     @pytest.mark.parametrize("coupling", [-0.7, 0.1, 1e-300])
@@ -351,77 +351,51 @@ class TestGenerators:
 
 
 class TestIsingChainRecord:
-    def test_fields_leave_out_the_site_count(self):
-        names = [field.name for field in dataclasses.fields(IsingChain)]
-        assert names == ["coupling", "field", "diagonal"]
-        assert isinstance(IsingChain.sites, property)
+    def test_init_fields_are_the_three_numbers(self):
+        fields = dataclasses.fields(IsingChain)
+        assert [f.name for f in fields if f.init] == ["sites", "coupling", "field"]
+        assert [f.name for f in fields if not f.init] == ["diagonal"]
+        with pytest.raises(TypeError):
+            IsingChain(4, 1.0, 1.0, np.zeros(16))  # no way in for a diagonal
 
     def test_hand_built_chain_is_read_only(self):
-        chain = IsingChain(coupling=0.0, field=0.5, diagonal=np.zeros(16))
+        chain = IsingChain(4, 0.0, 0.5)
         assert (chain.dim, chain.sites) == (16, 4)
-        assert not chain.diagonal.flags.writeable
+        assert not chain.diagonal.any() and not chain.diagonal.flags.writeable
         with pytest.raises(dataclasses.FrozenInstanceError):
             chain.sites = 3
 
-    def test_scaled_series_chain_is_read_only(self, monkeypatch):
-        # the series applies a copy of the chain scaled to 2 H / bound
-        apply, writeable = IsingChain.apply, []
+    def test_replaced_chain_rebuilds_its_diagonal(self):
+        chain = dataclasses.replace(ising_chain(5, -0.7, 0.37), coupling=0.8)
+        assert chain.diagonal.tobytes() == ising_chain(5, 0.8, 0.37).diagonal.tobytes()
 
-        def spy(chain, x):
-            writeable.append(chain.diagonal.flags.writeable)
-            return apply(chain, x)
-
-        monkeypatch.setattr(IsingChain, "apply", spy)
-        evolve_sequence(ising_chain(4), random_state_vector(16, seed=5), 0.1, 4)
-        assert writeable and not any(writeable)
-
-    @pytest.mark.parametrize("shape", [(12,), (0,), (4, 4), ()])
-    def test_diagonal_length_is_a_power_of_two(self, shape):
-        # unchecked, a length of 12 would reach apply's reshape as a bare ValueError
-        with pytest.raises(NotPowerOfTwo):
-            IsingChain(1.0, 1.0, np.zeros(shape))
-
-    @pytest.mark.parametrize("size", [1, 2])
-    def test_chain_needs_two_sites(self, size):
+    @pytest.mark.parametrize("sites", [0, 1, "2", 2.5, True])
+    def test_chain_needs_two_sites(self, sites):
+        # an int of at least 2: not a count as text, a float or a bool
         with pytest.raises(RegimeViolation, match="at least 2 qubits"):
-            IsingChain(1.0, 1.0, np.zeros(size))
+            IsingChain(sites, 1.0, 1.0)
+
+    def test_factory_takes_any_integer_site_count(self):
+        chain = ising_chain(np.int64(4), 1, np.float32(0.5))
+        assert (type(chain.sites), type(chain.coupling), type(chain.field)) == (int, float, float)
+        assert chain.diagonal.tobytes() == IsingChain(4, 1.0, 0.5).diagonal.tobytes()
 
     @pytest.mark.parametrize(
-        "coupling, field, entry",
+        "coupling, field, start",
         [
             (float("nan"), 1.0, 0.0),
             (1.0, float("-inf"), 0.0),
             (1e308, 1e308, 0.0),  # finite J and G, but |J|(n-1)+|G|n overflows
-            (1.0, 1.0, np.inf),
         ],
     )
-    def test_non_finite_chain_refused(self, coupling, field, entry):
-        # unchecked, a NaN J would reach bound's SVD as numpy's LinAlgError
-        diagonal = np.zeros(16)
-        diagonal[3] = entry
+    def test_non_finite_chain_refused(self, coupling, field, start):
+        # unchecked, a NaN J would reach bound's SVD as numpy's LinAlgError; a
+        # valid chain (J = G = start) replaced by these numbers is refused too
         with pytest.raises(NonFinite):
-            IsingChain(coupling, field, diagonal)
-
-
-    @pytest.mark.parametrize(
-        "coupling, field, diagonal",
-        [
-            # bound 0.73 against a radius of 5.11: the series would blow up
-            (0.1, 0.1, lambda: np.linspace(-5.0, 5.0, 64)),
-            # J = 1's diagonal under J = 0.8: states would drift off 2.9e-11, silently
-            (0.8, 1.0, lambda: ising_chain(6).diagonal.copy()),
-        ],
-    )
-    def test_diagonal_of_another_coupling_refused(self, coupling, field, diagonal):
-        with pytest.raises(RegimeViolation, match="ZZ part"):
-            IsingChain(coupling, field, diagonal())
-
-    def test_diagonal_within_round_off_accepted(self):
-        # the series' copy scaled to 2 H / bound differs from a fresh one by round-off
-        chain = ising_chain(6, -0.7, 0.37)
-        scale = 2.0 / chain.bound
-        IsingChain(chain.coupling * scale, chain.field * scale, chain.diagonal * scale)
-        IsingChain(chain.coupling, chain.field, chain.diagonal + 1e-11)
+            IsingChain(4, coupling, field)
+        valid = IsingChain(4, start, start)
+        with pytest.raises(NonFinite):
+            dataclasses.replace(valid, coupling=coupling, field=field)
 
 
 class TestIsingChainAction:
@@ -644,9 +618,9 @@ class TestChebyshevPropagation:
 
     def test_series_holds_its_block_and_a_few_vectors(self):
         # _sum_series holds the block of SERIES_BLOCK vectors, a product buffer no
-        # larger, and under six vectors beside: the recurrence's two, apply's
-        # three, and the chain scaled to 2 H / bound, whose diagonal is half a
-        # vector; neither the scaling nor a term copies a vector more
+        # larger, and under six vectors beside: the recurrence's two, the action's
+        # three, and the diagonal scaled to 2 H / bound, half a vector;
+        # neither the scaling nor a term copies a vector more
         chain = ising_chain(12)
         steps, step = 41, chain.bound * 0.1
         table, terms = _segment_coefficients(step, steps - 1, chain.dim)
@@ -783,7 +757,7 @@ class TestChainCompression:
 
     def test_result_is_checked(self):
         # an operator with apply and bound whose compressed matrix is not finite
-        # (an IsingChain cannot hold a non-finite diagonal)
+        # (an IsingChain's diagonal is built from finite J and G)
         traj = evolve_sequence(ising_chain(4), random_state_vector(16, seed=431), 0.1, 4)
         cg = build_map(fit_pca(traj), 3)
         broken = SimpleNamespace(apply=lambda x: np.full(x.shape, np.nan), bound=1.0)

@@ -3,7 +3,11 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from qdecimate import fit_pca, random_hamiltonian, random_state_set
+from qdecimate.fileio import write_curve, write_model, write_operator
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -63,6 +67,41 @@ def test_output_digest_reruns_byte_identical(tmp_path, capsys):
         "differs: dense/stdout",
         "differs: ising_hcg.json",
         f"2 of {len(entries) + 1} entries differ",
+    ]
+
+
+def test_output_digest_compare_says_how_far_a_moved_file_moved(tmp_path, capsys):
+    script = _load_script("output_digest")
+    model = fit_pca(random_state_set(16, 3, seed=1))
+    operator = random_hamiltonian(4, seed=2)
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for run, shift in zip(runs, (0.0, 1e-9)):
+        run.mkdir()
+        write_model(run / "m_model.json", model)
+        write_operator(run / "m_hcg.json", operator + shift * np.eye(4))
+        write_curve(run / "m_curve.csv", [(1, 0.5), (2, 0.25 + shift)])
+        (run / "same.csv").write_text("d,value\n1,0.5\n")
+        digests = {name: f"{run.name}-{name}" for name in ("m_model.json", "m_hcg.json")}
+        digests |= {"m_curve.csv": f"{run.name}", "same.csv": f"{run.name}", "x/stdout": "0"}
+        (run / "digest.json").write_text(json.dumps({"digests": digests}))
+    # the doctored model moves only its singular values, by 3e-13 of the largest
+    doctored = json.loads((runs[1] / "m_model.json").read_text())
+    doctored["singular_values"][1] += 3e-13 * model.singular_values[0]
+    (runs[1] / "m_model.json").write_text(json.dumps(doctored))
+    assert script.main(["--compare", *(str(run / "digest.json") for run in runs)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    moved = 1e-9 / np.abs(operator).max()
+    assert lines == [
+        "differs: m_curve.csv",
+        "  value: max |a - b| = 1e-09",
+        "differs: m_hcg.json",
+        f"  matrix: max |a - b| / max |a| = {moved:.3g}",
+        "differs: m_model.json",
+        "  basis: max |a - b| / max |a| = 0",
+        "  singular_values: max |a - b| / max |a| = 3e-13",
+        "  weights: max |a - b| / max |a| = 0",
+        "differs: same.csv",
+        "4 of 5 entries differ",
     ]
 
 
