@@ -2,7 +2,7 @@
 
 For each seed, evolves the same product state under an open Ising chain
 and under a dense random Hermitian matrix rescaled to the chain's
-spectral norm, coarse-grains both trajectories to d components, and
+spectral norm, fits both trajectories, keeps d weight components, and
 compares the mean retained squared weight.  Structured dynamics should
 compress better than featureless dynamics at equal energy scale.
 
@@ -17,6 +17,7 @@ import numpy as np
 from qdecimate import (
     coarse_grained_trajectory,
     evolve_sequence,
+    fit_pca,
     ising_chain,
     random_hamiltonian,
 )
@@ -53,8 +54,10 @@ def main(argv=None) -> int:
         psi0 = product_state(args.qubits, seed=9000 + k)
         h_rand = random_hamiltonian(dim, seed=9100 + k)
         h_rand = h_rand * (local_norm / float(np.linalg.norm(h_rand, 2)))
-        _, local = coarse_grained_trajectory(evolve_sequence(h_local, psi0, args.dt, args.steps), args.d)
-        _, rand = coarse_grained_trajectory(evolve_sequence(h_rand, psi0, args.dt, args.steps), args.d)
+        local_fit = fit_pca(evolve_sequence(h_local, psi0, args.dt, args.steps))
+        rand_fit = fit_pca(evolve_sequence(h_rand, psi0, args.dt, args.steps))
+        _, local = coarse_grained_trajectory(local_fit, args.d)
+        _, rand = coarse_grained_trajectory(rand_fit, args.d)
         mean_local = float(local.mean())
         mean_rand = float(rand.mean())
         wins += mean_local >= mean_rand

@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__, fileio
 from .decimation import build_map, check_dimension, decimate_state, retained_power, select_dimension
 from .entanglement import (
-    LN2,
     QubitFactorization,
     entropy_vs_dimension_curve,
     reduced_density_matrix,
@@ -92,7 +91,7 @@ def cmd_decimate(args: argparse.Namespace) -> int:
 def cmd_entropy_curve(args: argparse.Namespace) -> int:
     states, phi = _load_states(args)
     factor = QubitFactorization.from_dim(states.dim)
-    scale = 1.0 / LN2 if args.bits else 1.0
+    scale = 1.0 / math.log(2.0) if args.bits else 1.0
     unit = "bits" if args.bits else "nats"
     if not 1 <= args.state <= states.count:
         raise DomainError(f"--state must lie in 1..{states.count}, got {args.state}")
@@ -229,8 +228,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if args.d is not None:
         check_dimension(args.steps, args.d)
     _check_evolve_memory(dim, args.steps, dense)
-    h = build()
     psi0 = _parse_psi0(args.psi0, dim)
+    h = build()
     states = evolve_sequence(h, psi0, args.dt, args.steps)
     model = fit_pca(states)
     d = args.d if args.d is not None else model.count + 1

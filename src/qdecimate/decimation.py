@@ -1,13 +1,13 @@
 """Truncation of the PCA expansion: every coarse-graining step.
 
 The map g = B^dag is the isometry B, the first d basis columns, which
-build_map returns as a read-only D x d view and every coarse-graining
-function takes. Decimating a D-vector reads only B, in O(D*d); whether
-it lies in the fitted span at all is asked of the whole basis by
-outside_span. The weights of states, projected or sliced from a fit, are
-renormalized by one rule, and every operator, a matrix or an IsingChain,
-is compressed by one function. A compressed operator's expectation in a
-state is np.vdot(w, op_cg @ w), w the state's coarse weights.
+build_map returns as a read-only D x d view; every coarse-graining
+function takes it or the fitted model. Decimating a D-vector reads only
+B, in O(D*d); whether it lies in the fitted span at all is asked of the
+whole basis by outside_span. The weights of states, projected or sliced
+from a fit, are renormalized by one rule, and every operator, a matrix
+or an IsingChain, is compressed by one function. The expectation of a
+compressed operator is np.vdot(w, op_cg @ w), w a state's coarse weights.
 
 The power a fitted state keeps at d is read from its weight column
 alone: retained_power tabulates the cumulative |W|^2 of every state,
@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import BadDimension, DimMismatch, DomainError, ZeroNorm
 from .numerics import Tolerances, adjoint_times, check_finite, check_hermitian
-from .pca import PcaModel, fit_pca
-from .stateset import StateSet
+from .pca import PcaModel
 
 __all__ = [
     "build_map",
@@ -125,15 +124,15 @@ def select_dimension(model: PcaModel, eps: float, state: int | None = None) -> i
     return int(dims.max() if state is None else dims[state - 1])
 
 
-def coarse_grained_trajectory(states: StateSet, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fit a trajectory's states, then keep d weight components of each step.
+def coarse_grained_trajectory(model: PcaModel, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keep d weight components of each fitted state; reads only the weights W.
 
     Returns the read-only d x M coarse weights W[:d] / sqrt(P[d-1]) and the
-    M retained powers P[d-1], P = retained_power(fit). A d outside [2, M+1]
-    is BadDimension; ZeroNorm names the first step with no retained norm.
+    M retained powers P[d-1], P = retained_power(model), so a saved model
+    needs no states and no refit. A d outside [2, M+1] is BadDimension;
+    ZeroNorm names the first state with no retained norm.
     """
-    check_dimension(states.count, d)
-    model = fit_pca(states)
+    check_dimension(model.count, d)
     power = retained_power(model)[d - 1]
     return _unit_weights(model.weights[:d], np.sqrt(power)), power
 

@@ -31,7 +31,6 @@ __all__ = [
     "saturation_dimension",
 ]
 
-LN2 = float(np.log(2.0))
 # saturation_dimension's band, as a fraction of the endpoint entropy (d95)
 _SATURATION_BAND = 0.05
 # basis rows an entropy curve holds at once: its temporaries are one

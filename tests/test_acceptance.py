@@ -284,8 +284,10 @@ def test_criterion_10_evolution_suite(report, capsys):
         psi_k = _product_state(6, seed=9000 + k)
         h_rand = random_hamiltonian(dim, seed=9100 + k)
         h_rand = h_rand * (local_norm / float(np.linalg.norm(h_rand, 2)))
-        _, local = coarse_grained_trajectory(evolve_sequence(h_local, psi_k, dt, steps), 5)
-        _, rand = coarse_grained_trajectory(evolve_sequence(h_rand, psi_k, dt, steps), 5)
+        local_fit = fit_pca(evolve_sequence(h_local, psi_k, dt, steps))
+        rand_fit = fit_pca(evolve_sequence(h_rand, psi_k, dt, steps))
+        _, local = coarse_grained_trajectory(local_fit, 5)
+        _, rand = coarse_grained_trajectory(rand_fit, 5)
         mean_local = float(local.mean())
         mean_rand = float(rand.mean())
         flag = "ok" if mean_local >= mean_rand else "VIOLATED"

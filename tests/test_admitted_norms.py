@@ -75,7 +75,7 @@ def test_admitted_set_passes_every_command(tmp_path_factory, qubits, seed, drift
         assert not outside_span(model, matrix[:, mu])
     for d in range(2, count + 2):
         h_cg = coarse_grain_operator(build_map(model, d), chain)
-        weights, _ = coarse_grained_trajectory(admitted, d)
+        weights, _ = coarse_grained_trajectory(model, d)
         for mu in range(count):
             real_expectation(weights[:, mu], h_cg)  # asserts a real value
     root = tmp_path_factory.mktemp("admitted")

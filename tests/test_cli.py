@@ -142,6 +142,18 @@ class TestFit:
         assert err.count("\n") == 1
         assert "DomainError" in err and "'dimension' must be an integer" in err
 
+    def test_dimension_past_the_integer_digit_limit_exit_2(self, tmp_path, capsys):
+        # json.dumps cannot write such an integer either, so the text is edited
+        path, _ = _states_file(tmp_path, 16, 3, seed=135)
+        text = path.read_text()
+        assert text.count('"dimension":16') == 1
+        path.write_text(text.replace('"dimension":16', '"dimension":' + "9" * 5000))
+        assert main(["fit", str(path), "-o", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "DomainError" in err
+        assert "not valid JSON (Exceeds the limit (4300 digits)" in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_auto_normalize(self, tmp_path):
         s = random_state_set(16, 3, seed=133)
         path = tmp_path / "drifted.json"
@@ -579,17 +591,34 @@ class TestEvolve:
         assert err[0].startswith("error: DomainError: ") and message in err[0], err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("kind", ["unknown", "two-state-file"])
-    def test_psi0_spec_refused_one_line(self, tmp_path, kind):
+    @pytest.mark.parametrize("kind", ["unknown", "two-state-file", "basis-zero"])
+    def test_psi0_spec_refused_one_line(self, tmp_path, monkeypatch, kind):
+        # refused before H is built: a dense H at --dim 2048 would take 200 MiB first
+        def refuse(*args, **kwargs):
+            raise AssertionError("Hamiltonian built before psi0 was checked")
+
+        monkeypatch.setattr(cli, "random_hamiltonian", refuse)
+        monkeypatch.setattr(cli, "ising_chain", refuse)
         if kind == "unknown":
-            psi0, message = "banana:1", "unknown initial-state spec 'banana:1'"
-        else:
+            psi0 = "banana:1"
+            message = (
+                "unknown initial-state spec 'banana:1' "
+                "(use uniform | basis:i | random:seed | file:path)"
+            )
+        elif kind == "two-state-file":
             path, _ = _states_file(tmp_path, 8, 2, seed=141, name="psi.json")
-            psi0, message = f"file:{path}", "exactly one length-8 state, got shape (8, 2)"
-        argv = ["evolve", "--hamiltonian", "ising:3", "--psi0", psi0, "--dt", "0.1"]
-        code, err = _stderr_lines([*argv, "--steps", "3", "--out-prefix", str(tmp_path / "x")])
-        assert code == 2 and len(err) == 1, err
-        assert err[0].startswith("error: DomainError: ") and message in err[0], err
+            psi0 = f"file:{path}"
+            message = (
+                f"bad initial-state spec '{psi0}': initial-state file must hold "
+                "exactly one length-8 state, got shape (8, 2)"
+            )
+        else:
+            psi0 = "basis:0"
+            message = "bad initial-state spec 'basis:0': basis index must lie in 1..8, got 0"
+        for hamiltonian in (["ising:3"], ["random:3", "--dim", "8"]):
+            argv = ["evolve", "--hamiltonian", *hamiltonian, "--psi0", psi0, "--dt", "0.1"]
+            code, err = _stderr_lines([*argv, "--steps", "3", "--out-prefix", str(tmp_path / "x")])
+            assert code == 2 and err == [f"error: DomainError: {message}"], hamiltonian
         assert not list(tmp_path.glob("x_*"))
 
     def test_negative_hamiltonian_seed_refused_before_building(self, tmp_path, monkeypatch):

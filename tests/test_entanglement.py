@@ -307,6 +307,11 @@ class TestCurve:
         with pytest.raises(BadQubitIndex):
             entropy_vs_dimension_curve(s, model, 1, 5)
 
+    def test_state_set_and_model_of_other_shapes_rejected(self):
+        model = fit_pca(random_state_set(16, 3, seed=1))
+        with pytest.raises(DimMismatch, match="disagree on dimensions"):
+            entropy_vs_dimension_curve(random_state_set(16, 4, seed=2), model, 1, 1)
+
     def test_entropy_values_within_qubit_bound(self):
         s = random_state_set(32, 6, seed=87)
         curve = entropy_vs_dimension_curve(s, fit_pca(s), 4, 5)

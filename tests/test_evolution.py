@@ -193,7 +193,7 @@ class TestCoarseGrainedTrajectory:
         dim = 16
         psi0 = np.full(dim, 1.0 / 4.0, dtype=complex)
         traj = evolve_sequence(np.zeros((dim, dim), dtype=complex), psi0, 0.1, 4)
-        weights, power = coarse_grained_trajectory(traj, 2)
+        weights, power = coarse_grained_trajectory(fit_pca(traj), 2)
         assert weights.shape == (2, 4) and power.shape == (4,)
         for j in range(4):
             assert np.abs(weights[:, j] - np.array([1.0, 0.0])).max() <= 1e-12
@@ -202,7 +202,7 @@ class TestCoarseGrainedTrajectory:
     def test_full_dimension_preserves_overlaps(self):
         h = random_hamiltonian(16, seed=108)
         traj = evolve_sequence(h, random_state_vector(16, seed=109), 0.1, 5)
-        weights, _ = coarse_grained_trajectory(traj, 6)
+        weights, _ = coarse_grained_trajectory(fit_pca(traj), 6)
         for i in range(5):
             for j in range(5):
                 fine = np.vdot(traj.matrix[:, i], traj.matrix[:, j])
@@ -213,7 +213,7 @@ class TestCoarseGrainedTrajectory:
         h = random_hamiltonian(16, seed=110)
         traj = evolve_sequence(h, random_state_vector(16, seed=111), 0.3, 5)
         model = fit_pca(traj)
-        _, power = coarse_grained_trajectory(traj, 3)
+        _, power = coarse_grained_trajectory(model, 3)
         for j in range(5):
             w = model.weights[:3, j]
             expected = float(np.sum(np.abs(w) ** 2))
@@ -234,7 +234,7 @@ class TestCoarseGrainedTrajectory:
         assert (model.rank == 8) == (case == "full-rank")
         for d in (2, 4, 9):
             cg = build_map(model, d)
-            weights, power = coarse_grained_trajectory(traj, d)
+            weights, power = coarse_grained_trajectory(model, d)
             assert weights.shape == (d, 8) and power.shape == (8,)
             assert not weights.flags.writeable
             for j in range(8):
@@ -245,21 +245,21 @@ class TestCoarseGrainedTrajectory:
 
     def test_dimension_outside_two_to_m_plus_one(self):
         h = random_hamiltonian(16, seed=116)
-        states = evolve_sequence(h, random_state_vector(16, seed=117), 0.1, 4)
+        model = fit_pca(evolve_sequence(h, random_state_vector(16, seed=117), 0.1, 4))
         for d in (1, 6):
             with pytest.raises(BadDimension):
-                coarse_grained_trajectory(states, d)
+                coarse_grained_trajectory(model, d)
 
     def test_zero_norm_named(self):
         # zero-mean states a, -a, b: the mean row and the leading component
         # carry nothing of b, so b is gone at d=2
         a = np.array([0.5, -0.5, 0.5, -0.5, 0, 0, 0, 0], dtype=complex)
         b = np.array([0, 0, 0, 0, 0.5, 0.5, -0.5, -0.5], dtype=complex)
-        states = validate_state_set(np.stack([a, -a, b], axis=1))
-        assert coarse_grained_trajectory(states, 3)[0].shape == (3, 3)
+        model = fit_pca(validate_state_set(np.stack([a, -a, b], axis=1)))
+        assert coarse_grained_trajectory(model, 3)[0].shape == (3, 3)
         with pytest.raises(ZeroNorm, match="orthogonal to the retained subspace") as err:
-            coarse_grained_trajectory(states, 2)
-        norm = math.sqrt(retained_power(fit_pca(states))[1, 2])
+            coarse_grained_trajectory(model, 2)
+        norm = math.sqrt(retained_power(model)[1, 2])
         assert f"(norm {norm:.3e})" in str(err.value)
 
     def test_local_hamiltonian_concentrates_weight(self):
@@ -271,8 +271,10 @@ class TestCoarseGrainedTrajectory:
         for seed in range(3):
             h_rand = random_hamiltonian(dim, seed=200 + seed)
             h_rand = h_rand * (h_local.bound / np.linalg.norm(h_rand, 2))
-            _, local = coarse_grained_trajectory(evolve_sequence(h_local, psi0, dt, steps), d)
-            _, rand = coarse_grained_trajectory(evolve_sequence(h_rand, psi0, dt, steps), d)
+            local_fit = fit_pca(evolve_sequence(h_local, psi0, dt, steps))
+            rand_fit = fit_pca(evolve_sequence(h_rand, psi0, dt, steps))
+            _, local = coarse_grained_trajectory(local_fit, d)
+            _, rand = coarse_grained_trajectory(rand_fit, d)
             mean_local = local.mean()
             mean_rand = rand.mean()
             if mean_local >= mean_rand:
@@ -529,6 +531,11 @@ class TestChebyshevPropagation:
                     assert np.abs(got - want).max() <= 1e-12, (coupling, field, dt)
                     norms = np.linalg.norm(got, axis=0)
                     assert np.abs(norms - 1.0).max() <= DEFAULT_TOL.state_norm
+
+    def test_one_step_is_the_start_state(self):
+        psi0 = random_state_vector(8, seed=3)
+        got = evolve_sequence(ising_chain(3), psi0, 0.1, 1).matrix
+        assert got.shape == (8, 1) and got[:, 0].tobytes() == psi0.tobytes()
 
     def test_dense_input_takes_eigh_path(self):
         chain = ising_chain(4, 0.9, 0.6)

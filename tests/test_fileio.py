@@ -485,6 +485,12 @@ class TestCurveFile:
         with pytest.raises(DomainError, match="curve.csv: not UTF-8"):
             read_curve(path)
 
+    def test_field_over_the_csv_limit_rejected(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("d,value\n2," + "1" * 200000 + "\n")
+        with pytest.raises(DomainError, match=r"curve.csv: not valid CSV \(field larger than"):
+            read_curve(path)
+
 
 class TestAtomicity:
     def test_replaces_existing_file(self, tmp_path):
@@ -498,6 +504,19 @@ class TestAtomicity:
         write_state_set(tmp_path / "s.json", random_state_set(8, 2, seed=129).matrix)
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+    def test_error_inside_the_writer_propagates_and_leaves_nothing(self, tmp_path, monkeypatch):
+        # not an OSError: re-raised as it is, not renamed to the target path
+        failure = RuntimeError("encoder failed")
+
+        def fail(*args):
+            raise failure
+
+        monkeypatch.setattr(fileio, "_write_array", fail)
+        with pytest.raises(RuntimeError) as caught:
+            write_state_set(tmp_path / "s.json", random_state_set(8, 2, seed=129).matrix)
+        assert caught.value is failure
+        assert not list(tmp_path.iterdir())
 
 
 class TestFileMode:
