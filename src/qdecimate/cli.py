@@ -5,7 +5,8 @@ domain error. Output files are deterministic: with a fixed BLAS build and
 BLAS thread count, identical inputs and seeds give byte-identical bytes
 on disk. Another thread count moves retained basis columns by round-off
 over the spectral gap; past a rank r < M, the basis columns and the
-_hcg.json rows and columns past r+1 can change outright.
+_hcg.json rows and columns past r+1 are a function of the first r+1
+columns, and move by that same round-off over the gap.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .entanglement import (
 from .errors import AllZeroDeviations, DomainError
 from .evolution import (
     SERIES_BLOCK,
+    check_time_span,
     coarse_grain_hamiltonian,
     evolve_sequence,
     ising_chain,
@@ -225,6 +227,7 @@ def _parse_psi0(spec: str, dim: int) -> np.ndarray:
 def cmd_evolve(args: argparse.Namespace) -> int:
     dim, dense, build = _parse_hamiltonian(args)
     check_regime(dim, args.steps)
+    check_time_span(args.dt, args.steps)
     if args.d is not None:
         check_dimension(args.steps, args.d)
     _check_evolve_memory(dim, args.steps, dense)

@@ -288,6 +288,14 @@ def _chain_trajectory(chain: IsingChain, psi0: np.ndarray, dt: float, steps: int
     return rows
 
 
+def check_time_span(dt: float, steps: int) -> float:
+    """The span |dt| (steps - 1) of a trajectory; a non-finite dt or span is a RegimeViolation."""
+    span = abs(dt) * (steps - 1)
+    if not (math.isfinite(dt) and math.isfinite(span)):
+        raise RegimeViolation(f"time step and span must be finite, got dt={dt!r}, steps={steps}")
+    return span
+
+
 def evolve_sequence(
     h: np.ndarray | IsingChain,
     psi0: np.ndarray,
@@ -321,9 +329,7 @@ def evolve_sequence(
     shape = (h.dim, h.dim) if chain else h.shape
     if shape != (dim, dim):
         raise RegimeViolation(f"Hamiltonian shape {shape} does not match state length {dim}")
-    span = abs(dt) * (steps - 1)
-    if not (math.isfinite(dt) and math.isfinite(span)):
-        raise RegimeViolation(f"time step and span must be finite, got dt={dt!r}, steps={steps}")
+    span = check_time_span(dt, steps)
     norm = float(column_norms(psi0[:, np.newaxis])[0])
     if abs(norm - 1.0) > Tolerances.state_norm:
         raise NotNormalized(f"initial state has norm {norm:.12g}")

@@ -8,6 +8,9 @@ store their D x M matrix transposed, one row per state (shape [M, D]),
 and read back as the transposed view of those rows.
 Every JSON file holds format_version 2, the only version read, and an
 integer dimension, and one header check serves all three readers.
+A model of rank r stores only its first r+1 basis columns and weight
+rows: the columns past them are pca.complete_basis's function of those,
+which the reader calls, and the weight rows past them are zero.
 Singular values stay a plain JSON float list; curves are CSV rows whose
 floats go through Python's shortest round-trip repr. All writes are
 atomic (temp file + rename) and leave the file with mode 0666 less the
@@ -56,7 +59,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import check_finite, check_hermitian
-from .pca import PcaModel
+from .pca import PcaModel, check_orthonormal, complete_basis, numerical_rank
 
 FORMAT_VERSION = 2
 _DTYPE = "<c16"
@@ -305,15 +308,12 @@ def _int_field(doc: dict, key: str, path: str | Path) -> int:
     return value
 
 
-def _decode_array(value, field: str, path: str | Path) -> np.ndarray:
-    """A complex array from its {dtype, shape, data} object, filled in file order.
+def _array_text(value, field: str, path: str | Path) -> tuple[list[int], _Text]:
+    """The checked shape and base64 text of a {dtype, shape, data} object; nothing is allocated.
 
-    Checks run in this order, all before anything is allocated: the dtype,
-    the shape, whose entries must be positive so that no dimension
-    exceeds the entries the file holds, and the canonical length of the
-    base64 text. Only then is the C-ordered result allocated, and each
-    piece of the text is decoded into its bytes at the piece's offset;
-    every entry must be finite.
+    Checks run in this order: the dtype, the shape, whose entries must be
+    positive so that no dimension exceeds the entries the file holds, and
+    the canonical length of the base64 text.
     """
     if not isinstance(value, dict):
         raise DomainError(f"{path}: {field} must be a {{dtype, shape, data}} object")
@@ -347,7 +347,17 @@ def _decode_array(value, field: str, path: str | Path) -> np.ndarray:
             raise DomainError(f"{path}: {field} data is not valid base64 of {chars} characters")
         held = 3 * data.length // 4 - tail.count(b"=")
         raise DomainError(f"{path}: {field} data holds {held} bytes, shape needs {expected}")
-    arr = np.empty(shape, dtype=_DTYPE)
+    return shape, data
+
+
+def _decode_into(arr: np.ndarray, data: _Text, field: str, path: str | Path) -> np.ndarray:
+    """Decode data, checked by _array_text for arr's shape, into the C-ordered arr, in file order.
+
+    Each piece of the text is decoded into its bytes at the piece's
+    offset; every entry must then be finite. Returns arr.
+    """
+    expected = arr.nbytes
+    chars = 4 * -(-expected // 3)
     flat = arr.reshape(-1).view(np.uint8)
     held = 0
     # Every piece but the last is a whole number of quads and must decode to
@@ -368,6 +378,16 @@ def _decode_array(value, field: str, path: str | Path) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{path}: {field} contains non-finite numbers")
     return arr
+
+
+def _decode_array(value, field: str, path: str | Path) -> np.ndarray:
+    """A complex array from its {dtype, shape, data} object, filled in file order.
+
+    Every check of _array_text runs before anything is allocated; only
+    then is the C-ordered result allocated and decoded into (_decode_into).
+    """
+    shape, data = _array_text(value, field, path)
+    return _decode_into(np.empty(shape, dtype=_DTYPE), data, field, path)
 
 
 def _check_labels(labels, count: int, path: str | Path) -> None:
@@ -426,30 +446,80 @@ def read_state_set(path: str | Path) -> tuple[np.ndarray, tuple[str, ...] | None
 
 
 def write_model(path: str | Path, model: PcaModel) -> None:
+    """Write a model's first rank+1 basis columns and weight rows, beside its singular values.
+
+    Columns past the rank are complete_basis's function of those, and the
+    weight rows past it are zero, so read_model rebuilds both. A full-rank
+    model's file holds all M+1 columns and rows.
+    """
+    width = model.rank + 1
     doc = {
         "format_version": FORMAT_VERSION,
         "dimension": model.dim,
         "count": model.count,
         "singular_values": model.singular_values.tolist(),
-        "basis": model.basis,
-        "weights": model.weights,
+        "basis": model.basis[:, :width],
+        "weights": model.weights[:width],
     }
     _dump_json(path, doc)
 
 
+def _spread_rows(buffer: np.ndarray, width: int) -> None:
+    """Move the dim x width array held in buffer's leading entries into its first width columns.
+
+    Blocks of rows move last block first: a row's new place starts no
+    earlier than its old one, so no row is overwritten before it moves.
+    """
+    dim = buffer.shape[0]
+    flat = buffer.reshape(-1)
+    step = _block_rows(16 * width)
+    for hi in range(dim, 0, -step):
+        lo = max(0, hi - step)
+        buffer[lo:hi, :width] = flat[lo * width : hi * width].reshape(hi - lo, width)
+
+
 def read_model(path: str | Path) -> PcaModel:
-    """Load a fitted model; PcaModel re-validates it, and every error names the path."""
+    """Load a fitted model; PcaModel re-validates it, and every error names the path.
+
+    The file's basis holds the model's first w columns and its weights the
+    first w rows, rank+1 <= w <= M+1 (write_model writes w = rank+1). The
+    basis is decoded into the leading entries of the final D x (M+1) array.
+    When w <= M, its w columns must pass as orthonormal; they are then
+    spread into place, complete_basis writes columns w..M, and weight rows
+    w..M are zero.
+    """
     with _read_document(path, "count", "singular_values", "basis", "weights") as (doc, dim):
         count = _int_field(doc, "count", path)
-        basis = _decode_array(doc.pop("basis"), "basis", path)
-        weights = _decode_array(doc.pop("weights"), "weights", path)
+        try:
+            sv = np.asarray(doc["singular_values"], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"{path}: singular_values is not a numeric array") from exc
+        basis_shape, basis_text = _array_text(doc.pop("basis"), "basis", path)
+        weights_shape, weights_text = _array_text(doc.pop("weights"), "weights", path)
+        if basis_shape[:1] + list(sv.shape) != [dim, count] or not 1 <= count < dim:
+            raise DomainError(
+                f"{path}: header (D, M) = ({dim}, {count}) does not match the arrays, "
+                "or is not D > M >= 1"
+            )
+        width = basis_shape[-1]
+        if basis_shape != [dim, width] or weights_shape != [width, count] or width > count + 1:
+            raise DomainError(
+                f"{path}: basis shape {basis_shape} and weights shape {weights_shape} "
+                f"are not D x w and w x M with w <= M+1 = {count + 1}"
+            )
+        rank = numerical_rank(sv)
+        if width < rank + 1:
+            raise DomainError(f"{path}: {width} basis columns, fewer than rank+1 = {rank + 1}")
+        basis = np.empty((dim, count + 1), dtype=np.complex128)
+        weights = np.zeros((count + 1, count), dtype=np.complex128)
+        head = basis.reshape(-1)[: dim * width].reshape(dim, width)
+        _decode_into(head, basis_text, "basis", path)
+        _decode_into(weights[:width], weights_text, "weights", path)
     try:
-        sv = np.asarray(doc["singular_values"], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{path}: singular_values is not a numeric array") from exc
-    try:
-        if basis.shape[:1] + sv.shape != (dim, count):
-            raise DomainError(f"header (D, M) = ({dim}, {count}) does not match the arrays")
+        if width <= count:  # columns w..M are rebuilt from the first w
+            check_orthonormal(head)
+            _spread_rows(basis, width)
+            complete_basis(basis, width - 1)
         return PcaModel(basis=basis, singular_values=sv, weights=weights)
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from exc

@@ -2,8 +2,9 @@
 
 The model holds an isometric basis of M+1 columns: column 0 is the
 normalized uniform superposition u0 carrying each state's mean, columns
-1..M are the left singular vectors of the deviation matrix ordered by
-descending singular value. Weights are the exact expansion coefficients
+1..r are the left singular vectors of the deviation matrix ordered by
+descending singular value, r the rank, and columns r+1..M complete the
+basis (see below). Weights are the exact expansion coefficients
 of every input state in that basis.
 
 The fit never leaves M+1 dimensions for its factorizations (Chan's
@@ -14,9 +15,12 @@ Householder QR, then, for more than one block, one Householder QR of the
 stacked R factors. Q's column 0 is u0 up to a phase and R's row 0 holds
 u0^H S, so the deviations are Q[:, 1:] @ R[1:, 1:], and the SVD runs on
 that M x M block, R[1:, 1:] = U_b diag(s) Vh. The basis is
-[u0 | Q[:, 1:] @ U_b]. All M of its deviation columns come out
-orthonormal, those past the rank included: they span the rest of the
-QR's range, and their weight rows are zero.
+[u0 | Q[:, 1:] @ U_b] in its first r+1 columns, r the rank. The M - r
+columns past them carry zero weight, and the SVD would take them from
+round-off, so ``complete_basis`` writes them as a function of the
+retained columns alone: the trailing columns of the Householder Q of
+K = basis[:, :r+1]. A model file stores only K, and its reader rebuilds
+the rest by the same call.
 
 No Q is formed. Each QR keeps its reflectors V (n x k, unit lower
 trapezoidal, k = M+1) and scalars tau, and one writer overwrites V's
@@ -68,10 +72,10 @@ class PcaModel:
     weights:         (M+1) x M; column mu expands state mu in the basis,
                      and the pivot entry of each row 1..rank is real positive
     rank:            singular values above rank_rel * e_1 (the rest count
-                     as zero; their basis columns are the remaining
-                     singular vectors of the M x M block R[1:, 1:], still
-                     orthonormal to the retained columns, and their weight
-                     rows are zero); 0 when every state is constant
+                     as zero; their basis columns are complete_basis's
+                     completion of columns 0..rank, orthonormal to them and
+                     a function of them alone, and their weight rows are
+                     zero); 0 when every state is constant
     """
 
     basis: np.ndarray
@@ -92,12 +96,21 @@ class PcaModel:
             raise DomainError("singular values must be finite, non-negative and descending")
         if np.abs(basis[:, 0] - 1.0 / math.sqrt(dim)).max() > Tolerances.base:
             raise DomainError("basis column 0 is not the uniform superposition")
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram_dev = gram_deviation(basis)
-        if not gram_dev <= Tolerances.base:  # also fails the NaN of overflowing entries
-            raise NoConvergence(f"basis columns not orthonormal (deviation {gram_dev:.3e})")
+        check_orthonormal(basis)
         for arr in (basis, sv, weights):
             arr.setflags(write=False)
+
+
+def check_orthonormal(x: np.ndarray) -> None:
+    """Raise NoConvergence unless x's columns are orthonormal within Tolerances.base.
+
+    x is read as it is laid out; a C-order x is not copied. Overflowing
+    entries make the Gram deviation NaN, which fails too, without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram_dev = gram_deviation(x)
+    if not gram_dev <= Tolerances.base:
+        raise NoConvergence(f"basis columns not orthonormal (deviation {gram_dev:.3e})")
 
 
 def numerical_rank(sv: np.ndarray) -> int:
@@ -184,6 +197,73 @@ def _write_basis_rows(rows: np.ndarray, tau: np.ndarray, x: np.ndarray, buffer: 
     rows[: tau.size, 1:] += x
 
 
+# Columns per panel of the sign-choosing LU: each panel runs column by
+# column, and its trailing update is one product.
+_LU_PANEL = 32
+
+
+def _signed_lu(a: np.ndarray) -> np.ndarray:
+    """Overwrite the k x k block a with L and U of a - diag(s), no pivoting; return s.
+
+    s_j is chosen when pivot p_j is reached: s_j = -p_j / |p_j|, and 1 for
+    p_j = 0, so |U_jj| = |p_j| + 1 >= 1. L is unit lower triangular, held
+    below the diagonal. This is the modified LU of Ballard et al.,
+    "Reconstructing Householder vectors from tall-skinny QR" (IPDPS 2014):
+    for orthonormal columns K with top block a, s is the diagonal of R in
+    the Householder QR K = Q [diag(s); 0] whose reflector j takes the sign
+    s_j, and L stacked over K[k:] U^-1 are that QR's reflector vectors.
+    """
+    k = len(a)
+    s = np.empty(k, dtype=np.complex128)
+    for lo in range(0, k, _LU_PANEL):
+        hi = min(lo + _LU_PANEL, k)
+        for j in range(lo, hi):
+            p = a[j, j]
+            s[j] = -p / abs(p) if p != 0 else 1.0
+            a[j, j] = p - s[j]
+            a[j + 1 :, j] /= a[j, j]
+            a[j + 1 : hi, j + 1 :] -= np.outer(a[j + 1 : hi, j], a[j, j + 1 :])
+            a[hi:, j + 1 : hi] -= np.outer(a[hi:, j], a[j, j + 1 : hi])
+        a[hi:, hi:] -= a[hi:, lo:hi] @ a[lo:hi, hi:]
+    return s
+
+
+def complete_basis(phi: np.ndarray, rank: int) -> None:
+    """Overwrite columns rank+1..M of the D x (M+1) buffer phi from its columns 0..rank alone.
+
+    With K = phi[:, :k], k = rank+1, orthonormal, the columns become
+    Q_K [0; I; 0], the trailing columns of the Householder Q of K whose
+    reflector j takes the sign s_j of ``_signed_lu`` of K's top k x k
+    block: orthonormal, orthogonal to K, and fixed by K to round-off
+    whatever the columns held before. With Q_K = I - Y T Y^H and
+    K - [S; 0] = Y U (S = diag(s)), they equal [0; I; 0] + (K - [S; 0]) G,
+    G = S^H (K[:k] - S)^-H K[k:M+1]^H: one product K G, written
+    _PRODUCT_ROWS rows at a time, less S G in the top k rows, plus I.
+    Only k x k and k x (M - rank) arrays are allocated. A full-rank
+    buffer (rank = M) is left as it is.
+    """
+    k, width = rank + 1, phi.shape[1]
+    if k >= width:
+        return
+    lu = phi[:k, :k].copy()
+    s = _signed_lu(lu)
+    # G, by two substitutions: U^H Y = K[k:M+1]^H, then L^H X = Y
+    g = phi[k:width, :k].T.copy()
+    np.conjugate(g, out=g)
+    for i in range(k):
+        g[i] -= lu[:i, i].conj() @ g[:i]
+        g[i] /= lu[i, i].conj()
+    for i in range(k - 2, -1, -1):
+        g[i] -= lu[i + 1 :, i].conj() @ g[i + 1 :]
+    g *= s.conj()[:, np.newaxis]
+    for lo in range(0, len(phi), _PRODUCT_ROWS):
+        rows = phi[lo : lo + _PRODUCT_ROWS]
+        np.matmul(rows[:, :k], g, out=rows[:, k:])
+    phi[:k, k:] -= s[:, np.newaxis] * g
+    diagonal = np.arange(k, width)
+    phi[diagonal, diagonal] += 1.0
+
+
 def fit_pca(s: StateSet | np.ndarray) -> PcaModel:
     """Fit the mean-plus-deviations PCA model of a state set.
 
@@ -198,6 +278,8 @@ def fit_pca(s: StateSet | np.ndarray) -> PcaModel:
     No Q factor is formed: one compact WY writer overwrites each QR's
     reflectors in place, the stacked R factors' first, then each row
     block's, which become basis rows. One row block needs no second QR.
+    complete_basis then rewrites the columns past the rank from the
+    retained ones alone.
 
     When every state is constant over the basis index, the deviations
     are exactly zero: the singular values are set to 0 and the rank
@@ -262,6 +344,7 @@ def fit_pca(s: StateSet | np.ndarray) -> PcaModel:
     for i, (lo, hi) in enumerate(spans):
         _write_basis_rows(phi[lo:hi], taus[i], lift[i * width : (i + 1) * width], buffer)
     phi[:, 0] = u0
+    complete_basis(phi, rank)
 
     weights = np.zeros((count + 1, count), dtype=np.complex128)
     weights[0, :] = math.sqrt(dim) * means

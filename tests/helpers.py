@@ -48,6 +48,32 @@ def random_columns(dim: int, count: int, seed: int) -> np.ndarray:
     return raw / np.linalg.norm(raw, axis=0, keepdims=True)
 
 
+def reflector_completion(k_columns: np.ndarray, width: int) -> np.ndarray:
+    """Columns k..width-1 of Q = H_0 ... H_{k-1}, the Householder QR of the orthonormal D x k K.
+
+    Each H_j = I - 2 v v^H / (v^H v) is an explicit Hermitian reflector on
+    rows j.., mapping column j of the partly reduced K, x, to s_j ||x|| e_j,
+    s_j the negated phase of x's first entry (1 when it is 0). Q [0; I; 0]
+    is formed by applying the reflectors, last first, to the unit columns.
+    """
+    a = np.array(k_columns, dtype=complex)
+    dim, k = a.shape
+    vectors = []
+    for j in range(k):
+        x = a[j:, j]
+        sign = -x[0] / abs(x[0]) if x[0] != 0 else 1.0
+        v = x.copy()
+        v[0] -= sign * np.linalg.norm(x)
+        vectors.append(v)
+        a[j:] -= np.outer(v, 2.0 * (v.conj() @ a[j:]) / np.vdot(v, v).real)
+    q = np.zeros((dim, width - k), dtype=complex)
+    q[np.arange(k, width), np.arange(width - k)] = 1.0
+    for j in reversed(range(k)):
+        v = vectors[j]
+        q[j:] -= np.outer(v, 2.0 * (v.conj() @ q[j:]) / np.vdot(v, v).real)
+    return q
+
+
 def random_hermitian_oracle(dim: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(seed))
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -206,6 +206,56 @@ class TestFit:
             a, b = getattr(one, name), getattr(two, name)
             assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
+    def test_blas_thread_count_moves_a_rank_deficient_model_by_round_off_over_the_gap(
+        self, tmp_path
+    ):
+        # Columns past a rank r < M are a function of the first r+1, so across
+        # thread counts the whole basis moves as the retained singular vectors
+        # do: by up to Wedin's eps * e_1 / gap, the gap being the smallest
+        # between a retained singular value and any other. A coarse H = B^H H B
+        # then moves by up to 2 ||H|| times that. Measured at 0.14 and 0.21 of
+        # the bound for the two bases and 0.02 for _hcg.json, where a completion
+        # taken from round-off moves them by 3e13, 1e4 and 9e3 times the bound.
+        base = random_state_set(2**10, 8, 1).matrix
+        rng = np.random.Generator(np.random.PCG64([1, 8]))
+        mixed = base @ (rng.standard_normal((8, 150)) + 1j * rng.standard_normal((8, 150)))
+        states = tmp_path / "lowrank.json"
+        write_state_set(states, mixed / np.linalg.norm(mixed, axis=0))
+        src = str(Path(cli.__file__).parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        evolve = ["evolve", "--hamiltonian", "ising:10", "--psi0", "random:3", "--dt", "0.1"]
+        runs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+            prefix = tmp_path / f"chain_{threads}"
+            for argv in (
+                ["fit", str(states), "-o", str(tmp_path / f"model_{threads}.json")],
+                [*evolve, "--steps", "60", "--out-prefix", str(prefix)],
+            ):
+                code = "import sys; from qdecimate.cli import main; sys.exit(main())"
+                subprocess.run(
+                    [sys.executable, "-c", code, *argv], env=env, check=True, capture_output=True
+                )
+            runs[threads] = (
+                read_model(tmp_path / f"model_{threads}.json"),
+                read_model(f"{prefix}_model.json"),
+                read_operator(f"{prefix}_hcg.json"),
+            )
+        (fit_one, chain_one, hcg_one), (fit_two, chain_two, hcg_two) = runs["1"], runs["2"]
+        assert (fit_one.rank, chain_one.rank) == (8, 42)
+
+        def wedin(model):
+            sv, r = model.singular_values, model.rank
+            gaps = np.abs(sv[:r, np.newaxis] - sv[np.newaxis, :])
+            gaps[np.arange(r), np.arange(r)] = np.inf
+            return np.finfo(float).eps * sv[0] / gaps.min()
+
+        for one, two in ((fit_one, fit_two), (chain_one, chain_two)):
+            assert two.rank == one.rank
+            assert np.abs(one.basis - two.basis).max() <= wedin(one)
+        bound = 2.0 * ising_chain(10).bound * wedin(chain_one)
+        assert hcg_one.shape == (61, 61) and np.abs(hcg_one - hcg_two).max() <= bound
+
 
 def _quiet_main(argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -749,6 +799,21 @@ class TestEvolve:
         argv = ["evolve", "--hamiltonian", spec, *dim, f"--dt={dt}", "--steps", "5"]
         code, err = _stderr_lines([*argv, "--out-prefix", str(tmp_path / "x")])
         assert code == 2 and len(err) == 1 and err[0].startswith("error: "), err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("dt, steps", [("nan", 2), ("inf", 2), ("1e308", 3)])
+    def test_non_finite_time_refused_before_building(self, tmp_path, monkeypatch, dt, steps):
+        # a dense H at --dim 2048 would take 200 MiB before evolve_sequence refused it
+        def refuse(*args, **kwargs):
+            raise AssertionError("Hamiltonian built before the time span was checked")
+
+        monkeypatch.setattr(cli, "random_hamiltonian", refuse)
+        monkeypatch.setattr(cli, "ising_chain", refuse)
+        message = f"time step and span must be finite, got dt={float(dt)!r}, steps={steps}"
+        for hamiltonian in (["ising:3"], ["random:3", "--dim", "8"]):
+            argv = ["evolve", "--hamiltonian", *hamiltonian, f"--dt={dt}", "--steps", str(steps)]
+            code, err = _stderr_lines([*argv, "--out-prefix", str(tmp_path / "x")])
+            assert code == 2 and err == [f"error: RegimeViolation: {message}"], hamiltonian
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("spec", ["zero", "random:1"])

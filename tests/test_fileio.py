@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdecimate import DomainError, NotHermitian, fit_pca, random_state_set
+from qdecimate import DomainError, NotHermitian, fit_pca, random_state_set, validate_state_set
 from qdecimate import fileio
 from qdecimate.fileio import (
     read_curve,
@@ -25,7 +25,7 @@ from qdecimate.fileio import (
     write_state_set,
 )
 
-from helpers import peak_bytes, random_hermitian_oracle, whole_document_json
+from helpers import peak_bytes, random_columns, random_hermitian_oracle, whole_document_json
 
 # -0.0, the smallest subnormal, a mid-range subnormal and the largest finite magnitudes
 AWKWARD = np.array([-0.0, 5e-324, 1.1125369292536007e-308, 1e308, -1e308, 0.1 + 0.2])
@@ -368,6 +368,116 @@ class TestModelFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(DomainError, match=f"'{key}' must be an integer"):
             read_model(path)
+
+
+def _set_of_rank(dim, count, rank, seed):
+    """count unit combinations of rank random states; rank 0 is count constant states."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    shape = (max(rank, 1), count)
+    base = random_columns(dim, rank, seed) if rank else np.ones((dim, 1))
+    states = base @ (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return validate_state_set(states / np.linalg.norm(states, axis=0))
+
+
+def _narrow_model_file(path, rank=3):
+    """A written model of rank 3 of 6 at D=32: its file holds 4 basis columns and weight rows."""
+    model = fit_pca(_set_of_rank(32, 6, rank, seed=150))
+    assert model.rank == rank
+    write_model(path, model)
+    return model, json.loads(path.read_text())
+
+
+class TestNarrowModelFile:
+    """A rank-r model's file holds its first r+1 basis columns and weight rows."""
+
+    @pytest.mark.parametrize("rank", [0, 1, 8, 12])
+    def test_round_trip_exact(self, tmp_path, rank):
+        model = fit_pca(_set_of_rank(64, 12, rank, seed=151))
+        assert model.rank == rank
+        path = tmp_path / "model.json"
+        write_model(path, model)
+        doc = json.loads(path.read_text())
+        width = min(rank + 1, 13)
+        assert doc["basis"]["shape"] == [64, width] and doc["weights"]["shape"] == [width, 12]
+        assert _bits(_decode(doc["basis"])) == _bits(model.basis[:, :width])
+        assert _bits(_decode(doc["weights"])) == _bits(model.weights[:width])
+        back = read_model(path)
+        for name in ("basis", "singular_values", "weights"):
+            assert _bits(getattr(back, name)) == _bits(getattr(model, name)), name
+
+    def test_full_width_file_reads_its_own_columns(self, tmp_path):
+        # a file written before models were narrowed: its columns past the
+        # rank are read as they are, not rebuilt
+        model, doc = _narrow_model_file(tmp_path / "model.json")
+        basis = np.array(model.basis)
+        basis[:, 4:] = basis[:, [6, 4, 5]] * np.array([1j, -1.0, 1.0])
+        path = tmp_path / "full.json"
+        _write_doc(
+            path,
+            dimension=32,
+            count=6,
+            singular_values=doc["singular_values"],
+            basis=basis,
+            weights=np.array(model.weights),
+        )
+        back = read_model(path)
+        assert _bits(back.basis) == _bits(basis)
+        assert _bits(back.weights) == _bits(model.weights)
+
+    def test_wider_file_keeps_its_columns_and_rebuilds_the_rest(self, tmp_path):
+        model, doc = _narrow_model_file(tmp_path / "model.json")
+        path = tmp_path / "wide.json"
+        _write_doc(
+            path,
+            dimension=32,
+            count=6,
+            singular_values=doc["singular_values"],
+            basis=np.array(model.basis[:, :6]),
+            weights=np.array(model.weights[:6]),
+        )
+        back = read_model(path)
+        assert _bits(back.basis[:, :6]) == _bits(model.basis[:, :6])
+        assert np.abs(back.basis @ back.weights - model.basis @ model.weights).max() <= 1e-15
+
+    @pytest.mark.parametrize(
+        "basis_columns, weight_rows, message",
+        [
+            (4, 7, "are not D x w and w x M"),
+            (7, 4, "are not D x w and w x M"),
+            (3, 3, "3 basis columns, fewer than rank\\+1 = 4"),
+            (8, 8, "are not D x w and w x M with w <= M\\+1 = 7"),
+        ],
+        ids=["narrow-basis-full-weights", "full-basis-narrow-weights", "below-rank", "too-wide"],
+    )
+    def test_widths_refused(self, tmp_path, basis_columns, weight_rows, message):
+        model, doc = _narrow_model_file(tmp_path / "model.json")
+        wide = np.concatenate([model.basis, model.basis[:, 1:2]], axis=1)
+        doc["basis"] = _encode(wide[:, :basis_columns])
+        doc["weights"] = _encode(np.concatenate([model.weights, model.weights[:1]])[:weight_rows])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match=message) as info:
+            read_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("kind", ["tampered", "overflowing"])
+    def test_columns_that_are_not_orthonormal_refused(self, tmp_path, kind):
+        # the narrow twins of test_tampered_basis_rejected and
+        # test_overflowing_basis_rejected: nothing is rebuilt from such columns
+        model, doc = _narrow_model_file(tmp_path / "model.json")
+        basis = np.array(model.basis[:, :4])
+        if kind == "tampered":
+            basis[0, 1] = 5.0
+        else:
+            basis[:, 1:3] = 0.0
+            basis[:2, 1] = [1e200, 1e200]
+            basis[:2, 2] = [1e200, 1e200j]
+        doc["basis"] = _encode(basis)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match="not orthonormal") as info:
+            read_model(path)
+        assert type(info.value) is DomainError and str(info.value).startswith(f"{path}: ")
 
 
 class TestOperatorFile:
@@ -1155,6 +1265,19 @@ class TestReadMemory:
         peak = peak_bytes(lambda: read(path))
         extra = peak - decoded
         assert extra < 4 * 2**20, f"{kind}: {extra / 2**20:.1f} MiB beyond the arrays"
+
+    def test_peak_of_a_narrow_model(self, tmp_path):
+        # rank 150 of 200 at D=2^12: the file's 151 columns are 9.4 MiB, and
+        # are decoded and spread, in 13 blocks of rows, inside the final
+        # 12.6 MiB basis, not copied
+        model = fit_pca(_set_of_rank(2**12, 200, 150, seed=152))
+        path = tmp_path / "m.json"
+        write_model(path, model)
+        back = []
+        peak = peak_bytes(lambda: back.append(read_model(path)))
+        extra = peak - model.basis.nbytes - model.weights.nbytes
+        assert extra < 4 * 2**20, f"{extra / 2**20:.1f} MiB beyond the arrays"
+        assert _bits(back[0].basis) == _bits(model.basis)
 
     def test_json_parses_only_the_skeleton(self, large_files, parsed_sizes):
         for read, path, _ in large_files.values():

@@ -27,7 +27,7 @@ from qdecimate import fileio, pca
 from qdecimate.decimation import retained_power
 from qdecimate.numerics import gram_deviation, pivot_phases, svd
 
-from helpers import peak_bytes, random_columns, random_unitary
+from helpers import peak_bytes, random_columns, random_unitary, reflector_completion
 
 
 def _fit(dim, count, seed):
@@ -455,7 +455,12 @@ class TestHouseholderFactors:
         model = fit_pca(s)
         assert model.singular_values.tobytes() == sv.tobytes()
         assert model.weights.tobytes() == weights.tobytes()
-        assert np.abs(model.basis - basis).max() <= 1e-14 * np.abs(basis).max()
+        kept = model.rank + 1
+        scale = np.abs(basis).max()
+        assert np.abs(model.basis[:, :kept] - basis[:, :kept]).max() <= 1e-14 * scale
+        # past the rank, the Householder completion of the kept columns
+        completion = reflector_completion(model.basis[:, :kept], model.count + 1)
+        assert np.abs(model.basis[:, kept:] - completion).max(initial=0.0) <= 1e-14
 
     @pytest.mark.parametrize(
         "case, rows",
@@ -499,6 +504,57 @@ class TestHouseholderFactors:
         s = random_state_set(2**12, 200, seed=3)
         phi = _buffer_of(s)
         assert peak_bytes(lambda: fit_pca(phi)) <= 8.8 * 2**20
+
+
+# rank-deficient sets whose top rows hold structure: where a pivot of the
+# completion sat at round-off, the completion could jump
+STRUCTURED_SETS = {
+    "constant": _constant_set,
+    "uniform-state": REFLECTOR_SETS["uniform-state-16"],
+    "late-standard-basis": lambda: validate_state_set(
+        np.eye(64, dtype=complex)[:, [40, 50, 60, 40, 50]]
+    ),
+    "lowrank": BUFFER_SETS["lowrank"],
+    "parity-ising": lambda: evolve_sequence(
+        ising_chain(8), np.full(256, 1.0 / 16.0, dtype=complex), 0.1, 40
+    ),
+}
+
+
+class TestCompleteBasis:
+    """Columns past the rank are the Householder completion of the retained ones alone."""
+
+    @pytest.mark.parametrize("case", sorted(STRUCTURED_SETS))
+    def test_matches_the_reflector_oracle(self, case):
+        model = fit_pca(STRUCTURED_SETS[case]())
+        kept = model.rank + 1
+        assert kept <= model.count
+        completion = reflector_completion(model.basis[:, :kept], model.count + 1)
+        assert np.abs(model.basis[:, kept:] - completion).max() <= 1e-14
+
+    @pytest.mark.parametrize("fill", ["nan", "zero", "own"])
+    @pytest.mark.parametrize("case", ["constant", "lowrank", "parity-ising"])
+    def test_same_bits_whatever_the_columns_held(self, case, fill):
+        model = fit_pca(STRUCTURED_SETS[case]())
+        phi = np.array(model.basis)
+        if fill != "own":
+            phi[:, model.rank + 1 :] = np.nan if fill == "nan" else 0.0
+        pca.complete_basis(phi, model.rank)
+        assert phi.tobytes() == model.basis.tobytes()
+
+    def test_full_rank_buffer_untouched(self):
+        phi = np.full((8, 4), np.nan, dtype=complex)
+        pca.complete_basis(phi, 3)
+        assert np.all(np.isnan(phi))
+
+    def test_peak_holds_small_arrays_only(self):
+        # D=2^14, M=100, rank 76: K alone is 19.3 MiB, the k x k and
+        # k x (M - rank) arrays 0.1 MiB together
+        model = fit_pca(_rank_deficient_set(2**14, 100, 76, seed=96))
+        assert model.rank == 76
+        phi = np.array(model.basis)
+        assert peak_bytes(lambda: pca.complete_basis(phi, 76)) < 2**20
+        assert phi.tobytes() == model.basis.tobytes()
 
 
 def _full_weights(model, v):
