@@ -25,7 +25,6 @@ from .entanglement import (
     von_neumann_entropy,
 )
 from .errors import (
-    AllZeroDeviations,
     BadDimension,
     BadQubitIndex,
     DimMismatch,
@@ -47,7 +46,7 @@ from .evolution import (
     random_hamiltonian,
 )
 from .numerics import DEFAULT_TOL, Tolerances
-from .pca import PcaModel, fit_pca, importances
+from .pca import PcaModel, fit_pca
 from .stateset import (
     NormPolicy,
     StateSet,
@@ -59,7 +58,6 @@ from .stateset import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllZeroDeviations",
     "BadDimension",
     "BadQubitIndex",
     "DEFAULT_TOL",
@@ -88,7 +86,6 @@ __all__ = [
     "entropy_vs_dimension_curve",
     "evolve_sequence",
     "fit_pca",
-    "importances",
     "ising_chain",
     "outside_span",
     "random_hamiltonian",

@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 I/O failure or out of memory, 2 validation or
 domain error. Output files are deterministic: with a fixed BLAS build and
 BLAS thread count, identical inputs and seeds give byte-identical bytes
 on disk. Another thread count moves retained basis columns by round-off
-over the spectral gap; past a rank r < M, the basis columns and the
-_hcg.json rows and columns past r+1 are a function of the first r+1
-columns, and move by that same round-off over the gap.
+over the spectral gap; past a rank r < M, basis columns are a function
+of the first r+1 and move by that same round-off. evolve's default
+d = rank+1 keeps them out of _hcg.json; an explicit --d up to M+1 does not.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .entanglement import (
     saturation_dimension,
     von_neumann_entropy,
 )
-from .errors import AllZeroDeviations, DomainError
+from .errors import DomainError
 from .evolution import (
     SERIES_BLOCK,
     check_time_span,
@@ -38,7 +38,7 @@ from .evolution import (
     random_hamiltonian,
 )
 from .numerics import Tolerances
-from .pca import fit_pca, importances
+from .pca import fit_pca
 from .stateset import NormPolicy, StateSet, check_regime, random_state_vector, validate_state_set
 
 
@@ -57,15 +57,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     print(f"states: M={states.count}")
     print(f"dimension: D={states.dim}")
     print(f"rank: {model.rank}")
-    try:
-        fractions = importances(model)
-    except AllZeroDeviations:
+    total = float(np.sum(model.singular_values))
+    if total <= 0.0:
         print("importance table: skipped (all deviation singular values are zero)")
     else:
         print("k,singular_value,importance")
-        for k in range(1, model.count + 1):
-            e_k = float(model.singular_values[k - 1])
-            print(f"{k},{e_k!r},{float(fractions[k - 1])!r}")
+        for k, e_k in enumerate(model.singular_values.tolist(), start=1):
+            print(f"{k},{e_k!r},{e_k / total!r}")
     print(f"model written: {args.output}")
     return 0
 
@@ -235,7 +233,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     h = build()
     states = evolve_sequence(h, psi0, args.dt, args.steps)
     model = fit_pca(states)
-    d = args.d if args.d is not None else model.count + 1
+    d = args.d if args.d is not None else max(2, model.rank + 1)
     h_cg = coarse_grain_hamiltonian(build_map(model, d), h)
 
     mean_power = retained_power(model).mean(axis=1).tolist()
@@ -333,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     evo.add_argument("--dt", type=float, required=True, help="time step")
     evo.add_argument("--steps", type=int, required=True, help="number of trajectory states M")
-    evo.add_argument("--d", type=int, default=None, help="coarse dimension (default M+1)")
+    evo.add_argument("--d", type=int, default=None, help="coarse dimension (default rank+1)")
     evo.add_argument("--out-prefix", required=True, help="prefix for the four output files")
     evo.set_defaults(func=cmd_evolve)
 

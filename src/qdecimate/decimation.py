@@ -3,10 +3,10 @@
 The map g = B^dag is the isometry B, the first d basis columns, which
 build_map returns as a read-only D x d view; every coarse-graining
 function takes it or the fitted model. Decimating a D-vector reads only
-B, in O(D*d); whether it lies in the fitted span at all is asked of the
-whole basis by outside_span. The weights of states, projected or sliced
-from a fit, are renormalized by one rule, and every operator, a matrix
-or an IsingChain, is compressed by one function. The expectation of a
+B, in O(D*d); whether it lies in the span the states reached at all is
+asked by outside_span. The weights of states, projected or sliced from
+a fit, are renormalized by one rule, and every operator, a matrix or an
+IsingChain, is compressed by one function. The expectation of a
 compressed operator is np.vdot(w, op_cg @ w), w a state's coarse weights.
 
 The power a fitted state keeps at d is read from its weight column
@@ -86,14 +86,15 @@ def decimate_state(b: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def outside_span(model: PcaModel, v: np.ndarray) -> bool:
-    """Whether the D-vector v has support outside the fitted basis Phi.
+    """Whether the D-vector v has support outside K = basis[:, :rank+1], the span the data reached.
 
-    True when |v - Phi Phi^dag v| > Tolerances.base * max(|v|, 1): there the
-    coarse-graining map is not systematic. Reads all M+1 basis columns.
+    True when |v - K K^dag v| > Tolerances.base * max(|v|, 1): there the
+    coarse-graining map is not systematic. Columns past K only complete
+    the basis. Reads K alone, in O(D * (rank+1)).
     """
     v = _checked_copy(model.dim, v)
-    full = adjoint_times(model.basis, v.copy())
-    residual = float(np.linalg.norm(v - model.basis @ full))
+    k = model.basis[:, : model.rank + 1]
+    residual = float(np.linalg.norm(v - k @ adjoint_times(k, v.copy())))
     return residual > Tolerances.base * max(float(np.linalg.norm(v)), 1.0)
 
 

@@ -179,7 +179,4 @@ def saturation_dimension(curve: EntropyCurve) -> int:
     """
     final = curve.points[-1][1]
     band = _SATURATION_BAND * max(final, 1e-6)
-    for d, entropy in curve.points:
-        if abs(entropy - final) <= band:
-            return d
-    return curve.points[-1][0]
+    return next(d for d, entropy in curve.points if abs(entropy - final) <= band)

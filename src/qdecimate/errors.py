@@ -38,10 +38,6 @@ class DimMismatch(DomainError):
     """Operand dimensions are incompatible."""
 
 
-class AllZeroDeviations(DomainError):
-    """Every singular value vanishes; no component importances exist."""
-
-
 class BadDimension(DomainError):
     """Requested coarse dimension d lies outside [2, M+1]."""
 

@@ -15,19 +15,21 @@ Householder QR, then, for more than one block, one Householder QR of the
 stacked R factors. Q's column 0 is u0 up to a phase and R's row 0 holds
 u0^H S, so the deviations are Q[:, 1:] @ R[1:, 1:], and the SVD runs on
 that M x M block, R[1:, 1:] = U_b diag(s) Vh. The basis is
-[u0 | Q[:, 1:] @ U_b] in its first r+1 columns, r the rank. The M - r
-columns past them carry zero weight, and the SVD would take them from
-round-off, so ``complete_basis`` writes them as a function of the
-retained columns alone: the trailing columns of the Householder Q of
-K = basis[:, :r+1]. A model file stores only K, and its reader rebuilds
-the rest by the same call.
+K = [u0 | Q[:, 1:] @ U_b[:, :r]] in its first r+1 columns, r the rank:
+the span the states reached. The M - r columns past them carry zero
+weight, and the SVD would take them from round-off, so the fit never
+computes them from the data: ``complete_basis`` writes them as a
+function of K alone, the trailing columns of the Householder Q of K.
+A model file stores only K, and its reader rebuilds the rest by the
+same call.
 
 No Q is formed. Each QR keeps its reflectors V (n x k, unit lower
 trapezoidal, k = M+1) and scalars tau, and one writer overwrites V's
-columns 1..M in place with Q [X; 0] = [X; 0] - V T (V[:k]^H X), in
+columns 1..r in place with Q [X; 0] = [X; 0] - V T (V[:k]^H X), in
 compact WY form (Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 10
-(1989) 53). It writes Q2 [0; U_b] over the stacked level's reflectors,
-then each block's basis rows from that block's k rows of the result.
+(1989) 53), X being k x r. It writes Q2 [0; U_b[:, :r]] over the
+stacked level's reflectors, then each block's basis rows from that
+block's k rows of the result.
 
 A singular vector pair is defined up to a phase, and the fit fixes it
 once, on the M x M factor: the pivot (``pivot_phases``) of each weight
@@ -53,11 +55,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroDeviations, DimMismatch, DomainError, NoConvergence, RegimeViolation
+from .errors import DimMismatch, DomainError, NoConvergence, RegimeViolation
 from .numerics import Tolerances, gram, gram_deviation, pivot_phases, svd
 from .stateset import StateSet
 
-__all__ = ["PcaModel", "fit_pca", "importances"]
+__all__ = ["PcaModel", "fit_pca"]
 
 
 @dataclass(frozen=True)
@@ -184,48 +186,61 @@ def _wy_triangle(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 
 def _write_basis_rows(rows: np.ndarray, tau: np.ndarray, x: np.ndarray, buffer: np.ndarray) -> None:
-    """Overwrite columns 1..M of reflectors V with Q [x; 0] = [x; 0] - V C, C = T V[:k]^H x.
+    """Overwrite columns 1..r of reflectors V with Q [x; 0] = [x; 0] - V C, C = T V[:k]^H x.
 
-    Row j of the product V C reads only row j of V, so the rows are
-    written _PRODUCT_ROWS at a time through the one buffer.
+    x is k x r, r the rank; V's columns past r are left as they are. Row j
+    of the product V C reads only row j of V, so the rows are written
+    _PRODUCT_ROWS at a time through the one buffer of r columns.
     """
     c = _wy_triangle(rows, tau) @ (rows[: tau.size].conj().T @ x)
+    written = slice(1, x.shape[1] + 1)
     for lo in range(0, len(rows), _PRODUCT_ROWS):
         part = rows[lo : lo + _PRODUCT_ROWS]
         product = np.matmul(part, c, out=buffer[: len(part)])
-        np.negative(product, out=part[:, 1:])
-    rows[: tau.size, 1:] += x
+        np.negative(product, out=part[:, written])
+    rows[: tau.size, written] += x
 
 
-# Columns per panel of the sign-choosing LU: each panel runs column by
-# column, and its trailing update is one product.
-_LU_PANEL = 32
+def _unit_lower_solve(lower: np.ndarray, b: np.ndarray) -> None:
+    """Overwrite b with L^-1 b, L the unit lower triangle of the square block lower.
+
+    It recurses on L's two diagonal halves; between them, the block of L
+    below the first half updates b's second half by one product.
+    """
+    k = len(lower)
+    if k > 1:
+        h = k // 2
+        _unit_lower_solve(lower[:h, :h], b[:h])
+        b[h:] -= lower[h:, :h] @ b[:h]
+        _unit_lower_solve(lower[h:, h:], b[h:])
 
 
-def _signed_lu(a: np.ndarray) -> np.ndarray:
-    """Overwrite the k x k block a with L and U of a - diag(s), no pivoting; return s.
+def _signed_lu(a: np.ndarray, s: np.ndarray) -> None:
+    """Overwrite the n x k block a (n >= k) with L and U of a - [diag(s); 0], no pivoting.
 
     s_j is chosen when pivot p_j is reached: s_j = -p_j / |p_j|, and 1 for
-    p_j = 0, so |U_jj| = |p_j| + 1 >= 1. L is unit lower triangular, held
-    below the diagonal. This is the modified LU of Ballard et al.,
-    "Reconstructing Householder vectors from tall-skinny QR" (IPDPS 2014):
-    for orthonormal columns K with top block a, s is the diagonal of R in
-    the Householder QR K = Q [diag(s); 0] whose reflector j takes the sign
-    s_j, and L stacked over K[k:] U^-1 are that QR's reflector vectors.
+    p_j = 0, so |U_jj| = |p_j| + 1 >= 1. L is unit lower trapezoidal, held
+    below the diagonal, and its rows past k are a[k:] U^-1. This is the
+    modified LU of Ballard et al., "Reconstructing Householder vectors from
+    tall-skinny QR" (IPDPS 2014): for orthonormal columns K, s is the
+    diagonal of R in the Householder QR K = Q [diag(s); 0] whose reflector j
+    takes the sign s_j, and L holds that QR's reflector vectors. It runs
+    recursively (Toledo, SIAM J. Matrix Anal. Appl. 18 (1997) 1065): the
+    left half of the columns, one unit-lower solve for U12, one product for
+    the trailing block, then its right half.
     """
-    k = len(a)
-    s = np.empty(k, dtype=np.complex128)
-    for lo in range(0, k, _LU_PANEL):
-        hi = min(lo + _LU_PANEL, k)
-        for j in range(lo, hi):
-            p = a[j, j]
-            s[j] = -p / abs(p) if p != 0 else 1.0
-            a[j, j] = p - s[j]
-            a[j + 1 :, j] /= a[j, j]
-            a[j + 1 : hi, j + 1 :] -= np.outer(a[j + 1 : hi, j], a[j, j + 1 :])
-            a[hi:, j + 1 : hi] -= np.outer(a[hi:, j], a[j, j + 1 : hi])
-        a[hi:, hi:] -= a[hi:, lo:hi] @ a[lo:hi, hi:]
-    return s
+    k = a.shape[1]
+    if k == 1:
+        p = a[0, 0]
+        s[0] = -p / abs(p) if p != 0 else 1.0
+        a[0, 0] = p - s[0]
+        a[1:, 0] /= a[0, 0]
+        return
+    h = k // 2
+    _signed_lu(a[:, :h], s[:h])
+    _unit_lower_solve(a[:h, :h], a[:h, h:])
+    a[h:, h:] -= a[h:, :h] @ a[:h, h:]
+    _signed_lu(a[h:, h:], s[h:])
 
 
 def complete_basis(phi: np.ndarray, rank: int) -> None:
@@ -233,29 +248,27 @@ def complete_basis(phi: np.ndarray, rank: int) -> None:
 
     With K = phi[:, :k], k = rank+1, orthonormal, the columns become
     Q_K [0; I; 0], the trailing columns of the Householder Q of K whose
-    reflector j takes the sign s_j of ``_signed_lu`` of K's top k x k
-    block: orthonormal, orthogonal to K, and fixed by K to round-off
-    whatever the columns held before. With Q_K = I - Y T Y^H and
-    K - [S; 0] = Y U (S = diag(s)), they equal [0; I; 0] + (K - [S; 0]) G,
-    G = S^H (K[:k] - S)^-H K[k:M+1]^H: one product K G, written
-    _PRODUCT_ROWS rows at a time, less S G in the top k rows, plus I.
-    Only k x k and k x (M - rank) arrays are allocated. A full-rank
-    buffer (rank = M) is left as it is.
+    reflector j takes the sign s_j of ``_signed_lu`` of K's top M+1 rows:
+    orthonormal, orthogonal to K, and fixed by K to round-off whatever the
+    columns held before. With Q_K = I - Y T Y^H and K - [S; 0] = Y U
+    (S = diag(s)), they equal [0; I; 0] + (K - [S; 0]) G, G = (Z S)^H,
+    Z = K[k:M+1] U^-1 L^-1: one product K G, written _PRODUCT_ROWS rows at
+    a time, less S G in the top k rows, plus I. The LU of the copied
+    (M+1) x k top of K leaves K[k:M+1] U^-1 in its rows past k, and one
+    unit-lower solve on reversed transposed views makes them Z, then G in
+    place. A full-rank buffer (rank = M) is left as it is.
     """
     k, width = rank + 1, phi.shape[1]
     if k >= width:
         return
-    lu = phi[:k, :k].copy()
-    s = _signed_lu(lu)
-    # G, by two substitutions: U^H Y = K[k:M+1]^H, then L^H X = Y
-    g = phi[k:width, :k].T.copy()
-    np.conjugate(g, out=g)
-    for i in range(k):
-        g[i] -= lu[:i, i].conj() @ g[:i]
-        g[i] /= lu[i, i].conj()
-    for i in range(k - 2, -1, -1):
-        g[i] -= lu[i + 1 :, i].conj() @ g[i + 1 :]
-    g *= s.conj()[:, np.newaxis]
+    lu = phi[:width, :k].copy()
+    s = np.empty(k, dtype=np.complex128)
+    _signed_lu(lu, s)
+    # Z L = Y is L^T Z^T = Y^T, a unit-lower solve once rows and columns are reversed
+    _unit_lower_solve(lu[:k].T[::-1, ::-1], lu[k:].T[::-1])
+    z = lu[k:]
+    z *= s
+    g = np.conjugate(z, out=z).T
     for lo in range(0, len(phi), _PRODUCT_ROWS):
         rows = phi[lo : lo + _PRODUCT_ROWS]
         np.matmul(rows[:, :k], g, out=rows[:, k:])
@@ -276,10 +289,10 @@ def fit_pca(s: StateSet | np.ndarray) -> PcaModel:
     for bit.
 
     No Q factor is formed: one compact WY writer overwrites each QR's
-    reflectors in place, the stacked R factors' first, then each row
-    block's, which become basis rows. One row block needs no second QR.
-    complete_basis then rewrites the columns past the rank from the
-    retained ones alone.
+    reflectors in place with the r retained directions, the stacked R
+    factors' first, then each row block's, which become basis columns
+    1..r. One row block needs no second QR. complete_basis, the only
+    writer of columns r+1..M, then computes them from columns 0..r alone.
 
     When every state is constant over the basis index, the deviations
     are exactly zero: the singular values are set to 0 and the rank
@@ -323,24 +336,25 @@ def fit_pca(s: StateSet | np.ndarray) -> PcaModel:
         tau2 = _householder_qr(stacked, r)
 
     # 3. the deviations are Q[:, 1:] @ R[1:, 1:]: their SVD is the M x M one.
-    # Each Vh row's pivot phase moves onto its U_b column and off the weights.
+    # Each retained Vh row's pivot phase moves onto its U_b column and off
+    # the weights; only those r columns are lifted.
     u_b, sv, vh = svd(r[1:, 1:])
     if constant:
         sv = np.zeros(count)
     rank = numerical_rank(sv)
-    phase = pivot_phases(vh.T)
-    lift = np.zeros((width, count), dtype=np.complex128)
-    np.multiply(u_b, phase, out=lift[1:])
+    phase = pivot_phases(vh[:rank].T)
+    lift = np.zeros((width, rank), dtype=np.complex128)
+    np.multiply(u_b[:, :rank], phase, out=lift[1:])
     del u_b  # not held while the basis is written
 
     # 4. several blocks: Q2 [lift; 0] is written over the stack's columns
-    # 1..M by the same writer. Basis rows of block i are then Q_i X_i, with
+    # 1..r by the same writer. Basis rows of block i are then Q_i X_i, with
     # X_i block i's rows of that (the lift itself with one block). Q's
     # column 0 is u0 up to a phase; the basis takes u0 itself there.
-    buffer = np.empty((_PRODUCT_ROWS, count), dtype=np.complex128)
+    buffer = np.empty((_PRODUCT_ROWS, rank), dtype=np.complex128)
     if blocks > 1:
         _write_basis_rows(stacked, tau2, lift, buffer)
-        lift = stacked[:, 1:]
+        lift = stacked[:, 1 : rank + 1]
     for i, (lo, hi) in enumerate(spans):
         _write_basis_rows(phi[lo:hi], taus[i], lift[i * width : (i + 1) * width], buffer)
     phi[:, 0] = u0
@@ -348,15 +362,7 @@ def fit_pca(s: StateSet | np.ndarray) -> PcaModel:
 
     weights = np.zeros((count + 1, count), dtype=np.complex128)
     weights[0, :] = math.sqrt(dim) * means
-    phased = vh[:rank, :] * np.conj(phase[:rank, np.newaxis])
+    phased = vh[:rank, :] * np.conj(phase[:, np.newaxis])
     weights[1 : rank + 1, :] = sv[:rank, np.newaxis] * phased
 
     return PcaModel(basis=phi, singular_values=sv, weights=weights)
-
-
-def importances(model: PcaModel) -> np.ndarray:
-    """All M fractional contributions; they sum to 1."""
-    total = float(np.sum(model.singular_values))
-    if total <= 0.0:
-        raise AllZeroDeviations("every deviation singular value is zero")
-    return model.singular_values / total

@@ -15,6 +15,7 @@ import pytest
 
 from qdecimate import (
     NormPolicy,
+    PcaModel,
     Tolerances,
     entropy_vs_dimension_curve,
     evolve_sequence,
@@ -230,7 +231,7 @@ class TestFit:
             prefix = tmp_path / f"chain_{threads}"
             for argv in (
                 ["fit", str(states), "-o", str(tmp_path / f"model_{threads}.json")],
-                [*evolve, "--steps", "60", "--out-prefix", str(prefix)],
+                [*evolve, "--steps", "60", "--d", "61", "--out-prefix", str(prefix)],
             ):
                 code = "import sys; from qdecimate.cli import main; sys.exit(main())"
                 subprocess.run(
@@ -255,6 +256,47 @@ class TestFit:
             assert np.abs(one.basis - two.basis).max() <= wedin(one)
         bound = 2.0 * ising_chain(10).bound * wedin(chain_one)
         assert hcg_one.shape == (61, 61) and np.abs(hcg_one - hcg_two).max() <= bound
+
+
+class TestImportanceTable:
+    """fit prints each singular value's fraction of their sum, or one line saying it cannot."""
+
+    @staticmethod
+    def _table(tmp_path, monkeypatch, capsys, sv=None):
+        # sv: the fit returns a model with these singular values (a Fourier
+        # basis of M+2 rows and zero weights) instead of fitting the states
+        path, _ = _states_file(tmp_path, 32, 6, seed=33)
+        if sv is not None:
+            count = len(sv)
+            basis = np.fft.fft(np.eye(count + 2))[:, : count + 1] / np.sqrt(count + 2)
+            weights = np.zeros((count + 1, count), dtype=complex)
+            model = PcaModel(basis, np.asarray(sv, dtype=np.float64), weights)
+            monkeypatch.setattr(cli, "fit_pca", lambda phi: model)
+        assert main(["fit", str(path), "-o", str(tmp_path / "m.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split(",") for line in lines if line[:1].isdigit()]
+        return lines, [float(cols[2]) for cols in rows]
+
+    def test_direct_ratio(self, tmp_path, monkeypatch, capsys):
+        _, fractions = self._table(tmp_path, monkeypatch, capsys, [3.0, 1.0])
+        assert fractions == [0.75, 0.25]
+
+    def test_symmetric_values(self, tmp_path, monkeypatch, capsys):
+        _, fractions = self._table(tmp_path, monkeypatch, capsys, [0.7, 0.7, 0.7, 0.7])
+        assert len(fractions) == 4
+        for value in fractions:
+            assert abs(value - 0.25) <= 1e-15
+
+    def test_sum_to_one(self, tmp_path, monkeypatch, capsys):
+        _, fractions = self._table(tmp_path, monkeypatch, capsys)
+        assert len(fractions) == 6
+        assert abs(sum(fractions) - 1.0) <= 1e-12
+
+    def test_all_zero_deviations_skip_the_table(self, tmp_path, monkeypatch, capsys):
+        lines, fractions = self._table(tmp_path, monkeypatch, capsys, [0.0, 0.0])
+        assert fractions == []
+        assert "importance table: skipped (all deviation singular values are zero)" in lines
+        assert "k,singular_value,importance" not in lines
 
 
 def _quiet_main(argv):
@@ -927,6 +969,32 @@ class TestEvolve:
         assert main(["evolve", "--hamiltonian", "ising:5", *argv]) == 0
         code, err = _stderr_lines(["evolve", "--hamiltonian", "zero", "--dim", "40", *argv])
         assert code == 1 and err[0].startswith("error: out of memory: evolve with D=40")
+
+    @pytest.mark.parametrize(
+        "spec, psi0, steps, rank",
+        [
+            ("ising:6", "random:1", 40, 24),
+            ("ising:6", "random:1", 10, 10),
+            ("zero", "uniform", 3, 0),
+        ],
+        ids=["rank-deficient", "full-rank", "constant"],
+    )
+    def test_default_d_is_the_span_the_trajectory_reached(
+        self, tmp_path, capsys, spec, psi0, steps, rank
+    ):
+        # d = rank+1, at least 2: the default _hcg.json is (rank+1) x (rank+1),
+        # (M+1) x (M+1) only when the trajectory has full rank; a constant
+        # trajectory (rank 0) gets the smallest d there is
+        prefix = tmp_path / "chain"
+        dim = ["--dim", "64"] if spec == "zero" else []
+        argv = ["evolve", "--hamiltonian", spec, *dim, "--psi0", psi0, "--dt", "0.1"]
+        assert main([*argv, "--steps", str(steps), "--out-prefix", str(prefix)]) == 0
+        d = max(2, rank + 1)
+        lines = capsys.readouterr().out.splitlines()
+        assert f"rank: {rank}" in lines and f"coarse dimension: d={d}" in lines
+        assert read_operator(f"{prefix}_hcg.json").shape == (d, d)
+        power = read_curve(f"{prefix}_retained.csv")[d - 1][1]
+        assert f"mean retained power at d: {power!r}" in lines
 
     def test_ising_14_runs_without_a_dense_matrix(self, tmp_path):
         # a dense H would need 4 GiB here

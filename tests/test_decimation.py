@@ -143,6 +143,18 @@ class TestDecimateState:
         for amp in (1e-6, 1e-8):
             assert outside_span(model, inside_vec + amp * off)
 
+    def test_a_completion_column_lies_outside(self):
+        # 150 complex mixtures of 8 states: the data reached columns 0..8 of
+        # the basis, and column 9 onwards only complete it
+        base = random_state_set(2**10, 8, 1).matrix
+        rng = np.random.Generator(np.random.PCG64([1, 8]))
+        mixed = base @ (rng.standard_normal((8, 150)) + 1j * rng.standard_normal((8, 150)))
+        model = fit_pca(validate_state_set(mixed / np.linalg.norm(mixed, axis=0)))
+        assert model.rank == 8
+        assert not outside_span(model, model.basis[:, 8])
+        assert outside_span(model, model.basis[:, 9])
+        assert outside_span(model, model.basis[:, 150])
+
     def test_outside_span_checks_its_input(self):
         model = fit_pca(random_state_set(16, 3, seed=60))
         with pytest.raises(DimMismatch):

@@ -5,7 +5,6 @@ from pathlib import Path
 import qdecimate
 
 PUBLIC = [
-    "AllZeroDeviations",
     "BadDimension",
     "BadQubitIndex",
     "DEFAULT_TOL",
@@ -34,7 +33,6 @@ PUBLIC = [
     "entropy_vs_dimension_curve",
     "evolve_sequence",
     "fit_pca",
-    "importances",
     "ising_chain",
     "outside_span",
     "random_hamiltonian",

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qdecimate import (
     DEFAULT_TOL,
-    AllZeroDeviations,
     DimMismatch,
     DomainError,
     NoConvergence,
@@ -18,7 +17,6 @@ from qdecimate import (
     decimate_state,
     evolve_sequence,
     fit_pca,
-    importances,
     ising_chain,
     random_state_set,
     validate_state_set,
@@ -590,27 +588,6 @@ class TestWeightsOf:
         model = fit_pca(random_state_set(16, 3, seed=32))
         with pytest.raises(DimMismatch):
             _full_weights(model, np.zeros(5, dtype=complex))
-
-
-class TestImportance:
-    def test_direct_ratio(self):
-        model = _model_with_singular_values([3.0, 1.0])
-        assert importances(model)[0] == 0.75
-        assert importances(model)[1] == 0.25
-
-    def test_symmetric_values(self):
-        model = _model_with_singular_values([0.7, 0.7, 0.7, 0.7])
-        for k in range(1, 5):
-            assert abs(importances(model)[k - 1] - 0.25) <= 1e-15
-
-    def test_sum_to_one(self):
-        model = fit_pca(random_state_set(32, 6, seed=33))
-        assert abs(importances(model).sum() - 1.0) <= 1e-12
-
-    def test_all_zero_deviations(self):
-        model = _model_with_singular_values([0.0, 0.0])
-        with pytest.raises(AllZeroDeviations):
-            importances(model)
 
 
 class TestReconstruct:
