@@ -37,7 +37,7 @@ from .evolution import (
     ising_chain,
     random_hamiltonian,
 )
-from .numerics import Tolerances
+from .numerics import Tolerances, check_index
 from .pca import fit_pca
 from .stateset import NormPolicy, StateSet, check_regime, random_state_vector, validate_state_set
 
@@ -93,10 +93,8 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
     factor = QubitFactorization.from_dim(states.dim)
     scale = 1.0 / math.log(2.0) if args.bits else 1.0
     unit = "bits" if args.bits else "nats"
-    if not 1 <= args.state <= states.count:
-        raise DomainError(f"--state must lie in 1..{states.count}, got {args.state}")
-    if not 1 <= args.qubit <= factor.n:
-        raise DomainError(f"--qubit must lie in 1..{factor.n}, got {args.qubit}")
+    check_index(args.state, states.count, DomainError, "--state")
+    check_index(args.qubit, factor.n, DomainError, "--qubit")
     if args.fine:
         rho = reduced_density_matrix(states.column(args.state), factor, args.qubit)
         value = von_neumann_entropy(rho) * scale
@@ -199,12 +197,8 @@ def _parse_psi0(spec: str, dim: int) -> np.ndarray:
                 raise DomainError("uniform takes no parameters")
             return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
         if name == "basis":
-            index = int(rest) if rest else 1
-            if not 1 <= index <= dim:
-                raise DomainError(f"basis index must lie in 1..{dim}, got {index}")
-            psi0 = np.zeros(dim, dtype=np.complex128)
-            psi0[index - 1] = 1.0
-            return psi0
+            index = check_index(int(rest) if rest else 1, dim, DomainError, "basis index")
+            return np.eye(1, dim, index - 1, dtype=np.complex128)[0]
         if name == "random":
             return random_state_vector(dim, int(rest) if rest else 0)
         if name == "file":

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadDimension, DimMismatch, DomainError, ZeroNorm
-from .numerics import Tolerances, adjoint_times, check_finite, check_hermitian
+from .numerics import Tolerances, adjoint_times, check_finite, check_hermitian, check_index
 from .pca import PcaModel
 
 __all__ = [
@@ -117,8 +117,7 @@ def select_dimension(model: PcaModel, eps: float, state: int | None = None) -> i
     """
     if not 0.0 <= eps < 1.0:
         raise DomainError(f"eps must lie in [0, 1), got {eps}")
-    if state is not None and not 1 <= state <= model.count:
-        raise DimMismatch(f"state index must lie in 1..{model.count}, got {state}")
+    state = None if state is None else check_index(state, model.count, DimMismatch, "state index")
     reached = retained_power(model) >= 1.0 - eps
     first = np.where(reached.any(axis=0), reached.argmax(axis=0) + 1, model.count + 1)
     dims = np.maximum(first, 2)

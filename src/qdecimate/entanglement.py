@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadQubitIndex, DimMismatch, NotDensityMatrix, NotPowerOfTwo, ZeroNorm
-from .numerics import Tolerances, check_finite
+from .numerics import Tolerances, check_finite, check_index
 from .pca import PcaModel
 from .stateset import StateSet
 
@@ -70,8 +70,7 @@ def reduced_density_matrix(v: np.ndarray, f: QubitFactorization, q: int) -> np.n
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (f.dim,):
         raise DimMismatch(f"expected a vector of length {f.dim}, got shape {v.shape}")
-    if not 1 <= q <= f.n:
-        raise BadQubitIndex(f"qubit index must lie in 1..{f.n}, got {q}")
+    q = check_index(q, f.n, BadQubitIndex, "qubit index")
     psi = np.moveaxis(v.reshape([2] * f.n), q - 1, 0).reshape(2, -1)
     return psi @ psi.conj().T
 
@@ -124,11 +123,9 @@ def entropy_vs_dimension_curve(s: StateSet, model: PcaModel, mu: int, q: int) ->
     """
     if s.dim != model.dim or s.count != model.count:
         raise DimMismatch("state set and model disagree on dimensions")
-    if not 1 <= mu <= model.count:
-        raise DimMismatch(f"state index must lie in 1..{model.count}, got {mu}")
+    mu = check_index(mu, model.count, DimMismatch, "state index")
     f = QubitFactorization.from_dim(model.dim)
-    if not 1 <= q <= f.n:
-        raise BadQubitIndex(f"qubit index must lie in 1..{f.n}, got {q}")
+    q = check_index(q, f.n, BadQubitIndex, "qubit index")
     # a contiguous copy: the column view strides M entries, and every block reads it
     w = np.ascontiguousarray(model.weights[:, mu - 1])
     high, low = 2 ** (q - 1), 2 ** (f.n - q)

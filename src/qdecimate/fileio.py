@@ -24,18 +24,16 @@ bytes finds every JSON string by its quotes and lists where each cut
 string lies: a string that follows a "data" key and holds no backslash,
 whose text stays in the file. Every other byte is the skeleton (keys,
 header integers, dtype, shape, singular values, labels), which is read
-back from the file by offset and is all that json.loads parses. Then
-each array runs its checks in order, all before anything is
-allocated: dtype, positive shape entries, and the canonical base64
-length of the bytes its shape needs. Only then is the final array
-allocated and its text read and decoded into it strictly in C
-(binascii.a2b_base64, strict_mode=True), one piece of about 1 MiB at a
-time, each at its own byte offset, so every array fills in file order;
-every entry must then be finite. So a read holds its arrays, one
-piece and the skeleton. A "data" string with a backslash (a hand-made
-file's escapes) is never cut: json unescapes it in the skeleton, and it
-is decoded in the same pieces. A cut string that no array reads (a
-duplicate key's) is still checked as JSON text.
+back from the file by offset and is all that json.loads parses. Every
+reader checks each array's dtype, positive shape entries and canonical
+base64 length, and every shape against its header, before it allocates
+anything. Only then is each array allocated and its text decoded into
+it strictly in C (binascii.a2b_base64, strict_mode=True), about 1 MiB
+at a time, in file order; every entry must then be finite. So a read
+holds its arrays, one piece and the skeleton. A "data" string with a
+backslash (a hand-made file's escapes) is never cut: json unescapes it
+in the skeleton. A cut string that no array reads (a duplicate key's)
+is still checked as JSON text.
 """
 
 from __future__ import annotations
@@ -380,16 +378,6 @@ def _decode_into(arr: np.ndarray, data: _Text, field: str, path: str | Path) -> 
     return arr
 
 
-def _decode_array(value, field: str, path: str | Path) -> np.ndarray:
-    """A complex array from its {dtype, shape, data} object, filled in file order.
-
-    Every check of _array_text runs before anything is allocated; only
-    then is the C-ordered result allocated and decoded into (_decode_into).
-    """
-    shape, data = _array_text(value, field, path)
-    return _decode_into(np.empty(shape, dtype=_DTYPE), data, field, path)
-
-
 def _check_labels(labels, count: int, path: str | Path) -> None:
     """Labels are a list or tuple of exactly count str values, never one bare str."""
     if not (isinstance(labels, (list, tuple)) and len(labels) == count) or not all(
@@ -430,14 +418,14 @@ def read_state_set(path: str | Path) -> tuple[np.ndarray, tuple[str, ...] | None
     columns of a fit buffer (see fit_pca).
     """
     with _read_document(path, "states") as (doc, dim):
-        rows = _decode_array(doc.pop("states"), "states", path)
-    if rows.ndim != 2:
-        raise DomainError(f"{path}: states must have shape [M, D], one row per state")
-    matrix = rows.T
-    if matrix.shape[0] != dim:
-        raise DomainError(
-            f"{path}: dimension field {dim} does not match state length {matrix.shape[0]}"
-        )
+        shape, data = _array_text(doc.pop("states"), "states", path)
+        if len(shape) != 2:
+            raise DomainError(f"{path}: states must have shape [M, D], one row per state")
+        if shape[1] != dim:
+            raise DomainError(
+                f"{path}: dimension field {dim} does not match state length {shape[1]}"
+            )
+        matrix = _decode_into(np.empty(shape, dtype=_DTYPE), data, "states", path).T
     labels = doc.get("labels")
     if labels is not None:
         _check_labels(labels, matrix.shape[1], path)
@@ -542,18 +530,22 @@ def write_operator(path: str | Path, matrix: np.ndarray) -> None:
 def read_operator(path: str | Path) -> np.ndarray:
     """Load a square operator and check that it is Hermitian."""
     with _read_document(path, "matrix") as (doc, dim):
-        matrix = _decode_array(doc.pop("matrix"), "matrix", path)
-    if matrix.shape != (dim, dim):
-        raise DomainError(f"{path}: matrix shape {matrix.shape} != ({dim}, {dim})")
+        shape, data = _array_text(doc.pop("matrix"), "matrix", path)
+        if shape != [dim, dim]:
+            raise DomainError(f"{path}: matrix shape {tuple(shape)} != ({dim}, {dim})")
+        matrix = _decode_into(np.empty(shape, dtype=_DTYPE), data, "matrix", path)
     check_hermitian(matrix, name=str(path))
     return matrix
 
 
 def write_curve(path: str | Path, rows: list[tuple[int, float]]) -> None:
-    """CSV with header d,value; one row per (strictly increasing) d."""
-    lines = ["d,value"]
+    """CSV with header d,value; one row per d, the d values strictly increasing positive ints."""
+    lines, previous = ["d,value"], 0
     for d, value in rows:
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d <= previous:
+            raise DomainError(f"{path}: d must be an integer above {previous}, got {d!r}")
         lines.append(f"{int(d)},{float(value)!r}")
+        previous = d
     text = "\n".join(lines) + "\n"
     _atomic_write(path, lambda handle: handle.write(text.encode("utf-8")))
 
@@ -573,7 +565,10 @@ def read_curve(path: str | Path) -> list[tuple[int, float]]:
     for number, line in enumerate(lines[1:], start=2):
         try:
             d, value = line
-            rows.append((int(d), float(value)))
+            d, value = int(d), float(value)
         except ValueError as exc:
             raise DomainError(f"{path}: malformed row {number}") from exc
+        if d <= (previous := rows[-1][0] if rows else 0):
+            raise DomainError(f"{path}: row {number}: d must exceed {previous}, got {d}")
+        rows.append((d, value))
     return rows

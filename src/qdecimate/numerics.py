@@ -43,6 +43,13 @@ def check_finite(m: np.ndarray, name: str = "matrix") -> None:
         raise NonFinite(f"{name} contains NaN or Inf entries")
 
 
+def check_index(value, top: int, error: type[Exception], what: str) -> int:
+    """value as an int if it is a 1-based index in 1..top; a bool, float or text never is."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 1 <= value <= top:
+        raise error(f"{what} must lie in 1..{top}, got {value}")
+    return int(value)
+
+
 # Rows checked for hermiticity at once: the check holds a few rows, never a matrix
 _HERMITIAN_ROWS = 8
 

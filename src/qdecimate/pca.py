@@ -73,11 +73,12 @@ class PcaModel:
     singular_values: M deviation singular values: finite, non-negative, descending
     weights:         (M+1) x M; column mu expands state mu in the basis,
                      and the pivot entry of each row 1..rank is real positive
-    rank:            singular values above rank_rel * e_1 (the rest count
-                     as zero; their basis columns are complete_basis's
-                     completion of columns 0..rank, orthonormal to them and
-                     a function of them alone, and their weight rows are
-                     zero); 0 when every state is constant
+    rank:            singular values above rank_rel * e_1 (the rest count as
+                     zero); 0 when every state is constant. Columns past the
+                     rank that a fit writes, or read_model rebuilds for a file
+                     that lacks them, are complete_basis's function of columns
+                     0..rank, with zero weight rows; those a file holds (all of
+                     a full-width file's) or a hand-built model has are kept
     """
 
     basis: np.ndarray

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, NonFinite, NotNormalized, RegimeViolation
-from .numerics import Tolerances
+from .numerics import Tolerances, check_index
 
 
 class NormPolicy(enum.Enum):
@@ -24,7 +24,9 @@ class NormPolicy(enum.Enum):
 
 
 def check_regime(dim: int, count: int) -> None:
-    """Raise RegimeViolation unless M >= 1 states lie in D > M+1 dimensions."""
+    """Raise RegimeViolation unless M >= 1 states (an int, not a bool) lie in D > M+1 dimensions."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise RegimeViolation(f"need a whole number of states, got M={count!r}")
     if count < 1:
         raise RegimeViolation(f"need at least one state, got M={count}")
     if dim <= count + 1:
@@ -82,9 +84,7 @@ class StateSet:
 
     def column(self, mu: int) -> np.ndarray:
         """State coefficients for 1-based state index mu; DimMismatch outside 1..M."""
-        if not 1 <= mu <= self.count:
-            raise DimMismatch(f"state index must lie in 1..{self.count}, got {mu}")
-        return self.matrix[:, mu - 1]
+        return self.matrix[:, check_index(mu, self.count, DimMismatch, "state index") - 1]
 
 
 def validate_state_set(

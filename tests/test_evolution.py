@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -98,6 +99,17 @@ class TestEvolveSequence:
             evolve_sequence(h, psi0, 0.1, 7)
         with pytest.raises(RegimeViolation):
             evolve_sequence(h, psi0, 0.1, 0)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.7, 3.0, np.float64(3), True], ids=repr)
+    @pytest.mark.parametrize("kind", ["dense", "chain"])
+    def test_a_step_count_that_is_no_integer_is_refused(self, kind, steps):
+        h = random_hamiltonian(16, seed=97) if kind == "dense" else ising_chain(4)
+        psi0 = random_state_vector(16, seed=97)
+        message = f"need a whole number of states, got M={steps!r}"
+        with pytest.raises(RegimeViolation, match=f"^{re.escape(message)}$"):
+            evolve_sequence(h, psi0, 0.1, steps)
+        want = evolve_sequence(h, psi0, 0.1, 3).matrix
+        assert np.array_equal(evolve_sequence(h, psi0, 0.1, np.int64(3)).matrix, want)
 
     def test_hamiltonian_shape_check(self):
         psi0 = random_state_vector(8, seed=98)

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import stat
 import tracemalloc
 from unittest import mock
@@ -134,13 +135,13 @@ class TestStateSetFile:
 
     def test_matrix_is_the_transposed_view_of_the_rows(self, tmp_path, monkeypatch):
         # the rows fill in file order and the D x M matrix is their view, not a copy
-        decoded, decode = [], fileio._decode_array
+        decoded, decode = [], fileio._decode_into
 
         def spy(*args):
             decoded.append(decode(*args))
             return decoded[-1]
 
-        monkeypatch.setattr(fileio, "_decode_array", spy)
+        monkeypatch.setattr(fileio, "_decode_into", spy)
         s = random_state_set(16, 3, seed=140)
         path = tmp_path / "states.json"
         write_state_set(path, s.matrix)
@@ -589,6 +590,46 @@ class TestCurveFile:
         with pytest.raises(DomainError, match="malformed row 3"):
             read_curve(path)
 
+    @pytest.mark.parametrize(
+        "ds, message",
+        [
+            ([3, 1, 1], "d must be an integer above 3, got 1"),
+            ([1, 2, 2], "d must be an integer above 2, got 2"),
+            ([0, 1], "d must be an integer above 0, got 0"),
+            ([-1], "d must be an integer above 0, got -1"),
+            ([True, 2], "d must be an integer above 0, got True"),
+            ([1, 2.0], "d must be an integer above 1, got 2.0"),
+            ([1, "2"], "d must be an integer above 1, got '2'"),
+        ],
+        ids=["decreasing", "repeated", "zero", "negative", "bool", "float", "text"],
+    )
+    def test_writer_refuses_d_values_that_do_not_increase_from_1(self, tmp_path, ds, message):
+        path = tmp_path / "curve.csv"
+        with pytest.raises(DomainError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            write_curve(path, [(d, 0.5) for d in ds])
+        assert not path.exists()
+
+    def test_writer_takes_numpy_integers(self, tmp_path):
+        write_curve(tmp_path / "a.csv", [(d, 0.5**d) for d in (1, 2, 5)])
+        write_curve(tmp_path / "b.csv", [(np.int64(d), 0.5**d) for d in (1, 2, 5)])
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("3,0.1\n1,0.2\n1,0.3", "row 3: d must exceed 3, got 1"),
+            ("1,0.1\n2,0.2\n2,0.3", "row 4: d must exceed 2, got 2"),
+            ("0,0.1", "row 2: d must exceed 0, got 0"),
+            ("1,0.1\n-5,0.2", "row 3: d must exceed 1, got -5"),
+        ],
+        ids=["decreasing", "repeated", "zero", "negative"],
+    )
+    def test_reader_refuses_a_d_that_does_not_exceed_the_one_before(self, tmp_path, rows, message):
+        path = tmp_path / "curve.csv"
+        path.write_text(f"d,value\n{rows}\n")
+        with pytest.raises(DomainError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_curve(path)
+
     def test_invalid_utf8_rejected(self, tmp_path):
         path = tmp_path / "curve.csv"
         path.write_bytes(b"d,value\n1,\xff\n")
@@ -859,7 +900,8 @@ _EDIT_CHARS = list("AQw+/=-_ \n\r\t\x00é") + ["Ａ", " "]
 
 def _decode_in_memory(data: str) -> bytes:
     obj = {"dtype": "<c16", "shape": [2], "data": data}
-    return fileio._decode_array(obj, "x", "f.json").tobytes()
+    shape, text = fileio._array_text(obj, "x", "f.json")
+    return fileio._decode_into(np.empty(shape, dtype="<c16"), text, "x", "f.json").tobytes()
 
 
 def _decode_through_a_file(data: str, path, shape=(1, 2)) -> bytes:
@@ -1265,6 +1307,30 @@ class TestReadMemory:
         peak = peak_bytes(lambda: read(path))
         extra = peak - decoded
         assert extra < 4 * 2**20, f"{kind}: {extra / 2**20:.1f} MiB beyond the arrays"
+
+    @pytest.mark.parametrize("kind", ["states", "model", "operator"])
+    def test_a_header_the_arrays_do_not_fit_is_refused_before_any_is_allocated(
+        self, large_files, tmp_path, kind
+    ):
+        # the dimension field is one short: the refusal holds pieces of text, no array
+        message = {
+            "states": "dimension field 4095 does not match state length 4096",
+            "model": r"header \(D, M\) = \(4095, 200\) does not match the arrays",
+            "operator": r"matrix shape \(905, 905\) != \(904, 904\)",
+        }[kind]
+        read, path, _ = large_files[kind]
+        text = path.read_bytes()
+        dim = int(re.search(rb'"dimension":([0-9]+)', text)[1])
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text.replace(b'"dimension":%d' % dim, b'"dimension":%d' % (dim - 1), 1))
+        del text
+
+        def refuse():
+            with pytest.raises(DomainError, match=message):
+                read(bad)
+
+        peak = peak_bytes(refuse)
+        assert peak < 3 * 2**20, f"{kind}: {peak / 2**20:.1f} MiB"
 
     def test_peak_of_a_narrow_model(self, tmp_path):
         # rank 150 of 200 at D=2^12: the file's 151 columns are 9.4 MiB, and

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -8,15 +9,23 @@ from hypothesis import strategies as st
 
 from qdecimate import (
     DEFAULT_TOL,
+    BadQubitIndex,
     DimMismatch,
     NoConvergence,
     NonFinite,
     NotHermitian,
+    QubitFactorization,
     Tolerances,
+    entropy_vs_dimension_curve,
+    fit_pca,
+    random_state_set,
+    reduced_density_matrix,
+    select_dimension,
 )
 from qdecimate.numerics import (
     check_finite,
     check_hermitian,
+    check_index,
     gram_deviation,
     hermitian_eig,
     pivot_phases,
@@ -286,3 +295,48 @@ class TestChecks:
         from qdecimate import DomainError
 
         assert issubclass(NoConvergence, DomainError)
+
+
+# every library call that takes a 1-based index, as (a call of the index, the
+# class it refuses it with); 4 states of 4 qubits, so every site's top is 4
+_SET = random_state_set(16, 4, seed=31)
+_MODEL = fit_pca(_SET)
+INDEX_SITES = {
+    "StateSet.column": (lambda i: _SET.column(i), DimMismatch),
+    "select_dimension": (lambda i: select_dimension(_MODEL, 0.1, state=i), DimMismatch),
+    "curve-state": (lambda i: entropy_vs_dimension_curve(_SET, _MODEL, i, 1), DimMismatch),
+    "curve-qubit": (lambda i: entropy_vs_dimension_curve(_SET, _MODEL, 1, i), BadQubitIndex),
+    "reduced_density_matrix": (
+        lambda i: reduced_density_matrix(_SET.column(1), QubitFactorization(4), i),
+        BadQubitIndex,
+    ),
+}
+NO_INDEX = [True, False, 2.0, 2.5, np.float64(2), np.True_, "2", None]
+
+
+class TestCheckIndex:
+    @pytest.mark.parametrize("value", [1, 3, np.int64(2), np.int32(3), np.uint8(1)])
+    def test_an_integer_in_range_is_its_int(self, value):
+        index = check_index(value, 3, DimMismatch, "x")
+        assert index == value and type(index) is int
+
+    @pytest.mark.parametrize("value", [0, 4, -1, np.int64(0), *NO_INDEX], ids=repr)
+    def test_anything_else_is_the_given_error(self, value):
+        message = f"x must lie in 1..3, got {value}"
+        with pytest.raises(DimMismatch, match=f"^{re.escape(message)}$"):
+            check_index(value, 3, DimMismatch, "x")
+
+    @pytest.mark.parametrize("value", [True, 2.0, 2.5, np.float64(2)], ids=repr)
+    @pytest.mark.parametrize("site", INDEX_SITES)
+    def test_every_site_refuses_a_bool_or_float(self, site, value):
+        call, error = INDEX_SITES[site]
+        with pytest.raises(error, match=r"index must lie in 1\.\.4, got "):
+            call(value)
+
+    @pytest.mark.parametrize("site", INDEX_SITES)
+    def test_every_site_reads_a_numpy_integer_as_its_int(self, site):
+        call, _ = INDEX_SITES[site]
+        want, got = call(2), call(np.int64(2))
+        if hasattr(want, "points"):
+            want, got = want.points, got.points
+        assert np.array_equal(want, got)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from qdecimate import fileio, pca
 from qdecimate.decimation import retained_power
 from qdecimate.numerics import gram_deviation, pivot_phases, svd
 
+import oracle
 from helpers import peak_bytes, random_columns, random_unitary, reflector_completion
 
 
@@ -728,3 +730,37 @@ class TestPhaseConvention:
         assert got.singular_values.tobytes() == want.singular_values.tobytes()
         assert np.abs(got.basis - want.basis).max() <= 1e-15
         assert np.abs(got.weights - want.weights).max() <= 1e-15
+
+
+class TestDenseOracle:
+    """The fit against numpy's SVD of the deviations (tests/oracle.py), gauge-invariant parts only."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        qubits=st.sampled_from(range(2, 8)),
+        high=st.booleans(),
+        kind=st.sampled_from(oracle.KINDS),
+        fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fit_matches_the_dense_oracle(self, qubits, high, kind, fraction, seed):
+        # M at either edge of the regime 1 <= M <= D-2; blocks of 4 rows at M = 1
+        dim = 2**qubits
+        count = dim - 2 if high else 1
+        r = 1 + int(fraction * (count - 1))
+        s = oracle.state_set(kind, dim, count, r, seed)
+        with mock.patch.object(pca, "_BLOCK_ROWS", 4):
+            model = fit_pca(validate_state_set(s))
+        u, e = oracle.deviation_svd(s)
+        assert model.rank == oracle.rank(e)
+        assert np.abs(model.singular_values - e).max() <= 1e-13 * e[0]
+        assert np.abs(model.basis @ model.weights - s).max() <= 1e-13
+        # running projectors onto the first k deviation directions of each
+        retained, wanted = np.zeros((2, dim, dim), dtype=complex)
+        cuts = dict(oracle.gapped_cuts(e))
+        for k in range(1, max(cuts, default=0) + 1):
+            b = model.basis[:, k]
+            retained += np.outer(b, b.conj())
+            wanted += np.outer(u[:, k - 1], u[:, k - 1].conj())
+            if k in cuts:
+                assert np.abs(retained - wanted).max() <= 1e-13 * e[0] / cuts[k], k

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from qdecimate import (
     random_state_vector,
     validate_state_set,
 )
-from qdecimate.stateset import column_norms
+from qdecimate.stateset import check_regime, column_norms
 
 from helpers import peak_bytes, random_columns
 
@@ -91,6 +92,22 @@ class TestRecord:
         for matrix in (np.asfortranarray(raw), strided[::2, ::2]):
             s = StateSet(matrix)
             assert (s.dim, s.count) == (8, 3) and not s.matrix.flags.writeable
+
+
+class TestCheckRegime:
+    @pytest.mark.parametrize("count", [True, False, 1.0, 2.5, np.float64(2), "2", None], ids=repr)
+    def test_a_count_must_be_an_integer(self, count):
+        message = f"need a whole number of states, got M={count!r}"
+        with pytest.raises(RegimeViolation, match=f"^{re.escape(message)}$"):
+            check_regime(16, count)
+
+    @pytest.mark.parametrize("count", [0, -2, np.int64(0)], ids=repr)
+    def test_an_integer_count_keeps_its_message(self, count):
+        with pytest.raises(RegimeViolation, match=rf"^need at least one state, got M={count}$"):
+            check_regime(16, count)
+
+    def test_a_numpy_integer_count_passes(self):
+        check_regime(16, np.int64(14))
 
 
 class TestColumnNormFunction:

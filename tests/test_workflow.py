@@ -4,11 +4,13 @@
 either a ``run:`` step, run here in bash as the workflow's runner would
 run it, or skipped by its name or action with a reason. A new step that
 is neither fails ``test_every_step_is_run_or_skipped``. The steps run
-from the repository root with ``PYTHONPATH=src``, one BLAS thread and a
-``qdecimate`` on ``PATH`` that runs ``python -m qdecimate.cli``; what
+from the repository root with ``PYTHONPATH=src`` and a ``qdecimate`` on
+``PATH`` that runs ``python -m qdecimate.cli``, once at one BLAS thread
+and once at each other ``blas-threads`` value of the job matrix; what
 they write goes under a temporary ``TMPDIR``.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -109,8 +111,32 @@ def test_a_block_step_reads_as_its_script():
     ]
 
 
+def blas_threads(text: str) -> list[str]:
+    """The values of the job matrix's ``blas-threads`` list, a JSON list of strings."""
+    (line,) = [line for line in text.splitlines() if line.strip().startswith("blas-threads:")]
+    return json.loads(line.partition(":")[2])
+
+
+OTHER_THREADS = [n for n in blas_threads(WORKFLOW.read_text()) if n != "1"]
+
+
+def test_the_matrix_has_a_leg_past_one_thread():
+    assert OTHER_THREADS and "1" in blas_threads(WORKFLOW.read_text())
+
+
 @pytest.mark.parametrize("step", RUN, ids=_label)
 def test_step_exits_0(tmp_path, step):
+    _run_step(tmp_path, step, "1")
+
+
+@pytest.mark.parametrize("step", RUN, ids=_label)
+@pytest.mark.parametrize("threads", OTHER_THREADS)
+def test_step_exits_0_at_other_blas_thread_counts(tmp_path, threads, step):
+    _run_step(tmp_path, step, threads)
+
+
+def _run_step(tmp_path, step: dict[str, str], threads: str) -> None:
+    """Run one step's script in bash as the runner would, at the given BLAS thread count."""
     shims = tmp_path / "bin"
     shims.mkdir()
     for name, command in (
@@ -128,7 +154,7 @@ def test_step_exits_0(tmp_path, step):
         PATH=os.pathsep.join([str(shims), os.environ.get("PATH", "")]),
         PYTHONPATH=str(ROOT / "src"),
         PYTHONDONTWRITEBYTECODE="1",
-        OPENBLAS_NUM_THREADS="1",
+        OPENBLAS_NUM_THREADS=threads,
         TMPDIR=str(tmp_path),
     )
     # the runner's bash: no profile, exit on the first failing command or pipe
